@@ -42,7 +42,7 @@ from repro.experiments.runner import (
     DataPoint,
     compare_policies_corun,
     plan_corun_task,
-    plan_scheme_task,
+    plan_pair_tasks,
     set_disk_memo,
 )
 from repro.experiments.schemes import (
@@ -512,11 +512,12 @@ def cmd_plan_explain(args: argparse.Namespace) -> int:
         reorder = spec.resolved_reorder(config)
         for dataset in spec.datasets:
             for app in spec.apps:
-                for scheme in spec.all_schemes():
-                    plans[f"{app}/{dataset}/{scheme}"] = plan_scheme_task(
-                        app, dataset, reorder, scheme, config,
-                        streaming=spec.streaming,
-                    )
+                pair = plan_pair_tasks(
+                    app, dataset, reorder, spec.all_schemes(), config,
+                    streaming=spec.streaming,
+                )
+                for scheme, plan in pair.items():
+                    plans[f"{app}/{dataset}/{scheme}"] = plan
     if args.json:
         print(json.dumps({key: plan.to_json() for key, plan in plans.items()},
                          indent=2, sort_keys=True))

@@ -5,33 +5,33 @@ one process; this module persists the same three kinds of artifacts so that
 separate invocations (each figure/table benchmark, every worker of the
 parallel runner) reuse each other's work:
 
-``<root>/v3/workload/<sha256>.pkl``
+``<root>/v4/workload/<sha256>.pkl``
     Built :class:`~repro.experiments.runner.Workload` objects, keyed by the
     in-memory workload memo key (app, dataset, reorder, scale, seed, merged).
-``<root>/v3/llctrace/<sha256>.pkl``
+``<root>/v4/llctrace/<sha256>.pkl``
     L1/L2-filtered :class:`~repro.experiments.runner.LLCTrace` streams, keyed
     by the workload key plus the cache hierarchy.
-``<root>/v3/policy/<sha256>.pkl``
+``<root>/v4/policy/<sha256>.pkl``
     Per-scheme :class:`~repro.cache.stats.CacheStats`, keyed by the trace key
     plus the scheme name.
 
 The streaming pipeline (PR 5) adds three kinds with the same layout:
 
-``<root>/v3/llcchunk/<sha256>.pkl``
+``<root>/v4/llcchunk/<sha256>.pkl``
     One L1/L2-filtered chunk of a full-execution stream, keyed by the stream
     key plus the chunk index.
-``<root>/v3/llcstream/<sha256>.pkl``
+``<root>/v4/llcstream/<sha256>.pkl``
     The stream manifest — chunk count plus aggregate L1/L2 filter counters —
     written once every chunk of a stream has been persisted; a later replay
     serves the whole stream from disk without re-filtering.
-``<root>/v3/policystream/<sha256>.pkl``
+``<root>/v4/policystream/<sha256>.pkl``
     Per-scheme :class:`~repro.cache.stats.CacheStats` of a *full-execution*
     streaming replay (chunk budgets do not affect results, so they are not
     part of the key).
 
 The multi-programmed co-run subsystem (PR 9) adds one more:
 
-``<root>/v3/corun/<sha256>.pkl``
+``<root>/v4/corun/<sha256>.pkl``
     Per-scheme :class:`~repro.cache.stats.CacheStats` (with per-stream
     counters) of an interleaved co-run replay, keyed by the app/dataset
     pairs, the interleaving schedule parameters and the way-partition
@@ -50,6 +50,27 @@ temporary file and ``os.replace`` so concurrent writers (the parallel
 runner's worker processes) can never expose a partially-written entry; a
 corrupt or unreadable entry is treated as a miss and recomputed.
 
+Entry layout (v4)
+-----------------
+Each entry is a pickle-protocol-5 stream with its array buffers kept out of
+band::
+
+    magic (8 bytes) | pickle length (u64) | buffer count (u64)
+    | buffer lengths (u64 each) | pickle stream | raw buffers
+
+All integers are little-endian.  An entry is well-formed only when the
+header's sizes add up to the file size exactly and the stream consumes every
+buffer it declares; anything else (truncation, bad magic, a plain pickle
+left over from an older layout) reads as a miss.
+
+:meth:`DiskMemo.get` reads every buffer into memory it owns, so returned
+arrays are writable and never backed by a file mapping — a file truncated
+in place under a caller cannot SIGBUS it.  :meth:`DiskMemo.contains` runs
+the same checks and the same ``pickle.loads`` over zero-copy views of a
+read-only ``mmap`` instead: it still proves the entry loads, object
+construction included, but never reads the array bytes, so probing a
+multi-megabyte trace costs about as much as probing a tiny entry.
+
 The store is enabled by passing a ``cache_dir`` to the parallel runner or by
 setting the ``REPRO_CACHE_DIR`` environment variable, in which case the
 serial runner uses it too.
@@ -58,12 +79,14 @@ serial runner uses it too.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 import pickle
 import shutil
+import struct
 import tempfile
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,8 +100,17 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: which v1 stores would otherwise keep serving; v2 -> v3: the trace
 #: generator's np.insert tie-ordering fix — per-vertex property updates now
 #: precede the next vertex's Vertex-Array load — changed every generated
-#: trace and therefore every downstream llctrace/policy result).
-MEMO_VERSION = 3
+#: trace and therefore every downstream llctrace/policy result; v3 -> v4:
+#: the entry file format itself — a plain pickle became the header +
+#: pickle-5 stream + out-of-band buffers layout above, so ``contains`` can
+#: prove an entry loads without reading its arrays; v3 files are not
+#: readable as v4 entries).
+MEMO_VERSION = 4
+
+#: First bytes of every v4 entry.
+_MAGIC = b"REPROMv4"
+#: Fixed part of an entry header: magic, pickle length, buffer count.
+_HEAD = struct.Struct("<8sQQ")
 
 
 def default_cache_dir() -> Optional[Path]:
@@ -97,6 +129,65 @@ def key_digest(key: Any) -> str:
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
 
 
+def _encode(value: Any) -> List[Any]:
+    """An entry's byte chunks in file order: header, pickle stream, buffers."""
+    buffers: List[pickle.PickleBuffer] = []
+    stream = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
+    raws = [buffer.raw() for buffer in buffers]
+    header = _HEAD.pack(_MAGIC, len(stream), len(raws)) + struct.pack(
+        f"<{len(raws)}Q", *(raw.nbytes for raw in raws)
+    )
+    return [header, stream, *raws]
+
+
+def _read_header(
+    read: Callable[[int], bytes], size: int
+) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """``(pickle length, buffer lengths)`` from the header ``read`` yields.
+
+    ``None`` unless the header starts with the v4 magic and its sizes add
+    up to exactly ``size``, the entry's file size.
+    """
+    fixed = read(_HEAD.size)
+    if len(fixed) != _HEAD.size:
+        return None
+    magic, stream_length, count = _HEAD.unpack(fixed)
+    table_length = 8 * count
+    if magic != _MAGIC or _HEAD.size + table_length > size:
+        return None
+    lengths = struct.unpack(f"<{count}Q", read(table_length))
+    if _HEAD.size + table_length + stream_length + sum(lengths) != size:
+        return None
+    return stream_length, lengths
+
+
+def _loads(stream: Any, buffers: Sequence[Any]) -> Any:
+    """Unpickle ``stream`` over ``buffers``, which it must consume exactly."""
+    remaining = iter(buffers)
+    value = pickle.loads(stream, buffers=remaining)
+    if next(remaining, None) is not None:
+        raise pickle.UnpicklingError("entry declares buffers its stream never uses")
+    return value
+
+
+def _probe(mapped: mmap.mmap, size: int) -> bool:
+    """Whether the mapped entry loads, unpickled over views of the mapping."""
+    layout = _read_header(mapped.read, size)
+    if layout is None:
+        return False
+    stream_length, lengths = layout
+    view = memoryview(mapped)
+    start = mapped.tell()
+    offset = start + stream_length
+    stream = view[start:offset]
+    buffers = []
+    for length in lengths:
+        buffers.append(view[offset:offset + length])
+        offset += length
+    _loads(stream, buffers)
+    return True
+
+
 class DiskMemo:
     """A pickle-per-entry store keyed by (kind, memo key)."""
 
@@ -110,34 +201,71 @@ class DiskMemo:
     def contains(self, kind: str, key: Any) -> bool:
         """Whether a *readable* entry exists (corrupt entries count as absent).
 
-        This deliberately loads the pickle rather than testing the path: a
-        truncated or bit-flipped file must look like a miss to schedulers and
-        resume logic exactly as it does to :meth:`get`.
+        This deliberately unpickles the entry rather than testing the path:
+        a truncated or bit-flipped file must look like a miss to schedulers
+        and resume logic exactly as it does to :meth:`get`.  The unpickling
+        runs over zero-copy views of a read-only mapping, so the array bytes
+        are never read.
         """
-        return self.get(kind, key) is not None
-
-    def get(self, kind: str, key: Any) -> Optional[Any]:
-        """Load an entry, or ``None`` on a miss or an unreadable file."""
         path = self.path_for(kind, key)
         try:
             with open(path, "rb") as handle:
-                return pickle.load(handle)
-        except FileNotFoundError:
-            return None
+                size = os.fstat(handle.fileno()).st_size
+                mapped = mmap.mmap(handle.fileno(), size, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):
+            return False  # missing, unreadable or empty (mmap rejects length 0)
+        try:
+            return _probe(mapped, size)
         except Exception:
-            # Corrupt, truncated or stale entry (including pickles that
-            # reference since-renamed classes): treat as a miss and let the
-            # caller recompute and overwrite it.
+            return False
+        finally:
+            try:
+                mapped.close()
+            except BufferError:
+                pass  # a reference cycle still holds a view; GC unmaps it
+
+    def get(self, kind: str, key: Any) -> Optional[Any]:
+        """Load an entry, or ``None`` on a miss or an unreadable file.
+
+        Array buffers are read into memory the caller owns (writable, never
+        a file mapping).
+        """
+        path = self.path_for(kind, key)
+        try:
+            with open(path, "rb") as handle:
+                layout = _read_header(handle.read, os.fstat(handle.fileno()).st_size)
+                if layout is None:
+                    return None
+                stream_length, lengths = layout
+                stream = handle.read(stream_length)
+                buffers = []
+                for length in lengths:
+                    buffer = np.empty(length, dtype=np.uint8)
+                    if handle.readinto(buffer) != length:
+                        return None  # the file shrank under us
+                    buffers.append(buffer)
+            return _loads(stream, buffers)
+        except Exception:
+            # Missing, corrupt, truncated or stale entry (including pickles
+            # that reference since-renamed classes): treat as a miss and let
+            # the caller recompute and overwrite it.
             return None
 
     def put(self, kind: str, key: Any, value: Any) -> None:
-        """Store an entry atomically (best effort: IO errors are swallowed)."""
+        """Store an entry atomically.
+
+        The value is serialized before any file is created, so an
+        unpicklable value raises and leaves nothing behind; IO errors are
+        swallowed (best effort).
+        """
+        chunks = _encode(value)
         path = self.path_for(kind, key)
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                for chunk in chunks:
+                    handle.write(chunk)
             os.replace(tmp, path)
         except OSError:
             try:

@@ -42,7 +42,9 @@ On-disk memoisation
 The three in-memory memo tables (workloads, filtered LLC traces, per-scheme
 stats) can additionally be backed by a persistent store shared across
 processes and invocations — see :mod:`repro.experiments.memo` for the
-``<cache_dir>/v3/{workload,llctrace,policy}/<sha256-of-key>.pkl`` layout.
+``<cache_dir>/v4/{workload,llctrace,policy}/<sha256-of-key>.pkl`` layout
+(header, pickle stream, out-of-band array buffers: reads copy the buffers
+into owned memory, existence probes unpickle over a read-only mapping).
 The store is off unless ``REPRO_CACHE_DIR`` is set or
 :func:`set_disk_memo` is called; the parallel runner
 (:mod:`repro.experiments.parallel`) installs it in every worker so shards
@@ -1686,15 +1688,33 @@ def plan_scheme_task(
 ) -> ExecutionPlan:
     """Plan one (app, dataset, scheme) task without building its workload.
 
+    The single-scheme case of :func:`plan_pair_tasks`.
+    """
+    return plan_pair_tasks(
+        app_name, dataset_name, reorder, (scheme,), config, streaming
+    )[scheme]
+
+
+def plan_pair_tasks(
+    app_name: str,
+    dataset_name: str,
+    reorder: str,
+    schemes: Sequence[str],
+    config: ExperimentConfig,
+    streaming: bool = False,
+) -> Dict[str, ExecutionPlan]:
+    """Plan every scheme task of one (app, dataset) pair, keyed by scheme.
+
     Memo keys are computable from the experiment parameters alone, so the
     memo-environment flags (cached ROI trace, persisted chunk store) are
     probed directly from the on-disk store — the sweep service embeds
     these plans in run manifests and ``repro plan explain`` answers before
-    any simulation runs.  The returned plan is exactly the one the
-    corresponding :func:`simulate_scheme` / :func:`simulate_scheme_streaming`
-    call would execute under the same memo state.
+    any simulation runs.  Those flags belong to the pair, not the scheme,
+    so the store is probed once per call.  Each returned plan is exactly
+    the one the corresponding :func:`simulate_scheme` /
+    :func:`simulate_scheme_streaming` call would execute under the same
+    memo state.
     """
-    policies = (scheme_policy(scheme),) if scheme != "OPT" else ()
     memo = active_disk_memo()
     merged = config.merged_properties
     if streaming:
@@ -1712,18 +1732,21 @@ def plan_scheme_task(
         )
         have_chunk_store = False
         stage = STAGE_ROI
-    return PLANNER.plan(
-        SimRequest(
-            schemes=(scheme,),
-            policies=policies,
-            backend=config.backend,
-            stage=stage,
-            hierarchy=config.hierarchy,
-            have_memo=memo is not None,
-            have_chunk_store=have_chunk_store,
-            have_trace_cache=have_trace_cache,
+    return {
+        scheme: PLANNER.plan(
+            SimRequest(
+                schemes=(scheme,),
+                policies=(scheme_policy(scheme),) if scheme != "OPT" else (),
+                backend=config.backend,
+                stage=stage,
+                hierarchy=config.hierarchy,
+                have_memo=memo is not None,
+                have_chunk_store=have_chunk_store,
+                have_trace_cache=have_trace_cache,
+            )
         )
-    )
+        for scheme in schemes
+    }
 
 
 def plan_corun_task(

@@ -73,7 +73,7 @@ from repro.experiments.runner import (
     llc_trace_for,
     llcstream_summary_memo_key,
     llctrace_memo_key,
-    plan_scheme_task,
+    plan_pair_tasks,
     policy_memo_key,
     policystream_memo_key,
     set_disk_memo,
@@ -280,8 +280,11 @@ class MemoTaskStore:
 
     A task is done iff its memo entry exists *and loads* — corrupt or
     truncated entries look incomplete, so schedulers recompute them just as
-    the memoised serial runner would.  ``note_done`` is a no-op: the worker
-    that executed the task already persisted the entry.
+    the memoised serial runner would.  The check is
+    :meth:`~repro.experiments.memo.DiskMemo.contains`, which unpickles a v4
+    entry over a read-only mapping of its out-of-band buffers, so marking a
+    warm sweep's tasks done never reads their arrays.  ``note_done`` is a
+    no-op: the worker that executed the task already persisted the entry.
     """
 
     def __init__(self, memo: DiskMemo) -> None:
@@ -413,30 +416,32 @@ class Scheduler:
         self.on_event = on_event
         self.queue = WorkQueue(workers)
         self.report = SchedulerReport()
-        self._dependents: Dict[str, List[str]] = {tid: [] for tid in self.records}
-        for record in self.records.values():
-            for dep in record.task.deps:
-                self._dependents[dep].append(record.task.task_id)
         self._busy: Dict[int, int] = {}  # worker -> handle
         self._running: Dict[int, Tuple[str, int, float]] = {}  # handle -> (tid, worker, at)
 
     def _check_graph(self) -> None:
+        """Build ``_dependents``, rejecting unknown dependencies and cycles.
+
+        Kahn's algorithm over the dependents lists: O(V + E).
+        """
+        self._dependents: Dict[str, List[str]] = {tid: [] for tid in self.records}
         indegree = {}
         for tid, record in self.records.items():
-            for dep in record.task.deps:
+            deps = dict.fromkeys(record.task.deps)
+            for dep in deps:
                 if dep not in self.records:
                     raise SchedulerError(f"task {tid!r} depends on unknown task {dep!r}")
-            indegree[tid] = len(set(record.task.deps))
+                self._dependents[dep].append(tid)
+            indegree[tid] = len(deps)
         frontier = [tid for tid, degree in indegree.items() if degree == 0]
         seen = 0
         while frontier:
             tid = frontier.pop()
             seen += 1
-            for other, record in self.records.items():
-                if tid in record.task.deps:
-                    indegree[other] -= 1
-                    if indegree[other] == 0:
-                        frontier.append(other)
+            for dependent in self._dependents[tid]:
+                indegree[dependent] -= 1
+                if indegree[dependent] == 0:
+                    frontier.append(dependent)
         if seen != len(self.records):
             raise SchedulerError("task graph contains a cycle")
 
@@ -672,10 +677,10 @@ def sweep_plans(spec: SweepSpec, config: ExperimentConfig) -> Dict[str, Any]:
     plans: Dict[str, Any] = {}
     for dataset in spec.datasets:
         for app in spec.apps:
-            for scheme in spec.all_schemes():
-                plan = plan_scheme_task(
-                    app, dataset, reorder, scheme, config, streaming=spec.streaming
-                )
+            pair = plan_pair_tasks(
+                app, dataset, reorder, spec.all_schemes(), config, streaming=spec.streaming
+            )
+            for scheme, plan in pair.items():
                 plans[f"{app}/{dataset}/{scheme}"] = plan.to_json()
     return plans
 

@@ -10,7 +10,10 @@ see either nothing or a complete entry, never a torn one.
 
 import multiprocessing
 import pickle
+import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 from conftest import assert_points_equal
 
@@ -65,7 +68,7 @@ class TestCorruptEntriesAreMisses:
         truncated.write_bytes(truncated.read_bytes()[: truncated.stat().st_size // 2])
         flipped = paths["workload PR/lj"]
         blob = bytearray(flipped.read_bytes())
-        blob[0] ^= 0xFF  # clobber the pickle PROTO opcode: guaranteed load failure
+        blob[0] ^= 0xFF  # clobber the entry magic: guaranteed load failure
         flipped.write_bytes(bytes(blob))
         paths["filter PR/lj"].write_bytes(b"not a pickle at all")
 
@@ -78,9 +81,9 @@ class TestCorruptEntriesAreMisses:
         assert_points_equal(serial, second.points)
         for path in paths.values():
             assert path.exists()
-        for label in ("GRASP PR/lj", "workload PR/lj", "filter PR/lj"):
-            with open(paths[label], "rb") as handle:
-                pickle.load(handle)  # repaired entries load cleanly again
+        for task in sweep_tasks(SPEC, config, tmp_path):
+            # Repaired entries load cleanly again.
+            assert memo.get(task.kind, task.store_key) is not None
 
     def test_missing_entry_is_a_miss(self, tmp_path):
         config = ExperimentConfig.smoke()
@@ -102,6 +105,117 @@ class TestCorruptEntriesAreMisses:
         memo.path_for("unit", ("k",)).write_bytes(b"\x80\x04garbage")
         assert not memo.contains("unit", ("k",))
         assert memo.get("unit", ("k",)) is None
+
+
+# ---------------------------------------------------------------------------
+# the v4 entry layout: header | pickle stream | out-of-band buffers
+# ---------------------------------------------------------------------------
+
+HEAD = struct.Struct("<8sQQ")  # magic, pickle length, buffer count
+VALUE = {"ids": np.arange(1000, dtype=np.int64), "weights": np.linspace(0, 1, 500), "tag": "x"}
+
+
+def _layout(blob: bytes):
+    """(header length, pickle length, buffer lengths) of an entry's bytes."""
+    _, stream_length, count = HEAD.unpack_from(blob)
+    lengths = struct.unpack_from(f"<{count}Q", blob, HEAD.size)
+    return HEAD.size + 8 * count, stream_length, lengths
+
+
+def _declare_extra_buffer(blob: bytes) -> bytes:
+    header, stream_length, lengths = _layout(blob)
+    count = len(lengths) + 1
+    table = struct.pack(f"<{count}Q", *lengths, 64)
+    return HEAD.pack(blob[:8], stream_length, count) + table + blob[header:]
+
+
+def _truncate_in_buffers(blob: bytes) -> bytes:
+    header, stream_length, lengths = _layout(blob)
+    return blob[: header + stream_length + lengths[0] // 2]
+
+
+DAMAGE = {
+    "truncated in fixed header": lambda blob: blob[: HEAD.size - 3],
+    "truncated in length table": lambda blob: blob[: HEAD.size + 4],
+    "truncated in buffer region": _truncate_in_buffers,
+    "bad magic": lambda blob: b"NOTMEMO!" + blob[8:],
+    "extra buffer declared": _declare_extra_buffer,
+    # Sizes add up, but the stream never consumes the extra buffer.
+    "extra buffer declared and present": lambda blob: _declare_extra_buffer(blob) + bytes(64),
+    "legacy plain pickle": lambda blob: pickle.dumps(VALUE, protocol=pickle.HIGHEST_PROTOCOL),
+    "empty file": lambda blob: b"",
+}
+
+ARRAYS = (
+    "c_contiguous", "f_contiguous", "strided", "empty", "zero_d", "object", "read_only_memmap",
+)
+
+
+def _array(name: str, tmp_path):
+    if name == "read_only_memmap":
+        backing = tmp_path / "backing.bin"
+        np.arange(24, dtype=np.int32).tofile(backing)
+        return np.memmap(backing, dtype=np.int32, mode="r")
+    return {
+        "c_contiguous": np.arange(12.0).reshape(3, 4),
+        "f_contiguous": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        "strided": np.arange(40)[::3],
+        "empty": np.empty((0, 5)),
+        "zero_d": np.array(7.5),
+        "object": np.array([1, "two", None], dtype=object),
+    }[name]
+
+
+class TestEntryLayout:
+    def test_intact_entry_round_trips(self, tmp_path):
+        memo = DiskMemo(tmp_path)
+        memo.put("unit", ("k",), VALUE)
+        assert memo.contains("unit", ("k",))
+        loaded = memo.get("unit", ("k",))
+        assert loaded["tag"] == "x"
+        np.testing.assert_array_equal(loaded["ids"], VALUE["ids"])
+        np.testing.assert_array_equal(loaded["weights"], VALUE["weights"])
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_contains_and_get_agree_that_damage_is_a_miss(self, tmp_path, damage):
+        memo = DiskMemo(tmp_path)
+        memo.put("unit", ("k",), VALUE)
+        path = memo.path_for("unit", ("k",))
+        path.write_bytes(DAMAGE[damage](path.read_bytes()))
+        assert memo.contains("unit", ("k",)) is False
+        assert memo.get("unit", ("k",)) is None
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_arrays_round_trip_writable(self, tmp_path, name):
+        array = _array(name, tmp_path)
+        memo = DiskMemo(tmp_path / "memo")
+        memo.put("unit", (name,), {"array": array})
+        assert memo.contains("unit", (name,))
+        loaded = memo.get("unit", (name,))["array"]
+        assert loaded.shape == array.shape
+        assert loaded.dtype == array.dtype
+        np.testing.assert_array_equal(loaded, array)
+        assert loaded.flags.writeable
+        loaded[...] = loaded
+
+    def test_contains_never_reads_the_array_bytes(self, tmp_path):
+        memo = DiskMemo(tmp_path)
+        memo.put("unit", ("big",), {"trace": np.ones(8 << 20)})  # 64 MB
+        tracemalloc.start()
+        try:
+            assert memo.contains("unit", ("big",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_unpicklable_value_raises_and_leaves_no_temp_file(self, tmp_path):
+        memo = DiskMemo(tmp_path)
+        memo.put("unit", ("ok",), 1)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            memo.put("unit", ("bad",), {"fn": lambda: None})
+        assert list(memo.root.rglob("*.tmp.*")) == []
+        assert not memo.contains("unit", ("bad",))
 
 
 def _hammer_put(root: str, worker_id: int, rounds: int) -> None:

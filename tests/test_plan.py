@@ -380,6 +380,35 @@ class TestManifestPlans:
             assert plan["route"]
             assert plan["kernel"]
 
+    def test_sweep_plans_probe_the_trace_cache_once_per_pair(self, tmp_path, monkeypatch):
+        from repro.experiments.runner import llctrace_memo_key
+        from repro.experiments.service import SweepSpec, sweep_plans
+
+        config = ExperimentConfig.smoke()
+        spec = SweepSpec(apps=("PR",), datasets=("lj", "kr"), schemes=("RRIP", "GRASP", "OPT"))
+        memo = DiskMemo(tmp_path)
+        set_disk_memo(memo)
+        # One pair with a cached trace, one without: each pair's plans must
+        # match per-scheme planning under that pair's memo state.
+        memo.put("llctrace", llctrace_memo_key(
+            "PR", "lj", config.reorder, config, config.merged_properties), {"stub": 1})
+        probes = []
+        contains = DiskMemo.contains
+
+        def counting(self, kind, key):
+            probes.append(kind)
+            return contains(self, kind, key)
+
+        monkeypatch.setattr(DiskMemo, "contains", counting)
+        plans = sweep_plans(spec, config)
+        assert probes.count("llctrace") == len(spec.apps) * len(spec.datasets)
+        assert plans == {
+            f"PR/{dataset}/{scheme}": plan_scheme_task(
+                "PR", dataset, config.reorder, scheme, config).to_json()
+            for dataset in spec.datasets
+            for scheme in spec.all_schemes()
+        }
+
 
 class TestPlanExplainCli:
     def test_text_output(self, tmp_path, capsys):
