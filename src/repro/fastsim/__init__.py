@@ -6,6 +6,11 @@ easy to audit against the paper, but it costs microseconds per access.  This
 package reimplements the hot stages of the pipeline as batched computations
 over whole traces:
 
+Each policy family has exactly one engine, a resumable ``*Stream`` class
+(``LRUStream``, ``RRIPStream``, ``PinStream``, ``ShipStream``,
+``HawkeyeStream``, ``LeewayStream``, ``OptStream``): feed it a trace in
+chunks, or replay a whole trace with one ``feed`` on a fresh stream.
+
 ``stackdist``
     The LRU engine.  Exploits the LRU *stack property*: a W-way set hits an
     access exactly when fewer than W distinct blocks of the same set were
@@ -34,10 +39,9 @@ over whole traces:
     than NumPy.  Kernels live in a registry package — one module per engine
     family, a shared ``register_kernel``/capability-probe API, and a single
     lazily-compiled translation unit (nothing compiles at import time).  The
-    ``*_replay`` dispatchers use them automatically; set ``REPRO_NATIVE=0``
-    or remove the compiler and everything transparently stays on NumPy.
-    (:mod:`repro.fastsim._native` is a *deprecated* facade for old imports —
-    it emits a :class:`DeprecationWarning`; import the registry instead.)
+    ``*Stream`` engines use them automatically through the ``*_feed``
+    wrappers; set ``REPRO_NATIVE=0`` or remove the compiler and everything
+    transparently stays on NumPy.
 ``pipeline``
     The fused single-pass pipeline: L1/L2 filtering and the LLC replay of
     one policy run in a single native call per trace chunk, threaded across
@@ -57,8 +61,9 @@ over whole traces:
     Sec. IV of the paper), with a scalar reference path and an equivalence
     guard used by the ``verify`` backend.
 ``replay``
-    Vectorized LLC replay dispatch for stage 6 — every scheme of the paper's
-    matrix, including the per-region statistics breakdown of Fig. 2.
+    LLC replay dispatch for stage 6 — every scheme of the paper's matrix,
+    including the per-region statistics breakdown of Fig. 2.  One family
+    resolver maps a policy to its engine for every fast path, and
     :func:`supports_vector_replay` is the predicate deciding which policies
     qualify (exact policy types only; subclasses fall back to scalar).
 ``dispatch``
@@ -92,35 +97,23 @@ from repro.fastsim.filter import (
     vector_filter,
 )
 from repro.fastsim.hawkeye import (
-    HawkeyeReplay,
     HawkeyeSpec,
     HawkeyeStream,
-    hawkeye_replay,
     hawkeye_spec,
-    numpy_hawkeye_replay,
 )
 from repro.fastsim.leeway import (
-    LeewayReplay,
     LeewaySpec,
     LeewayStream,
-    leeway_replay,
     leeway_spec,
-    numpy_leeway_replay,
 )
 from repro.fastsim.opt import (
-    OptReplay,
     OptStream,
     next_use_indices,
-    numpy_opt_replay,
-    opt_replay,
     resolve_chunk_next_use,
 )
 from repro.fastsim.pin import (
-    PinReplay,
     PinSpec,
     PinStream,
-    numpy_pin_replay,
-    pin_replay,
     pin_spec,
 )
 from repro.fastsim.pipeline import (
@@ -144,31 +137,22 @@ from repro.fastsim.plan import (
 from repro.fastsim.replay import (
     PolicyReplayStream,
     supports_vector_replay,
-    vector_lru_replay,
     vector_opt_replay,
     vector_policy_replay,
 )
 from repro.fastsim.rrip import (
-    RRIPReplay,
     RRIPSpec,
     RRIPStream,
-    numpy_rrip_replay,
-    rrip_replay,
     rrip_spec,
 )
 from repro.fastsim.ship import (
-    ShipReplay,
     ShipSpec,
     ShipStream,
-    numpy_ship_replay,
-    ship_replay,
     ship_spec,
 )
 from repro.fastsim.stackdist import (
     DenseIdMap,
-    LRUReplay,
     LRUStream,
-    lru_replay,
     numpy_lru_replay,
     occurrence_order,
     previous_occurrence_indices,
@@ -196,24 +180,17 @@ __all__ = [
     "FusedPipeline",
     "FusedStats",
     "MultiFusedPipeline",
-    "HawkeyeReplay",
     "HawkeyeSpec",
     "HawkeyeStream",
-    "LRUReplay",
     "LRUStream",
-    "LeewayReplay",
     "LeewaySpec",
     "LeewayStream",
-    "OptReplay",
     "OptStream",
-    "PinReplay",
     "PinSpec",
     "PinStream",
     "PolicyReplayStream",
-    "RRIPReplay",
     "RRIPSpec",
     "RRIPStream",
-    "ShipReplay",
     "ShipSpec",
     "ShipStream",
     "capabilities_for",
@@ -221,40 +198,26 @@ __all__ = [
     "effective_threads",
     "fused_native_supported",
     "fused_supported",
-    "hawkeye_replay",
     "hawkeye_spec",
-    "leeway_replay",
     "leeway_spec",
-    "lru_replay",
     "next_use_indices",
-    "numpy_hawkeye_replay",
-    "numpy_leeway_replay",
     "numpy_lru_replay",
-    "numpy_opt_replay",
-    "numpy_pin_replay",
-    "numpy_rrip_replay",
-    "numpy_ship_replay",
     "occurrence_order",
-    "opt_replay",
-    "pin_replay",
     "pin_spec",
     "plan_request",
     "previous_occurrence_indices",
     "prior_leq_counts",
     "resolve_chunk_next_use",
     "resolve_backend",
-    "rrip_replay",
     "rrip_spec",
     "run_filter",
     "scalar_filter",
     "set_default_backend",
-    "ship_replay",
     "ship_spec",
     "substream_previous_indices",
     "supports_vector_corun",
     "supports_vector_replay",
     "vector_filter",
-    "vector_lru_replay",
     "vector_opt_replay",
     "vector_policy_replay",
 ]

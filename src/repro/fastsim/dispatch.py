@@ -3,8 +3,9 @@
 Three backends exist:
 
 ``vector``
-    The NumPy stack-distance engine (:mod:`repro.fastsim.stackdist`).  The
-    default.
+    The batched fast engines — one ``*Stream`` per policy family, running
+    the compiled kernels (:mod:`repro.fastsim.kernels`) when available and
+    NumPy otherwise.  The default.
 ``scalar``
     The original per-access reference simulator
     (:class:`repro.cache.cache.SetAssociativeCache`).

@@ -14,20 +14,19 @@ Both backends return a :class:`FilterResult` — the keep mask plus the L1/L2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.cache import SetAssociativeCache
-from repro.cache.config import HierarchyConfig
+from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.cache.policies import LRUPolicy
 from repro.cache.stats import CacheStats
 from repro.fastsim import kernels
 from repro.fastsim.dispatch import SCALAR, VECTOR, resolve_backend
 from repro.fastsim.stackdist import (
-    LRUReplay,
     LRUStream,
-    lru_replay,
+    numpy_lru_replay,
     occurrence_order,
     previous_occurrence_indices,
     substream_previous_indices,
@@ -63,12 +62,29 @@ def scalar_filter(trace: Trace, hierarchy: HierarchyConfig) -> FilterResult:
     return FilterResult(keep=keep, l1_stats=l1.stats, l2_stats=l2.stats)
 
 
-def _level_stats(name: str, replay: LRUReplay) -> CacheStats:
+def _replay_level(
+    blocks: np.ndarray, level: CacheConfig, prev_indices: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Hit mask and per-set misses of one LRU level over ``blocks``.
+
+    ``prev_indices`` selects the tier: ``None`` replays through the compiled
+    kernel on a fresh :class:`LRUStream`; links from the caller's shared
+    block sort replay through the NumPy stack-distance engine.
+    """
+    if prev_indices is None:
+        stream = LRUStream(level.num_sets, level.ways, use_native=True)
+        return stream.feed(blocks), stream.misses_per_set
+    return numpy_lru_replay(blocks, level.num_sets, level.ways, prev_indices=prev_indices)
+
+
+def _level_stats(
+    level: CacheConfig, hits: np.ndarray, misses_per_set: np.ndarray, extra_hits: int = 0
+) -> CacheStats:
     return CacheStats.from_counts(
-        name=name,
-        hits=replay.hit_count,
-        misses=replay.miss_count,
-        evictions=replay.evictions,
+        name=level.name,
+        hits=extra_hits + int(hits.sum()),
+        misses=int(misses_per_set.sum()),
+        evictions=int(np.maximum(0, misses_per_set - level.ways).sum()),
     )
 
 
@@ -103,34 +119,24 @@ def vector_filter(trace: Trace, hierarchy: HierarchyConfig) -> FilterResult:
     # feeds the NumPy stack-distance engine; the compiled kernel tracks
     # recency in-line and needs neither.
     occ = None if kernels.available() else occurrence_order(head_blocks)
-    l1_replay = lru_replay(
+    l1_hits, l1_misses = _replay_level(
         head_blocks,
-        hierarchy.l1.num_sets,
-        hierarchy.l1.ways,
-        prev_indices=None if occ is None else previous_occurrence_indices(head_blocks, occ),
+        hierarchy.l1,
+        None if occ is None else previous_occurrence_indices(head_blocks, occ),
     )
-    collapsed_hits = n - int(head_indices.shape[0])
-    l1_stats = CacheStats.from_counts(
-        name=hierarchy.l1.name,
-        hits=collapsed_hits + l1_replay.hit_count,
-        misses=l1_replay.miss_count,
-        evictions=l1_replay.evictions,
-    )
-
-    miss_heads = np.flatnonzero(~l1_replay.hits)
-    l2_replay = lru_replay(
+    miss_heads = np.flatnonzero(~l1_hits)
+    l2_hits, l2_misses = _replay_level(
         head_blocks[miss_heads],
-        hierarchy.l2.num_sets,
-        hierarchy.l2.ways,
-        prev_indices=None
-        if occ is None
-        else substream_previous_indices(head_blocks, occ, miss_heads),
+        hierarchy.l2,
+        None if occ is None else substream_previous_indices(head_blocks, occ, miss_heads),
     )
-    keep[head_indices[miss_heads[~l2_replay.hits]]] = True
+    keep[head_indices[miss_heads[~l2_hits]]] = True
     return FilterResult(
         keep=keep,
-        l1_stats=l1_stats,
-        l2_stats=_level_stats(hierarchy.l2.name, l2_replay),
+        l1_stats=_level_stats(
+            hierarchy.l1, l1_hits, l1_misses, extra_hits=n - int(head_indices.shape[0])
+        ),
+        l2_stats=_level_stats(hierarchy.l2, l2_hits, l2_misses),
     )
 
 

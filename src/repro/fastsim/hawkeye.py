@@ -22,10 +22,10 @@ drift from the reference; the compiled kernel reimplements it with dense
 block/PC ids and ring-buffer occupancy vectors and is the throughput path
 (the NumPy engine is the exactness/portability fallback, as for RRIP).
 
-:func:`hawkeye_replay` dispatches to the compiled kernel
-(:func:`repro.fastsim.kernels.hawkeye_replay`) when one is available and to
-:func:`numpy_hawkeye_replay` otherwise; both are exact, including the final
-predictor contents.
+:class:`HawkeyeStream` is the engine: it runs the compiled kernel
+(:func:`repro.fastsim.kernels.hawkeye_feed`) when one is available and the
+OPTgen window is non-empty, and the NumPy walk otherwise; both are exact,
+including the final predictor contents.
 """
 
 from __future__ import annotations
@@ -76,34 +76,6 @@ def hawkeye_spec(policy: ReplacementPolicy) -> Optional[HawkeyeSpec]:
         predictor_max=policy.predictor_max,
         history_factor=policy.history_factor,
     )
-
-
-@dataclass(frozen=True)
-class HawkeyeReplay:
-    """Outcome of replaying a block stream through one Hawkeye cache."""
-
-    hits: np.ndarray
-    misses_per_set: np.ndarray
-    ways: int
-    #: Final PC predictor as ``{pc: counter}``, restricted to counters away
-    #: from the weakly-friendly midpoint (absent PCs predict the midpoint,
-    #: matching the scalar policy's default).
-    predictor: Dict[int, int]
-
-    @property
-    def hit_count(self) -> int:
-        """Total number of hits."""
-        return int(self.hits.sum())
-
-    @property
-    def miss_count(self) -> int:
-        """Total number of misses."""
-        return int(self.misses_per_set.sum())
-
-    @property
-    def evictions(self) -> int:
-        """Total evictions (Hawkeye never bypasses, so misses beyond capacity)."""
-        return int(np.maximum(0, self.misses_per_set - self.ways).sum())
 
 
 class HawkeyeStream:
@@ -339,76 +311,3 @@ class HawkeyeStream:
 
         self.misses_per_set += np.bincount(set_ids[~hits], minlength=num_sets)
         return hits
-
-
-def numpy_hawkeye_replay(
-    block_addresses: np.ndarray,
-    pcs: Optional[np.ndarray],
-    num_sets: int,
-    ways: int,
-    spec: HawkeyeSpec,
-) -> HawkeyeReplay:
-    """Batched-classification replay (the portable engine).
-
-    Exact with respect to the scalar policy: identical per-access hit masks,
-    per-set miss counts, predictor trainings and OPTgen decisions.  One
-    :class:`HawkeyeStream` feed over the whole stream — chunked feeds of the
-    same stream are bit-identical by construction.
-    """
-    stream = HawkeyeStream(num_sets, ways, spec, use_native=False)
-    hits = stream.feed(block_addresses, pcs)
-    return HawkeyeReplay(
-        hits=hits,
-        misses_per_set=stream.misses_per_set,
-        ways=ways,
-        predictor=stream.predictor,
-    )
-
-
-def hawkeye_replay(
-    block_addresses: np.ndarray,
-    pcs: Optional[np.ndarray],
-    num_sets: int,
-    ways: int,
-    spec: HawkeyeSpec,
-) -> HawkeyeReplay:
-    """Replay a block stream through a ``num_sets`` x ``ways`` Hawkeye cache.
-
-    ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).  Dispatches to
-    the compiled kernel (:mod:`repro.fastsim.kernels`) when available and to
-    :func:`numpy_hawkeye_replay` otherwise; both are exact.
-    """
-    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
-    n = int(blocks.shape[0])
-    pc_values = _pc_array(pcs, n)
-    unique_blocks, block_ids = np.unique(blocks, return_inverse=True)
-    unique_pcs, pc_ids = np.unique(pc_values, return_inverse=True)
-    native = kernels.hawkeye_replay(
-        blocks,
-        block_ids.astype(np.int64),
-        int(unique_blocks.shape[0]),
-        pc_ids.astype(np.int64),
-        int(unique_pcs.shape[0]),
-        num_sets,
-        ways,
-        spec.max_rrpv,
-        spec.sample_period,
-        spec.predictor_max,
-        spec.history_factor * ways,
-    )
-    if native is not None:
-        native_hits, misses_per_set, predictor_values = native
-        midpoint = spec.midpoint
-        predictor = {
-            int(unique_pcs[index]): int(value)
-            for index, value in enumerate(predictor_values.tolist())
-            if value != midpoint
-        }
-        return HawkeyeReplay(
-            hits=native_hits,
-            misses_per_set=misses_per_set,
-            ways=ways,
-            predictor=predictor,
-        )
-    return numpy_hawkeye_replay(blocks, pc_values, num_sets, ways, spec)

@@ -29,13 +29,13 @@ from repro.fastsim.kernels.registry import (
 )
 
 from repro.fastsim.kernels import core as _core  # noqa: F401  (registers "core")
-from repro.fastsim.kernels.lru import lru_feed, lru_replay
-from repro.fastsim.kernels.rrip import rrip_feed, rrip_replay
-from repro.fastsim.kernels.pin import pin_feed, pin_replay
-from repro.fastsim.kernels.opt import opt_feed, opt_replay
-from repro.fastsim.kernels.ship import ship_feed, ship_replay
-from repro.fastsim.kernels.leeway import leeway_feed, leeway_replay
-from repro.fastsim.kernels.hawkeye import hawkeye_feed, hawkeye_replay
+from repro.fastsim.kernels.lru import lru_feed
+from repro.fastsim.kernels.rrip import rrip_feed
+from repro.fastsim.kernels.pin import pin_feed
+from repro.fastsim.kernels.opt import opt_feed
+from repro.fastsim.kernels.ship import ship_feed
+from repro.fastsim.kernels.leeway import leeway_feed
+from repro.fastsim.kernels.hawkeye import hawkeye_feed
 from repro.fastsim.kernels.fused import (
     FilterState,
     RegionTable,
@@ -68,23 +68,16 @@ __all__ = [
     "fused_ship_feed",
     "has_capability",
     "hawkeye_feed",
-    "hawkeye_replay",
     "leeway_feed",
-    "leeway_replay",
     "lookup",
     "lru_feed",
-    "lru_replay",
     "opt_feed",
-    "opt_replay",
     "pin_feed",
-    "pin_replay",
     "register_kernel",
     "registered",
     "reset",
     "resolved",
     "rrip_feed",
-    "rrip_replay",
     "ship_feed",
-    "ship_replay",
     "thread_count",
 ]

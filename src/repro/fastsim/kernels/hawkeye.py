@@ -252,47 +252,3 @@ def hawkeye_feed(
         as_i64(misses_per_set),
     )
     return hits.view(bool)
-
-
-def hawkeye_replay(
-    blocks: np.ndarray,
-    block_ids: np.ndarray,
-    num_blocks: int,
-    pc_ids: np.ndarray,
-    num_pcs: int,
-    num_sets: int,
-    ways: int,
-    max_rrpv: int,
-    sample_period: int,
-    predictor_max: int,
-    history: int,
-):
-    """Hawkeye replay through the compiled kernel; ``None`` when unavailable.
-
-    Returns ``(hits, misses_per_set, predictor)`` matching
-    :func:`repro.fastsim.hawkeye.numpy_hawkeye_replay` exactly;
-    ``predictor`` is the final counter table indexed by dense PC id.
-    """
-    if registry.lookup("hawkeye_replay") is None or history <= 0:
-        return None
-    num_samplers = (num_sets + sample_period - 1) // sample_period
-    midpoint = (predictor_max + 1) // 2
-    misses_per_set = np.zeros(num_sets, dtype=np.int64)
-    tags = np.full(num_sets * ways, -1, dtype=np.int64)
-    rrpv = np.full(num_sets * ways, max_rrpv, dtype=np.int32)
-    friendly = np.zeros(num_sets * ways, dtype=np.uint8)
-    line_pc = np.zeros(num_sets * ways, dtype=np.int64)
-    predictor = np.full(max(1, num_pcs), midpoint, dtype=np.int32)
-    last_access = np.full(max(1, num_blocks), -1, dtype=np.int64)
-    last_pc = np.zeros(max(1, num_blocks), dtype=np.int64)
-    occupancy = np.zeros(max(1, num_samplers * history), dtype=np.int32)
-    occ_head = np.zeros(max(1, num_samplers), dtype=np.int64)
-    occ_len = np.zeros(max(1, num_samplers), dtype=np.int64)
-    timestamps = np.zeros(max(1, num_samplers), dtype=np.int64)
-    hits = hawkeye_feed(
-        blocks, block_ids, pc_ids, num_sets, ways, max_rrpv, sample_period,
-        predictor_max, history, tags, rrpv, friendly, line_pc, predictor,
-        last_access, last_pc, occupancy, occ_head, occ_len, timestamps,
-        misses_per_set,
-    )
-    return hits, misses_per_set, predictor[:num_pcs]

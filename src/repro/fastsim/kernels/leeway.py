@@ -164,33 +164,3 @@ def leeway_feed(
         as_i64(misses_per_set),
     )
     return hits.view(bool)
-
-
-def leeway_replay(
-    blocks: np.ndarray,
-    pc_ids: np.ndarray,
-    num_signatures: int,
-    num_sets: int,
-    ways: int,
-    decay_period: int,
-):
-    """Leeway replay through the compiled kernel; ``None`` when unavailable.
-
-    Returns ``(hits, misses_per_set, predicted)`` matching
-    :func:`repro.fastsim.leeway.numpy_leeway_replay` exactly; ``predicted``
-    is the final live-distance table indexed by dense PC id.
-    """
-    if registry.lookup("leeway_replay") is None:
-        return None
-    misses_per_set = np.zeros(num_sets, dtype=np.int64)
-    tags = np.full(num_sets * ways, -1, dtype=np.int64)
-    pos = np.tile(np.arange(ways, dtype=np.int32), num_sets)
-    line_sig = np.zeros(num_sets * ways, dtype=np.int64)
-    observed = np.zeros(num_sets * ways, dtype=np.int32)
-    predicted = np.zeros(max(1, num_signatures), dtype=np.int64)
-    votes = np.zeros(max(1, num_signatures), dtype=np.int64)
-    hits = leeway_feed(
-        blocks, pc_ids, num_sets, ways, decay_period,
-        tags, pos, line_sig, observed, predicted, votes, misses_per_set,
-    )
-    return hits, misses_per_set, predicted[:num_signatures]

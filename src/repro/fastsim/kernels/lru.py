@@ -86,18 +86,3 @@ def lru_feed(
         as_i64(state),
     )
     return hits.view(bool)
-
-
-def lru_replay(blocks: np.ndarray, num_sets: int, ways: int):
-    """Replay through the compiled kernel; ``None`` when unavailable.
-
-    Returns ``(hits, misses_per_set)`` matching the NumPy engine exactly.
-    """
-    if registry.lookup("lru_replay") is None:
-        return None
-    misses_per_set = np.zeros(num_sets, dtype=np.int64)
-    tags = np.full(num_sets * ways, -1, dtype=np.int64)
-    stamps = np.zeros(num_sets * ways, dtype=np.int64)
-    state = np.zeros(1, dtype=np.int64)
-    hits = lru_feed(blocks, num_sets, ways, tags, stamps, misses_per_set, state)
-    return hits, misses_per_set

@@ -105,18 +105,3 @@ def opt_feed(
         as_i64(misses_per_set),
     )
     return hits.view(bool)
-
-
-def opt_replay(blocks: np.ndarray, next_use: np.ndarray, num_sets: int, ways: int):
-    """Belady OPT replay through the compiled kernel; ``None`` when unavailable.
-
-    Returns ``(hits, misses_per_set)`` matching
-    :func:`repro.fastsim.opt.numpy_opt_replay` exactly.
-    """
-    if registry.lookup("opt_replay") is None:
-        return None
-    misses_per_set = np.zeros(num_sets, dtype=np.int64)
-    tags = np.full(num_sets * ways, -1, dtype=np.int64)
-    next_vals = np.zeros(num_sets * ways, dtype=np.int64)
-    hits = opt_feed(blocks, next_use, num_sets, ways, tags, next_vals, misses_per_set)
-    return hits, misses_per_set

@@ -194,38 +194,3 @@ def pin_feed(
         as_i64(state),
     )
     return hits.view(bool)
-
-
-def pin_replay(
-    blocks: np.ndarray,
-    hints: np.ndarray,
-    num_sets: int,
-    ways: int,
-    max_rrpv: int,
-    epsilon: int,
-    psel_max: int,
-    leader_period: int,
-    reserved_ways: int,
-    hint_high: int,
-    psel_init: int,
-):
-    """PIN-X replay through the compiled kernel; ``None`` when unavailable.
-
-    Returns ``(hits, misses_per_set, bypasses_per_set, psel, insert_count)``
-    matching :func:`repro.fastsim.pin.numpy_pin_replay` exactly.
-    """
-    if registry.lookup("pin_replay") is None:
-        return None
-    misses_per_set = np.zeros(num_sets, dtype=np.int64)
-    bypasses_per_set = np.zeros(num_sets, dtype=np.int64)
-    tags = np.full(num_sets * ways, -1, dtype=np.int64)
-    rrpv = np.full(num_sets * ways, max_rrpv, dtype=np.int32)
-    pinned = np.zeros(num_sets * ways, dtype=np.uint8)
-    pinned_count = np.zeros(num_sets, dtype=np.int32)
-    state = np.array([psel_init, 0], dtype=np.int64)
-    hits = pin_feed(
-        blocks, hints, num_sets, ways, max_rrpv, epsilon, psel_max,
-        leader_period, reserved_ways, hint_high, tags, rrpv, pinned,
-        pinned_count, misses_per_set, bypasses_per_set, state,
-    )
-    return hits, misses_per_set, bypasses_per_set, int(state[0]), int(state[1])

@@ -187,34 +187,3 @@ def rrip_feed(
         as_i64(state),
     )
     return hits.view(bool)
-
-
-def rrip_replay(
-    blocks: np.ndarray,
-    hints: np.ndarray,
-    num_sets: int,
-    ways: int,
-    max_rrpv: int,
-    ins_table: np.ndarray,
-    promo_table: np.ndarray,
-    epsilon: int,
-    psel_max: int,
-    leader_period: int,
-    psel_init: int,
-):
-    """RRIP-family replay through the compiled kernel; ``None`` when unavailable.
-
-    Returns ``(hits, misses_per_set, psel, insert_count)`` matching the NumPy
-    engine (:func:`repro.fastsim.rrip.numpy_rrip_replay`) exactly.
-    """
-    if registry.lookup("rrip_replay") is None:
-        return None
-    misses_per_set = np.zeros(num_sets, dtype=np.int64)
-    tags = np.full(num_sets * ways, -1, dtype=np.int64)
-    rrpv = np.full(num_sets * ways, max_rrpv, dtype=np.int32)
-    state = np.array([psel_init, 0], dtype=np.int64)
-    hits = rrip_feed(
-        blocks, hints, num_sets, ways, max_rrpv, ins_table, promo_table,
-        epsilon, psel_max, leader_period, tags, rrpv, misses_per_set, state,
-    )
-    return hits, misses_per_set, int(state[0]), int(state[1])

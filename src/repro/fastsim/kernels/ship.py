@@ -144,34 +144,3 @@ def ship_feed(
         as_i64(misses_per_set),
     )
     return hits.view(bool)
-
-
-def ship_replay(
-    blocks: np.ndarray,
-    sig_ids: np.ndarray,
-    num_signatures: int,
-    num_sets: int,
-    ways: int,
-    max_rrpv: int,
-    counter_max: int,
-    unseen_value: int,
-):
-    """SHiP-MEM replay through the compiled kernel; ``None`` when unavailable.
-
-    Returns ``(hits, misses_per_set, shct)`` matching
-    :func:`repro.fastsim.ship.numpy_ship_replay` exactly; ``shct`` is the
-    final counter table indexed by dense signature id.
-    """
-    if registry.lookup("ship_replay") is None:
-        return None
-    misses_per_set = np.zeros(num_sets, dtype=np.int64)
-    tags = np.full(num_sets * ways, -1, dtype=np.int64)
-    rrpv = np.full(num_sets * ways, max_rrpv, dtype=np.int32)
-    line_sig = np.zeros(num_sets * ways, dtype=np.int64)
-    reused = np.zeros(num_sets * ways, dtype=np.uint8)
-    shct = np.full(max(1, num_signatures), unseen_value, dtype=np.int64)
-    hits = ship_feed(
-        blocks, sig_ids, num_sets, ways, max_rrpv, counter_max,
-        tags, rrpv, line_sig, reused, shct, misses_per_set,
-    )
-    return hits, misses_per_set, shct[:num_signatures]

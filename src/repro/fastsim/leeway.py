@@ -14,12 +14,13 @@ updates advance in trace order over the chunk's *misses only* (hits never
 touch the predictor — the batched phase handles them entirely).  Victim
 choice per miss is two array reductions on the set's position row: the
 deepest predicted-dead line, else plain LRU.  PC signatures are densified
-with one ``np.unique`` so the predictor is flat arrays rather than dicts.
+through a grow-only :class:`~repro.fastsim.stackdist.DenseIdMap` so the
+predictor is flat arrays rather than dicts.
 
-:func:`leeway_replay` dispatches to the compiled kernel
-(:func:`repro.fastsim.kernels.leeway_replay`) when one is available and to
-:func:`numpy_leeway_replay` otherwise; both are exact, including the final
-predicted live distances.
+:class:`LeewayStream` is the engine: it advances its state through the
+compiled kernel (:func:`repro.fastsim.kernels.leeway_feed`) when one is
+available and through the NumPy sweeps otherwise; both are exact, including
+the final predicted live distances.
 """
 
 from __future__ import annotations
@@ -56,33 +57,6 @@ def leeway_spec(policy: ReplacementPolicy) -> Optional[LeewaySpec]:
     if type(policy) is not LeewayPolicy:
         return None
     return LeewaySpec(decay_period=policy.decay_period)
-
-
-@dataclass(frozen=True)
-class LeewayReplay:
-    """Outcome of replaying a block stream through one Leeway cache."""
-
-    hits: np.ndarray
-    misses_per_set: np.ndarray
-    ways: int
-    #: Final predicted live distance per PC signature (only trained PCs;
-    #: untrained signatures predict 0, like the scalar policy).
-    predicted_live_distances: Dict[int, int]
-
-    @property
-    def hit_count(self) -> int:
-        """Total number of hits."""
-        return int(self.hits.sum())
-
-    @property
-    def miss_count(self) -> int:
-        """Total number of misses."""
-        return int(self.misses_per_set.sum())
-
-    @property
-    def evictions(self) -> int:
-        """Total evictions (Leeway never bypasses, so misses beyond capacity)."""
-        return int(np.maximum(0, self.misses_per_set - self.ways).sum())
 
 
 def _pc_array(pcs: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -272,69 +246,3 @@ class LeewayStream:
 
         self.misses_per_set += np.bincount(set_ids[~hits], minlength=num_sets)
         return hits
-
-
-def numpy_leeway_replay(
-    block_addresses: np.ndarray,
-    pcs: Optional[np.ndarray],
-    num_sets: int,
-    ways: int,
-    spec: LeewaySpec,
-) -> LeewayReplay:
-    """Pure-NumPy batched replay (the portable engine behind :func:`leeway_replay`).
-
-    Exact with respect to the scalar policy: identical per-access hit masks,
-    per-set miss counts, victim choices and final predictor state.  One
-    :class:`LeewayStream` feed over the whole stream — chunked feeds of the
-    same stream are bit-identical by construction.
-    """
-    stream = LeewayStream(num_sets, ways, spec, use_native=False)
-    hits = stream.feed(block_addresses, pcs)
-    return LeewayReplay(
-        hits=hits,
-        misses_per_set=stream.misses_per_set,
-        ways=ways,
-        predicted_live_distances=stream.predicted_live_distances,
-    )
-
-
-def leeway_replay(
-    block_addresses: np.ndarray,
-    pcs: Optional[np.ndarray],
-    num_sets: int,
-    ways: int,
-    spec: LeewaySpec,
-) -> LeewayReplay:
-    """Replay a block stream through a ``num_sets`` x ``ways`` Leeway cache.
-
-    ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).  Dispatches to
-    the compiled kernel (:mod:`repro.fastsim.kernels`) when available and to
-    :func:`numpy_leeway_replay` otherwise; both are exact.
-    """
-    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
-    n = int(blocks.shape[0])
-    pc_values = _pc_array(pcs, n)
-    unique_pcs, pc_ids = np.unique(pc_values, return_inverse=True)
-    native = kernels.leeway_replay(
-        blocks,
-        pc_ids.astype(np.int64),
-        int(unique_pcs.shape[0]),
-        num_sets,
-        ways,
-        spec.decay_period,
-    )
-    if native is not None:
-        native_hits, misses_per_set, predicted = native
-        final = {
-            int(unique_pcs[index]): int(value)
-            for index, value in enumerate(predicted.tolist())
-            if value
-        }
-        return LeewayReplay(
-            hits=native_hits,
-            misses_per_set=misses_per_set,
-            ways=ways,
-            predicted_live_distances=final,
-        )
-    return numpy_leeway_replay(blocks, pc_values, num_sets, ways, spec)

@@ -21,14 +21,15 @@ future hit/miss decision — and therefore every reported count — unchanged,
 so the engine's leftmost-way tie-break is exact with respect to the scalar
 reference even though the latter breaks ties in dict-insertion order.
 
-:func:`opt_replay` dispatches to the compiled kernel
-(:func:`repro.fastsim.kernels.opt_replay`) when one is available and to
-:func:`numpy_opt_replay` otherwise; both are exact.
+:class:`OptStream` is the engine: it advances its state through the
+compiled kernel (:func:`repro.fastsim.kernels.opt_feed`) when one is
+available and through the NumPy sweeps otherwise; both are exact.  A
+one-shot replay is one :meth:`OptStream.feed` of the whole trace with its
+:func:`next_use_indices`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,30 +59,6 @@ def next_use_indices(blocks: np.ndarray, occ: Optional[np.ndarray] = None) -> np
     same = occ_blocks[1:] == occ_blocks[:-1]
     nxt[occ[:-1][same]] = occ[1:][same]
     return nxt
-
-
-@dataclass(frozen=True)
-class OptReplay:
-    """Outcome of replaying a block stream under Belady's OPT."""
-
-    hits: np.ndarray
-    misses_per_set: np.ndarray
-    ways: int
-
-    @property
-    def hit_count(self) -> int:
-        """Total number of hits."""
-        return int(self.hits.sum())
-
-    @property
-    def miss_count(self) -> int:
-        """Total number of misses."""
-        return int(self.misses_per_set.sum())
-
-    @property
-    def evictions(self) -> int:
-        """Total evictions (OPT never bypasses, so misses beyond capacity)."""
-        return int(np.maximum(0, self.misses_per_set - self.ways).sum())
 
 
 def resolve_chunk_next_use(
@@ -213,41 +190,3 @@ class OptStream:
 
         self.misses_per_set += np.bincount(set_ids[~hits], minlength=num_sets)
         return hits
-
-
-def numpy_opt_replay(
-    block_addresses: np.ndarray,
-    num_sets: int,
-    ways: int,
-    next_use: Optional[np.ndarray] = None,
-) -> OptReplay:
-    """Pure-NumPy batched Belady replay (the portable engine).
-
-    Exact with respect to :func:`~repro.cache.policies.opt.simulate_opt_misses`:
-    identical per-access hit masks and per-set miss counts.  One
-    :class:`OptStream` feed over the whole stream — chunked feeds with
-    globally resolved next-use are bit-identical by construction.
-    """
-    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
-    if next_use is None:
-        next_use = next_use_indices(blocks)
-    stream = OptStream(num_sets, ways, use_native=False)
-    hits = stream.feed(blocks, next_use)
-    return OptReplay(hits=hits, misses_per_set=stream.misses_per_set, ways=ways)
-
-
-def opt_replay(block_addresses: np.ndarray, num_sets: int, ways: int) -> OptReplay:
-    """Replay a block stream under Belady's OPT on a ``num_sets`` x ``ways`` cache.
-
-    ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching the scalar reference).  Dispatches to the compiled kernel
-    (:mod:`repro.fastsim.kernels`) when available and to
-    :func:`numpy_opt_replay` otherwise; both are exact.
-    """
-    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
-    next_use = next_use_indices(blocks)
-    native = kernels.opt_replay(blocks, next_use, num_sets, ways)
-    if native is not None:
-        native_hits, misses_per_set = native
-        return OptReplay(hits=native_hits, misses_per_set=misses_per_set, ways=ways)
-    return numpy_opt_replay(blocks, num_sets, ways, next_use=next_use)

@@ -21,10 +21,10 @@ the pinned mask simply layers on top:
 * bypassed accesses are counted (misses that evict nothing and insert
   nothing) and leave every piece of state untouched, including PSEL.
 
-:func:`pin_replay` dispatches to the compiled kernel
-(:func:`repro.fastsim.kernels.pin_replay`) when one is available and to
-:func:`numpy_pin_replay` otherwise; both are exact, including the final
-PSEL / bimodal-counter state and the per-set pinned populations.
+:class:`PinStream` is the engine: it advances its state through the
+compiled kernel (:func:`repro.fastsim.kernels.pin_feed`) when one is
+available and through the NumPy sweeps otherwise; both are exact, including
+the final PSEL / bimodal-counter state and the per-set pinned populations.
 """
 
 from __future__ import annotations
@@ -88,39 +88,6 @@ def pin_spec(policy: ReplacementPolicy) -> Optional[PinSpec]:
         psel_max=policy.psel_max,
         leader_period=policy.LEADER_PERIOD,
     )
-
-
-@dataclass(frozen=True)
-class PinReplay:
-    """Outcome of replaying a block stream through one PIN-X cache."""
-
-    hits: np.ndarray
-    misses_per_set: np.ndarray
-    bypasses_per_set: np.ndarray
-    ways: int
-    psel: int
-    insert_count: int
-
-    @property
-    def hit_count(self) -> int:
-        """Total number of hits."""
-        return int(self.hits.sum())
-
-    @property
-    def miss_count(self) -> int:
-        """Total number of misses (bypassed accesses included)."""
-        return int(self.misses_per_set.sum())
-
-    @property
-    def bypass_count(self) -> int:
-        """Total number of bypassed insertions."""
-        return int(self.bypasses_per_set.sum())
-
-    @property
-    def evictions(self) -> int:
-        """Total evictions: non-bypassed misses beyond each set's capacity."""
-        filled = self.misses_per_set - self.bypasses_per_set
-        return int(np.maximum(0, filled - self.ways).sum())
 
 
 class PinStream:
@@ -311,72 +278,3 @@ class PinStream:
         self._state[0] = psel
         self._state[1] = insert_count
         return hits
-
-
-def numpy_pin_replay(
-    block_addresses: np.ndarray,
-    hints: Optional[np.ndarray],
-    num_sets: int,
-    ways: int,
-    spec: PinSpec,
-) -> PinReplay:
-    """Pure-NumPy batched replay (the portable engine behind :func:`pin_replay`).
-
-    Exact with respect to the (bug-fixed) scalar policy: identical per-access
-    hit masks, per-set miss/bypass counts, pinned populations and final
-    PSEL/bimodal state.  One :class:`PinStream` feed over the whole stream —
-    chunked feeds of the same stream are bit-identical by construction.
-    """
-    stream = PinStream(num_sets, ways, spec, use_native=False)
-    hits = stream.feed(block_addresses, hints)
-    return PinReplay(
-        hits=hits,
-        misses_per_set=stream.misses_per_set,
-        bypasses_per_set=stream.bypasses_per_set,
-        ways=ways,
-        psel=stream.psel,
-        insert_count=stream.insert_count,
-    )
-
-
-def pin_replay(
-    block_addresses: np.ndarray,
-    hints: Optional[np.ndarray],
-    num_sets: int,
-    ways: int,
-    spec: PinSpec,
-) -> PinReplay:
-    """Replay a block stream through a ``num_sets`` x ``ways`` PIN-X cache.
-
-    ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).  Dispatches to
-    the compiled kernel (:mod:`repro.fastsim.kernels`) when available and to
-    :func:`numpy_pin_replay` otherwise; both are exact.
-    """
-    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
-    n = int(blocks.shape[0])
-    hint_values = _hint_array(hints, n)
-    native = kernels.pin_replay(
-        blocks,
-        hint_values.astype(np.uint8),
-        num_sets,
-        ways,
-        spec.max_rrpv,
-        spec.epsilon,
-        spec.psel_max,
-        spec.leader_period,
-        spec.reserved_ways(ways),
-        HINT_HIGH,
-        spec.psel_max // 2,
-    )
-    if native is not None:
-        native_hits, misses_per_set, bypasses_per_set, psel, insert_count = native
-        return PinReplay(
-            hits=native_hits,
-            misses_per_set=misses_per_set,
-            bypasses_per_set=bypasses_per_set,
-            ways=ways,
-            psel=psel,
-            insert_count=insert_count,
-        )
-    return numpy_pin_replay(blocks, hint_values, num_sets, ways, spec)

@@ -29,8 +29,6 @@ import numpy as np
 
 from repro.cache.config import HierarchyConfig
 from repro.cache.hints import HINT_HIGH
-from repro.cache.policies import LRUPolicy
-from repro.cache.policies.opt import BeladyOptimal
 from repro.cache.stats import CacheStats
 from repro.fastsim import kernels
 from repro.fastsim.filter import FilterStream
@@ -38,7 +36,7 @@ from repro.fastsim.hawkeye import hawkeye_spec
 from repro.fastsim.kernels.fused import MAX_THREADS, FilterState, RegionTable
 from repro.fastsim.leeway import leeway_spec
 from repro.fastsim.pin import pin_spec
-from repro.fastsim.replay import PolicyReplayStream
+from repro.fastsim.replay import PolicyReplayStream, _family
 from repro.fastsim.rrip import rrip_spec
 from repro.fastsim.ship import _UNSEEN, ship_spec
 from repro.fastsim.stackdist import DenseIdMap, grow_to
@@ -47,33 +45,7 @@ from repro.trace.generator import Trace
 
 def fused_supported(policy) -> bool:
     """Whether the fused pipeline covers this policy (natively or staged)."""
-    if type(policy) is BeladyOptimal:
-        return False
-    if type(policy) is LRUPolicy:
-        return True
-    return (
-        rrip_spec(policy) is not None
-        or pin_spec(policy) is not None
-        or ship_spec(policy) is not None
-        or hawkeye_spec(policy) is not None
-        or leeway_spec(policy) is not None
-    )
-
-
-def _family(policy) -> Optional[str]:
-    if type(policy) is LRUPolicy:
-        return "lru"
-    if rrip_spec(policy) is not None:
-        return "rrip"
-    if pin_spec(policy) is not None:
-        return "pin"
-    if ship_spec(policy) is not None:
-        return "ship"
-    if hawkeye_spec(policy) is not None:
-        return "hawkeye"
-    if leeway_spec(policy) is not None:
-        return "leeway"
-    return None
+    return _family(policy) is not None
 
 
 def fused_native_supported(policy, hierarchy: HierarchyConfig) -> bool:
@@ -449,8 +421,8 @@ class MultiFusedPipeline:
     filtered stream ever materialized to memory beyond the current chunk
     or to disk at all.
 
-    Every policy must satisfy
-    :func:`~repro.fastsim.replay.supports_vector_replay`; per-policy LLC
+    Every policy must satisfy :func:`fused_supported` (an online vector
+    engine, so not the offline OPT); per-policy LLC
     statistics are bit-identical to running each policy alone through the
     staged (or fused single-policy) pipeline.  Without the native filter
     kernel the shared phase runs on the staged vector
@@ -468,16 +440,14 @@ class MultiFusedPipeline:
         use_hints: bool = True,
         threads: Optional[int] = None,
     ) -> None:
-        from repro.fastsim.replay import supports_vector_replay
-
         policies = list(policies)
         if not policies:
             raise ValueError("MultiFusedPipeline needs at least one policy")
         for policy in policies:
-            if not supports_vector_replay(policy) or type(policy) is BeladyOptimal:
+            if not fused_supported(policy):
                 raise ValueError(
                     f"policy {policy!r} has no vector replay engine; "
-                    "use supports_vector_replay() before dispatching"
+                    "use fused_supported() before dispatching"
                 )
         self.hierarchy = hierarchy
         self.policies = policies

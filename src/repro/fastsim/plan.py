@@ -6,10 +6,10 @@ partition and fallback decisions scattered across ten call sites.  This
 module collapses that sprawl into one explainable layer:
 
 ``EngineCapabilities``
-    One declarative record per engine family (vector/stream/fused and
-    co-run support, the kernel capability the native fused route needs,
-    plus the family's known fallbacks in prose).  The table below is the
-    single place a new engine announces what it can do.
+    One declarative record per engine family (vector support, the kernel
+    capability the native fused route needs, plus the family's known
+    fallbacks in prose).  The table below is the single place a new engine
+    announces what it can do.
 ``SimRequest``
     Everything a routing decision depends on: the scheme(s) and live
     policy object(s), the requested backend, the pipeline stage (one-shot
@@ -55,11 +55,11 @@ from repro.fastsim.opt import OptStream, resolve_chunk_next_use
 from repro.fastsim.pipeline import (
     FusedPipeline,
     MultiFusedPipeline,
-    _family,
     fused_native_supported,
 )
 from repro.fastsim.replay import (
     PolicyReplayStream,
+    _family,
     supports_vector_replay,
     vector_opt_replay,
     vector_policy_replay,
@@ -83,10 +83,7 @@ class EngineCapabilities:
 
     family: str
     vector_replay: bool
-    streaming: bool
     fused_kernel: Optional[str]
-    corun_partitioned: bool
-    corun_shared: bool
     fallbacks: Tuple[str, ...] = ()
 
 
@@ -95,16 +92,13 @@ class EngineCapabilities:
 #: subclasses): the reference simulator covers them on every route.
 ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
     "lru": EngineCapabilities(
-        family="lru", vector_replay=True, streaming=True,
-        fused_kernel="fused:lru", corun_partitioned=True, corun_shared=True,
+        family="lru", vector_replay=True, fused_kernel="fused:lru",
     ),
     "rrip": EngineCapabilities(
-        family="rrip", vector_replay=True, streaming=True,
-        fused_kernel="fused:rrip", corun_partitioned=True, corun_shared=True,
+        family="rrip", vector_replay=True, fused_kernel="fused:rrip",
     ),
     "pin": EngineCapabilities(
-        family="pin", vector_replay=True, streaming=True,
-        fused_kernel="fused:pin", corun_partitioned=True, corun_shared=False,
+        family="pin", vector_replay=True, fused_kernel="fused:pin",
         fallbacks=(
             "unpartitioned co-run (K>=2) falls back to the scalar reference: "
             "per-stream bypass attribution needs per-stream engines, which "
@@ -112,24 +106,20 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
         ),
     ),
     "ship": EngineCapabilities(
-        family="ship", vector_replay=True, streaming=True,
-        fused_kernel="fused:ship", corun_partitioned=True, corun_shared=True,
+        family="ship", vector_replay=True, fused_kernel="fused:ship",
     ),
     "hawkeye": EngineCapabilities(
-        family="hawkeye", vector_replay=True, streaming=True,
-        fused_kernel="fused:hawkeye", corun_partitioned=True, corun_shared=True,
+        family="hawkeye", vector_replay=True, fused_kernel="fused:hawkeye",
         fallbacks=(
             "a zero-length OPTgen history window (history_factor * ways == 0) "
             "disables the native kernels; the NumPy engine runs instead",
         ),
     ),
     "leeway": EngineCapabilities(
-        family="leeway", vector_replay=True, streaming=True,
-        fused_kernel="fused:leeway", corun_partitioned=True, corun_shared=True,
+        family="leeway", vector_replay=True, fused_kernel="fused:leeway",
     ),
     "opt": EngineCapabilities(
-        family="opt", vector_replay=True, streaming=True,
-        fused_kernel=None, corun_partitioned=False, corun_shared=False,
+        family="opt", vector_replay=True, fused_kernel=None,
         fallbacks=(
             "OPT needs future next-use indices: streaming resolves them in a "
             "two-pass reverse sweep over a disk spill",
@@ -137,8 +127,7 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
         ),
     ),
     "scalar": EngineCapabilities(
-        family="scalar", vector_replay=False, streaming=True,
-        fused_kernel=None, corun_partitioned=True, corun_shared=True,
+        family="scalar", vector_replay=False, fused_kernel=None,
         fallbacks=(
             "policies without an exact array-form spec (the GRASP ablation "
             "subclasses) replay through the per-access reference simulator "
@@ -152,10 +141,7 @@ def capabilities_for(policy) -> EngineCapabilities:
     """The capability record governing one live policy object."""
     if type(policy) is BeladyOptimal:
         return ENGINE_CAPABILITIES["opt"]
-    family = _family(policy)
-    if family is None or not supports_vector_replay(policy):
-        return ENGINE_CAPABILITIES["scalar"]
-    return ENGINE_CAPABILITIES[family]
+    return ENGINE_CAPABILITIES[_family(policy) or "scalar"]
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +323,7 @@ class RoutePlanner:
 
     @staticmethod
     def _engine_name(policy) -> str:
-        family = _family(policy)
-        if family is not None and supports_vector_replay(policy):
-            return family
-        return "scalar"
+        return _family(policy) or "scalar"
 
     def _vector_kernel(self, request: SimRequest, policy) -> str:
         """Kernel tier of the staged vector engines for this policy."""

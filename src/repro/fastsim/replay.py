@@ -1,16 +1,20 @@
-"""Vectorized LLC replay dispatch for the schemes the fast engines cover.
+"""LLC replay dispatch for the schemes the fast engines cover.
 
-Every replacement scheme of the paper's evaluation has an exact fast engine:
-the stack-distance engine for plain LRU (:mod:`repro.fastsim.stackdist`), the
-batched RRIP-family engine for SRRIP/BRRIP/DRRIP/GRASP
-(:mod:`repro.fastsim.rrip`), and the PR 4 engines for SHiP-MEM
-(:mod:`repro.fastsim.ship`), Hawkeye (:mod:`repro.fastsim.hawkeye`), Leeway
-(:mod:`repro.fastsim.leeway`), the PIN-X pinning configurations
-(:mod:`repro.fastsim.pin`) and Belady's OPT (:mod:`repro.fastsim.opt`).
-Only the GRASP ablation variants — subclasses that override hooks the array
-specs cannot express — remain scalar-only.
+Every replacement scheme of the paper's evaluation has one exact stream
+engine: :class:`~repro.fastsim.stackdist.LRUStream` for plain LRU,
+:class:`~repro.fastsim.rrip.RRIPStream` for SRRIP/BRRIP/DRRIP/GRASP, and
+the SHiP-MEM, Hawkeye, Leeway, PIN-X and Belady-OPT streams of
+:mod:`repro.fastsim.ship`, :mod:`~repro.fastsim.hawkeye`,
+:mod:`~repro.fastsim.leeway`, :mod:`~repro.fastsim.pin` and
+:mod:`~repro.fastsim.opt`.  A one-shot replay is one ``feed`` on a fresh
+stream.  Only the GRASP ablation variants — subclasses that override hooks
+the array specs cannot express — remain scalar-only.
+
+:func:`_family` resolves a policy to its engine family for every fast path,
 :func:`supports_vector_replay` is the dispatch predicate used by
-:func:`repro.experiments.runner.simulate_llc_policy`.
+:func:`repro.experiments.runner.simulate_llc_policy`, and
+:class:`PolicyReplayStream` wraps a family's engine with the per-region
+statistics of Fig. 2.
 """
 
 from __future__ import annotations
@@ -23,13 +27,37 @@ from repro.cache.config import CacheConfig
 from repro.cache.policies import LRUPolicy
 from repro.cache.policies.opt import BeladyOptimal
 from repro.cache.stats import CacheStats
-from repro.fastsim.hawkeye import HawkeyeStream, hawkeye_replay, hawkeye_spec
-from repro.fastsim.leeway import LeewayStream, leeway_replay, leeway_spec
-from repro.fastsim.opt import opt_replay
-from repro.fastsim.pin import PinStream, pin_replay, pin_spec
-from repro.fastsim.rrip import RRIPStream, rrip_replay, rrip_spec
-from repro.fastsim.ship import ShipStream, ship_replay, ship_spec
-from repro.fastsim.stackdist import LRUStream, lru_replay
+from repro.fastsim.hawkeye import HawkeyeStream, hawkeye_spec
+from repro.fastsim.leeway import LeewayStream, leeway_spec
+from repro.fastsim.opt import OptStream, next_use_indices
+from repro.fastsim.pin import PinStream, pin_spec
+from repro.fastsim.rrip import RRIPStream, rrip_spec
+from repro.fastsim.ship import ShipStream, ship_spec
+from repro.fastsim.stackdist import LRUStream
+
+#: Spec-driven engine families -> (spec snapshot, stream engine), in the
+#: order :func:`_family` probes them.
+_SPEC_FAMILIES = {
+    "rrip": (rrip_spec, RRIPStream),
+    "pin": (pin_spec, PinStream),
+    "ship": (ship_spec, ShipStream),
+    "hawkeye": (hawkeye_spec, HawkeyeStream),
+    "leeway": (leeway_spec, LeewayStream),
+}
+
+
+def _family(policy) -> Optional[str]:
+    """The engine family that replays ``policy`` exactly, ``None`` if none.
+
+    The one resolver every fast path shares (replay, fused pipeline,
+    planner).  Belady's OPT is offline and has no online family.
+    """
+    if type(policy) is LRUPolicy:
+        return "lru"
+    for family, (spec, _) in _SPEC_FAMILIES.items():
+        if spec(policy) is not None:
+            return family
+    return None
 
 
 def supports_vector_replay(policy) -> bool:
@@ -45,15 +73,7 @@ def supports_vector_replay(policy) -> bool:
     could override any hook and silently diverge, so anything else falls
     back to the scalar simulator.
     """
-    if type(policy) in (LRUPolicy, BeladyOptimal):
-        return True
-    return (
-        rrip_spec(policy) is not None
-        or ship_spec(policy) is not None
-        or hawkeye_spec(policy) is not None
-        or leeway_spec(policy) is not None
-        or pin_spec(policy) is not None
-    )
+    return type(policy) is BeladyOptimal or _family(policy) is not None
 
 
 def _region_breakdown(hits: np.ndarray, regions: Optional[np.ndarray]):
@@ -72,44 +92,25 @@ def _region_breakdown(hits: np.ndarray, regions: Optional[np.ndarray]):
     return region_accesses, region_misses
 
 
-def vector_lru_replay(
-    block_addresses: np.ndarray,
-    llc_config: CacheConfig,
-    regions: Optional[np.ndarray] = None,
-) -> CacheStats:
-    """Replay an LLC-bound block stream under LRU and return its statistics.
-
-    ``regions`` (when given) produces the same per-region access/miss
-    breakdown the scalar simulator records for Fig. 2, computed with
-    ``np.bincount`` instead of per-access dictionary updates.
-    """
-    replay = lru_replay(block_addresses, llc_config.num_sets, llc_config.ways)
-    region_accesses, region_misses = _region_breakdown(replay.hits, regions)
-    return CacheStats.from_counts(
-        name=llc_config.name,
-        hits=replay.hit_count,
-        misses=replay.miss_count,
-        evictions=replay.evictions,
-        region_accesses=region_accesses,
-        region_misses=region_misses,
-    )
-
-
 def vector_opt_replay(
     block_addresses: np.ndarray, llc_config: CacheConfig
 ) -> CacheStats:
     """Belady's OPT statistics for an LLC trace via the vectorized engine.
 
-    Mirrors :func:`repro.cache.policies.opt.simulate_opt_misses` (including
-    the ``-OPT`` stats name); the scalar reference records no per-region
+    One :class:`~repro.fastsim.opt.OptStream` feed of the whole trace with
+    its next-use links.  Mirrors
+    :func:`repro.cache.policies.opt.simulate_opt_misses` (including the
+    ``-OPT`` stats name); the scalar reference records no per-region
     breakdown, so neither does this path.
     """
-    replay = opt_replay(block_addresses, llc_config.num_sets, llc_config.ways)
+    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
+    engine = OptStream(llc_config.num_sets, llc_config.ways)
+    engine.feed(blocks, next_use_indices(blocks))
     return CacheStats.from_counts(
         name=f"{llc_config.name}-OPT",
-        hits=replay.hit_count,
-        misses=replay.miss_count,
-        evictions=replay.evictions,
+        hits=engine.hit_count,
+        misses=engine.miss_count,
+        evictions=engine.evictions,
     )
 
 
@@ -119,12 +120,11 @@ class PolicyReplayStream:
     two-pass pipeline — see
     :func:`repro.experiments.runner.simulate_opt_streaming`).
 
-    The streaming counterpart of :func:`vector_policy_replay`: feed aligned
-    (blocks, hints, regions, pcs) chunks, then read :meth:`stats`.  Chunked
-    replay is bit-identical to the one-shot call on the concatenation,
-    including the final policy state, which is exposed via the underlying
-    ``engine`` attribute (an ``*Stream`` object carrying PSEL, SHCT,
-    predictor tables, pinned populations, ...).
+    Feed aligned (blocks, hints, regions, pcs) chunks, then read
+    :meth:`stats`.  Chunked replay is bit-identical to one feed of the
+    concatenation, including the final policy state, which is exposed via
+    the underlying ``engine`` attribute (the family's ``*Stream`` object
+    carrying PSEL, SHCT, predictor tables, pinned populations, ...).
     """
 
     def __init__(self, policy, llc_config: CacheConfig, use_native=None) -> None:
@@ -132,42 +132,20 @@ class PolicyReplayStream:
             raise ValueError(
                 "BeladyOptimal has no online stream; use simulate_opt_streaming"
             )
+        family = _family(policy)
+        if family is None:
+            raise ValueError(
+                f"policy {policy!r} has no vectorized replay engine; "
+                "use supports_vector_replay() before dispatching"
+            )
         self.llc_config = llc_config
+        self.family = family
         num_sets, ways = llc_config.num_sets, llc_config.ways
-        self._kind = None
-        if type(policy) is LRUPolicy:
-            self._kind = "lru"
+        if family == "lru":
             self.engine = LRUStream(num_sets, ways, use_native=use_native)
         else:
-            spec = rrip_spec(policy)
-            if spec is not None:
-                self._kind = "rrip"
-                self.engine = RRIPStream(num_sets, ways, spec, use_native=use_native)
-            elif pin_spec(policy) is not None:
-                self._kind = "pin"
-                self.engine = PinStream(
-                    num_sets, ways, pin_spec(policy), use_native=use_native
-                )
-            elif ship_spec(policy) is not None:
-                self._kind = "ship"
-                self.engine = ShipStream(
-                    num_sets, ways, ship_spec(policy), use_native=use_native
-                )
-            elif hawkeye_spec(policy) is not None:
-                self._kind = "hawkeye"
-                self.engine = HawkeyeStream(
-                    num_sets, ways, hawkeye_spec(policy), use_native=use_native
-                )
-            elif leeway_spec(policy) is not None:
-                self._kind = "leeway"
-                self.engine = LeewayStream(
-                    num_sets, ways, leeway_spec(policy), use_native=use_native
-                )
-            else:
-                raise ValueError(
-                    f"policy {policy!r} has no vectorized replay engine; "
-                    "use supports_vector_replay() before dispatching"
-                )
+            spec, engine = _SPEC_FAMILIES[family]
+            self.engine = engine(num_sets, ways, spec(policy), use_native=use_native)
         self._region_accesses: dict = {}
         self._region_misses: dict = {}
 
@@ -179,14 +157,12 @@ class PolicyReplayStream:
         pcs: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Replay one chunk; returns its hit mask and advances the state."""
-        if self._kind == "lru":
-            hits = self.engine.feed(block_addresses)
-        elif self._kind in ("rrip", "pin"):
+        if self.family in ("rrip", "pin"):
             hits = self.engine.feed(block_addresses, hints)
-        elif self._kind == "ship":
-            hits = self.engine.feed(block_addresses)
-        else:
+        elif self.family in ("hawkeye", "leeway"):
             hits = self.engine.feed(block_addresses, pcs)
+        else:
+            hits = self.engine.feed(block_addresses)
         region_accesses, region_misses = _region_breakdown(hits, regions)
         if region_accesses is not None:
             for region, count in region_accesses.items():
@@ -199,7 +175,7 @@ class PolicyReplayStream:
 
     def stats(self) -> CacheStats:
         """Aggregate :class:`CacheStats` over everything fed so far."""
-        bypasses = self.engine.bypass_count if self._kind == "pin" else 0
+        bypasses = self.engine.bypass_count if self.family == "pin" else 0
         return CacheStats.from_counts(
             name=self.llc_config.name,
             hits=self.engine.hit_count,
@@ -225,48 +201,18 @@ def vector_policy_replay(
 ) -> CacheStats:
     """Replay an LLC trace under any policy :func:`supports_vector_replay` accepts.
 
-    ``hints`` is the 2-bit GRASP reuse-hint stream aligned with
-    ``block_addresses`` (``None`` replays hint-blind, like the scalar
-    simulator with ``use_hints=False``); GRASP's tables and PIN's pinning
-    decisions consult it.  ``pcs`` is the synthetic program-counter stream
-    the PC-indexed schemes (Hawkeye, Leeway) train on (``None`` replays with
-    a constant PC, like the scalar simulator's default).
+    One :class:`PolicyReplayStream` feed of the whole trace (Belady's OPT
+    goes to :func:`vector_opt_replay`).  ``hints`` is the 2-bit GRASP
+    reuse-hint stream aligned with ``block_addresses`` (``None`` replays
+    hint-blind, like the scalar simulator with ``use_hints=False``); GRASP's
+    tables and PIN's pinning decisions consult it.  ``regions`` (when given)
+    produces the per-region access/miss breakdown the scalar simulator
+    records for Fig. 2.  ``pcs`` is the synthetic program-counter stream the
+    PC-indexed schemes (Hawkeye, Leeway) train on (``None`` replays with a
+    constant PC, like the scalar simulator's default).
     """
-    if type(policy) is LRUPolicy:
-        return vector_lru_replay(block_addresses, llc_config, regions=regions)
     if type(policy) is BeladyOptimal:
         return vector_opt_replay(block_addresses, llc_config)
-    num_sets, ways = llc_config.num_sets, llc_config.ways
-    bypasses = 0
-    spec = rrip_spec(policy)
-    if spec is not None:
-        replay = rrip_replay(block_addresses, hints, num_sets, ways, spec)
-    else:
-        pspec = pin_spec(policy)
-        sspec = ship_spec(policy)
-        hspec = hawkeye_spec(policy)
-        lspec = leeway_spec(policy)
-        if pspec is not None:
-            replay = pin_replay(block_addresses, hints, num_sets, ways, pspec)
-            bypasses = replay.bypass_count
-        elif sspec is not None:
-            replay = ship_replay(block_addresses, num_sets, ways, sspec)
-        elif hspec is not None:
-            replay = hawkeye_replay(block_addresses, pcs, num_sets, ways, hspec)
-        elif lspec is not None:
-            replay = leeway_replay(block_addresses, pcs, num_sets, ways, lspec)
-        else:
-            raise ValueError(
-                f"policy {policy!r} has no vectorized replay engine; "
-                "use supports_vector_replay() before dispatching"
-            )
-    region_accesses, region_misses = _region_breakdown(replay.hits, regions)
-    return CacheStats.from_counts(
-        name=llc_config.name,
-        hits=replay.hit_count,
-        misses=replay.miss_count,
-        evictions=replay.evictions,
-        bypasses=bypasses,
-        region_accesses=region_accesses,
-        region_misses=region_misses,
-    )
+    stream = PolicyReplayStream(policy, llc_config)
+    stream.feed(block_addresses, hints=hints, regions=regions, pcs=pcs)
+    return stream.stats()

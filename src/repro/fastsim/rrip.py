@@ -30,11 +30,12 @@ types are eligible — a subclass could override any hook and silently diverge,
 so :func:`rrip_spec` returns ``None`` for anything else and the caller falls
 back to the scalar simulator.
 
-:func:`rrip_replay` dispatches to the compiled kernel
-(:func:`repro.fastsim.kernels.rrip_replay`) when one is available and to
-:func:`numpy_rrip_replay` otherwise; both are exact, including the final
-PSEL / bimodal-counter state, which the equivalence tests compare against
-the scalar policies.
+:class:`RRIPStream` is the engine: it advances its state through the
+compiled kernel (:func:`repro.fastsim.kernels.rrip_feed`) when one is
+available and through the NumPy sweeps otherwise; both are exact, including
+the final PSEL / bimodal-counter state, which the equivalence tests compare
+against the scalar policies.  A one-shot replay is one :meth:`RRIPStream.feed`
+on a fresh stream.
 
 Chunk width — and with it the NumPy engine's batch parallelism — is bounded
 by the number of LLC sets, which the scaled-down default geometry caps at
@@ -109,34 +110,6 @@ def rrip_spec(policy: ReplacementPolicy) -> Optional[RRIPSpec]:
         psel_max=psel_max,
         leader_period=leader_period,
     )
-
-
-@dataclass(frozen=True)
-class RRIPReplay:
-    """Outcome of replaying a block stream through one RRIP-family cache."""
-
-    hits: np.ndarray
-    misses_per_set: np.ndarray
-    ways: int
-    #: Final PSEL value (``None`` for non-dueling policies).
-    psel: Optional[int]
-    #: Final bimodal insertion count (0 for SRRIP).
-    insert_count: int
-
-    @property
-    def hit_count(self) -> int:
-        """Total number of hits."""
-        return int(self.hits.sum())
-
-    @property
-    def miss_count(self) -> int:
-        """Total number of misses."""
-        return int(self.misses_per_set.sum())
-
-    @property
-    def evictions(self) -> int:
-        """Total evictions (RRIP never bypasses, so misses beyond capacity)."""
-        return int(np.maximum(0, self.misses_per_set - self.ways).sum())
 
 
 def _hint_array(hints: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -360,70 +333,3 @@ class RRIPStream:
         self._state[0] = psel
         self._state[1] = insert_count
         return hits
-
-
-def numpy_rrip_replay(
-    block_addresses: np.ndarray,
-    hints: Optional[np.ndarray],
-    num_sets: int,
-    ways: int,
-    spec: RRIPSpec,
-) -> RRIPReplay:
-    """Pure-NumPy batched replay (the portable engine behind :func:`rrip_replay`).
-
-    Exact with respect to the scalar policies: identical per-access hit masks,
-    per-set miss counts, way contents and final PSEL/bimodal state.  One
-    :class:`RRIPStream` feed over the whole stream — chunked feeds of the
-    same stream are bit-identical by construction.
-    """
-    stream = RRIPStream(num_sets, ways, spec, use_native=False)
-    hits = stream.feed(block_addresses, hints)
-    return RRIPReplay(
-        hits=hits,
-        misses_per_set=stream.misses_per_set,
-        ways=ways,
-        psel=stream.psel,
-        insert_count=stream.insert_count,
-    )
-
-
-def rrip_replay(
-    block_addresses: np.ndarray,
-    hints: Optional[np.ndarray],
-    num_sets: int,
-    ways: int,
-    spec: RRIPSpec,
-) -> RRIPReplay:
-    """Replay a block stream through a ``num_sets`` x ``ways`` RRIP cache.
-
-    ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).  Dispatches to
-    the compiled kernel (:mod:`repro.fastsim.kernels`) when available and to
-    :func:`numpy_rrip_replay` otherwise; both are exact.
-    """
-    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
-    n = int(blocks.shape[0])
-    hint_values = _hint_array(hints, n)
-    native = kernels.rrip_replay(
-        blocks,
-        hint_values.astype(np.uint8),
-        num_sets,
-        ways,
-        spec.max_rrpv,
-        np.asarray(spec.insertion_table, dtype=np.int32),
-        np.asarray(spec.promotion_table, dtype=np.int32),
-        spec.epsilon,
-        spec.psel_max,
-        spec.leader_period,
-        spec.psel_max // 2,
-    )
-    if native is not None:
-        native_hits, misses_per_set, psel, insert_count = native
-        return RRIPReplay(
-            hits=native_hits,
-            misses_per_set=misses_per_set,
-            ways=ways,
-            psel=psel if spec.dueling else None,
-            insert_count=insert_count,
-        )
-    return numpy_rrip_replay(blocks, hint_values, num_sets, ways, spec)

@@ -16,20 +16,21 @@ incoming block's signature to pick between long (``max-1``) and distant
 trace (misses plus first-reuse hits only) and all their inputs — victim ways,
 line signatures, reused bits — are known from the batched phase, so the
 engine walks just the chunk's event positions in order, exactly like the
-RRIP engine walks leader-set PSEL updates.  Signatures are densified with one
-``np.unique`` so the SHCT is a flat array rather than a dict (the paper's
-table is unbounded, so no aliasing is introduced).
+RRIP engine walks leader-set PSEL updates.  Signatures are densified through
+a grow-only :class:`~repro.fastsim.stackdist.DenseIdMap` so the SHCT is a
+flat array rather than a dict (the paper's table is unbounded, so no
+aliasing is introduced).
 
-:func:`ship_replay` dispatches to the compiled kernel
-(:func:`repro.fastsim.kernels.ship_replay`) when one is available and to
-:func:`numpy_ship_replay` otherwise; both are exact, including the final
-SHCT contents.
+:class:`ShipStream` is the engine: it advances its state through the
+compiled kernel (:func:`repro.fastsim.kernels.ship_feed`) when one is
+available and through the NumPy sweeps otherwise; both are exact, including
+the final SHCT contents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -71,47 +72,14 @@ def ship_spec(policy: ReplacementPolicy) -> Optional[ShipSpec]:
     )
 
 
-@dataclass(frozen=True)
-class ShipReplay:
-    """Outcome of replaying a block stream through one SHiP-MEM cache."""
-
-    hits: np.ndarray
-    misses_per_set: np.ndarray
-    ways: int
-    #: Final SHCT as ``{signature: counter}`` over every signature in the
-    #: trace (untrained signatures report the unseen value, 1).
-    shct: Dict[int, int]
-
-    @property
-    def hit_count(self) -> int:
-        """Total number of hits."""
-        return int(self.hits.sum())
-
-    @property
-    def miss_count(self) -> int:
-        """Total number of misses."""
-        return int(self.misses_per_set.sum())
-
-    @property
-    def evictions(self) -> int:
-        """Total evictions (SHiP never bypasses, so misses beyond capacity)."""
-        return int(np.maximum(0, self.misses_per_set - self.ways).sum())
-
-
-def _dense_signatures(blocks: np.ndarray, region_shift: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Map block addresses to dense signature ids (and the id→signature table)."""
-    return np.unique(blocks >> region_shift, return_inverse=True)
-
-
 class ShipStream:
     """Resumable exact SHiP-MEM replay: feed a block stream in chunks.
 
     Carries tags, RRPVs, per-line signature/reused bits and the global SHCT
     across :meth:`feed` calls; chunked replay is bit-identical to one replay
-    over the concatenation.  Signatures are densified *incrementally* — a
-    grow-only first-appearance id map replaces the one-shot engine's whole-
-    trace ``np.unique``, which a stream cannot compute — and the SHCT array
-    grows with the id space (label-invariant, so outcomes are unchanged).
+    over the concatenation.  Signatures are densified incrementally through
+    a grow-only id map, and the SHCT array grows with the id space
+    (label-invariant, so outcomes are unchanged).
     """
 
     def __init__(
@@ -281,56 +249,3 @@ class ShipStream:
 
         self.misses_per_set += np.bincount(set_ids[~hits], minlength=num_sets)
         return hits
-
-
-def numpy_ship_replay(
-    block_addresses: np.ndarray, num_sets: int, ways: int, spec: ShipSpec
-) -> ShipReplay:
-    """Pure-NumPy batched replay (the portable engine behind :func:`ship_replay`).
-
-    Exact with respect to the scalar policy: identical per-access hit masks,
-    per-set miss counts and final SHCT contents.  One :class:`ShipStream`
-    feed over the whole stream — chunked feeds of the same stream are
-    bit-identical by construction.
-    """
-    stream = ShipStream(num_sets, ways, spec, use_native=False)
-    hits = stream.feed(block_addresses)
-    return ShipReplay(
-        hits=hits,
-        misses_per_set=stream.misses_per_set,
-        ways=ways,
-        shct=stream.shct,
-    )
-
-
-def ship_replay(
-    block_addresses: np.ndarray, num_sets: int, ways: int, spec: ShipSpec
-) -> ShipReplay:
-    """Replay a block stream through a ``num_sets`` x ``ways`` SHiP-MEM cache.
-
-    ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).  Dispatches to
-    the compiled kernel (:mod:`repro.fastsim.kernels`) when available and to
-    :func:`numpy_ship_replay` otherwise; both are exact.
-    """
-    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
-    signatures, sig_ids = _dense_signatures(blocks, spec.region_shift)
-    native = kernels.ship_replay(
-        blocks,
-        sig_ids.astype(np.int64),
-        int(signatures.shape[0]),
-        num_sets,
-        ways,
-        spec.max_rrpv,
-        spec.counter_max,
-        _UNSEEN,
-    )
-    if native is not None:
-        native_hits, misses_per_set, shct = native
-        final = {
-            int(sig): int(value) for sig, value in zip(signatures.tolist(), shct.tolist())
-        }
-        return ShipReplay(
-            hits=native_hits, misses_per_set=misses_per_set, ways=ways, shct=final
-        )
-    return numpy_ship_replay(blocks, num_sets, ways, spec)

@@ -45,8 +45,7 @@ a set's occupancy grows by one per miss until it is full, giving
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -183,7 +182,7 @@ def substream_previous_indices(
 
     ``member_indices`` selects (in increasing order) the surviving accesses
     of the stream; the result is expressed in substream positions, ready to
-    hand to :func:`lru_replay` for the stream ``blocks[member_indices]``.
+    hand to :func:`numpy_lru_replay` for the stream ``blocks[member_indices]``.
     Restricting ``occ`` to the survivors keeps equal blocks adjacent and
     time-ordered, so the links fall out of one adjacent-equality pass — no
     new sort.
@@ -211,12 +210,17 @@ def substream_previous_indices(
 class DenseIdMap:
     """Grow-only mapping from raw keys to dense ids, stable across chunks.
 
-    The one-shot engines densify unbounded key spaces (SHiP signatures,
-    Leeway/Hawkeye PCs, Hawkeye block ids) with one ``np.unique`` over the
-    whole trace; a resumable stream cannot see the whole trace, so ids are
-    assigned in order of first appearance instead and never change.  All the
-    learning structures are label-invariant, so the two assignments produce
-    identical simulations.
+    The engines densify unbounded key spaces (SHiP signatures, Leeway/Hawkeye
+    PCs, Hawkeye block ids) so their learning structures are flat arrays.  A
+    stream cannot see its whole trace, so ids are handed out chunk by chunk
+    and never change: a chunk's unseen keys take the next ids in sorted key
+    order.  All the learning structures are label-invariant, so any stable
+    assignment produces the same simulation.
+
+    Keys in ``[0, DIRECT_LIMIT)`` are looked up in a grow-only array indexed
+    by key, and a chunk's new keys are found by marking that range — no sort
+    and no per-key Python work.  The first chunk holding a key outside the
+    range moves the map to a dict for good, carrying every id over.
     """
 
     #: Largest key eligible for the direct-lookup fast path; beyond this the
@@ -224,24 +228,26 @@ class DenseIdMap:
     DIRECT_LIMIT = 1 << 22
 
     def __init__(self) -> None:
-        self._ids: dict = {}
-        self._direct: Optional[np.ndarray] = None
+        #: key -> id (-1 unassigned) while every key is in the direct range.
+        self._direct = np.empty(0, dtype=np.int64)
+        self._count = 0
+        #: Authoritative dict once a key left the direct range.
+        self._ids: Optional[dict] = None
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return self._count if self._ids is None else len(self._ids)
 
     def map(self, values: np.ndarray) -> np.ndarray:
         """Dense ids for ``values``, assigning new ids to unseen keys."""
         values = np.asarray(values)
         if values.size == 0:
             return np.empty(0, dtype=np.int64)
-        if self._direct is not False:
+        if self._ids is None:
             lo, hi = int(values.min()), int(values.max())
             if 0 <= lo and hi < self.DIRECT_LIMIT:
                 return self._map_direct(values, hi)
-        # Keys outside the direct range: fall back to the dict permanently
-        # (the dict is authoritative, so ids stay consistent either way).
-        self._direct = False  # type: ignore[assignment]
+            self._ids = dict(zip(self.keys_in_id_order(), range(self._count)))
+            self._direct = None
         unique, inverse = np.unique(values, return_inverse=True)
         ids = self._ids
         table = np.fromiter(
@@ -252,34 +258,30 @@ class DenseIdMap:
         return table[inverse]
 
     def _map_direct(self, values: np.ndarray, hi: int) -> np.ndarray:
-        """O(n) lookup through a grow-only array instead of a per-chunk sort.
-
-        New keys still receive ids in sorted order within the chunk, exactly
-        like the ``np.unique`` path, so both routes assign identical ids.
-        """
+        """O(n + key range) lookup through the grow-only key-indexed table."""
         direct = self._direct
-        if direct is None or direct.shape[0] <= hi:
-            direct = grow_to(
-                direct if direct is not None else np.empty(0, dtype=np.int64),
-                max(hi + 1, 2 * (direct.shape[0] if direct is not None else 0)),
-                -1,
-            )
-            self._direct = direct
+        if direct.shape[0] <= hi:
+            direct = self._direct = grow_to(direct, max(hi + 1, 2 * direct.shape[0]), -1)
         out = direct[values]
         missing = out < 0
-        if missing.any():
-            ids = self._ids
-            fresh = np.unique(values[missing])
-            start = len(ids)
-            direct[fresh] = np.arange(start, start + fresh.shape[0], dtype=np.int64)
-            for key in fresh.tolist():
-                ids[key] = len(ids)
-            out = direct[values]
+        if not missing.any():
+            return out
+        new = values[missing]
+        lo = int(new.min())
+        mark = np.zeros(int(new.max()) - lo + 1, dtype=bool)
+        mark[new - lo] = True
+        fresh = np.flatnonzero(mark) + lo
+        direct[fresh] = np.arange(self._count, self._count + fresh.shape[0], dtype=np.int64)
+        self._count += fresh.shape[0]
+        out[missing] = direct[new]
         return out
 
     def keys_in_id_order(self) -> list:
-        """Raw keys ordered by their dense id (dicts preserve insertion)."""
-        return list(self._ids.keys())
+        """Raw keys ordered by their dense id."""
+        if self._ids is not None:
+            return list(self._ids)
+        keys = np.flatnonzero(self._direct >= 0)
+        return keys[np.argsort(self._direct[keys])].tolist()
 
 
 def grow_to(array: np.ndarray, size: int, fill) -> np.ndarray:
@@ -289,30 +291,6 @@ def grow_to(array: np.ndarray, size: int, fill) -> np.ndarray:
     grown = np.full(size, fill, dtype=array.dtype)
     grown[: array.shape[0]] = array
     return grown
-
-
-@dataclass(frozen=True)
-class LRUReplay:
-    """Outcome of replaying a block-address stream through one LRU cache."""
-
-    hits: np.ndarray
-    misses_per_set: np.ndarray
-    ways: int
-
-    @property
-    def hit_count(self) -> int:
-        """Total number of hits."""
-        return int(self.hits.sum())
-
-    @property
-    def miss_count(self) -> int:
-        """Total number of misses."""
-        return int(self.misses_per_set.sum())
-
-    @property
-    def evictions(self) -> int:
-        """Total number of evictions (misses beyond each set's capacity)."""
-        return int(np.maximum(0, self.misses_per_set - self.ways).sum())
 
 
 def _stack_hits(
@@ -423,8 +401,8 @@ class LRUStream:
         prefix_order = np.lexsort((self.stamps[occupied], occupied // ways))
         prefix = self.tags[occupied][prefix_order]
         stream = np.concatenate([prefix, blocks]) if prefix.size else blocks
-        replay = numpy_lru_replay(stream, num_sets, ways)
-        hits = replay.hits[prefix.shape[0] :]
+        stream_hits, _ = numpy_lru_replay(stream, num_sets, ways)
+        hits = stream_hits[prefix.shape[0] :]
         chunk_sets = blocks & (num_sets - 1)
         self.misses_per_set += np.bincount(chunk_sets[~hits], minlength=num_sets)
         self._rebuild_residency(stream)
@@ -456,61 +434,28 @@ class LRUStream:
         self.stamps[flat] = slot + 1
         self._state[0] = ways + 1
 
-    def replay_result(self) -> LRUReplay:
-        """Aggregate outcome so far, shaped like a one-shot :class:`LRUReplay`
-        (the per-access hit mask is not retained; chunk masks come from
-        :meth:`feed`)."""
-        return LRUReplay(
-            hits=np.zeros(0, dtype=bool),
-            misses_per_set=self.misses_per_set.copy(),
-            ways=self.ways,
-        )
-
-
-def lru_replay(
-    block_addresses: np.ndarray,
-    num_sets: int,
-    ways: int,
-    prev_indices: Optional[np.ndarray] = None,
-) -> LRUReplay:
-    """Replay ``block_addresses`` through a ``num_sets`` x ``ways`` LRU cache.
-
-    Returns the per-access hit mask (in trace order) and per-set miss counts.
-    ``num_sets`` must be a power of two (the set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).
-
-    Dispatches to the compiled kernel (:mod:`repro.fastsim.kernels`) when one
-    is available and to :func:`numpy_lru_replay` otherwise; both are exact.
-    """
-    from repro.fastsim import kernels
-
-    native = kernels.lru_replay(np.asarray(block_addresses, dtype=np.int64), num_sets, ways)
-    if native is not None:
-        hits, misses_per_set = native
-        return LRUReplay(hits=hits, misses_per_set=misses_per_set, ways=ways)
-    return numpy_lru_replay(block_addresses, num_sets, ways, prev_indices=prev_indices)
-
 
 def numpy_lru_replay(
     block_addresses: np.ndarray,
     num_sets: int,
     ways: int,
     prev_indices: Optional[np.ndarray] = None,
-) -> LRUReplay:
-    """Pure-NumPy stack-distance replay (the portable engine behind
-    :func:`lru_replay`).
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Replay ``block_addresses`` through a ``num_sets`` x ``ways`` LRU cache
+    with the NumPy stack-distance engine.
 
-    ``prev_indices`` optionally supplies precomputed previous-same-block
-    links (:func:`previous_occurrence_indices`) to skip the internal sort.
+    Returns the per-access hit mask (in trace order) and the per-set miss
+    counts.  ``num_sets`` must be a power of two (the set index is
+    ``block & mask``, matching :class:`repro.cache.cache.SetAssociativeCache`).
+    This is the engine behind :class:`LRUStream`'s NumPy path and the
+    vector filter's NumPy tier; ``prev_indices`` optionally supplies
+    precomputed previous-same-block links (:func:`previous_occurrence_indices`)
+    to skip the internal sort.
     """
     blocks = np.asarray(block_addresses, dtype=np.int64)
     n = int(blocks.shape[0])
     if n == 0:
-        return LRUReplay(
-            hits=np.zeros(0, dtype=bool),
-            misses_per_set=np.zeros(num_sets, dtype=np.int64),
-            ways=ways,
-        )
+        return np.zeros(0, dtype=bool), np.zeros(num_sets, dtype=np.int64)
 
     # Positions fit 32-bit for any realistic trace; narrow dtypes halve the
     # memory traffic of both the radix argsorts and the index plumbing below.
@@ -573,5 +518,4 @@ def numpy_lru_replay(
 
     hits = np.empty(n, dtype=bool)
     hits[order] = grouped_hits
-    misses_per_set = np.bincount(grouped_sets[~grouped_hits], minlength=num_sets)
-    return LRUReplay(hits=hits, misses_per_set=misses_per_set, ways=ways)
+    return hits, np.bincount(grouped_sets[~grouped_hits], minlength=num_sets)

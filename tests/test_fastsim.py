@@ -26,11 +26,11 @@ from repro.fastsim import (
     SCALAR,
     VECTOR,
     VERIFY,
+    DenseIdMap,
     FastSimMismatchError,
+    LRUStream,
     kernels,
     default_backend,
-    lru_replay,
-    numpy_lru_replay,
     prior_leq_counts,
     resolve_backend,
     run_filter,
@@ -38,7 +38,7 @@ from repro.fastsim import (
     set_default_backend,
     supports_vector_replay,
     vector_filter,
-    vector_lru_replay,
+    vector_policy_replay,
 )
 from repro.fastsim.filter import assert_stats_equal
 from repro.trace import Trace
@@ -82,33 +82,70 @@ class TestPriorLeqCounts:
         assert prior_leq_counts(np.array([5])).tolist() == [0]
 
 
-class TestLRUReplayEquivalence:
-    # ``lru_replay`` dispatches to the compiled kernel when one is available;
-    # ``numpy_lru_replay`` is the portable stack-distance engine.  Both must
-    # reproduce the scalar simulator exactly.
-    ENGINES = (lru_replay, numpy_lru_replay)
+class TestDenseIdMap:
+    def test_direct_and_dict_paths_assign_identical_ids(self):
+        # Ids are handed out chunk by chunk, new keys in sorted order, and
+        # never change -- on the direct-lookup path, on the dict path, and
+        # across the switch from one to the other mid-stream.
+        rng = np.random.default_rng(13)
+        limit = DenseIdMap.DIRECT_LIMIT
+        chunks = [
+            np.array([5, 3, 5, 9]),
+            np.array([], dtype=np.int64),
+            np.array([9, 0, 3, 100]),
+            rng.integers(0, 5000, size=700),
+            # A key beyond the direct range moves the map to its dict.
+            np.array([limit + 7, 3, 4999, 6000, limit + 7]),
+            rng.integers(0, 8000, size=700),
+            np.array([-4, 6000, 2]),
+        ]
+        direct = DenseIdMap()
+        via_dict = DenseIdMap()
+        via_dict.DIRECT_LIMIT = 0  # every chunk takes the dict path
+        reference = {}
+        for index, chunk in enumerate(chunks):
+            for key in sorted(set(chunk.tolist()) - reference.keys()):
+                reference[key] = len(reference)
+            expected = [reference[key] for key in chunk.tolist()]
+            assert direct.map(chunk).tolist() == expected
+            assert via_dict.map(chunk).tolist() == expected
+            assert (direct._ids is None) == (index < 4)
+            assert len(direct) == len(via_dict) == len(reference)
+            assert direct.keys_in_id_order() == list(reference)
+            assert via_dict.keys_in_id_order() == list(reference)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+
+class TestLRUReplayEquivalence:
+    # One feed on a fresh ``LRUStream``: ``use_native=None`` runs the
+    # compiled kernel when one is available, ``use_native=False`` the
+    # portable stack-distance engine.  Both must reproduce the scalar
+    # simulator exactly.  (The ids are the cases' long-standing names.)
+    ENGINES = pytest.mark.parametrize(
+        "use_native", [None, False], ids=["lru_replay", "numpy_lru_replay"]
+    )
+
+    @ENGINES
     @pytest.mark.parametrize("num_sets,ways", GEOMETRIES)
     @pytest.mark.parametrize("style", ["reuse-heavy", "thrashing", "skewed", "streaming"])
-    def test_random_streams(self, engine, num_sets, ways, style):
+    def test_random_streams(self, use_native, num_sets, ways, style):
         rng = np.random.default_rng(hash((num_sets, ways, style)) % (2**32))
         for n in (0, 1, 2, ways, 257):
             blocks = _random_blocks(rng, style, n, num_sets * ways)
             expected_hits, expected_stats = _reference_lru(blocks, num_sets, ways)
-            replay = engine(blocks, num_sets, ways)
-            assert np.array_equal(replay.hits, expected_hits)
-            assert replay.hit_count == expected_stats.hits
-            assert replay.miss_count == expected_stats.misses
-            assert replay.evictions == expected_stats.evictions
+            stream = LRUStream(num_sets, ways, use_native=use_native)
+            assert np.array_equal(stream.feed(blocks), expected_hits)
+            assert stream.hit_count == expected_stats.hits
+            assert stream.miss_count == expected_stats.misses
+            assert stream.evictions == expected_stats.evictions
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_handcrafted_eviction_pattern(self, engine):
+    @ENGINES
+    def test_handcrafted_eviction_pattern(self, use_native):
         # One 2-way set: A B C B A -> C evicts A, final A evicts C.
-        replay = engine(np.array([0, 1, 2, 1, 0]) * 1, num_sets=1, ways=2)
-        assert replay.hits.tolist() == [False, False, False, True, False]
-        assert replay.miss_count == 4
-        assert replay.evictions == 2
+        stream = LRUStream(num_sets=1, ways=2, use_native=use_native)
+        hits = stream.feed(np.array([0, 1, 2, 1, 0]) * 1)
+        assert hits.tolist() == [False, False, False, True, False]
+        assert stream.miss_count == 4
+        assert stream.evictions == 2
 
     def test_native_and_numpy_engines_agree(self):
         if not kernels.available():
@@ -116,9 +153,9 @@ class TestLRUReplayEquivalence:
         rng = np.random.default_rng(99)
         for _ in range(10):
             blocks = rng.integers(0, 512, size=int(rng.integers(1, 2000)))
-            native = lru_replay(blocks, num_sets=8, ways=4)
-            portable = numpy_lru_replay(blocks, num_sets=8, ways=4)
-            assert np.array_equal(native.hits, portable.hits)
+            native = LRUStream(num_sets=8, ways=4, use_native=None)
+            portable = LRUStream(num_sets=8, ways=4, use_native=False)
+            assert np.array_equal(native.feed(blocks), portable.feed(blocks))
             assert np.array_equal(native.misses_per_set, portable.misses_per_set)
 
 
@@ -203,7 +240,7 @@ class TestLLCReplayEquivalence:
         blocks = rng.integers(0, 64, size=800)
         regions = rng.integers(0, 4, size=800).astype(np.int8)
         llc = CacheConfig(size_bytes=16 * 64 * 4, ways=4, name="LLC")
-        stats = vector_lru_replay(blocks, llc, regions=regions)
+        stats = vector_policy_replay(LRUPolicy(), blocks, llc, regions=regions)
         reference = CacheStats(name="LLC")
         cache = SetAssociativeCache(llc, LRUPolicy())
         for block, region in zip(blocks.tolist(), regions.tolist()):

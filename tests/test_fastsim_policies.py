@@ -35,31 +35,19 @@ from repro.fastsim import (
     SCALAR,
     VECTOR,
     VERIFY,
+    HawkeyeStream,
+    LeewayStream,
+    OptStream,
+    PinStream,
+    ShipStream,
     kernels,
     hawkeye_spec,
     leeway_spec,
-    numpy_hawkeye_replay,
-    numpy_leeway_replay,
-    numpy_opt_replay,
-    numpy_pin_replay,
-    numpy_ship_replay,
-    opt_replay,
+    next_use_indices,
     pin_spec,
     ship_spec,
     supports_vector_replay,
     vector_policy_replay,
-)
-from repro.fastsim import (
-    hawkeye_replay as dispatch_hawkeye_replay,
-)
-from repro.fastsim import (
-    leeway_replay as dispatch_leeway_replay,
-)
-from repro.fastsim import (
-    pin_replay as dispatch_pin_replay,
-)
-from repro.fastsim import (
-    ship_replay as dispatch_ship_replay,
 )
 from repro.fastsim.filter import assert_stats_equal
 
@@ -101,54 +89,49 @@ def _scalar_reference(policy, blocks, hints, pcs, num_sets, ways):
 
 
 def _vector_replay(engine, policy, blocks, hints, pcs, num_sets, ways):
-    """Run the matching fast engine for one (fresh) policy instance."""
+    """One feed on a fresh stream engine matching one (fresh) policy instance.
+
+    Returns ``(hits, stream)``; ``engine`` is the stream's ``use_native``.
+    """
     if type(policy) is ShipMemPolicy:
-        return engine["ship"](blocks, num_sets, ways, ship_spec(policy))
+        stream = ShipStream(num_sets, ways, ship_spec(policy), use_native=engine)
+        return stream.feed(blocks), stream
     if type(policy) is HawkeyePolicy:
-        return engine["hawkeye"](blocks, pcs, num_sets, ways, hawkeye_spec(policy))
+        stream = HawkeyeStream(num_sets, ways, hawkeye_spec(policy), use_native=engine)
+        return stream.feed(blocks, pcs), stream
     if type(policy) is LeewayPolicy:
-        return engine["leeway"](blocks, pcs, num_sets, ways, leeway_spec(policy))
-    return engine["pin"](blocks, hints, num_sets, ways, pin_spec(policy))
+        stream = LeewayStream(num_sets, ways, leeway_spec(policy), use_native=engine)
+        return stream.feed(blocks, pcs), stream
+    stream = PinStream(num_sets, ways, pin_spec(policy), use_native=engine)
+    return stream.feed(blocks, hints), stream
 
 
-#: Engine families: the public dispatchers (compiled kernel when available)
-#: and the portable NumPy engines.
-ENGINES = {
-    "dispatch": {
-        "ship": dispatch_ship_replay,
-        "hawkeye": dispatch_hawkeye_replay,
-        "leeway": dispatch_leeway_replay,
-        "pin": dispatch_pin_replay,
-    },
-    "numpy": {
-        "ship": numpy_ship_replay,
-        "hawkeye": numpy_hawkeye_replay,
-        "leeway": numpy_leeway_replay,
-        "pin": numpy_pin_replay,
-    },
-}
+#: Engines under test, as the streams' ``use_native``: the compiled kernel
+#: when available, and the portable NumPy engines.
+ENGINES = {"dispatch": None, "numpy": False}
 
 
 def _assert_replay_matches(replay, policy, expected_hits, expected_stats):
-    assert np.array_equal(replay.hits, expected_hits)
-    assert replay.hit_count == expected_stats.hits
-    assert replay.miss_count == expected_stats.misses
-    assert replay.evictions == expected_stats.evictions
+    hits, stream = replay
+    assert np.array_equal(hits, expected_hits)
+    assert stream.hit_count == expected_stats.hits
+    assert stream.miss_count == expected_stats.misses
+    assert stream.evictions == expected_stats.evictions
     # The global learning state must track the scalar policy exactly too.
     if type(policy) is ShipMemPolicy:
         for signature, value in policy._shct.items():
-            assert replay.shct.get(signature, 1) == value
+            assert stream.shct.get(signature, 1) == value
     elif type(policy) is HawkeyePolicy:
         midpoint = (policy.predictor_max + 1) // 2
         for pc, value in policy._predictor.items():
-            assert replay.predictor.get(pc, midpoint) == value
+            assert stream.predictor.get(pc, midpoint) == value
     elif type(policy) is LeewayPolicy:
         for signature, value in policy._predicted_ld.items():
-            assert replay.predicted_live_distances.get(signature, 0) == value
+            assert stream.predicted_live_distances.get(signature, 0) == value
     elif type(policy) is PinningPolicy:
-        assert replay.bypass_count == expected_stats.bypasses
-        assert replay.psel == policy._psel
-        assert replay.insert_count == policy._insert_count
+        assert stream.bypass_count == expected_stats.bypasses
+        assert stream.psel == policy._psel
+        assert stream.insert_count == policy._insert_count
 
 
 class TestScalarBugfixes:
@@ -324,9 +307,10 @@ class TestPolicyReplayEquivalence:
             ENGINES[engine_name], policy, blocks, hints, pcs, num_sets, ways
         )
         _assert_replay_matches(replay, policy, expected_hits, expected_stats)
-        assert replay.bypass_count == expected_stats.bypasses
+        _, stream = replay
+        assert stream.bypass_count == expected_stats.bypasses
         # Bypasses are misses that never insert: eviction counts must agree.
-        assert replay.evictions == expected_stats.evictions == 0
+        assert stream.evictions == expected_stats.evictions == 0
 
     @pytest.mark.parametrize("engine_name", sorted(ENGINES))
     @pytest.mark.parametrize("sample_period", [1, 4, 1024])
@@ -348,18 +332,21 @@ class TestPolicyReplayEquivalence:
         )
         _assert_replay_matches(replay, policy, expected_hits, expected_stats)
 
-    @pytest.mark.parametrize("engine", [opt_replay, numpy_opt_replay])
+    @pytest.mark.parametrize(
+        "use_native", [None, False], ids=["opt_replay", "numpy_opt_replay"]
+    )
     @pytest.mark.parametrize("num_sets,ways", GEOMETRIES)
-    def test_opt_matches_offline_reference(self, engine, num_sets, ways):
+    def test_opt_matches_offline_reference(self, use_native, num_sets, ways):
         rng = np.random.default_rng(num_sets * 131 + ways)
         config = CacheConfig(size_bytes=num_sets * ways * 64, ways=ways, name="ref")
         for n in (0, 1, ways, 400, 1200):
             blocks = rng.integers(0, max(1, 2 * num_sets * ways), size=n).astype(np.int64)
             expected = simulate_opt_misses(blocks, config)
-            replay = engine(blocks, num_sets, ways)
-            assert replay.hit_count == expected.hits
-            assert replay.miss_count == expected.misses
-            assert replay.evictions == expected.evictions
+            stream = OptStream(num_sets, ways, use_native=use_native)
+            stream.feed(blocks, next_use_indices(blocks))
+            assert stream.hit_count == expected.hits
+            assert stream.miss_count == expected.misses
+            assert stream.evictions == expected.evictions
 
     def test_native_and_numpy_engines_agree(self):
         if not kernels.available():
@@ -370,13 +357,13 @@ class TestPolicyReplayEquivalence:
             hints = rng.integers(0, 4, size=blocks.shape[0])
             pcs = rng.integers(0, 9, size=blocks.shape[0])
             policy = POLICIES[policy_name]()
-            native = _vector_replay(
+            native_hits, native = _vector_replay(
                 ENGINES["dispatch"], policy, blocks, hints, pcs, 16, 4
             )
-            portable = _vector_replay(
+            portable_hits, portable = _vector_replay(
                 ENGINES["numpy"], policy, blocks, hints, pcs, 16, 4
             )
-            assert np.array_equal(native.hits, portable.hits)
+            assert np.array_equal(native_hits, portable_hits)
             assert np.array_equal(native.misses_per_set, portable.misses_per_set)
 
 

@@ -33,9 +33,8 @@ from repro.fastsim import (
     SCALAR,
     VECTOR,
     VERIFY,
+    RRIPStream,
     kernels,
-    numpy_rrip_replay,
-    rrip_replay,
     rrip_spec,
     supports_vector_replay,
     vector_policy_replay,
@@ -70,19 +69,25 @@ def _scalar_reference(policy, blocks, hints, num_sets, ways):
     return hits, cache.stats
 
 
-def _assert_replay_matches(replay, policy, expected_hits, expected_stats, spec):
-    assert np.array_equal(replay.hits, expected_hits)
-    assert replay.hit_count == expected_stats.hits
-    assert replay.miss_count == expected_stats.misses
-    assert replay.evictions == expected_stats.evictions
+def _replay(use_native, blocks, hints, num_sets, ways, spec):
+    """Replay a whole stream with one feed on a fresh engine."""
+    stream = RRIPStream(num_sets, ways, spec, use_native=use_native)
+    return stream.feed(blocks, hints), stream
+
+
+def _assert_replay_matches(hits, stream, policy, expected_hits, expected_stats, spec):
+    assert np.array_equal(hits, expected_hits)
+    assert stream.hit_count == expected_stats.hits
+    assert stream.miss_count == expected_stats.misses
+    assert stream.evictions == expected_stats.evictions
     if spec.dueling:
         # The set-dueling state must track the scalar policy exactly too.
-        assert replay.psel == policy._psel
-        assert replay.insert_count == policy._insert_count
+        assert stream.psel == policy._psel
+        assert stream.insert_count == policy._insert_count
     else:
-        assert replay.psel is None
+        assert stream.psel is None
         if spec.epsilon:
-            assert replay.insert_count == policy._insert_count
+            assert stream.insert_count == policy._insert_count
 
 
 class TestSpecExtraction:
@@ -134,15 +139,18 @@ class TestSpecExtraction:
 
 
 class TestRRIPReplayEquivalence:
-    # ``rrip_replay`` dispatches to the compiled kernel when one is available;
-    # ``numpy_rrip_replay`` is the portable batched engine.  Both must
-    # reproduce the scalar policies exactly.
-    ENGINES = (rrip_replay, numpy_rrip_replay)
+    # One feed on a fresh ``RRIPStream``: ``use_native=None`` runs the
+    # compiled kernel when one is available, ``use_native=False`` the
+    # portable batched engine.  Both must reproduce the scalar policies
+    # exactly.  (The ids are the cases' long-standing names.)
+    ENGINES = pytest.mark.parametrize(
+        "use_native", [None, False], ids=["rrip_replay", "numpy_rrip_replay"]
+    )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @ENGINES
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     @pytest.mark.parametrize("num_sets,ways", GEOMETRIES)
-    def test_random_streams(self, engine, policy_name, num_sets, ways):
+    def test_random_streams(self, use_native, policy_name, num_sets, ways):
         seed = sorted(POLICIES).index(policy_name) * 9973 + num_sets * 131 + ways
         rng = np.random.default_rng(seed)
         for n in (0, 1, ways, 193, 800):
@@ -153,12 +161,14 @@ class TestRRIPReplayEquivalence:
             expected_hits, expected_stats = _scalar_reference(
                 policy, blocks, hints, num_sets, ways
             )
-            replay = engine(blocks, hints, num_sets, ways, spec)
-            _assert_replay_matches(replay, policy, expected_hits, expected_stats, spec)
+            hits, stream = _replay(use_native, blocks, hints, num_sets, ways, spec)
+            _assert_replay_matches(
+                hits, stream, policy, expected_hits, expected_stats, spec
+            )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @ENGINES
     @pytest.mark.parametrize("policy_name", ["drrip-saturating", "grasp-tight"])
-    def test_leader_heavy_streams_keep_psel_exact(self, engine, policy_name):
+    def test_leader_heavy_streams_keep_psel_exact(self, use_native, policy_name):
         # Concentrate accesses on leader sets so PSEL saturates repeatedly.
         num_sets, ways = 32, 2
         rng = np.random.default_rng(5)
@@ -173,11 +183,11 @@ class TestRRIPReplayEquivalence:
         expected_hits, expected_stats = _scalar_reference(
             policy, blocks, hints, num_sets, ways
         )
-        replay = engine(blocks, hints, num_sets, ways, spec)
-        _assert_replay_matches(replay, policy, expected_hits, expected_stats, spec)
+        hits, stream = _replay(use_native, blocks, hints, num_sets, ways, spec)
+        _assert_replay_matches(hits, stream, policy, expected_hits, expected_stats, spec)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_hint_stream_none_matches_hint_blind_scalar(self, engine):
+    @ENGINES
+    def test_hint_stream_none_matches_hint_blind_scalar(self, use_native):
         rng = np.random.default_rng(9)
         blocks = rng.integers(0, 128, size=700)
         policy = GraspPolicy()
@@ -185,8 +195,8 @@ class TestRRIPReplayEquivalence:
         expected_hits, expected_stats = _scalar_reference(
             policy, blocks, np.zeros(700, dtype=np.int64), 16, 4
         )
-        replay = engine(blocks, None, 16, 4, spec)
-        _assert_replay_matches(replay, policy, expected_hits, expected_stats, spec)
+        hits, stream = _replay(use_native, blocks, None, 16, 4, spec)
+        _assert_replay_matches(hits, stream, policy, expected_hits, expected_stats, spec)
 
     def test_native_and_numpy_engines_agree(self):
         if not kernels.available():
@@ -196,9 +206,9 @@ class TestRRIPReplayEquivalence:
             blocks = rng.integers(0, 512, size=int(rng.integers(1, 2500)))
             hints = rng.integers(0, 4, size=blocks.shape[0])
             spec = rrip_spec(POLICIES[policy_name]())
-            native = rrip_replay(blocks, hints, num_sets=16, ways=4, spec=spec)
-            portable = numpy_rrip_replay(blocks, hints, num_sets=16, ways=4, spec=spec)
-            assert np.array_equal(native.hits, portable.hits)
+            native_hits, native = _replay(None, blocks, hints, 16, 4, spec)
+            portable_hits, portable = _replay(False, blocks, hints, 16, 4, spec)
+            assert np.array_equal(native_hits, portable_hits)
             assert np.array_equal(native.misses_per_set, portable.misses_per_set)
             assert native.psel == portable.psel
             assert native.insert_count == portable.insert_count

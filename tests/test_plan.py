@@ -8,9 +8,7 @@ in sweep run manifests, the ``repro plan explain`` CLI, and the backend
 dispatch error paths the planner leans on.
 """
 
-import importlib
 import json
-import sys
 
 import pytest
 
@@ -33,7 +31,6 @@ from repro.fastsim.dispatch import (
     set_default_backend,
 )
 from repro.fastsim.plan import (
-    ENGINE_CAPABILITIES,
     PLANNER,
     ROUTE_CORUN_DELEGATE,
     ROUTE_CORUN_SCALAR,
@@ -107,10 +104,6 @@ class TestCapabilities:
         caps = capabilities_for(scheme_policy("RRIP+Hints"))
         assert caps.family == "scalar"
         assert not caps.vector_replay
-
-    def test_opt_has_no_corun(self):
-        caps = ENGINE_CAPABILITIES["opt"]
-        assert not caps.corun_partitioned and not caps.corun_shared
 
 
 class TestSinglePolicyRouting:
@@ -231,7 +224,10 @@ class TestMultiSchemeRouting:
         assert plan.engine == "staged"
         assert any("materializes the filtered trace once" in r for r in plan.fallbacks)
 
-    def test_ablation_member_disables_shared_pass(self):
+    def test_ablation_member_disables_shared_pass(self, monkeypatch):
+        # Pin a host with the fused filter kernel: without one the kernel
+        # rule decides first and the member rule is never reached.
+        monkeypatch.setattr(kernels, "has_capability", lambda name: True)
         plan = PLANNER.plan(self._multi(("RRIP", "RRIP+Hints")))
         assert plan.route == ROUTE_VECTOR
         assert any("'RRIP+Hints'" in reason for reason in plan.fallbacks)
@@ -335,7 +331,7 @@ class TestTaskPlanning:
         assert plan.stage == STAGE_ROI
         assert plan.route in (ROUTE_FUSED, ROUTE_VECTOR)
 
-    def test_plan_reflects_memo_state(self, tmp_path):
+    def test_plan_reflects_memo_state(self, tmp_path, monkeypatch):
         """Once a sweep persisted its chunk store, the next plan replays it."""
         from repro.experiments.runner import build_workload, simulate_llc_policy_streaming
 
@@ -347,6 +343,9 @@ class TestTaskPlanning:
         simulate_llc_policy_streaming(
             workload, scheme_policy("GRASP"), config=config, shared_stream=True
         )
+        # Pin a host with the fused kernels: without them the kernel rule
+        # decides first and the chunk-store rule is never reached.
+        monkeypatch.setattr(kernels, "has_capability", lambda name: True)
         plan = plan_scheme_task(
             "PR", "lj", config.reorder, "GRASP", config, streaming=True
         )
@@ -445,9 +444,3 @@ class TestPlanExplainCli:
         assert status == 1
         assert "no co-run analogue" in captured.err
         assert "corun:PR/lj+CC/lj/RRIP" in captured.out
-
-
-def test_native_facade_deprecation():
-    sys.modules.pop("repro.fastsim._native", None)
-    with pytest.warns(DeprecationWarning, match="repro.fastsim._native is deprecated"):
-        importlib.import_module("repro.fastsim._native")

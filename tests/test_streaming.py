@@ -6,9 +6,10 @@ counts, hit/miss/eviction/bypass statistics and the *final policy state*
 (PSEL and bimodal counters, SHCT contents, PC predictors, predicted live
 distances).  Covered at three levels:
 
-* engine level: randomized block/hint/PC streams through every ``*Stream``
-  against the one-shot dispatchers, for both the compiled kernel and the
-  NumPy fallback, across several chunk budgets;
+* engine level: randomized block/hint/PC streams fed in chunks through
+  every ``*Stream``, for both the compiled kernel and the NumPy fallback,
+  across several chunk budgets, against one feed of the whole stream on a
+  fresh stream (compiled kernel when available);
 * filter level: :class:`repro.fastsim.FilterStream` against
   :func:`repro.fastsim.run_filter` under all three backends;
 * pipeline level: the runner's full-execution streaming simulation against
@@ -55,19 +56,13 @@ from repro.fastsim import (
     RRIPStream,
     ShipStream,
     kernels,
-    hawkeye_replay,
     hawkeye_spec,
-    leeway_replay,
     leeway_spec,
-    lru_replay,
-    opt_replay,
-    pin_replay,
+    next_use_indices,
     pin_spec,
     resolve_chunk_next_use,
-    rrip_replay,
     rrip_spec,
     run_filter,
-    ship_replay,
     ship_spec,
     vector_policy_replay,
 )
@@ -95,17 +90,22 @@ def chunked(array, size):
     return [array[start : start + size] for start in range(0, len(array), size)]
 
 
+def one_feed(stream, *inputs):
+    """Replay whole streams with one feed on a fresh engine: ``(hits, stream)``."""
+    return stream.feed(*inputs), stream
+
+
 @pytest.mark.parametrize("use_native", BACKENDS)
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
 class TestEngineStreams:
     def test_lru(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
-        one = lru_replay(streams["blocks"], num_sets, ways)
+        one_hits, one = one_feed(LRUStream(num_sets, ways), streams["blocks"])
         stream = LRUStream(num_sets, ways, use_native=use_native)
         hits = np.concatenate(
             [stream.feed(part) for part in chunked(streams["blocks"], chunk)]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.evictions == one.evictions
 
@@ -117,7 +117,9 @@ class TestEngineStreams:
     def test_rrip_family(self, streams, use_native, chunk, policy_factory):
         num_sets, ways = GEOMETRY
         spec = rrip_spec(policy_factory())
-        one = rrip_replay(streams["blocks"], streams["hints"], num_sets, ways, spec)
+        one_hits, one = one_feed(
+            RRIPStream(num_sets, ways, spec), streams["blocks"], streams["hints"]
+        )
         stream = RRIPStream(num_sets, ways, spec, use_native=use_native)
         hits = np.concatenate(
             [
@@ -127,7 +129,7 @@ class TestEngineStreams:
                 )
             ]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.psel == one.psel
         assert stream.insert_count == one.insert_count
@@ -136,7 +138,9 @@ class TestEngineStreams:
     def test_pin(self, streams, use_native, chunk, fraction):
         num_sets, ways = GEOMETRY
         spec = pin_spec(PinningPolicy(reserved_fraction=fraction))
-        one = pin_replay(streams["blocks"], streams["hints"], num_sets, ways, spec)
+        one_hits, one = one_feed(
+            PinStream(num_sets, ways, spec), streams["blocks"], streams["hints"]
+        )
         stream = PinStream(num_sets, ways, spec, use_native=use_native)
         hits = np.concatenate(
             [
@@ -146,7 +150,7 @@ class TestEngineStreams:
                 )
             ]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         np.testing.assert_array_equal(stream.bypasses_per_set, one.bypasses_per_set)
         assert stream.psel == one.psel
@@ -156,19 +160,21 @@ class TestEngineStreams:
     def test_ship(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
         spec = ship_spec(ShipMemPolicy(region_bytes=256, block_bytes=64))
-        one = ship_replay(streams["blocks"], num_sets, ways, spec)
+        one_hits, one = one_feed(ShipStream(num_sets, ways, spec), streams["blocks"])
         stream = ShipStream(num_sets, ways, spec, use_native=use_native)
         hits = np.concatenate(
             [stream.feed(part) for part in chunked(streams["blocks"], chunk)]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.shct == one.shct
 
     def test_hawkeye(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
         spec = hawkeye_spec(HawkeyePolicy())
-        one = hawkeye_replay(streams["blocks"], streams["pcs"], num_sets, ways, spec)
+        one_hits, one = one_feed(
+            HawkeyeStream(num_sets, ways, spec), streams["blocks"], streams["pcs"]
+        )
         stream = HawkeyeStream(num_sets, ways, spec, use_native=use_native)
         hits = np.concatenate(
             [
@@ -178,14 +184,16 @@ class TestEngineStreams:
                 )
             ]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.predictor == one.predictor
 
     def test_leeway(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
         spec = leeway_spec(LeewayPolicy())
-        one = leeway_replay(streams["blocks"], streams["pcs"], num_sets, ways, spec)
+        one_hits, one = one_feed(
+            LeewayStream(num_sets, ways, spec), streams["blocks"], streams["pcs"]
+        )
         stream = LeewayStream(num_sets, ways, spec, use_native=use_native)
         hits = np.concatenate(
             [
@@ -195,13 +203,17 @@ class TestEngineStreams:
                 )
             ]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.predicted_live_distances == one.predicted_live_distances
 
     def test_opt_two_pass(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
-        one = opt_replay(streams["blocks"], num_sets, ways)
+        one_hits, one = one_feed(
+            OptStream(num_sets, ways),
+            streams["blocks"],
+            next_use_indices(streams["blocks"]),
+        )
         parts = chunked(streams["blocks"], chunk)
         starts = list(range(0, len(streams["blocks"]), chunk))
         next_seen = {}
@@ -214,7 +226,7 @@ class TestEngineStreams:
         hits = np.concatenate(
             [stream.feed(blocks, nxt) for blocks, nxt in zip(parts, next_uses)]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
 
 
