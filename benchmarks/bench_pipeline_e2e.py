@@ -25,8 +25,8 @@ the staged side is :func:`~repro.experiments.runner.iter_llc_chunks` feeding
 a :class:`~repro.fastsim.PolicyReplayStream` (materialize + persist every
 filtered chunk — what every replay paid before the fused route existed, and
 still pays when the stream is shared), the fused side is
-:func:`~repro.experiments.runner.simulate_llc_policy_streaming`, whose fused
-gate takes the single-pass route.
+:func:`~repro.experiments.runner.simulate_policy` on the full execution,
+whose fused gate takes the single-pass route.
 """
 
 import os
@@ -37,13 +37,13 @@ import pytest
 from repro.experiments.memo import DiskMemo
 from repro.experiments.runner import (
     _hint_classifier,
-    _maybe_fused_multi_roi,
+    _maybe_fused_multi,
     build_workload,
     clear_caches,
     iter_execution_chunks,
     iter_llc_chunks,
     set_disk_memo,
-    simulate_llc_policy_streaming,
+    simulate_policy,
     simulate_scheme,
 )
 from repro.experiments.schemes import scheme_policy
@@ -114,10 +114,11 @@ def _staged_e2e(workload, config, scheme, memo_root):
 def _fused_e2e(workload, config, scheme, memo_root):
     """The fused product path: one native pass per raw chunk, no chunk store."""
     _fresh_memo(memo_root)
-    return simulate_llc_policy_streaming(
+    return simulate_policy(
         workload,
         scheme_policy(scheme),
         config,
+        streaming=True,
         backend=VECTOR,
         max_chunk_accesses=SMALL_BUDGET,
     )
@@ -206,10 +207,10 @@ def _multi_reset(memo_root):
 
 def _multi_staged(workload, config, schemes, memo_root):
     """The pre-planner compare_policies flow: materialize the filtered ROI
-    trace once (``shared_trace=True``) and replay every scheme from it."""
+    trace once (``shared=True``) and replay every scheme from it."""
     _multi_reset(memo_root)
     return [
-        simulate_scheme(workload, scheme, config, shared_trace=True)
+        simulate_scheme(workload, scheme, config, shared=True)
         for scheme in schemes
     ]
 
@@ -218,9 +219,9 @@ def _multi_fused(workload, config, schemes, memo_root):
     """The fused-multi product flow compare_policies runs: one shared filter
     pass feeds every scheme's replay, then per-scheme reads are memo hits."""
     _multi_reset(memo_root)
-    _maybe_fused_multi_roi(workload, schemes, config)
+    _maybe_fused_multi(workload, schemes, config)
     return [
-        simulate_scheme(workload, scheme, config, shared_trace=True)
+        simulate_scheme(workload, scheme, config, shared=True)
         for scheme in schemes
     ]
 
@@ -269,13 +270,13 @@ def test_multi_scheme_fused_beats_staged(benchmark, bench_config, tmp_path):
         # effects, and the declined attempt itself is a small fraction of
         # one plain single-consumer run.
         _multi_reset(memo_root)
-        _maybe_fused_multi_roi(workload, ("GRASP",), bench_config)
+        _maybe_fused_multi(workload, ("GRASP",), bench_config)
         assert DiskMemo(memo_root).entry_count("policy") == 0, (
             "fused-multi pass engaged for a single consumer"
         )
 
         def _single_fused():
-            # The product single-consumer call: no shared_trace, so the
+            # The product single-consumer call: not shared, so the
             # planner picks the fused single-pass route.
             _multi_reset(memo_root)
             return simulate_scheme(workload, "GRASP", bench_config)
@@ -290,7 +291,7 @@ def test_multi_scheme_fused_beats_staged(benchmark, bench_config, tmp_path):
         # scheme, return without touching anything.
         _multi_reset(memo_root)
         declined = measure_throughput(
-            lambda: _maybe_fused_multi_roi(workload, ("GRASP",), bench_config),
+            lambda: _maybe_fused_multi(workload, ("GRASP",), bench_config),
             accesses=total,
             label="single:declined-multi-attempt",
         )

@@ -25,14 +25,14 @@ before tracing starts so only pipeline allocations are counted.
 
 import tracemalloc
 
+from repro.cache.policies import BeladyOptimal
 from repro.experiments.runner import (
     _hint_classifier,
     build_workload,
     filter_trace,
     simulate_llc_policy,
-    simulate_llc_policy_streaming,
     simulate_opt,
-    simulate_opt_streaming,
+    simulate_policy,
 )
 from repro.experiments.schemes import scheme_policy
 from repro.fastsim import VECTOR, FilterStream, PolicyReplayStream
@@ -121,26 +121,26 @@ def test_streaming_bit_identical_all_engines(benchmark, bench_config):
     mismatches = 0
     for scheme in SCHEMES:
         one_shot = _one_shot_replay(workload, iterations, bench_config, scheme)
-        if scheme == "OPT":
-            streamed = simulate_opt_streaming(
-                workload, bench_config, backend=VECTOR, max_chunk_accesses=SMALL_BUDGET
-            )
-        else:
-            streamed = simulate_llc_policy_streaming(
-                workload,
-                scheme_policy(scheme),
-                bench_config,
-                backend=VECTOR,
-                max_chunk_accesses=SMALL_BUDGET,
-            )
+        policy = (
+            BeladyOptimal(bench_config.hierarchy.llc) if scheme == "OPT"
+            else scheme_policy(scheme)
+        )
+        streamed = simulate_policy(
+            workload,
+            policy,
+            bench_config,
+            streaming=True,
+            backend=VECTOR,
+            max_chunk_accesses=SMALL_BUDGET,
+        )
         _assert_identical(one_shot, streamed, scheme)
         benchmark.extra_info[f"{scheme}_misses"] = streamed.misses
         mismatches += one_shot.misses != streamed.misses
     assert mismatches == 0
     benchmark.pedantic(
-        simulate_llc_policy_streaming,
+        simulate_policy,
         args=(workload, scheme_policy("GRASP"), bench_config),
-        kwargs={"backend": VECTOR, "max_chunk_accesses": SMALL_BUDGET},
+        kwargs={"streaming": True, "backend": VECTOR, "max_chunk_accesses": SMALL_BUDGET},
         iterations=1,
         rounds=3,
     )

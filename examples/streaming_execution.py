@@ -7,6 +7,8 @@ iteration only; this example streams every iteration of the application run
 resumable fast-path engines, chunk by chunk, so peak memory stays bounded by
 the chunk budget no matter how long the execution is.  Results are
 bit-identical to materializing the whole trace, for every chunk budget.
+Both pipelines are the same functions: ``streaming=True`` selects the full
+execution as the scope instead of the ROI iteration.
 
 Run with:  python examples/streaming_execution.py [app] [dataset]
 """
@@ -15,13 +17,7 @@ import sys
 
 from repro.experiments import ExperimentConfig, build_workload
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    execution_cycles,
-    execution_stream_summary,
-    simulate_llc_policy_streaming,
-    simulate_opt_streaming,
-)
-from repro.experiments.schemes import scheme_policy
+from repro.experiments.runner import simulate_scheme, stream_summary, workload_cycles
 
 SCHEMES = ("LRU", "RRIP", "SHiP-MEM", "Hawkeye", "Leeway", "PIN-100", "GRASP")
 
@@ -40,22 +36,18 @@ def main() -> None:
           f"{len(iterations)} iterations [{directions}], "
           f"chunk budget = {config.chunk_accesses} accesses")
 
-    summary = execution_stream_summary(workload, config)
+    summary = stream_summary(workload, config, streaming=True)
     print(f"Full execution: {summary['total_references']} references, "
           f"{summary['l1_hits']} L1 hits / {summary['l2_hits']} L2 hits "
           f"filtered before the LLC, streamed in {summary['chunks']} chunks\n")
 
-    baseline = simulate_llc_policy_streaming(workload, scheme_policy("RRIP"), config)
-    baseline_cycles = execution_cycles(workload, baseline, config)
+    baseline = simulate_scheme(workload, "RRIP", config, streaming=True)
+    baseline_cycles = workload_cycles(workload, baseline, config, streaming=True)
 
     rows = []
     for scheme in SCHEMES:
-        stats = (
-            baseline
-            if scheme == "RRIP"
-            else simulate_llc_policy_streaming(workload, scheme_policy(scheme), config)
-        )
-        cycles = execution_cycles(workload, stats, config)
+        stats = simulate_scheme(workload, scheme, config, streaming=True)
+        cycles = workload_cycles(workload, stats, config, streaming=True)
         rows.append(
             {
                 "scheme": scheme,
@@ -67,7 +59,7 @@ def main() -> None:
                 "speedup_vs_RRIP_pct": round((baseline_cycles / cycles - 1) * 100, 2),
             }
         )
-    opt = simulate_opt_streaming(workload, config)
+    opt = simulate_scheme(workload, "OPT", config, streaming=True)
     rows.append(
         {
             "scheme": "OPT (offline bound)",

@@ -35,19 +35,16 @@ from repro.experiments.runner import (
     clear_caches,
     compare_policies,
     compare_policies_corun,
-    compare_policies_streaming,
     execution_trace,
     filter_trace,
     iter_execution_chunks,
     iter_llc_chunks,
     set_disk_memo,
     simulate_llc_policy,
-    simulate_llc_policy_streaming,
     simulate_corun,
     simulate_opt,
-    simulate_opt_streaming,
+    simulate_policy,
     simulate_scheme,
-    simulate_scheme_streaming,
 )
 from repro.experiments.schemes import POLICY_SPECS, scheme_policy
 from repro.experiments.service import (
@@ -76,7 +73,6 @@ __all__ = [
     "compare_policies",
     "compare_policies_parallel",
     "compare_policies_corun",
-    "compare_policies_streaming",
     "execution_trace",
     "filter_trace",
     "iter_execution_chunks",
@@ -86,10 +82,8 @@ __all__ = [
     "scheme_policy",
     "set_disk_memo",
     "simulate_llc_policy",
-    "simulate_llc_policy_streaming",
     "simulate_opt",
-    "simulate_opt_streaming",
+    "simulate_policy",
     "simulate_scheme",
     "simulate_corun",
-    "simulate_scheme_streaming",
 ]

@@ -45,14 +45,16 @@ class ExperimentConfig:
         identical counts, so this never changes experiment results — only how
         fast they are obtained.
     chunk_accesses:
-        Access budget per chunk of the streaming full-execution pipeline
-        (:func:`repro.experiments.runner.simulate_llc_policy_streaming`);
-        ``None`` uses the runner's default.  Like the backend, this is a
-        performance/memory knob only — streaming results are bit-identical
-        for every budget — so it is excluded from *result* memo keys
-        (``policystream`` stats, stream summaries); only the chunk store
-        itself (``llcchunk`` entries and their ``llcstream`` manifest) is
-        budget-keyed, because chunk boundaries depend on it.
+        Access budget per chunk of the simulation pipeline
+        (:mod:`repro.experiments.runner`): the full execution is generated,
+        filtered and replayed in chunks of this many accesses, and the fused
+        routes feed the ROI's raw trace in slices of it.  ``None`` uses the
+        runner's default.  Like the backend, this is a performance/memory
+        knob only — results are bit-identical for every budget — so it is
+        excluded from *result* memo keys (``policy`` / ``policystream``
+        stats, stream summaries); only the chunk store itself (``llcchunk``
+        entries and their ``llcstream`` manifest) is budget-keyed, because
+        chunk boundaries depend on it.
     graph_cache_dir:
         Root of the binary-CSR graph cache used when dataset entries are
         ``repro.graph.load`` file specs (``"file:..."``, ``"mtx:..."``);

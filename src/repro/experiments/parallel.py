@@ -32,12 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.memo import CACHE_DIR_ENV_VAR, DiskMemo, default_cache_dir
 from repro.experiments.queue import POOL_BROKEN, FailureEvent, WorkerPoolBrokenWarning
-from repro.experiments.runner import (
-    DataPoint,
-    compare_policies,
-    compare_policies_streaming,
-    set_disk_memo,
-)
+from repro.experiments.runner import DataPoint, compare_policies, set_disk_memo
 from repro.fastsim.dispatch import set_default_backend
 from repro.fastsim.kernels import THREADS_ENV_VAR
 
@@ -72,9 +67,9 @@ def _simulate_pair(task: _PairTask) -> List[DataPoint]:
         # Covers the fork start method, where _init_worker state is inherited
         # but a worker may be reused across pools with different cache dirs.
         set_disk_memo(DiskMemo(Path(cache_dir)))
-    compare = compare_policies_streaming if streaming else compare_policies
-    return compare(
-        [app_name], [dataset_name], list(schemes), config=config, reorder=reorder, baseline=baseline
+    return compare_policies(
+        [app_name], [dataset_name], list(schemes), config=config, reorder=reorder,
+        baseline=baseline, streaming=streaming,
     )
 
 
@@ -118,25 +113,28 @@ def compare_policies_parallel(
         Defaults to ``REPRO_CACHE_DIR``; without either, workers still run in
         parallel but share nothing across invocations.
     streaming:
-        Run the full-execution streaming comparison
-        (:func:`~repro.experiments.runner.compare_policies_streaming`)
-        instead of the one-shot ROI comparison.  Each worker's peak memory
-        is bounded by the config's chunk budget, and with a shared
-        ``cache_dir`` the workers' per-chunk LLC streams (``llcchunk`` /
-        ``llcstream`` entries) are reused across schemes and invocations.
+        Compare over the full execution, streamed chunk by chunk, instead of
+        the ROI iteration (the serial function's ``streaming`` flag).  Each
+        worker's peak memory is bounded by the config's chunk budget, and
+        with a shared ``cache_dir`` the workers' per-chunk LLC streams
+        (``llcchunk`` / ``llcstream`` entries) are reused across schemes and
+        invocations.
     """
     config = config or ExperimentConfig.default()
     root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     if root is not None:
         set_disk_memo(DiskMemo(root))
 
-    serial = compare_policies_streaming if streaming else compare_policies
+    def serial() -> List[DataPoint]:
+        return compare_policies(
+            app_names, dataset_names, schemes, config=config, reorder=reorder,
+            baseline=baseline, streaming=streaming,
+        )
+
     pairs = [(app, dataset) for dataset in dataset_names for app in app_names]
     workers = _worker_budget(len(pairs), max_workers)
     if workers < 2 or len(pairs) < 2:
-        return serial(
-            app_names, dataset_names, schemes, config=config, reorder=reorder, baseline=baseline
-        )
+        return serial()
 
     tasks: List[_PairTask] = [
         (app, dataset, tuple(schemes), config, reorder, baseline,
@@ -172,9 +170,7 @@ def compare_policies_parallel(
             detail=f"{type(error).__name__}: {error}; falling back to the serial runner",
         )
         warnings.warn(WorkerPoolBrokenWarning(event), stacklevel=2)
-        return serial(
-            app_names, dataset_names, schemes, config=config, reorder=reorder, baseline=baseline
-        )
+        return serial()
     return [point for chunk in chunks for point in chunk]
 
 

@@ -68,9 +68,7 @@ from repro.experiments.runner import (
     DataPoint,
     build_workload,
     compare_policies,
-    compare_policies_streaming,
-    iter_llc_chunks,
-    llc_trace_for,
+    llc_chunks,
     llcstream_summary_memo_key,
     llctrace_memo_key,
     plan_pair_tasks,
@@ -78,7 +76,6 @@ from repro.experiments.runner import (
     policystream_memo_key,
     set_disk_memo,
     simulate_scheme,
-    simulate_scheme_streaming,
     workload_memo_key,
 )
 from repro.fastsim.dispatch import set_default_backend
@@ -156,58 +153,47 @@ def exec_workload_task(
 
 
 def exec_filter_task(
-    cache_dir: str, app: str, dataset: str, reorder: str, config: ExperimentConfig
+    cache_dir: str, app: str, dataset: str, reorder: str,
+    config: ExperimentConfig, streaming: bool = False,
 ) -> str:
-    """Filter one workload's ROI trace through L1/L2 (one-shot pipeline)."""
-    _worker_setup(cache_dir, config)
-    workload = build_workload(app, dataset, reorder=reorder, config=config)
-    llc_trace_for(workload, config)
-    return "llctrace"
+    """Filter one workload's scope through L1/L2 and store the result.
 
-
-def exec_stream_filter_task(
-    cache_dir: str, app: str, dataset: str, reorder: str, config: ExperimentConfig
-) -> str:
-    """Filter one workload's full execution, chunk by chunk (streaming).
-
-    Draining :func:`iter_llc_chunks` persists every ``llcchunk`` entry and
-    the ``llcstream`` manifests; per-chunk entries already in the store are
-    served, not recomputed, so a retried or resumed filter task only pays
-    for the missing tail.
+    Draining :func:`~repro.experiments.runner.llc_chunks` persists the ROI's
+    ``llctrace``, or every ``llcchunk`` entry and the ``llcstream``
+    manifests of the full execution; per-chunk entries already in the store
+    are served, not recomputed, so a retried or resumed filter task only
+    pays for the missing tail.
     """
     _worker_setup(cache_dir, config)
     workload = build_workload(app, dataset, reorder=reorder, config=config)
-    for _ in iter_llc_chunks(workload, config):
+    for _ in llc_chunks(workload, config, streaming):
         pass
-    return "llcstream"
+    return "llcstream" if streaming else "llctrace"
 
 
 def exec_scheme_task(
     cache_dir: str, app: str, dataset: str, reorder: str,
-    config: ExperimentConfig, scheme: str,
+    config: ExperimentConfig, scheme: str, streaming: bool = False,
 ) -> str:
-    """Replay one scheme over one pair's filtered ROI trace."""
+    """Replay one scheme over one pair's stored filtered stream."""
     _worker_setup(cache_dir, config)
     workload = build_workload(app, dataset, reorder=reorder, config=config)
-    simulate_scheme(workload, scheme, config)
-    return "policy"
-
-
-def exec_scheme_streaming_task(
-    cache_dir: str, app: str, dataset: str, reorder: str,
-    config: ExperimentConfig, scheme: str,
-) -> str:
-    """Replay one scheme over one pair's full-execution stream."""
-    _worker_setup(cache_dir, config)
-    workload = build_workload(app, dataset, reorder=reorder, config=config)
-    simulate_scheme_streaming(workload, scheme, config)
-    return "policystream"
+    simulate_scheme(workload, scheme, config, streaming=streaming)
+    return "policystream" if streaming else "policy"
 
 
 def sweep_tasks(spec: SweepSpec, config: ExperimentConfig, cache_dir: Path | str) -> List[Task]:
     """Decompose a sweep into its content-addressed task DAG."""
     reorder = spec.resolved_reorder(config)
     cache = str(cache_dir)
+    # The scope decides only which memo kinds (and key functions) the filter
+    # and scheme tasks complete into.
+    if spec.streaming:
+        filter_kind, filter_key_of = "llcstream", llcstream_summary_memo_key
+        scheme_kind, scheme_key_of = "policystream", policystream_memo_key
+    else:
+        filter_kind, filter_key_of = "llctrace", llctrace_memo_key
+        scheme_kind, scheme_key_of = "policy", policy_memo_key
     tasks: Dict[str, Task] = {}
     for dataset in spec.datasets:
         for app in spec.apps:
@@ -222,34 +208,24 @@ def sweep_tasks(spec: SweepSpec, config: ExperimentConfig, cache_dir: Path | str
                 label=f"workload {app}/{dataset}",
                 store_key=workload_key,
             ))
-            if spec.streaming:
-                filter_key = llcstream_summary_memo_key(app, dataset, reorder, config)
-                filter_fn, filter_kind = exec_stream_filter_task, "llcstream"
-            else:
-                filter_key = llctrace_memo_key(app, dataset, reorder, config)
-                filter_fn, filter_kind = exec_filter_task, "llctrace"
+            filter_key = filter_key_of(app, dataset, reorder, config)
             filter_id = key_digest(filter_key)
             tasks.setdefault(filter_id, Task(
                 task_id=filter_id,
-                fn=filter_fn,
-                args=pair_args,
+                fn=exec_filter_task,
+                args=pair_args + (spec.streaming,),
                 deps=(workload_id,),
                 kind=filter_kind,
                 label=f"filter {app}/{dataset}",
                 store_key=filter_key,
             ))
             for scheme in spec.all_schemes():
-                if spec.streaming:
-                    scheme_key = policystream_memo_key(app, dataset, reorder, scheme, config)
-                    scheme_fn, scheme_kind = exec_scheme_streaming_task, "policystream"
-                else:
-                    scheme_key = policy_memo_key(app, dataset, reorder, scheme, config)
-                    scheme_fn, scheme_kind = exec_scheme_task, "policy"
+                scheme_key = scheme_key_of(app, dataset, reorder, scheme, config)
                 scheme_id = key_digest(scheme_key)
                 tasks.setdefault(scheme_id, Task(
                     task_id=scheme_id,
-                    fn=scheme_fn,
-                    args=pair_args + (scheme,),
+                    fn=exec_scheme_task,
+                    args=pair_args + (scheme, spec.streaming),
                     deps=(filter_id,),
                     kind=scheme_kind,
                     label=f"{scheme} {app}/{dataset}",
@@ -858,14 +834,14 @@ def run_sweep(
         )
     if scheduler.report.failed:
         raise SweepError(run_id, path, scheduler.report.failed)
-    assemble = compare_policies_streaming if spec.streaming else compare_policies
-    points = assemble(
+    points = compare_policies(
         spec.apps,
         spec.datasets,
         spec.schemes,
         config=config,
         reorder=spec.reorder,
         baseline=spec.baseline,
+        streaming=spec.streaming,
     )
     return SweepResult(
         run_id=run_id,

@@ -73,22 +73,27 @@ def resolve_chunk_next_use(
     corresponding slice of :func:`next_use_indices` over the whole stream,
     which is how streaming OPT stays two-pass with bounded memory: one
     reverse pass resolving next-use per chunk, one forward pass replaying.
+
+    The chunk at offset 0 leaves ``next_seen`` untouched, since no earlier
+    chunk can consult it, so a one-chunk stream costs exactly one
+    :func:`next_use_indices`.
     """
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-    local = next_use_indices(blocks)
-    out = local.copy()
-    within = local != NEVER
+    out = next_use_indices(blocks)
+    if not start and not next_seen:
+        return out
+    within = out != NEVER
     out[within] += start
     missing = np.flatnonzero(~within)
-    if missing.size:
+    if missing.size and next_seen:
         out[missing] = np.fromiter(
             (next_seen.get(block, NEVER) for block in blocks[missing].tolist()),
             dtype=np.int64,
             count=missing.shape[0],
         )
-    unique, first_index = np.unique(blocks, return_index=True)
-    for block, index in zip(unique.tolist(), first_index.tolist()):
-        next_seen[block] = start + index
+    if start:
+        unique, first_index = np.unique(blocks, return_index=True)
+        next_seen.update(zip(unique.tolist(), (first_index + start).tolist()))
     return out
 
 

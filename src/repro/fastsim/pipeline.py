@@ -360,6 +360,12 @@ class FusedPipeline:
             return self._filter.total_references
         return self._total
 
+    def upstream_hit_counts(self):
+        """Aggregate ``(l1_hits, l2_hits)`` of the filter phase."""
+        if not self.native:
+            return self._filter.upstream_hit_counts()
+        return int(self._outcomes[0]), int(self._outcomes[1])
+
     def stats(self) -> FusedStats:
         """Aggregate per-level :class:`CacheStats` over everything fed."""
         if not self.native:

@@ -13,10 +13,10 @@ module collapses that sprawl into one explainable layer:
 ``SimRequest``
     Everything a routing decision depends on: the scheme(s) and live
     policy object(s), the requested backend, the pipeline stage (one-shot
-    replay, ROI, streaming, co-run), the consumer count (how many distinct
-    schemes share one filtered stream), the partition, the thread count
-    and the memo/kernel environment.  Requests are cheap to build — no
-    workload needs to exist.
+    replay, the ROI or full-execution scope, co-run), the consumer count
+    (how many distinct schemes share one filtered stream), the partition,
+    the thread count and the memo/kernel environment.  Requests are cheap
+    to build — no workload needs to exist.
 ``ExecutionPlan``
     The planner's explicit answer: the route, engine family, kernel tier
     and backend that will run, whether a verify dual-run is attached, and
@@ -40,7 +40,7 @@ planning decisions are free to chase wall-clock only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cache.config import HierarchyConfig
@@ -150,17 +150,22 @@ def capabilities_for(policy) -> EngineCapabilities:
 
 #: Pipeline stages a request can name.
 STAGE_ONESHOT = "oneshot"     # replay of an already-materialized LLC trace
-STAGE_ROI = "roi"             # ROI simulation from the raw reference stream
-STAGE_STREAMING = "streaming"  # full-execution streaming simulation
+STAGE_ROI = "roi"             # ROI scope, from the raw reference stream
+STAGE_STREAMING = "streaming"  # full-execution scope, streamed chunk by chunk
 STAGE_CORUN = "corun"         # multi-programmed shared-LLC replay
+
+#: Where each scope keeps its filtered stream once stored.
+_STORED_STREAM = {
+    STAGE_ROI: ("filtered ROI trace already cached", "in memory"),
+    STAGE_STREAMING: ("persisted chunk store already on disk", "in the disk memo"),
+}
 
 #: Route names an :class:`ExecutionPlan` can carry.
 ROUTE_VECTOR = "vector"            # staged vector replay (batched engines)
 ROUTE_SCALAR = "scalar"            # per-access reference simulator
 ROUTE_FUSED = "fused"              # single-pass native filter+LLC pipeline
 ROUTE_FUSED_MULTI = "fused-multi"  # one filter phase, N policy replays
-ROUTE_OPT_VECTOR = "opt-vector"    # batched next-use OPT engine
-ROUTE_OPT_TWO_PASS = "opt-two-pass"  # streaming OPT: spill + reverse resolve
+ROUTE_OPT_VECTOR = "opt-vector"    # batched next-use OPT engine, two passes
 ROUTE_OPT_SCALAR = "opt-scalar"    # offline reference OPT loop
 ROUTE_CORUN_VECTOR = "corun-vector"
 ROUTE_CORUN_SCALAR = "corun-scalar"
@@ -181,8 +186,10 @@ class SimRequest:
     entry.  ``consumers`` is the number of *distinct* schemes that will
     replay the same filtered stream (the fused-route consumer-count rule);
     it defaults to ``len(set(schemes))``.  The ``have_*`` flags describe
-    the memo environment (a persisted chunk store / materialized trace
-    makes replaying it cheaper than regenerating the raw stream).
+    the memo environment: ``have_stream`` says the scope's filtered stream
+    is already stored (the ROI trace in memory or on disk, the execution's
+    chunk store on disk), which makes replaying it cheaper than
+    regenerating the raw trace.
     ``native_override`` pins kernel availability for testing; ``None``
     probes the live registry.
     """
@@ -198,8 +205,7 @@ class SimRequest:
     threads: Optional[int] = None
     use_hints: bool = True
     have_memo: bool = False
-    have_chunk_store: bool = False
-    have_trace_cache: bool = False
+    have_stream: bool = False
     native_override: Optional[bool] = None
 
     def __post_init__(self) -> None:
@@ -366,9 +372,9 @@ class RoutePlanner:
                 "backend=verify: vector route runs with a scalar dual-run cross-check"
             )
 
-        # Fused single-pass route: ROI / streaming stages under the pure
-        # vector backend, when the native fused kernel covers the policy
-        # and replaying an already-persisted stream would not be cheaper.
+        # Fused single-pass route: either scope under the pure vector
+        # backend, when the native fused kernel covers the policy and
+        # replaying a stored filtered stream would not be cheaper.
         if request.stage in (STAGE_ROI, STAGE_STREAMING) and mode == VECTOR:
             fused_ok, fused_reasons = self._fused_eligible(request, policy)
             if fused_ok:
@@ -426,35 +432,28 @@ class RoutePlanner:
             else:
                 reasons.extend(caps.fallbacks)
             return False, tuple(reasons)
-        if request.stage == STAGE_ROI:
-            if request.consumer_count() > 1:
-                reasons.append(
-                    f"{request.consumer_count()} consumers share this workload: "
-                    "the staged path materializes the filtered ROI trace once "
-                    "for all of them"
-                )
-                return False, tuple(reasons)
-            if request.have_trace_cache:
-                reasons.append(
-                    "filtered ROI trace already cached: replaying it beats "
-                    "regenerating the raw stream"
-                )
-                return False, tuple(reasons)
-        if request.stage == STAGE_STREAMING:
-            if request.have_chunk_store:
-                reasons.append(
-                    "persisted chunk store already on disk: replaying it beats "
-                    "regenerating the trace"
-                )
-                return False, tuple(reasons)
-            if request.consumer_count() > 1 and request.have_memo:
-                reasons.append(
-                    f"{request.consumer_count()} consumers share this stream and a "
-                    "disk memo is active: the staged path materializes the "
-                    "filtered stream once for all of them"
-                )
-                return False, tuple(reasons)
+        if request.have_stream:
+            return False, (self._stored_reason(request),)
+        # Several consumers replay one stored stream when the scope can keep
+        # it: the ROI always can (in memory), the full execution only with a
+        # disk memo.
+        if request.consumer_count() > 1 and (
+            request.stage == STAGE_ROI or request.have_memo
+        ):
+            where = _STORED_STREAM[request.stage][1]
+            return False, (
+                f"{request.consumer_count()} consumers share this stream: the "
+                f"staged path stores the filtered stream once ({where}) for "
+                "all of them",
+            )
         return True, ()
+
+    @staticmethod
+    def _stored_reason(request: SimRequest) -> str:
+        return (
+            f"{_STORED_STREAM[request.stage][0]}: replaying it beats "
+            "regenerating the raw trace"
+        )
 
     def _scalar_plan(
         self, request: SimRequest, mode: str, engine: str, fallbacks
@@ -503,7 +502,7 @@ class RoutePlanner:
             fallbacks.append(caps.fallbacks[0])
         kernel = KERNEL_NATIVE if request.native_available() else KERNEL_NUMPY
         return ExecutionPlan(
-            route=ROUTE_OPT_TWO_PASS if streaming else ROUTE_OPT_VECTOR,
+            route=ROUTE_OPT_VECTOR,
             stage=request.stage,
             scheme=request.scheme,
             engine="opt",
@@ -588,17 +587,8 @@ class RoutePlanner:
                     "it needs the scalar reference, so the shared pass is off"
                 )
                 return False, tuple(reasons)
-        if request.stage == STAGE_ROI and request.have_trace_cache:
-            reasons.append(
-                "filtered ROI trace already cached: replaying it beats "
-                "regenerating the raw stream"
-            )
-            return False, tuple(reasons)
-        if request.stage == STAGE_STREAMING and request.have_chunk_store:
-            reasons.append(
-                "persisted chunk store already on disk: replaying it beats "
-                "regenerating the trace"
-            )
+        if request.have_stream:
+            reasons.append(self._stored_reason(request))
             return False, tuple(reasons)
         return True, ()
 
@@ -694,7 +684,6 @@ __all__ = [
     "ROUTE_FUSED",
     "ROUTE_FUSED_MULTI",
     "ROUTE_OPT_SCALAR",
-    "ROUTE_OPT_TWO_PASS",
     "ROUTE_OPT_VECTOR",
     "ROUTE_SCALAR",
     "ROUTE_VECTOR",

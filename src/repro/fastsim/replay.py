@@ -11,8 +11,8 @@ stream.  Only the GRASP ablation variants — subclasses that override hooks
 the array specs cannot express — remain scalar-only.
 
 :func:`_family` resolves a policy to its engine family for every fast path,
-:func:`supports_vector_replay` is the dispatch predicate used by
-:func:`repro.experiments.runner.simulate_llc_policy`, and
+:func:`supports_vector_replay` is the dispatch predicate the planner
+(:mod:`repro.fastsim.plan`) routes on, and
 :class:`PolicyReplayStream` wraps a family's engine with the per-region
 statistics of Fig. 2.
 """
@@ -116,9 +116,9 @@ def vector_opt_replay(
 
 class PolicyReplayStream:
     """Resumable LLC replay under any policy :func:`supports_vector_replay`
-    accepts, except the offline :class:`BeladyOptimal` (streaming OPT is a
-    two-pass pipeline — see
-    :func:`repro.experiments.runner.simulate_opt_streaming`).
+    accepts, except the offline :class:`BeladyOptimal` (OPT over a chunk
+    stream is two-pass: :func:`~repro.fastsim.opt.resolve_chunk_next_use`
+    backwards, then an :class:`~repro.fastsim.opt.OptStream` forwards).
 
     Feed aligned (blocks, hints, regions, pcs) chunks, then read
     :meth:`stats`.  Chunked replay is bit-identical to one feed of the
@@ -130,7 +130,7 @@ class PolicyReplayStream:
     def __init__(self, policy, llc_config: CacheConfig, use_native=None) -> None:
         if type(policy) is BeladyOptimal:
             raise ValueError(
-                "BeladyOptimal has no online stream; use simulate_opt_streaming"
+                "BeladyOptimal has no online stream; replay it through OptStream"
             )
         family = _family(policy)
         if family is None:

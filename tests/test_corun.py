@@ -38,7 +38,7 @@ from repro.experiments.runner import (
     compare_policies_corun,
     corun_memo_key,
     simulate_corun,
-    simulate_scheme_streaming,
+    simulate_scheme,
 )
 from repro.experiments.schemes import scheme_policy
 from repro.fastsim import CorunReplayStream, PolicyReplayStream, supports_vector_corun
@@ -353,7 +353,7 @@ def test_degenerate_corun_is_the_single_app_path(memo_isolation, corun_config):
     spec = CorunSpec(pairs=(("PR", "lj"),))
     corun = simulate_corun(spec, "GRASP", config)
     workload = build_workload("PR", "lj", reorder=config.reorder, config=config)
-    single = simulate_scheme_streaming(workload, "GRASP", config)
+    single = simulate_scheme(workload, "GRASP", config, streaming=True)
     assert corun is single  # served from the policystream memo, not recomputed
     assert corun.as_dict() == single.as_dict()
     assert "streams" not in corun.as_dict()

@@ -15,7 +15,6 @@ from repro.cache.policies import LRUPolicy
 from repro.cache.stats import CacheStats
 from repro.experiments import ExperimentConfig, build_workload, clear_caches
 from repro.experiments.runner import (
-    _scalar_llc_replay,
     filter_trace,
     llc_trace_for,
     roi_trace,
@@ -294,6 +293,12 @@ class TestDispatch:
         config = ExperimentConfig.smoke().with_overrides(backend=SCALAR)
         workload = build_workload("PR", "lj", config=config)
         llc_trace = llc_trace_for(workload, config)
-        direct = _scalar_llc_replay(llc_trace, LRUPolicy(), config.hierarchy.llc, True)
+        cache = SetAssociativeCache(config.hierarchy.llc, LRUPolicy())
+        for block, pc, hint, region in zip(
+            llc_trace.block_addresses.tolist(), llc_trace.pcs.tolist(),
+            llc_trace.hints.tolist(), llc_trace.regions.tolist(),
+        ):
+            cache.access_block(block, pc, hint, region)
+        direct = cache.stats
         public = simulate_llc_policy(llc_trace, LRUPolicy(), config.hierarchy.llc, backend=SCALAR)
         assert_stats_equal(direct, public, "test")

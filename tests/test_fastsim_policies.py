@@ -25,7 +25,6 @@ from repro.cache.policies.ship import ShipMemPolicy
 from repro.core.variants import GraspInsertionOnlyPolicy, RRIPWithHintsPolicy
 from repro.experiments import ExperimentConfig, build_workload, clear_caches
 from repro.experiments.runner import (
-    _scalar_llc_replay,
     llc_trace_for,
     simulate_llc_policy,
     simulate_opt,
@@ -459,8 +458,12 @@ class TestEndToEndDispatch:
         workload = build_workload("PR", "lj", config=config)
         llc_trace = llc_trace_for(workload, config)
         llc = config.hierarchy.llc
-        direct = _scalar_llc_replay(
-            llc_trace, PinningPolicy(reserved_fraction=0.75), llc, False
+        direct = simulate_llc_policy(
+            llc_trace,
+            PinningPolicy(reserved_fraction=0.75),
+            llc,
+            use_hints=False,
+            backend=SCALAR,
         )
         public = simulate_llc_policy(
             llc_trace,

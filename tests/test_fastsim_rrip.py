@@ -24,7 +24,6 @@ from repro.core.grasp import GraspPolicy
 from repro.core.variants import GraspInsertionOnlyPolicy, RRIPWithHintsPolicy
 from repro.experiments import ExperimentConfig, build_workload, clear_caches
 from repro.experiments.runner import (
-    _scalar_llc_replay,
     llc_trace_for,
     simulate_llc_policy,
 )
@@ -273,7 +272,9 @@ class TestEndToEndDispatch:
         workload = build_workload("PR", "lj", config=config)
         llc_trace = llc_trace_for(workload, config)
         llc = config.hierarchy.llc
-        direct = _scalar_llc_replay(llc_trace, GraspPolicy(), llc, False)
+        direct = simulate_llc_policy(
+            llc_trace, GraspPolicy(), llc, use_hints=False, backend=SCALAR
+        )
         public = simulate_llc_policy(
             llc_trace, GraspPolicy(), llc, use_hints=False, backend=VECTOR
         )

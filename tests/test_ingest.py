@@ -21,7 +21,6 @@ from repro.analytics import get_application
 from repro.cache.config import HierarchyConfig
 from repro.experiments.runner import filter_trace, simulate_llc_policy
 from repro.experiments.schemes import scheme_policy
-from repro.graph.builder import _build_csr
 from repro.graph.csr import CSRGraph, GraphError, MmapCSRGraph
 from repro.graph.generators import _chung_lu_graph, _uniform_random_graph
 from repro.graph.ingest import (

@@ -125,7 +125,7 @@ class TestParallelRunner:
         _points_equal(serial, parallel)
 
     def test_disk_reuse_across_invocations(self, tmp_path):
-        config = ExperimentConfig.smoke()
+        config = ExperimentConfig.smoke().with_overrides(backend="vector")
         cache_dir = tmp_path / "memo"
         compare_policies_parallel(
             self.APPS, self.DATASETS, self.SCHEMES, config=config,
@@ -156,11 +156,11 @@ class TestParallelRunner:
         _points_equal(serial, again)
 
     def test_streaming_matches_serial_streaming(self, tmp_path):
-        from repro.experiments import compare_policies_streaming
-
-        config = ExperimentConfig.smoke().with_overrides(chunk_accesses=1 << 12)
-        serial = compare_policies_streaming(
-            self.APPS, self.DATASETS, self.SCHEMES, config=config
+        config = ExperimentConfig.smoke().with_overrides(
+            chunk_accesses=1 << 12, backend="vector"
+        )
+        serial = compare_policies(
+            self.APPS, self.DATASETS, self.SCHEMES, config=config, streaming=True
         )
         clear_caches()
         set_disk_memo(None)
@@ -196,19 +196,16 @@ class TestParallelRunner:
         """A lone policy replay takes the fused route: no chunk store, only
         the budget-less counter summary (and, for the ROI path, the
         ``roisummary`` counters instead of a materialized ``llctrace``)."""
-        from repro.experiments.runner import (
-            simulate_llc_policy_streaming,
-            simulate_scheme,
-        )
+        from repro.experiments.runner import simulate_policy, simulate_scheme
 
-        config = ExperimentConfig.smoke()
+        config = ExperimentConfig.smoke().with_overrides(backend="vector")
         policy = scheme_policy("GRASP")
         if not fused_native_supported(policy, config.hierarchy):
             pytest.skip("no fused kernel available")
         memo = DiskMemo(tmp_path / "memo")
         set_disk_memo(memo)
         workload = build_workload("PR", "lj", config=config)
-        simulate_llc_policy_streaming(workload, policy, config=config)
+        simulate_policy(workload, policy, config, streaming=True)
         assert memo.entry_count("llcchunk") == 0
         assert memo.entry_count("llcstream") == 1
         simulate_scheme(workload, "GRASP", config)

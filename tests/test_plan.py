@@ -38,7 +38,6 @@ from repro.fastsim.plan import (
     ROUTE_FUSED,
     ROUTE_FUSED_MULTI,
     ROUTE_OPT_SCALAR,
-    ROUTE_OPT_TWO_PASS,
     ROUTE_OPT_VECTOR,
     ROUTE_SCALAR,
     ROUTE_VECTOR,
@@ -46,7 +45,6 @@ from repro.fastsim.plan import (
     STAGE_ONESHOT,
     STAGE_ROI,
     STAGE_STREAMING,
-    ExecutionPlan,
     SimRequest,
     capabilities_for,
     plan_request,
@@ -108,36 +106,42 @@ class TestCapabilities:
 
 class TestSinglePolicyRouting:
     def test_roi_prefers_fused(self):
-        plan = PLANNER.plan(_request(stage=STAGE_ROI))
+        plan = PLANNER.plan(_request(stage=STAGE_ROI, backend="vector"))
         assert plan.route == ROUTE_FUSED
         assert plan.kernel == "native-fused"
         assert plan.fallbacks == ()
 
     def test_no_kernels_degrades_to_numpy_with_reason(self):
-        plan = PLANNER.plan(_request(stage=STAGE_ROI, native=False))
+        plan = PLANNER.plan(_request(stage=STAGE_ROI, native=False, backend="vector"))
         assert plan.route == ROUTE_VECTOR
         assert plan.kernel == "numpy"
         assert any("unavailable" in reason for reason in plan.fallbacks)
 
     def test_shared_roi_trace_skips_fused(self):
-        plan = PLANNER.plan(_request(stage=STAGE_ROI, consumers=2))
+        plan = PLANNER.plan(_request(stage=STAGE_ROI, consumers=2, backend="vector"))
         assert plan.route == ROUTE_VECTOR
         assert any("2 consumers" in reason for reason in plan.fallbacks)
 
     def test_cached_roi_trace_skips_fused(self):
-        plan = PLANNER.plan(_request(stage=STAGE_ROI, have_trace_cache=True))
+        plan = PLANNER.plan(_request(stage=STAGE_ROI, have_stream=True, backend="vector"))
         assert plan.route == ROUTE_VECTOR
         assert any("already cached" in reason for reason in plan.fallbacks)
 
     def test_streaming_chunk_store_skips_fused(self):
-        plan = PLANNER.plan(_request(stage=STAGE_STREAMING, have_chunk_store=True))
+        plan = PLANNER.plan(
+            _request(stage=STAGE_STREAMING, have_stream=True, backend="vector")
+        )
         assert plan.route == ROUTE_VECTOR
         assert any("chunk store" in reason for reason in plan.fallbacks)
 
     def test_streaming_shared_consumers_need_a_memo_to_skip_fused(self):
-        shared = _request(stage=STAGE_STREAMING, consumers=2, have_memo=True)
+        shared = _request(
+            stage=STAGE_STREAMING, consumers=2, have_memo=True, backend="vector"
+        )
         assert PLANNER.plan(shared).route == ROUTE_VECTOR
-        memoless = _request(stage=STAGE_STREAMING, consumers=2, have_memo=False)
+        memoless = _request(
+            stage=STAGE_STREAMING, consumers=2, have_memo=False, backend="vector"
+        )
         assert PLANNER.plan(memoless).route == ROUTE_FUSED
 
     def test_scalar_backend_is_the_reference(self):
@@ -166,7 +170,7 @@ class TestOptRouting:
 
     def test_streaming_is_two_pass(self):
         plan = PLANNER.plan(_request("OPT", stage=STAGE_STREAMING))
-        assert plan.route == ROUTE_OPT_TWO_PASS
+        assert plan.route == ROUTE_OPT_VECTOR
         assert any("two-pass" in reason for reason in plan.fallbacks)
 
     def test_scalar_backend_is_offline_reference(self):
@@ -212,7 +216,7 @@ class TestMultiSchemeRouting:
         not kernels.has_capability("fused:filter"), reason="no fused filter kernel"
     )
     def test_fused_multi_preferred(self):
-        plan = PLANNER.plan(self._multi(("RRIP", "GRASP")))
+        plan = PLANNER.plan(self._multi(("RRIP", "GRASP"), backend="vector"))
         assert plan.route == ROUTE_FUSED_MULTI
         assert plan.engine == "multi"
         assert plan.scheme == "RRIP+GRASP"
@@ -228,12 +232,12 @@ class TestMultiSchemeRouting:
         # Pin a host with the fused filter kernel: without one the kernel
         # rule decides first and the member rule is never reached.
         monkeypatch.setattr(kernels, "has_capability", lambda name: True)
-        plan = PLANNER.plan(self._multi(("RRIP", "RRIP+Hints")))
+        plan = PLANNER.plan(self._multi(("RRIP", "RRIP+Hints"), backend="vector"))
         assert plan.route == ROUTE_VECTOR
         assert any("'RRIP+Hints'" in reason for reason in plan.fallbacks)
 
     def test_cached_trace_disables_shared_pass(self):
-        plan = PLANNER.plan(self._multi(("RRIP", "GRASP"), have_trace_cache=True))
+        plan = PLANNER.plan(self._multi(("RRIP", "GRASP"), have_stream=True))
         assert plan.route == ROUTE_VECTOR
 
     def test_scalar_backend_stays_scalar(self):
@@ -245,15 +249,15 @@ class TestMultiSchemeRouting:
 #: Golden (route, engine, kernel) snapshots.  ``native_override`` pins the
 #: kernel environment, so these hold on any machine.
 GOLDEN_PLANS = [
-    (dict(scheme="RRIP", stage=STAGE_ROI, native=True),
+    (dict(scheme="RRIP", stage=STAGE_ROI, native=True, backend="vector"),
      (ROUTE_FUSED, "rrip", "native-fused")),
     (dict(scheme="RRIP", stage=STAGE_ROI, native=False),
      (ROUTE_VECTOR, "rrip", "numpy")),
     (dict(scheme="RRIP", stage=STAGE_ROI, native=True, consumers=2),
      (ROUTE_VECTOR, "rrip", "native")),
-    (dict(scheme="GRASP", stage=STAGE_STREAMING, native=True),
+    (dict(scheme="GRASP", stage=STAGE_STREAMING, native=True, backend="vector"),
      (ROUTE_FUSED, "rrip", "native-fused")),
-    (dict(scheme="GRASP", stage=STAGE_STREAMING, native=True, have_chunk_store=True),
+    (dict(scheme="GRASP", stage=STAGE_STREAMING, native=True, have_stream=True),
      (ROUTE_VECTOR, "rrip", "native")),
     (dict(scheme="Hawkeye", stage=STAGE_ONESHOT, native=True),
      (ROUTE_VECTOR, "hawkeye", "native")),
@@ -268,7 +272,7 @@ GOLDEN_PLANS = [
     (dict(scheme="OPT", stage=STAGE_ONESHOT, native=False),
      (ROUTE_OPT_VECTOR, "opt", "numpy")),
     (dict(scheme="OPT", stage=STAGE_STREAMING, native=True),
-     (ROUTE_OPT_TWO_PASS, "opt", "native")),
+     (ROUTE_OPT_VECTOR, "opt", "native")),
     (dict(scheme="OPT", stage=STAGE_STREAMING, native=True, backend="scalar"),
      (ROUTE_OPT_SCALAR, "opt", "python")),
     (dict(scheme="PIN-75", stage=STAGE_CORUN, native=True, num_streams=2),
@@ -333,15 +337,15 @@ class TestTaskPlanning:
 
     def test_plan_reflects_memo_state(self, tmp_path, monkeypatch):
         """Once a sweep persisted its chunk store, the next plan replays it."""
-        from repro.experiments.runner import build_workload, simulate_llc_policy_streaming
+        from repro.experiments.runner import build_workload, simulate_policy
 
-        config = ExperimentConfig.smoke()
+        config = ExperimentConfig.smoke().with_overrides(backend="vector")
         memo = DiskMemo(tmp_path)
         set_disk_memo(memo)
         # Force the staged path (shared stream) so the chunk store persists.
         workload = build_workload("PR", "lj", config=config)
-        simulate_llc_policy_streaming(
-            workload, scheme_policy("GRASP"), config=config, shared_stream=True
+        simulate_policy(
+            workload, scheme_policy("GRASP"), config, streaming=True, shared=True
         )
         # Pin a host with the fused kernels: without them the kernel rule
         # decides first and the chunk-store rule is never reached.

@@ -16,13 +16,11 @@ from repro.experiments.memo import DiskMemo
 from repro.experiments.runner import (
     CorunSpec,
     build_workload,
-    compare_policies_streaming,
     plan_corun_task,
     plan_scheme_task,
     set_disk_memo,
     simulate_corun,
     simulate_scheme,
-    simulate_scheme_streaming,
 )
 from repro.fastsim import kernels
 from repro.fastsim.plan import (
@@ -30,7 +28,6 @@ from repro.fastsim.plan import (
     ROUTE_CORUN_SCALAR,
     ROUTE_CORUN_VECTOR,
     ROUTE_FUSED,
-    ROUTE_OPT_TWO_PASS,
     ROUTE_OPT_VECTOR,
     ROUTE_SCALAR,
     ROUTE_VECTOR,
@@ -59,32 +56,31 @@ def _assert_stats_equal(vector, scalar):
     assert vector.evictions == scalar.evictions
 
 
-def _roi_stats(scheme, config, shared_trace=False):
+def _roi_stats(scheme, config, shared=False):
     workload = build_workload("PR", "lj", config=config)
-    return simulate_scheme(workload, scheme, config, shared_trace=shared_trace)
+    return simulate_scheme(workload, scheme, config, shared=shared)
 
 
-def _stream_stats(scheme, config, shared_stream=False):
+def _stream_stats(scheme, config, shared=False):
     workload = build_workload("PR", "lj", config=config)
-    return simulate_scheme_streaming(
-        workload, scheme, config, shared_stream=shared_stream
-    )
+    return simulate_scheme(workload, scheme, config, streaming=True, shared=shared)
 
 
 class TestRoiRoutes:
     def test_fused_route_matches_reference(self):
-        plan = plan_scheme_task("PR", "lj", VECTOR_CFG.reorder, "GRASP", VECTOR_CFG)
+        config = VECTOR_CFG.with_overrides(backend="vector")
+        plan = plan_scheme_task("PR", "lj", config.reorder, "GRASP", config)
         expected = ROUTE_FUSED if kernels.has_capability("fused:rrip") else ROUTE_VECTOR
         assert plan.route == expected
-        vector = _roi_stats("GRASP", VECTOR_CFG)
+        vector = _roi_stats("GRASP", config)
         clear_caches()
         _assert_stats_equal(vector, _roi_stats("GRASP", SCALAR_CFG))
 
     def test_staged_vector_route_matches_reference(self):
-        """shared_trace forces the staged materialize-once vector route."""
-        vector = _roi_stats("RRIP", VECTOR_CFG, shared_trace=True)
+        """shared forces the staged materialize-once vector route."""
+        vector = _roi_stats("RRIP", VECTOR_CFG, shared=True)
         clear_caches()
-        _assert_stats_equal(vector, _roi_stats("RRIP", SCALAR_CFG, shared_trace=True))
+        _assert_stats_equal(vector, _roi_stats("RRIP", SCALAR_CFG, shared=True))
 
     def test_scalar_route_for_ablation_subclass(self):
         plan = plan_scheme_task(
@@ -105,19 +101,19 @@ class TestRoiRoutes:
 
 class TestStreamingRoutes:
     def test_fused_streaming_matches_reference(self):
+        config = STREAM_VECTOR_CFG.with_overrides(backend="vector")
         plan = plan_scheme_task(
-            "PR", "lj", STREAM_VECTOR_CFG.reorder, "GRASP", STREAM_VECTOR_CFG,
-            streaming=True,
+            "PR", "lj", config.reorder, "GRASP", config, streaming=True,
         )
         expected = ROUTE_FUSED if kernels.has_capability("fused:rrip") else ROUTE_VECTOR
         assert plan.route == expected
-        vector = _stream_stats("GRASP", STREAM_VECTOR_CFG)
+        vector = _stream_stats("GRASP", config)
         clear_caches()
         _assert_stats_equal(vector, _stream_stats("GRASP", STREAM_SCALAR_CFG))
 
     def test_staged_streaming_replays_persisted_chunk_store(self, tmp_path):
         set_disk_memo(DiskMemo(tmp_path))
-        vector = _stream_stats("RRIP", STREAM_VECTOR_CFG, shared_stream=True)
+        vector = _stream_stats("RRIP", STREAM_VECTOR_CFG, shared=True)
         plan = plan_scheme_task(
             "PR", "lj", STREAM_VECTOR_CFG.reorder, "RRIP", STREAM_VECTOR_CFG,
             streaming=True,
@@ -132,7 +128,7 @@ class TestStreamingRoutes:
             "PR", "lj", STREAM_VECTOR_CFG.reorder, "OPT", STREAM_VECTOR_CFG,
             streaming=True,
         )
-        assert plan.route == ROUTE_OPT_TWO_PASS
+        assert plan.route == ROUTE_OPT_VECTOR
         vector = _stream_stats("OPT", STREAM_VECTOR_CFG)
         clear_caches()
         _assert_stats_equal(vector, _stream_stats("OPT", STREAM_SCALAR_CFG))
@@ -153,15 +149,54 @@ class TestMultiSchemeRoutes:
             _assert_stats_equal(v.stats, s.stats)
 
     def test_compare_policies_streaming_matches_scalar_reference(self):
-        vector = compare_policies_streaming(
-            ("PR",), ("lj",), self.SCHEMES, config=STREAM_VECTOR_CFG
+        vector = compare_policies(
+            ("PR",), ("lj",), self.SCHEMES, config=STREAM_VECTOR_CFG, streaming=True
         )
         clear_caches()
-        scalar = compare_policies_streaming(
-            ("PR",), ("lj",), self.SCHEMES, config=STREAM_SCALAR_CFG
+        scalar = compare_policies(
+            ("PR",), ("lj",), self.SCHEMES, config=STREAM_SCALAR_CFG, streaming=True
         )
         for v, s in zip(vector, scalar):
             _assert_stats_equal(v.stats, s.stats)
+
+
+class TestChunkBudgetInvariance:
+    """Both scopes slice by ``chunk_accesses``: the ROI's fused routes feed
+    its raw trace in slices, the full execution is generated in chunks.
+    Results must not depend on the budget, on either route."""
+
+    #: Scalar reference stats per scope (budget-independent).
+    _reference = {}
+
+    def _scalar(self, streaming):
+        if streaming not in self._reference:
+            workload = build_workload("PR", "lj", config=SCALAR_CFG)
+            self._reference[streaming] = simulate_scheme(
+                workload, "GRASP", SCALAR_CFG, streaming=streaming
+            )
+            clear_caches()
+        return self._reference[streaming]
+
+    @pytest.mark.parametrize("chunk_accesses", [700, 4096, None])
+    @pytest.mark.parametrize("shared", [False, True], ids=["fused", "staged"])
+    @pytest.mark.parametrize("streaming", [False, True], ids=["roi", "execution"])
+    def test_stats_match_scalar_for_every_budget(
+        self, tmp_path, streaming, shared, chunk_accesses
+    ):
+        reference = self._scalar(streaming)
+        config = VECTOR_CFG.with_overrides(backend="vector", chunk_accesses=chunk_accesses)
+        # A disk memo lets the full execution keep a shared stream (staged).
+        memo = DiskMemo(tmp_path)
+        set_disk_memo(memo)
+        workload = build_workload("PR", "lj", config=config)
+        stats = simulate_scheme(workload, "GRASP", config, streaming=streaming, shared=shared)
+        _assert_stats_equal(stats, reference)
+        assert stats.bypasses == reference.bypasses
+        stored = memo.entry_count("llcchunk" if streaming else "llctrace")
+        if shared:
+            assert stored > 0
+        elif kernels.has_capability("fused:rrip"):
+            assert stored == 0
 
 
 class TestCorunRoutes:

@@ -24,7 +24,6 @@ from repro.experiments import (
     SweepError,
     clear_caches,
     compare_policies,
-    compare_policies_streaming,
     set_disk_memo,
 )
 from repro.experiments.queue import InlineBackend, TASK_DIED, TaskOutcome
@@ -47,8 +46,7 @@ def _spec(**overrides) -> SweepSpec:
 
 
 def _serial_points(config, streaming=False):
-    compare = compare_policies_streaming if streaming else compare_policies
-    points = compare(APPS, DATASETS, SCHEMES, config=config)
+    points = compare_policies(APPS, DATASETS, SCHEMES, config=config, streaming=streaming)
     clear_caches()
     set_disk_memo(None)
     return points

@@ -24,6 +24,7 @@ import pytest
 from repro.cache.hints import HINT_HIGH
 from repro.cache.policies.hawkeye import HawkeyePolicy
 from repro.cache.policies.leeway import LeewayPolicy
+from repro.cache.policies.opt import BeladyOptimal
 from repro.cache.policies.pin import PinningPolicy
 from repro.cache.policies.rrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
 from repro.cache.policies.ship import ShipMemPolicy
@@ -34,15 +35,14 @@ from repro.experiments.runner import (
     _chunk_budget,
     _stream_key,
     build_workload,
-    execution_stream_summary,
     execution_trace,
     filter_trace,
     iter_llc_chunks,
     simulate_llc_policy,
-    simulate_llc_policy_streaming,
     simulate_opt,
-    simulate_opt_streaming,
-    simulate_scheme_streaming,
+    simulate_policy,
+    simulate_scheme,
+    stream_summary,
 )
 from repro.experiments.schemes import scheme_policy
 from repro.fastsim import (
@@ -265,7 +265,6 @@ class TestPolicyReplayStream:
 
     def test_opt_policy_rejected(self):
         from repro.cache.config import CacheConfig
-        from repro.cache.policies.opt import BeladyOptimal
 
         llc = CacheConfig(size_bytes=2048, ways=4, name="LLC")
         with pytest.raises(ValueError):
@@ -331,7 +330,7 @@ class TestRunnerStreaming:
         np.testing.assert_array_equal(
             np.concatenate([chunk.pcs for chunk in chunks]), one.pcs
         )
-        summary = execution_stream_summary(workload, config, max_chunk_accesses=5000)
+        summary = stream_summary(workload, config, streaming=True, max_chunk_accesses=5000)
         assert summary["l1_hits"] == one.upstream_l1_hits
         assert summary["l2_hits"] == one.upstream_l2_hits
         assert summary["total_references"] == one.total_references
@@ -339,41 +338,47 @@ class TestRunnerStreaming:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_policy_streaming_matches_one_shot(self, setup, scheme):
         config, workload, one = setup
-        streamed = simulate_llc_policy_streaming(
-            workload, scheme_policy(scheme), config, max_chunk_accesses=5000
+        streamed = simulate_policy(
+            workload, scheme_policy(scheme), config, streaming=True, max_chunk_accesses=5000
         )
         reference = simulate_llc_policy(one, scheme_policy(scheme), config.hierarchy.llc)
         assert_stats_equal(reference, streamed, f"streaming {scheme}")
 
     def test_opt_streaming_matches_one_shot(self, setup):
         config, workload, one = setup
-        streamed = simulate_opt_streaming(workload, config, max_chunk_accesses=5000)
+        streamed = simulate_policy(
+            workload, BeladyOptimal(config.hierarchy.llc), config,
+            streaming=True, max_chunk_accesses=5000,
+        )
         reference = simulate_opt(one, config.hierarchy.llc)
         assert_stats_equal(reference, streamed, "streaming OPT")
 
     def test_chunk_budget_invariance(self, setup):
         config, workload, _ = setup
         policy = scheme_policy("GRASP")
-        baseline = simulate_llc_policy_streaming(
-            workload, policy, config, max_chunk_accesses=1500
+        baseline = simulate_policy(
+            workload, policy, config, streaming=True, max_chunk_accesses=1500
         )
         for budget in (700, 50_000, 10**9):
-            other = simulate_llc_policy_streaming(
-                workload, scheme_policy("GRASP"), config, max_chunk_accesses=budget
+            other = simulate_policy(
+                workload, scheme_policy("GRASP"), config,
+                streaming=True, max_chunk_accesses=budget,
             )
             assert_stats_equal(baseline, other, f"budget {budget}")
 
     def test_verify_backend_passes(self, setup):
         config, workload, _ = setup
-        simulate_llc_policy_streaming(
+        simulate_policy(
             workload,
             scheme_policy("GRASP"),
             config,
+            streaming=True,
             backend="verify",
             max_chunk_accesses=5000,
         )
-        simulate_opt_streaming(
-            workload, config, backend="verify", max_chunk_accesses=5000
+        simulate_policy(
+            workload, BeladyOptimal(config.hierarchy.llc), config,
+            streaming=True, backend="verify", max_chunk_accesses=5000,
         )
 
     def test_hint_stream_steers_pinning(self, setup):
@@ -381,13 +386,15 @@ class TestRunnerStreaming:
         differ from hint-blind replay on a skewed workload."""
         config, workload, one = setup
         assert (one.hints == HINT_HIGH).any()
-        with_hints = simulate_llc_policy_streaming(
-            workload, scheme_policy("PIN-100"), config, max_chunk_accesses=5000
+        with_hints = simulate_policy(
+            workload, scheme_policy("PIN-100"), config,
+            streaming=True, max_chunk_accesses=5000,
         )
-        without = simulate_llc_policy_streaming(
+        without = simulate_policy(
             workload,
             scheme_policy("PIN-100"),
             config,
+            streaming=True,
             use_hints=False,
             max_chunk_accesses=5000,
         )
@@ -398,7 +405,7 @@ class TestRunnerStreaming:
         set_disk_memo(DiskMemo(tmp_path))
         try:
             first = list(iter_llc_chunks(workload, config, max_chunk_accesses=5000))
-            stats_first = simulate_scheme_streaming(workload, "GRASP", config)
+            stats_first = simulate_scheme(workload, "GRASP", config, streaming=True)
             memo = DiskMemo(tmp_path)
             assert memo.entry_count("llcchunk") >= len(first)
             assert memo.entry_count("llcstream") >= 1
@@ -409,7 +416,7 @@ class TestRunnerStreaming:
             for a, b in zip(first, second):
                 np.testing.assert_array_equal(a.block_addresses, b.block_addresses)
                 np.testing.assert_array_equal(a.hints, b.hints)
-            assert simulate_scheme_streaming(workload, "GRASP", config) == stats_first
+            assert simulate_scheme(workload, "GRASP", config, streaming=True) == stats_first
         finally:
             set_disk_memo(None)
             clear_caches()
@@ -456,7 +463,7 @@ class TestRunnerStreaming:
 class TestFusedStreaming:
     """Fused single-pass streaming vs the staged chunked pipeline (ISSUE 7).
 
-    The ``vector`` route of ``simulate_llc_policy_streaming`` fuses trace
+    The ``vector`` route of ``simulate_policy(streaming=True)`` fuses trace
     generation, L1/L2 filtering and the LLC replay into one native call per
     chunk, sharded over ``REPRO_THREADS`` filter threads.  It must stay
     bit-identical to the staged/scalar cross-checked pipeline for every
@@ -478,27 +485,27 @@ class TestFusedStreaming:
     def test_thread_counts_match_verify(self, setup, monkeypatch, scheme, threads):
         config, workload = setup
         monkeypatch.setenv("REPRO_THREADS", threads)
-        fused = simulate_llc_policy_streaming(
+        fused = simulate_policy(
             workload, scheme_policy(scheme), config,
-            backend="vector", max_chunk_accesses=5000,
+            streaming=True, backend="vector", max_chunk_accesses=5000,
         )
-        reference = simulate_llc_policy_streaming(
+        reference = simulate_policy(
             workload, scheme_policy(scheme), config,
-            backend="verify", max_chunk_accesses=5000,
+            streaming=True, backend="verify", max_chunk_accesses=5000,
         )
         assert_stats_equal(reference, fused, f"fused {scheme} x{threads}")
 
     def test_chunk_budget_invariance_under_threads(self, setup, monkeypatch):
         config, workload = setup
         monkeypatch.setenv("REPRO_THREADS", "8")
-        baseline = simulate_llc_policy_streaming(
+        baseline = simulate_policy(
             workload, scheme_policy("GRASP"), config,
-            backend="vector", max_chunk_accesses=1500,
+            streaming=True, backend="vector", max_chunk_accesses=1500,
         )
         for budget in (700, 50_000, 10**9):
-            other = simulate_llc_policy_streaming(
+            other = simulate_policy(
                 workload, scheme_policy("GRASP"), config,
-                backend="vector", max_chunk_accesses=budget,
+                streaming=True, backend="vector", max_chunk_accesses=budget,
             )
             assert_stats_equal(baseline, other, f"fused budget {budget}")
 
