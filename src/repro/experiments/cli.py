@@ -503,7 +503,9 @@ def cmd_plan_explain(args: argparse.Namespace) -> int:
         label = "+".join(f"{app}/{dataset}" for app, dataset in spec.pairs)
         for scheme in args.schemes:
             try:
-                plans[f"corun:{label}/{scheme}"] = plan_corun_task(spec, scheme, config)
+                plans[f"corun:{label}/{scheme}"] = plan_corun_task(
+                    spec, scheme, config, args.reorder
+                )
             except ValueError as error:
                 print(f"error: corun {scheme}: {error}", file=sys.stderr)
                 status = 1

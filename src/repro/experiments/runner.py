@@ -95,11 +95,9 @@ from repro.experiments.memo import ChunkSpill, DiskMemo, default_cache_dir
 from repro.fastsim.dispatch import VERIFY
 from repro.fastsim.plan import (
     PLANNER,
-    ROUTE_CORUN_DELEGATE,
-    ROUTE_CORUN_VECTOR,
     ROUTE_FUSED,
     ROUTE_FUSED_MULTI,
-    ROUTE_OPT_SCALAR,
+    ROUTE_SCALAR,
     ROUTE_VECTOR,
     STAGE_CORUN,
     STAGE_ONESHOT,
@@ -856,32 +854,50 @@ def _replay_llc(
     llc_config: CacheConfig,
     use_hints: bool,
     plan: ExecutionPlan,
+    corun: Optional[CorunSpec] = None,
 ) -> CacheStats:
     """Replay one policy over a stream of LLC chunks, under any backend.
 
     ``vector`` feeds a :class:`~repro.fastsim.PolicyReplayStream`, ``scalar``
     keeps the reference cache alive across chunks, and ``verify`` runs both
     and raises :class:`~repro.fastsim.FastSimMismatchError` unless their
-    statistics are identical.  Belady's OPT goes to :func:`_replay_opt`.
+    statistics are identical.  A co-run's merged, stream-tagged chunks
+    (``corun`` is its spec) replay through a
+    :class:`~repro.fastsim.CorunReplayStream` and a stream-tracking
+    reference cache under the spec's partition, so the cross-check covers
+    every per-stream counter.  Belady's OPT goes to :func:`_replay_opt`.
     """
     if type(policy) is BeladyOptimal:
         return _replay_opt(chunks, llc_config, plan)
-    vector = PolicyReplayStream(policy, llc_config) if plan.route == ROUTE_VECTOR else None
-    scalar = _ScalarLLCStream(policy, llc_config) if vector is None or plan.verify else None
+    partition = corun.partition if corun is not None else None
+    vector = None
+    if plan.route == ROUTE_VECTOR:
+        vector = (
+            PolicyReplayStream(policy, llc_config)
+            if corun is None
+            else CorunReplayStream(policy, llc_config, corun.num_streams, partition=partition)
+        )
+    scalar = None
+    if vector is None or plan.verify:
+        scalar = _ScalarLLCStream(
+            policy, llc_config, partition=partition, track_streams=corun is not None
+        )
     for chunk in chunks:
-        if vector is not None:
+        hints = chunk.hints if use_hints else None
+        if corun is not None and vector is not None:
             vector.feed(
-                chunk.block_addresses,
-                hints=chunk.hints if use_hints else None,
-                regions=chunk.regions,
-                pcs=chunk.pcs,
+                chunk.block_addresses, chunk.stream_ids, hints, chunk.regions, chunk.pcs
             )
+        elif vector is not None:
+            vector.feed(chunk.block_addresses, hints=hints, regions=chunk.regions, pcs=chunk.pcs)
         if scalar is not None:
             scalar.feed(chunk, use_hints)
     if vector is None:
-        return scalar.stats()
+        return scalar.stats().validate()
     if scalar is not None:
-        assert_stats_equal(scalar.stats(), vector.stats(), f"LLC {policy.name} replay")
+        assert_stats_equal(
+            scalar.stats().validate(), vector.stats(), f"LLC {policy.name} replay"
+        )
     return vector.stats()
 
 
@@ -937,7 +953,7 @@ def _replay_opt(
                 [store.get("blocks", index) for index in range(len(starts))]
             )
 
-        if plan.route == ROUTE_OPT_SCALAR:
+        if plan.route == ROUTE_SCALAR:
             return simulate_opt_misses(materialized(), llc_config)
         next_seen: dict = {}
         for index in reversed(range(len(starts))):
@@ -1310,6 +1326,19 @@ def compare_policies(
 # multi-programmed (co-run) simulation
 # ---------------------------------------------------------------------------
 
+def _single_app_pair(spec: CorunSpec, scheme: str) -> Optional[Tuple[str, str]]:
+    """The (app, dataset) pair a degenerate co-run is, else ``None``.
+
+    One stream with no partition *is* the single-app full execution, so
+    :func:`simulate_corun` runs it, and :func:`plan_corun_task` plans it, as
+    that: the same plan, stats and memo entries.  OPT is never rewritten,
+    so the planner rejects it as a co-run at every K.
+    """
+    if spec.num_streams == 1 and spec.partition is None and scheme != "OPT":
+        return spec.pairs[0]
+    return None
+
+
 def simulate_corun(
     spec: CorunSpec,
     scheme: str,
@@ -1327,11 +1356,12 @@ def simulate_corun(
     sum exactly to the aggregates.
 
     Degenerate co-run is a strict generalization: a 1-app spec with
-    ``partition=None`` delegates to the single-app full-execution
+    ``partition=None`` is the single-app full-execution
     :func:`simulate_scheme`, so it returns bit-identical stats *and* hits
     the same memo entries as the single-app path.
 
-    Backend semantics match the single-app streaming path: ``vector`` uses
+    The merged stream replays through the one LLC replay driver, so backend
+    semantics match the single-app streaming path: ``vector`` uses
     :class:`~repro.fastsim.CorunReplayStream` when
     :func:`~repro.fastsim.supports_vector_corun` accepts the configuration
     (per-stream engines under a partition, shared engine plus ``bincount``
@@ -1339,20 +1369,17 @@ def simulate_corun(
     :class:`~repro.cache.SetAssociativeCache`, and ``verify`` runs both and
     compares every counter including the per-stream breakdowns.  ``OPT`` has
     no online co-run analogue (offline Belady needs the future of the merged
-    stream) and is rejected.
-
-    Results are memoised under the new ``corun`` kind — a fresh directory in
-    the on-disk store, so ``MEMO_VERSION`` is unaffected.
+    stream) and is rejected.  Results are memoised under the ``corun`` kind.
     """
     config = config or ExperimentConfig.default()
     reorder = reorder or config.reorder
-    # The planner rejects OPT (offline, no co-run analogue) and owns the
-    # delegate / vector / PIN-fallback decisions.
-    plan = plan_corun_task(spec, scheme, config)
-    if plan.route == ROUTE_CORUN_DELEGATE:
-        app_name, dataset_name = spec.pairs[0]
-        workload = build_workload(app_name, dataset_name, reorder=reorder, config=config)
+    pair = _single_app_pair(spec, scheme)
+    if pair is not None:
+        workload = build_workload(*pair, reorder=reorder, config=config)
         return simulate_scheme(workload, scheme, config, streaming=True)
+    # The planner rejects OPT and picks the vector co-run engine or the
+    # scalar reference (an unpartitioned PIN co-run).
+    plan = plan_corun_task(spec, scheme, config, reorder)
     key = corun_memo_key(spec, reorder, scheme, config)
 
     def compute() -> CacheStats:
@@ -1370,38 +1397,9 @@ def simulate_corun(
             seed=spec.seed,
             chunk_accesses=_chunk_budget(config, max_chunk_accesses),
         )
-        llc_config = config.hierarchy.llc
-        policy = scheme_policy(scheme)
-        vector_stream = None
-        scalar_stream = None
-        if plan.route == ROUTE_CORUN_VECTOR:
-            vector_stream = CorunReplayStream(
-                policy, llc_config, spec.num_streams, partition=spec.partition
-            )
-        if vector_stream is None or plan.verify:
-            scalar_stream = _ScalarLLCStream(
-                scheme_policy(scheme) if vector_stream is not None else policy,
-                llc_config,
-                partition=spec.partition,
-                track_streams=True,
-            )
-        for chunk in merged:
-            if vector_stream is not None:
-                vector_stream.feed(
-                    chunk.block_addresses, chunk.stream_ids,
-                    chunk.hints, chunk.regions, chunk.pcs,
-                )
-            if scalar_stream is not None:
-                scalar_stream.feed(chunk)
-        if vector_stream is not None and scalar_stream is not None:
-            assert_stats_equal(
-                scalar_stream.stats().validate(),
-                vector_stream.stats(),
-                f"co-run LLC {policy.name} replay",
-            )
-        if vector_stream is not None:
-            return vector_stream.stats()
-        return scalar_stream.stats().validate()
+        return _replay_llc(
+            merged, scheme_policy(scheme), config.hierarchy.llc, True, plan, corun=spec
+        )
 
     return _memoised(_CORUN_RUNS, "corun", key, compute)
 
@@ -1518,13 +1516,24 @@ def plan_pair_tasks(
 
 
 def plan_corun_task(
-    spec: CorunSpec, scheme: str, config: ExperimentConfig
+    spec: CorunSpec,
+    scheme: str,
+    config: ExperimentConfig,
+    reorder: Optional[str] = None,
 ) -> ExecutionPlan:
     """Plan one co-run task (the co-run analogue of :func:`plan_scheme_task`).
 
-    Raises :class:`ValueError` for OPT, exactly as :func:`simulate_corun`
-    would.
+    A degenerate co-run plans as the single-app full-execution task it runs
+    as, so its plan probes the memo for that task's chunk store: hence the
+    task's ``reorder`` (``None`` means the config's, as in
+    :func:`simulate_corun`).  Raises :class:`ValueError` for OPT, exactly as
+    :func:`simulate_corun` would.
     """
+    pair = _single_app_pair(spec, scheme)
+    if pair is not None:
+        return plan_scheme_task(
+            *pair, reorder or config.reorder, scheme, config, streaming=True
+        )
     return PLANNER.plan(
         SimRequest(
             schemes=(scheme,),
@@ -1533,7 +1542,6 @@ def plan_corun_task(
             stage=STAGE_CORUN,
             hierarchy=config.hierarchy,
             partition=spec.partition,
-            num_streams=spec.num_streams,
         )
     )
 

@@ -188,7 +188,3 @@ class CorunReplayStream:
             stream_bypasses=stream_bypasses,
         )
         return stats.validate()
-
-    def finish(self) -> CacheStats:
-        """Alias of :meth:`stats`, closing the begin/feed/finish cycle."""
-        return self.stats()

@@ -173,7 +173,7 @@ class FilterStream:
     two reference :class:`~repro.cache.SetAssociativeCache` objects alive
     across chunks, and ``verify`` runs both and raises
     :class:`FastSimMismatchError` on any keep-mask difference per chunk (and
-    any stats difference at :meth:`finish`).  Chunked filtering is
+    any stats difference at :meth:`level_stats`).  Chunked filtering is
     bit-identical to one-shot filtering of the concatenated trace; peak
     memory is O(chunk + cache state).
     """
@@ -243,10 +243,6 @@ class FilterStream:
                 assert_stats_equal(self._scalar_l2.stats, l2, "streaming L1/L2 filter")
             return l1, l2
         return self._scalar_l1.stats, self._scalar_l2.stats
-
-    def finish(self) -> Tuple[CacheStats, CacheStats]:
-        """Alias of :meth:`level_stats`, closing the begin/feed/finish cycle."""
-        return self.level_stats()
 
 
 def run_filter(trace: Trace, hierarchy: HierarchyConfig, backend: str = None) -> FilterResult:

@@ -409,10 +409,6 @@ class FusedPipeline:
         )
         return FusedStats(l1_stats=l1, l2_stats=l2, llc_stats=llc)
 
-    def finish(self) -> FusedStats:
-        """Alias of :meth:`stats`, closing the begin/feed/finish cycle."""
-        return self.stats()
-
 
 class MultiFusedPipeline:
     """One shared filter phase feeding N per-policy LLC replay engines.

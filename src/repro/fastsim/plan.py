@@ -20,13 +20,22 @@ module collapses that sprawl into one explainable layer:
 ``ExecutionPlan``
     The planner's explicit answer: the route, engine family, kernel tier
     and backend that will run, whether a verify dual-run is attached, and
-    *every* fallback reason collected on the way there.  Plans are
-    JSON-serializable (sweep run manifests embed them) and
-    self-explaining (``repro plan explain`` prints them).
+    *every* fallback reason collected on the way there.  The route names
+    one of four code paths — ``fused`` (one native filter+LLC pass),
+    ``fused-multi`` (one filter pass feeding N replays), ``vector`` (the
+    staged engines over a filtered stream) and ``scalar`` (the per-access
+    reference) — while ``engine`` (``opt``, a family, or ``scalar``) and
+    ``stage`` (``oneshot``, ``roi``, ``streaming`` or ``corun``) say what
+    runs on it: OPT and co-run replays take the ``vector`` and ``scalar``
+    paths like every other engine.  Plans are JSON-serializable (sweep run
+    manifests embed them) and self-explaining (``repro plan explain``
+    prints them).
 ``RoutePlanner``
     The decision procedure.  The fused-route consumer-count rule, the
-    co-run PIN fallback, the verify-mode dual-run and the NumPy
-    degradation logic each live exactly once, here.
+    co-run fallback to ``scalar`` (an unpartitioned PIN co-run, whose
+    bypasses the vector co-run engine cannot attribute per stream), the
+    verify-mode dual-run and the NumPy degradation logic each live exactly
+    once, here.
 
 The runner imports its engines *through this module* (see the re-exports
 at the bottom): a CI lint leg enforces that ``experiments/runner.py``
@@ -160,16 +169,11 @@ _STORED_STREAM = {
     STAGE_STREAMING: ("persisted chunk store already on disk", "in the disk memo"),
 }
 
-#: Route names an :class:`ExecutionPlan` can carry.
+#: Route names an :class:`ExecutionPlan` can carry: one per code path.
 ROUTE_VECTOR = "vector"            # staged vector replay (batched engines)
 ROUTE_SCALAR = "scalar"            # per-access reference simulator
 ROUTE_FUSED = "fused"              # single-pass native filter+LLC pipeline
 ROUTE_FUSED_MULTI = "fused-multi"  # one filter phase, N policy replays
-ROUTE_OPT_VECTOR = "opt-vector"    # batched next-use OPT engine, two passes
-ROUTE_OPT_SCALAR = "opt-scalar"    # offline reference OPT loop
-ROUTE_CORUN_VECTOR = "corun-vector"
-ROUTE_CORUN_SCALAR = "corun-scalar"
-ROUTE_CORUN_DELEGATE = "corun-delegate-single"  # K=1 unpartitioned co-run
 
 #: Kernel tiers a plan can name.
 KERNEL_NATIVE_FUSED = "native-fused"  # one C call per chunk, threaded filter
@@ -189,7 +193,8 @@ class SimRequest:
     the memo environment: ``have_stream`` says the scope's filtered stream
     is already stored (the ROI trace in memory or on disk, the execution's
     chunk store on disk), which makes replaying it cheaper than
-    regenerating the raw trace.
+    regenerating the raw trace.  ``partition`` is a co-run's way
+    partition (``None``: the streams share every way).
     ``native_override`` pins kernel availability for testing; ``None``
     probes the live registry.
     """
@@ -201,9 +206,7 @@ class SimRequest:
     consumers: Optional[int] = None
     hierarchy: Optional[HierarchyConfig] = None
     partition: Optional[WayPartition] = None
-    num_streams: int = 1
     threads: Optional[int] = None
-    use_hints: bool = True
     have_memo: bool = False
     have_stream: bool = False
     native_override: Optional[bool] = None
@@ -311,10 +314,6 @@ class RoutePlanner:
 
     def plan(self, request: SimRequest) -> ExecutionPlan:
         mode = resolve_backend(request.backend)
-        if request.stage == STAGE_CORUN:
-            return self._plan_corun(request, mode)
-        if self._is_opt(request):
-            return self._plan_opt(request, mode)
         if len(request.schemes) > 1 and request.stage in (STAGE_ROI, STAGE_STREAMING):
             return self._plan_multi(request, mode)
         return self._plan_single(request, mode)
@@ -322,14 +321,10 @@ class RoutePlanner:
     # -- helpers ----------------------------------------------------------
 
     @staticmethod
-    def _is_opt(request: SimRequest) -> bool:
-        if request.policies:
-            return type(request.policy) is BeladyOptimal
-        return request.scheme == "OPT"
-
-    @staticmethod
-    def _engine_name(policy) -> str:
-        return _family(policy) or "scalar"
+    def _capabilities(request: SimRequest) -> EngineCapabilities:
+        if not request.policies and request.scheme == "OPT":
+            return ENGINE_CAPABILITIES["opt"]
+        return capabilities_for(request.policy)
 
     def _vector_kernel(self, request: SimRequest, policy) -> str:
         """Kernel tier of the staged vector engines for this policy."""
@@ -354,52 +349,87 @@ class RoutePlanner:
     # -- single-policy plans ----------------------------------------------
 
     def _plan_single(self, request: SimRequest, mode: str) -> ExecutionPlan:
+        """One policy over one stream: a materialized trace, either scope,
+        or a co-run's merged stream (one engine, per-stream attribution).
+
+        OPT is one more engine over the stream (offline, so in two passes);
+        a co-run stage has no fused route and takes the scalar reference
+        when the vector co-run engine cannot attribute it per stream.
+        """
         policy = request.policy
+        caps = self._capabilities(request)
+        opt = caps.family == "opt"
+        corun = request.stage == STAGE_CORUN
+        if opt and corun:
+            raise ValueError("OPT is offline and has no co-run analogue")
         fallbacks = []
-        caps = capabilities_for(policy)
-        engine = self._engine_name(policy)
 
         if mode == SCALAR:
-            fallbacks.append("backend=scalar requested: reference simulator")
-            return self._scalar_plan(request, mode, engine="scalar", fallbacks=fallbacks)
-        if not caps.vector_replay:
+            if opt:
+                fallbacks.append("backend=scalar requested: offline reference OPT loop")
+                if request.stage == STAGE_STREAMING:
+                    fallbacks.append(
+                        "the offline reference is one-shot: the filtered stream is "
+                        "materialized in memory"
+                    )
+            else:
+                fallbacks.append("backend=scalar requested: reference simulator")
+            return self._scalar_plan(
+                request, mode, engine="opt" if opt else "scalar", fallbacks=fallbacks
+            )
+        if not caps.vector_replay or (
+            corun and not supports_vector_corun(policy, request.partition)
+        ):
             fallbacks.extend(caps.fallbacks)
             return self._scalar_plan(request, mode, engine="scalar", fallbacks=fallbacks)
 
         verify = mode == VERIFY
         if verify:
-            fallbacks.append(
-                "backend=verify: vector route runs with a scalar dual-run cross-check"
-            )
+            if opt:
+                note = (
+                    "OPT dual-run materializes the stream for the offline "
+                    "reference cross-check"
+                )
+            elif corun:
+                note = (
+                    "vector co-run runs with a scalar dual-run cross-check of "
+                    "every per-stream counter"
+                )
+            else:
+                note = "vector route runs with a scalar dual-run cross-check"
+            fallbacks.append(f"backend=verify: {note}")
+        if opt and request.stage == STAGE_STREAMING:
+            fallbacks.append(caps.fallbacks[0])
 
         # Fused single-pass route: either scope under the pure vector
         # backend, when the native fused kernel covers the policy and
         # replaying a stored filtered stream would not be cheaper.
-        if request.stage in (STAGE_ROI, STAGE_STREAMING) and mode == VECTOR:
-            fused_ok, fused_reasons = self._fused_eligible(request, policy)
-            if fused_ok:
-                return ExecutionPlan(
-                    route=ROUTE_FUSED,
-                    stage=request.stage,
-                    scheme=request.scheme,
-                    engine=engine,
-                    kernel=KERNEL_NATIVE_FUSED,
-                    backend=mode,
-                    fallbacks=tuple(fallbacks),
-                    schemes=request.schemes,
-                    threads=self._effective_threads(request),
+        if caps.fused_kernel is not None and request.stage in (STAGE_ROI, STAGE_STREAMING):
+            if verify:
+                fallbacks.append(
+                    "fused route skipped: verify needs the staged scalar stream alongside"
                 )
-            fallbacks.extend(fused_reasons)
-        elif request.stage in (STAGE_ROI, STAGE_STREAMING) and verify:
-            fallbacks.append(
-                "fused route skipped: verify needs the staged scalar stream alongside"
-            )
+            else:
+                fused_ok, fused_reasons = self._fused_eligible(request, policy, caps)
+                if fused_ok:
+                    return ExecutionPlan(
+                        route=ROUTE_FUSED,
+                        stage=request.stage,
+                        scheme=request.scheme,
+                        engine=caps.family,
+                        kernel=KERNEL_NATIVE_FUSED,
+                        backend=mode,
+                        fallbacks=tuple(fallbacks),
+                        schemes=request.schemes,
+                        threads=self._effective_threads(request),
+                    )
+                fallbacks.extend(fused_reasons)
 
         return ExecutionPlan(
             route=ROUTE_VECTOR,
             stage=request.stage,
             scheme=request.scheme,
-            engine=engine,
+            engine=caps.family,
             kernel=self._vector_kernel(request, policy),
             backend=mode,
             verify=verify,
@@ -407,13 +437,11 @@ class RoutePlanner:
             schemes=request.schemes,
         )
 
-    def _fused_eligible(self, request: SimRequest, policy) -> Tuple[bool, Tuple[str, ...]]:
+    def _fused_eligible(
+        self, request: SimRequest, policy, caps: EngineCapabilities
+    ) -> Tuple[bool, Tuple[str, ...]]:
         """Whether the fused single-pass route applies; reasons when not."""
         reasons = []
-        caps = capabilities_for(policy)
-        if caps.fused_kernel is None:
-            reasons.append(f"engine family {caps.family!r} has no fused kernel")
-            return False, tuple(reasons)
         native = (
             request.native_override
             if request.native_override is not None
@@ -465,50 +493,6 @@ class RoutePlanner:
             engine=engine,
             kernel=KERNEL_PYTHON,
             backend=mode,
-            fallbacks=tuple(fallbacks),
-            schemes=request.schemes,
-        )
-
-    # -- OPT plans --------------------------------------------------------
-
-    def _plan_opt(self, request: SimRequest, mode: str) -> ExecutionPlan:
-        caps = ENGINE_CAPABILITIES["opt"]
-        fallbacks = []
-        streaming = request.stage == STAGE_STREAMING
-        if mode == SCALAR:
-            fallbacks.append("backend=scalar requested: offline reference OPT loop")
-            if streaming:
-                fallbacks.append(
-                    "the offline reference is one-shot: the filtered stream is "
-                    "materialized in memory"
-                )
-            return ExecutionPlan(
-                route=ROUTE_OPT_SCALAR,
-                stage=request.stage,
-                scheme=request.scheme,
-                engine="opt",
-                kernel=KERNEL_PYTHON,
-                backend=mode,
-                fallbacks=tuple(fallbacks),
-                schemes=request.schemes,
-            )
-        verify = mode == VERIFY
-        if verify:
-            fallbacks.append(
-                "backend=verify: OPT dual-run materializes the stream for the "
-                "offline reference cross-check"
-            )
-        if streaming:
-            fallbacks.append(caps.fallbacks[0])
-        kernel = KERNEL_NATIVE if request.native_available() else KERNEL_NUMPY
-        return ExecutionPlan(
-            route=ROUTE_OPT_VECTOR,
-            stage=request.stage,
-            scheme=request.scheme,
-            engine="opt",
-            kernel=kernel,
-            backend=mode,
-            verify=verify,
             fallbacks=tuple(fallbacks),
             schemes=request.schemes,
         )
@@ -592,65 +576,6 @@ class RoutePlanner:
             return False, tuple(reasons)
         return True, ()
 
-    # -- co-run plans ------------------------------------------------------
-
-    def _plan_corun(self, request: SimRequest, mode: str) -> ExecutionPlan:
-        policy = request.policy
-        if self._is_opt(request):
-            raise ValueError("OPT is offline and has no co-run analogue")
-        fallbacks = []
-        if request.num_streams == 1 and request.partition is None:
-            fallbacks.append(
-                "degenerate co-run (one stream, no partition): delegates to the "
-                "single-app streaming path and its memo entries"
-            )
-            return ExecutionPlan(
-                route=ROUTE_CORUN_DELEGATE,
-                stage=request.stage,
-                scheme=request.scheme,
-                engine=self._engine_name(policy),
-                kernel=self._vector_kernel(request, policy) if mode != SCALAR else KERNEL_PYTHON,
-                backend=mode,
-                verify=mode == VERIFY,
-                fallbacks=tuple(fallbacks),
-                schemes=request.schemes,
-            )
-        caps = capabilities_for(policy)
-        verify = mode == VERIFY
-        if mode != SCALAR and supports_vector_corun(policy, request.partition):
-            if verify:
-                fallbacks.append(
-                    "backend=verify: vector co-run runs with a scalar dual-run "
-                    "cross-check of every per-stream counter"
-                )
-            return ExecutionPlan(
-                route=ROUTE_CORUN_VECTOR,
-                stage=request.stage,
-                scheme=request.scheme,
-                engine=self._engine_name(policy),
-                kernel=self._vector_kernel(request, policy),
-                backend=mode,
-                verify=verify,
-                fallbacks=tuple(fallbacks),
-                schemes=request.schemes,
-            )
-        if mode == SCALAR:
-            fallbacks.append("backend=scalar requested: reference simulator")
-        elif not caps.vector_replay:
-            fallbacks.extend(caps.fallbacks)
-        elif request.partition is None and caps.family == "pin":
-            fallbacks.extend(ENGINE_CAPABILITIES["pin"].fallbacks)
-        return ExecutionPlan(
-            route=ROUTE_CORUN_SCALAR,
-            stage=request.stage,
-            scheme=request.scheme,
-            engine="scalar",
-            kernel=KERNEL_PYTHON,
-            backend=mode,
-            fallbacks=tuple(fallbacks),
-            schemes=request.schemes,
-        )
-
 
 #: Shared stateless planner instance.
 PLANNER = RoutePlanner()
@@ -678,13 +603,8 @@ __all__ = [
     "KERNEL_NUMPY",
     "KERNEL_PYTHON",
     "PLANNER",
-    "ROUTE_CORUN_DELEGATE",
-    "ROUTE_CORUN_SCALAR",
-    "ROUTE_CORUN_VECTOR",
     "ROUTE_FUSED",
     "ROUTE_FUSED_MULTI",
-    "ROUTE_OPT_SCALAR",
-    "ROUTE_OPT_VECTOR",
     "ROUTE_SCALAR",
     "ROUTE_VECTOR",
     "RoutePlanner",

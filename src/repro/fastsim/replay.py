@@ -186,10 +186,6 @@ class PolicyReplayStream:
             region_misses=self._region_misses or None,
         )
 
-    def finish(self) -> CacheStats:
-        """Alias of :meth:`stats`, closing the begin/feed/finish cycle."""
-        return self.stats()
-
 
 def vector_policy_replay(
     policy,

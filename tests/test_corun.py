@@ -31,12 +31,13 @@ from repro.cache.config import CacheConfig
 from repro.cache.partition import PartitionedPolicy, WayPartition
 from repro.cache.policies import LRUPolicy
 from repro.cache.policies.opt import BeladyOptimal
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentConfig, clear_caches
 from repro.experiments.runner import (
     CorunSpec,
     build_workload,
     compare_policies_corun,
     corun_memo_key,
+    plan_corun_task,
     simulate_corun,
     simulate_scheme,
 )
@@ -359,10 +360,38 @@ def test_degenerate_corun_is_the_single_app_path(memo_isolation, corun_config):
     assert "streams" not in corun.as_dict()
 
 
-def test_corun_rejects_opt(corun_config):
-    spec = CorunSpec(pairs=(("PR", "lj"), ("PR", "pl")))
+@pytest.mark.parametrize(
+    "pairs", [(("PR", "lj"),), (("PR", "lj"), ("PR", "pl"))], ids=["K1", "K2"]
+)
+def test_corun_rejects_opt(corun_config, pairs):
+    """OPT has no co-run analogue at any K, in planning and in execution."""
+    spec = CorunSpec(pairs=pairs)
     with pytest.raises(ValueError, match="OPT"):
         simulate_corun(spec, "OPT", corun_config)
+    with pytest.raises(ValueError, match="OPT"):
+        plan_corun_task(spec, "OPT", corun_config)
+
+
+#: Scalar-reference co-run stats per (scheme, partition): budget-independent.
+_SCALAR_CORUNS = {}
+
+
+@pytest.mark.parametrize("chunk_accesses", [700, 4096, None])
+@pytest.mark.parametrize("counts", [None, (8, 8)])
+@pytest.mark.parametrize("scheme", ["GRASP", "PIN-75"])
+def test_corun_stats_are_chunk_budget_invariant(
+    memo_isolation, corun_config, scheme, counts, chunk_accesses
+):
+    """Every chunk budget replays the same co-run, per-stream columns included."""
+    part = WayPartition(counts) if counts else None
+    spec = CorunSpec(pairs=(("PR", "lj"), ("PR", "pl")), partition=part)
+    if (scheme, counts) not in _SCALAR_CORUNS:
+        scalar = simulate_corun(spec, scheme, corun_config.with_overrides(backend="scalar"))
+        _SCALAR_CORUNS[scheme, counts] = scalar.as_dict()
+        clear_caches()
+    config = corun_config.with_overrides(backend="vector", chunk_accesses=chunk_accesses)
+    stats = simulate_corun(spec, scheme, config)
+    assert stats.as_dict() == _SCALAR_CORUNS[scheme, counts]
 
 
 @pytest.mark.parametrize("counts", [None, (8, 8)])

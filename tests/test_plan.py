@@ -32,13 +32,8 @@ from repro.fastsim.dispatch import (
 )
 from repro.fastsim.plan import (
     PLANNER,
-    ROUTE_CORUN_DELEGATE,
-    ROUTE_CORUN_SCALAR,
-    ROUTE_CORUN_VECTOR,
     ROUTE_FUSED,
     ROUTE_FUSED_MULTI,
-    ROUTE_OPT_SCALAR,
-    ROUTE_OPT_VECTOR,
     ROUTE_SCALAR,
     ROUTE_VECTOR,
     STAGE_CORUN,
@@ -165,40 +160,34 @@ class TestSinglePolicyRouting:
 class TestOptRouting:
     def test_oneshot_is_vector(self):
         plan = PLANNER.plan(_request("OPT", stage=STAGE_ONESHOT))
-        assert plan.route == ROUTE_OPT_VECTOR
+        assert (plan.route, plan.engine) == (ROUTE_VECTOR, "opt")
         assert plan.kernel == "native"
 
     def test_streaming_is_two_pass(self):
         plan = PLANNER.plan(_request("OPT", stage=STAGE_STREAMING))
-        assert plan.route == ROUTE_OPT_VECTOR
+        assert (plan.route, plan.engine) == (ROUTE_VECTOR, "opt")
         assert any("two-pass" in reason for reason in plan.fallbacks)
 
     def test_scalar_backend_is_offline_reference(self):
         plan = PLANNER.plan(_request("OPT", stage=STAGE_STREAMING, backend="scalar"))
-        assert plan.route == ROUTE_OPT_SCALAR
+        assert (plan.route, plan.engine) == (ROUTE_SCALAR, "opt")
         assert plan.kernel == "python"
 
     def test_corun_raises(self):
         with pytest.raises(ValueError, match="no co-run analogue"):
-            PLANNER.plan(_request("OPT", stage=STAGE_CORUN, num_streams=2))
+            PLANNER.plan(_request("OPT", stage=STAGE_CORUN))
 
 
 class TestCorunRouting:
     def test_partitioned_is_vector(self):
         plan = PLANNER.plan(
-            _request(stage=STAGE_CORUN, num_streams=2,
-                     partition=WayPartition.parse("8:8"))
+            _request(stage=STAGE_CORUN, partition=WayPartition.parse("8:8"))
         )
-        assert plan.route == ROUTE_CORUN_VECTOR
-
-    def test_degenerate_corun_delegates(self):
-        plan = PLANNER.plan(_request(stage=STAGE_CORUN, num_streams=1))
-        assert plan.route == ROUTE_CORUN_DELEGATE
-        assert any("delegates" in reason for reason in plan.fallbacks)
+        assert (plan.route, plan.stage) == (ROUTE_VECTOR, STAGE_CORUN)
 
     def test_unpartitioned_pin_falls_back_to_scalar(self):
-        plan = PLANNER.plan(_request("PIN-75", stage=STAGE_CORUN, num_streams=2))
-        assert plan.route == ROUTE_CORUN_SCALAR
+        plan = PLANNER.plan(_request("PIN-75", stage=STAGE_CORUN))
+        assert (plan.route, plan.stage) == (ROUTE_SCALAR, STAGE_CORUN)
         assert any("per-stream bypass" in reason for reason in plan.fallbacks)
 
 
@@ -268,17 +257,15 @@ GOLDEN_PLANS = [
     (dict(scheme="RRIP", stage=STAGE_ROI, native=True, backend="scalar"),
      (ROUTE_SCALAR, "scalar", "python")),
     (dict(scheme="OPT", stage=STAGE_ONESHOT, native=True),
-     (ROUTE_OPT_VECTOR, "opt", "native")),
+     (ROUTE_VECTOR, "opt", "native")),
     (dict(scheme="OPT", stage=STAGE_ONESHOT, native=False),
-     (ROUTE_OPT_VECTOR, "opt", "numpy")),
+     (ROUTE_VECTOR, "opt", "numpy")),
     (dict(scheme="OPT", stage=STAGE_STREAMING, native=True),
-     (ROUTE_OPT_VECTOR, "opt", "native")),
+     (ROUTE_VECTOR, "opt", "native")),
     (dict(scheme="OPT", stage=STAGE_STREAMING, native=True, backend="scalar"),
-     (ROUTE_OPT_SCALAR, "opt", "python")),
-    (dict(scheme="PIN-75", stage=STAGE_CORUN, native=True, num_streams=2),
-     (ROUTE_CORUN_SCALAR, "scalar", "python")),
-    (dict(scheme="RRIP", stage=STAGE_CORUN, native=True, num_streams=1),
-     (ROUTE_CORUN_DELEGATE, "rrip", "native")),
+     (ROUTE_SCALAR, "opt", "python")),
+    (dict(scheme="PIN-75", stage=STAGE_CORUN, native=True),
+     (ROUTE_SCALAR, "scalar", "python")),
 ]
 
 
@@ -355,13 +342,27 @@ class TestTaskPlanning:
         )
         assert plan.route == ROUTE_VECTOR
         assert any("chunk store" in reason for reason in plan.fallbacks)
+        # A K=1 co-run is that task: it probes the same chunk store.
+        spec = CorunSpec(pairs=(("PR", "lj"),))
+        assert plan_corun_task(spec, "GRASP", config, config.reorder) == plan
+
+    @pytest.mark.parametrize("backend", ["vector", "scalar", "verify"])
+    @pytest.mark.parametrize("scheme", ["RRIP", "GRASP", "RRIP+Hints", "PIN-100"])
+    def test_degenerate_corun_plans_the_single_app_task(self, scheme, backend):
+        """A K=1 unpartitioned co-run runs as the single-app full execution,
+        so its plan is that task's plan."""
+        config = ExperimentConfig.smoke().with_overrides(backend=backend)
+        spec = CorunSpec(pairs=(("PR", "lj"),))
+        assert plan_corun_task(spec, scheme, config) == plan_scheme_task(
+            "PR", "lj", config.reorder, scheme, config, streaming=True
+        )
 
     def test_plan_corun_task_matches_runner(self):
         config = ExperimentConfig.smoke()
         spec = CorunSpec(pairs=(("PR", "lj"), ("CC", "lj")))
         plan = plan_corun_task(spec, "RRIP", config)
         assert plan.stage == STAGE_CORUN
-        assert plan.route in (ROUTE_CORUN_VECTOR, ROUTE_CORUN_SCALAR)
+        assert plan.route in (ROUTE_VECTOR, ROUTE_SCALAR)
         with pytest.raises(ValueError, match="no co-run analogue"):
             plan_corun_task(spec, "OPT", config)
 

@@ -3,9 +3,12 @@
 Plans never change results — each test first pins the route the planner
 chooses for a scenario, then asserts the executed statistics are
 bit-identical to the scalar reference simulator for that same scenario.
-Together the scenarios cover every route name an :class:`ExecutionPlan`
-can carry (modulo kernel availability, which only shifts the tier within
-the same route).
+Together the scenarios cover each of the four routes (``fused``,
+``fused-multi``, ``vector``, ``scalar``) with every engine and stage that
+takes it — OPT on ``vector`` in both scopes, a co-run on ``vector`` and
+on ``scalar``, and a K=1 co-run on the single-app route it runs as —
+modulo kernel availability, which only shifts the tier within the same
+route.
 """
 
 import pytest
@@ -23,15 +26,7 @@ from repro.experiments.runner import (
     simulate_scheme,
 )
 from repro.fastsim import kernels
-from repro.fastsim.plan import (
-    ROUTE_CORUN_DELEGATE,
-    ROUTE_CORUN_SCALAR,
-    ROUTE_CORUN_VECTOR,
-    ROUTE_FUSED,
-    ROUTE_OPT_VECTOR,
-    ROUTE_SCALAR,
-    ROUTE_VECTOR,
-)
+from repro.fastsim.plan import ROUTE_FUSED, ROUTE_SCALAR, ROUTE_VECTOR, STAGE_CORUN
 
 VECTOR_CFG = ExperimentConfig.smoke()
 SCALAR_CFG = VECTOR_CFG.with_overrides(backend="scalar")
@@ -93,7 +88,7 @@ class TestRoiRoutes:
 
     def test_opt_vector_route_matches_reference(self):
         plan = plan_scheme_task("PR", "lj", VECTOR_CFG.reorder, "OPT", VECTOR_CFG)
-        assert plan.route == ROUTE_OPT_VECTOR
+        assert (plan.route, plan.engine) == (ROUTE_VECTOR, "opt")
         vector = _roi_stats("OPT", VECTOR_CFG)
         clear_caches()
         _assert_stats_equal(vector, _roi_stats("OPT", SCALAR_CFG))
@@ -128,7 +123,7 @@ class TestStreamingRoutes:
             "PR", "lj", STREAM_VECTOR_CFG.reorder, "OPT", STREAM_VECTOR_CFG,
             streaming=True,
         )
-        assert plan.route == ROUTE_OPT_VECTOR
+        assert (plan.route, plan.engine) == (ROUTE_VECTOR, "opt")
         vector = _stream_stats("OPT", STREAM_VECTOR_CFG)
         clear_caches()
         _assert_stats_equal(vector, _stream_stats("OPT", STREAM_SCALAR_CFG))
@@ -207,7 +202,7 @@ class TestCorunRoutes:
 
     def test_corun_vector_matches_reference(self):
         plan = plan_corun_task(self.PAIR_SPEC, "RRIP", VECTOR_CFG)
-        assert plan.route == ROUTE_CORUN_VECTOR
+        assert (plan.route, plan.stage) == (ROUTE_VECTOR, STAGE_CORUN)
         vector = self._corun_stats(self.PAIR_SPEC, "RRIP", STREAM_VECTOR_CFG)
         clear_caches()
         _assert_stats_equal(
@@ -219,7 +214,7 @@ class TestCorunRoutes:
             pairs=self.PAIR_SPEC.pairs, partition=WayPartition.parse("8:8")
         )
         plan = plan_corun_task(spec, "GRASP", VECTOR_CFG)
-        assert plan.route == ROUTE_CORUN_VECTOR
+        assert (plan.route, plan.stage) == (ROUTE_VECTOR, STAGE_CORUN)
         vector = self._corun_stats(spec, "GRASP", STREAM_VECTOR_CFG)
         clear_caches()
         _assert_stats_equal(
@@ -228,7 +223,7 @@ class TestCorunRoutes:
 
     def test_corun_scalar_pin_fallback(self):
         plan = plan_corun_task(self.PAIR_SPEC, "PIN-75", VECTOR_CFG)
-        assert plan.route == ROUTE_CORUN_SCALAR
+        assert (plan.route, plan.stage) == (ROUTE_SCALAR, STAGE_CORUN)
         vector_cfg_run = self._corun_stats(self.PAIR_SPEC, "PIN-75", STREAM_VECTOR_CFG)
         clear_caches()
         _assert_stats_equal(
@@ -237,9 +232,13 @@ class TestCorunRoutes:
         )
 
     def test_corun_delegate_matches_reference(self):
+        """A K=1 unpartitioned co-run is planned and run as the single-app
+        full execution."""
         spec = CorunSpec(pairs=(("PR", "lj"),))
         plan = plan_corun_task(spec, "RRIP", VECTOR_CFG)
-        assert plan.route == ROUTE_CORUN_DELEGATE
+        assert plan == plan_scheme_task(
+            "PR", "lj", VECTOR_CFG.reorder, "RRIP", VECTOR_CFG, streaming=True
+        )
         vector = self._corun_stats(spec, "RRIP", STREAM_VECTOR_CFG)
         clear_caches()
         _assert_stats_equal(

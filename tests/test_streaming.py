@@ -287,7 +287,7 @@ def test_filter_stream_matches_one_shot(backend):
             )
         )
     np.testing.assert_array_equal(np.concatenate(keeps), one.keep)
-    l1_stats, l2_stats = stream.finish()
+    l1_stats, l2_stats = stream.level_stats()
     assert_stats_equal(one.l1_stats, l1_stats, "FilterStream L1")
     assert_stats_equal(one.l2_stats, l2_stats, "FilterStream L2")
 
