@@ -3,10 +3,21 @@
 The public :func:`build_csr` / :func:`from_edge_list` entry points are
 deprecated in favour of :func:`repro.graph.load` (``"edges:..."`` specs go
 through the same code); internal callers use the private ``_build_csr``.
+
+Every CSR array is ordered by one int64 edge key, ``group * num_vertices +
+other`` (see :func:`_order_edges`): the out-adjacency groups by source and
+the in-adjacency by destination, so each neighbour list comes out sorted.
+When weights ride along the sort is stable, so parallel edges keep their
+weights in input order, and deduplication keeps the first weight of each
+run of equal keys.  The key fits in int64 only while ``num_vertices`` is at
+most :data:`MAX_VERTICES` (⌊√(2⁶³−1)⌋); larger counts raise
+:class:`~repro.graph.csr.GraphError` before any per-vertex array is
+allocated.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -14,22 +25,62 @@ import numpy as np
 
 from repro.graph.csr import INDEX_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE, CSRGraph, GraphError
 
+#: Largest vertex count whose edge key ``group * num_vertices + other`` fits
+#: in int64.
+MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
 
-def _csr_from_pairs(
+
+def _check_vertex_count(num_vertices: int) -> None:
+    """Raise :class:`GraphError` if the edge key would overflow int64."""
+    if num_vertices > MAX_VERTICES:
+        raise GraphError(
+            f"{num_vertices} vertices: the CSR builder handles at most "
+            f"{MAX_VERTICES} vertices"
+        )
+
+
+def _order_edges(
     num_vertices: int,
-    group_by: np.ndarray,
+    group: np.ndarray,
     other: np.ndarray,
-    weights: Optional[np.ndarray],
+    weights: Optional[np.ndarray] = None,
+    deduplicate: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Group edges by ``group_by`` and return (index, adjacency, weights)."""
-    counts = np.bincount(group_by, minlength=num_vertices).astype(INDEX_DTYPE)
-    index = np.concatenate(([0], np.cumsum(counts))).astype(INDEX_DTYPE)
-    # Stable lexicographic order: primary key = grouping vertex, secondary key
-    # = the opposite endpoint, so neighbour lists come out sorted.
-    order = np.lexsort((other, group_by))
-    adjacency = other[order].astype(VERTEX_DTYPE)
-    ordered_weights = weights[order].astype(WEIGHT_DTYPE) if weights is not None else None
-    return index, adjacency, ordered_weights
+    """Return ``(group, other, weights)`` ordered by ``(group, other)``.
+
+    The order is that of the one key ``group * num_vertices + other``.  With
+    weights it is a stable sort, so edges with equal keys keep their input
+    order; ``deduplicate`` then keeps the first edge of each run.  The inputs
+    are not modified.
+    """
+    _check_vertex_count(num_vertices)
+    n = np.int64(max(num_vertices, 1))
+    # In-place arithmetic here and below (the key's buffer becomes the group
+    # array) keeps the edge-sized temporaries, and so peak memory, down.
+    key = group * n
+    key += other
+    if weights is None:
+        key.sort()
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        weights = weights[order]
+    if deduplicate and key.size > 1:
+        first = np.empty(key.shape, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        key = key[first]
+        if weights is not None:
+            weights = weights[first]
+    other = key % n
+    key //= n
+    return key, other, weights
+
+
+def _index(num_vertices: int, group: np.ndarray) -> np.ndarray:
+    """CSR index array of edges sorted by ``group``."""
+    counts = np.bincount(group, minlength=num_vertices)
+    return np.concatenate(([0], np.cumsum(counts))).astype(INDEX_DTYPE)
 
 
 def _build_csr(
@@ -80,20 +131,18 @@ def _build_csr(
         if weights is not None:
             weights = weights[keep]
 
-    if deduplicate and sources.size:
-        keys = sources * np.int64(num_vertices) + targets
-        _, unique_idx = np.unique(keys, return_index=True)
-        unique_idx.sort()
-        sources, targets = sources[unique_idx], targets[unique_idx]
-        if weights is not None:
-            weights = weights[unique_idx]
-
-    out_index, out_targets, out_weights = _csr_from_pairs(num_vertices, sources, targets, weights)
-    in_index, in_sources, in_weights = _csr_from_pairs(num_vertices, targets, sources, weights)
+    sources, out_targets, out_weights = _order_edges(
+        num_vertices, sources, targets, weights, deduplicate=deduplicate
+    )
+    # The in-pass re-sorts the out-ordered edges on (destination, source);
+    # being stable, it keeps parallel edges' weights in input order.
+    targets, in_sources, in_weights = _order_edges(
+        num_vertices, out_targets, sources, out_weights
+    )
     return CSRGraph(
-        out_index=out_index,
+        out_index=_index(num_vertices, sources),
         out_targets=out_targets,
-        in_index=in_index,
+        in_index=_index(num_vertices, targets),
         in_sources=in_sources,
         out_weights=out_weights,
         in_weights=in_weights,

@@ -175,15 +175,11 @@ class CSRGraph:
 
         from repro.graph.builder import _build_csr
 
-        sources, targets = self.edge_arrays()
-        new_sources = permutation[sources]
-        new_targets = permutation[targets]
-        weights = self.out_weights.copy() if self.out_weights is not None else None
         return _build_csr(
             self.num_vertices,
-            new_sources,
-            new_targets,
-            weights=weights,
+            np.repeat(permutation, self.out_degrees),
+            permutation[self.out_targets],
+            weights=self.out_weights,
             name=name or self.name,
         )
 
@@ -208,11 +204,12 @@ class CSRGraph:
         rng = np.random.default_rng(seed)
         out_weights = rng.integers(low, high + 1, size=self.num_edges).astype(WEIGHT_DTYPE)
 
-        # Mirror the weights onto the in-adjacency: build the in-CSR edge
-        # ordering exactly the way build_csr does and carry weights along.
-        sources, targets = self.edge_arrays()
-        order = np.lexsort((sources, targets))
-        in_weights = out_weights[order]
+        # Mirror the weights onto the in-adjacency: order the out-edges the
+        # way the builder orders in-edges and carry the weights along.
+        from repro.graph.builder import _order_edges
+
+        sources = np.repeat(np.arange(self.num_vertices, dtype=VERTEX_DTYPE), self.out_degrees)
+        _, _, in_weights = _order_edges(self.num_vertices, self.out_targets, sources, out_weights)
         return CSRGraph(
             out_index=self.out_index.copy(),
             out_targets=self.out_targets.copy(),

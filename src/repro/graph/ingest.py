@@ -49,6 +49,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.graph.builder import _build_csr, _check_vertex_count, _order_edges
 from repro.graph.csr import (
     INDEX_DTYPE,
     VERTEX_DTYPE,
@@ -457,8 +458,6 @@ def parse_graph(path: PathLike, options: ParseOptions = ParseOptions(),
     assembled with :func:`repro.graph.builder.build_csr`, so both paths are
     bit-identical on the same file.
     """
-    from repro.graph.builder import _build_csr
-
     reader = make_reader(path, options.fmt, chunk_edges=chunk_edges)
     srcs, dsts, wts = [], [], []
     for chunk in reader.chunks():
@@ -529,8 +528,9 @@ def _sort_neighbour_runs(index: np.ndarray, adjacency: np.ndarray,
                          weights: Optional[np.ndarray], block_edges: int) -> None:
     """Sort each vertex's neighbour run (stable), in bounded edge blocks.
 
-    Equivalent to ``build_csr``'s global ``lexsort((other, group))`` because
-    the scatter preserved input order within each run.
+    Each block sorts on the in-RAM builder's edge key
+    (:func:`repro.graph.builder._order_edges`); since the scatter kept input
+    order within each run, the result equals ``_build_csr``'s global order.
     """
     num_vertices = index.shape[0] - 1
     v0 = 0
@@ -540,13 +540,15 @@ def _sort_neighbour_runs(index: np.ndarray, adjacency: np.ndarray,
         v1 = min(max(v1, v0 + 1), num_vertices)
         hi = int(index[v1])
         if hi > lo:
-            seg = np.array(adjacency[lo:hi])
             counts = np.diff(index[v0 : v1 + 1])
             owners = np.repeat(np.arange(v0, v1, dtype=INDEX_DTYPE), counts)
-            order = np.lexsort((seg, owners))
-            adjacency[lo:hi] = seg[order]
+            block_weights = None if weights is None else weights[lo:hi]
+            _, neighbours, block_weights = _order_edges(
+                num_vertices, owners, adjacency[lo:hi], block_weights
+            )
+            adjacency[lo:hi] = neighbours
             if weights is not None:
-                weights[lo:hi] = np.array(weights[lo:hi])[order]
+                weights[lo:hi] = block_weights
         v0 = v1
 
 
@@ -627,6 +629,7 @@ def build_csr_cache_entry(path: PathLike, entry_dir: Path,
             out_counts = remap_counts(out_counts)
             in_counts = remap_counts(in_counts)
             num_vertices = int(id_map.shape[0])
+        _check_vertex_count(num_vertices)
 
         def full_counts(counts: np.ndarray) -> np.ndarray:
             if counts.shape[0] < num_vertices:

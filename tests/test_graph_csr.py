@@ -90,6 +90,12 @@ class TestBuildCSR:
         with pytest.raises(GraphError):
             _build_csr(3, np.array([0, 1]), np.array([1]))
 
+    def test_vertex_count_beyond_edge_key_rejected(self):
+        # Edges sort on group * num_vertices + other, which must fit in int64;
+        # the builder refuses before allocating per-vertex arrays.
+        with pytest.raises(GraphError, match="at most 3037000499 vertices"):
+            _build_csr(3_037_000_500, np.array([0]), np.array([1]))
+
     def test_self_loop_removal(self):
         graph = _build_csr(
             3, np.array([0, 1, 2]), np.array([0, 2, 2]), remove_self_loops=True

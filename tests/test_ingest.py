@@ -188,6 +188,15 @@ class TestMalformedInputs:
         with pytest.raises(GraphError, match="declared 2 vertices"):
             parse_graph(path)
 
+    def test_declared_vertices_beyond_edge_key_raise(self, tmp_path):
+        # Both builders sort edges on group * num_vertices + other, which must
+        # fit in int64; they refuse before allocating per-vertex arrays.
+        path = write(tmp_path / "g.txt", "# vertices=3037000500 edges=1\n0 1\n")
+        with pytest.raises(GraphError, match="at most 3037000499 vertices"):
+            parse_graph(path)
+        with pytest.raises(GraphError, match="at most 3037000499 vertices"):
+            build_csr_cache_entry(path, tmp_path / "entry")
+
     def test_zero_degree_tail_from_header(self, tmp_path):
         path = write(tmp_path / "g.txt", "# vertices=10 edges=2\n0 1\n1 2\n")
         graph = parse_graph(path)
@@ -284,18 +293,25 @@ class TestMatrixMarketErrors:
 class TestOutOfCoreBuilder:
     @pytest.mark.parametrize("chunk_edges", [7, 64, 1 << 20])
     def test_bit_identical_to_build_csr(self, tmp_path, chunk_edges):
-        graph = _chung_lu_graph(300, 6.0, seed=13, name="ooc").with_random_weights(seed=14)
-        path = tmp_path / "g.txt"
-        _save_edge_list(graph, path)
-        entry = tmp_path / "entry"
-        build_csr_cache_entry(path, entry, chunk_edges=chunk_edges)
-        cache = CSRBinaryCache(tmp_path / "root")
-        cache.root.mkdir(parents=True)
-        key = cache.entry_key(path)
-        shutil.move(str(entry), str(cache.entry_dir(key)))
-        loaded = cache.load(key)
-        assert loaded is not None
-        assert graphs_equal(graph, loaded)
+        # Without deduplication the graph keeps 308 parallel edges, whose
+        # weights both builders must keep in input order.
+        for deduplicate in (True, False):
+            graph = _chung_lu_graph(
+                300, 6.0, seed=13, name="ooc", deduplicate=deduplicate
+            ).with_random_weights(seed=14)
+            case = tmp_path / f"dedup-{deduplicate}"
+            case.mkdir()
+            path = case / "g.txt"
+            _save_edge_list(graph, path)
+            entry = case / "entry"
+            build_csr_cache_entry(path, entry, chunk_edges=chunk_edges)
+            cache = CSRBinaryCache(case / "root")
+            cache.root.mkdir(parents=True)
+            key = cache.entry_key(path)
+            shutil.move(str(entry), str(cache.entry_dir(key)))
+            loaded = cache.load(key)
+            assert loaded is not None
+            assert graphs_equal(graph, loaded)
 
     @pytest.mark.parametrize("chunk_edges", [5, 1 << 20])
     def test_densify_matches_in_ram_parse(self, tmp_path, chunk_edges):
