@@ -108,6 +108,7 @@ from repro.fastsim.plan import (
     FilterStream,
     FusedPipeline,
     MultiFusedPipeline,
+    NextUseTable,
     OptStream,
     PolicyReplayStream,
     SimRequest,
@@ -928,8 +929,9 @@ def _replay_opt(
     then a forward sweep feeds an :class:`~repro.fastsim.OptStream`.  A
     stream of several chunks is spilled to disk between the passes
     (:class:`~repro.experiments.memo.ChunkSpill`), so peak memory stays
-    bounded by the chunk budget plus one entry per distinct block; a
-    one-chunk stream (the ROI) stays in memory.
+    bounded by the chunk budget plus the reverse pass's
+    :class:`~repro.fastsim.NextUseTable` (one int64 per distinct block and
+    its id map's key table); a one-chunk stream (the ROI) stays in memory.
 
     The scalar reference (:func:`simulate_opt_misses`) is inherently
     one-shot, so ``scalar`` and the ``verify`` cross-check materialize the
@@ -955,12 +957,12 @@ def _replay_opt(
 
         if plan.route == ROUTE_SCALAR:
             return simulate_opt_misses(materialized(), llc_config)
-        next_seen: dict = {}
+        table = NextUseTable()
         for index in reversed(range(len(starts))):
             store.put(
                 "next",
                 index,
-                resolve_chunk_next_use(store.get("blocks", index), starts[index], next_seen),
+                resolve_chunk_next_use(store.get("blocks", index), starts[index], table),
             )
         engine = OptStream(llc_config.num_sets, llc_config.ways)
         for index in range(len(starts)):

@@ -107,6 +107,7 @@ from repro.fastsim.leeway import (
     leeway_spec,
 )
 from repro.fastsim.opt import (
+    NextUseTable,
     OptStream,
     next_use_indices,
     resolve_chunk_next_use,
@@ -185,6 +186,7 @@ __all__ = [
     "LRUStream",
     "LeewaySpec",
     "LeewayStream",
+    "NextUseTable",
     "OptStream",
     "PinSpec",
     "PinStream",

@@ -32,7 +32,7 @@ from repro.fastsim.kernels import core as _core  # noqa: F401  (registers "core"
 from repro.fastsim.kernels.lru import lru_feed
 from repro.fastsim.kernels.rrip import rrip_feed
 from repro.fastsim.kernels.pin import pin_feed
-from repro.fastsim.kernels.opt import opt_feed
+from repro.fastsim.kernels.opt import opt_feed, opt_next_use
 from repro.fastsim.kernels.ship import ship_feed
 from repro.fastsim.kernels.leeway import leeway_feed
 from repro.fastsim.kernels.hawkeye import hawkeye_feed
@@ -72,6 +72,7 @@ __all__ = [
     "lookup",
     "lru_feed",
     "opt_feed",
+    "opt_next_use",
     "pin_feed",
     "register_kernel",
     "registered",

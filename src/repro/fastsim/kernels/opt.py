@@ -1,4 +1,4 @@
-"""Belady-OPT engine-family kernel (precomputed next-use replay)."""
+"""Belady-OPT engine-family kernels: the reverse next-use scan and the replay."""
 
 from __future__ import annotations
 
@@ -19,6 +19,20 @@ from repro.fastsim.kernels.registry import (
 )
 
 _SOURCE = r"""
+/* OPT's reverse pass over one chunk at global offset `start`: table[id]
+ * holds the global index of id's earliest access in the chunks already
+ * resolved (INT64_MAX if none).  Walking the chunk backwards, each access
+ * reads its next use from the table and becomes the id's earliest access. */
+void opt_next_use(const int64_t *ids, int64_t n, int64_t start,
+                  int64_t *table, int64_t *out)
+{
+    for (int64_t i = n - 1; i >= 0; i--) {
+        const int64_t id = ids[i];
+        out[i] = table[id];
+        table[id] = start + i;
+    }
+}
+
 /* Exact Belady's OPT replay over precomputed next-use indices: on a
  * capacity miss, evict the resident block whose next use lies farthest in
  * the future (ties only occur between never-used-again blocks and cannot
@@ -64,11 +78,45 @@ register_kernel(
         name="opt",
         source=_SOURCE,
         functions={
+            "opt_next_use": [p_i64, i64, i64, p_i64, p_i64],
             "opt_replay": [p_i64, p_i64, i64, i32, i32, p_i64, p_i64, p_u8, p_i64],
         },
         capabilities=("replay:opt",),
     )
 )
+
+
+def opt_next_use(ids: np.ndarray, start: int, table: np.ndarray):
+    """Resolve one chunk's next-use indices backwards; ``None`` when unavailable.
+
+    ``ids`` are the chunk's dense block ids and ``table`` (indexed by id) the
+    earliest known future access of each, updated in place.  Both must be
+    C-contiguous int64 arrays, ``table`` writable, and every id must lie in
+    ``[0, len(table))``: anything else raises :class:`ValueError` rather
+    than reaching the kernel.
+    """
+    for name, array in (("ids", ids), ("table", table)):
+        if not (
+            isinstance(array, np.ndarray)
+            and array.dtype == np.int64
+            and array.ndim == 1
+            and array.flags.c_contiguous
+        ):
+            raise ValueError(f"{name} must be a C-contiguous 1-D int64 array")
+    if not table.flags.writeable:
+        raise ValueError("table must be writable")
+    n = int(ids.shape[0])
+    if n and (int(ids.min()) < 0 or int(ids.max()) >= table.shape[0]):
+        raise ValueError(
+            f"ids must lie in [0, {table.shape[0]}), "
+            f"got [{int(ids.min())}, {int(ids.max())}]"
+        )
+    kernel = registry.lookup("opt_next_use")
+    if kernel is None:
+        return None
+    out = np.empty(n, dtype=np.int64)
+    kernel(as_i64(ids), ctypes.c_int64(n), ctypes.c_int64(start), as_i64(table), as_i64(out))
+    return out
 
 
 def opt_feed(

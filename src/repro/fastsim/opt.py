@@ -3,11 +3,19 @@
 The scalar reference (:func:`repro.cache.policies.opt.simulate_opt_misses`)
 walks the trace once backwards to build per-access next-use indices and then
 replays forwards with a per-set ``dict`` of resident blocks, scanning it with
-``max()`` on every capacity eviction.  Both halves vectorize:
+``max()`` on every capacity eviction.  Both halves have a fast form:
 
-* the next-use links are the mirror image of the previous-occurrence links
-  the LRU engine already computes — one stable block-sort
-  (:func:`repro.fastsim.stackdist.occurrence_order`) yields both directions;
+* the next-use links come from one reverse scan per chunk over a
+  :class:`NextUseTable`, each block's earliest known future access in a
+  flat int64 array: walking the chunk from its end, each access reads its
+  next use from the table and becomes the block's earliest access.  The
+  compiled kernel (:func:`repro.fastsim.kernels.opt_next_use`) runs that
+  loop; the NumPy fallback, for hosts with no compiler, derives the same
+  links from one stable block-sort of the chunk
+  (:func:`repro.fastsim.stackdist.occurrence_order`).  A whole trace is one
+  chunk on a fresh table (:func:`next_use_indices`).  The table costs one
+  int64 per distinct block plus its ``DenseIdMap`` key table, which is
+  direct-indexed below ``DenseIdMap.DIRECT_LIMIT``;
 * OPT keeps *no* cross-set state at all, so the batched set-parallel chunking
   of the RRIP engine applies unchanged: within a maximal trace-ordered chunk
   in which every set appears at most once, a broadcast tag compare classifies
@@ -36,65 +44,94 @@ import numpy as np
 
 from repro.fastsim import kernels
 from repro.fastsim.rrip import _chunk_end
-from repro.fastsim.stackdist import occurrence_order, previous_occurrence_indices
+from repro.fastsim.stackdist import (
+    DenseIdMap,
+    grow_to,
+    occurrence_order,
+    previous_occurrence_indices,
+)
 
 #: "Never referenced again" marker, matching the scalar reference.
 NEVER = np.iinfo(np.int64).max
 
 
-def next_use_indices(blocks: np.ndarray, occ: Optional[np.ndarray] = None) -> np.ndarray:
-    """Index of the next access to the same block, :data:`NEVER` for the last.
+class NextUseTable:
+    """Each block's earliest known future access: the state of OPT's reverse pass.
 
-    The forward mirror of
-    :func:`repro.fastsim.stackdist.previous_occurrence_indices`, derived from
-    the same stable block-sort.
+    :func:`resolve_chunk_next_use` reads and updates it once per chunk, over
+    a stream's chunks in reverse order.  A
+    :class:`~repro.fastsim.stackdist.DenseIdMap` numbers the blocks, and one
+    int64 per number (:data:`NEVER` until set) holds the global index of the
+    block's earliest access in the chunks resolved so far.  Memory: one
+    int64 per distinct block plus the map's key table, direct-indexed (one
+    int64 per key up to the largest block id) below
+    ``DenseIdMap.DIRECT_LIMIT`` and a dict above it.
+
+    ``use_native=None`` scans with the compiled kernel when the registry has
+    it and sorts in NumPy otherwise; ``False`` forces NumPy.  Both are exact.
     """
-    n = int(blocks.shape[0])
-    nxt = np.full(n, NEVER, dtype=np.int64)
-    if n < 2:
-        return nxt
-    if occ is None:
-        occ = occurrence_order(blocks)
-    occ_blocks = blocks[occ]
-    same = occ_blocks[1:] == occ_blocks[:-1]
-    nxt[occ[:-1][same]] = occ[1:][same]
-    return nxt
+
+    def __init__(self, use_native: Optional[bool] = None) -> None:
+        self._use_native = (
+            kernels.available() if use_native is None else bool(use_native)
+        )
+        self._ids = DenseIdMap()
+        self._next = np.empty(0, dtype=np.int64)
+
+    def _slots(self, blocks: np.ndarray) -> np.ndarray:
+        """Dense ids of ``blocks``, the table grown to cover the new ones."""
+        ids = self._ids.map(blocks)
+        self._next = grow_to(self._next, len(self._ids), NEVER)
+        return ids
 
 
 def resolve_chunk_next_use(
-    blocks: np.ndarray, start: int, next_seen: dict
+    blocks: np.ndarray, start: int, table: NextUseTable
 ) -> np.ndarray:
     """Global next-use indices for one chunk of a stream, resolved backwards.
 
-    Call over the stream's chunks in *reverse* order: ``next_seen`` maps each
-    block to the global index of its earliest known future access (from the
-    chunks already processed) and is updated in place.  ``start`` is the
-    chunk's offset in the concatenated stream.  The result equals the
-    corresponding slice of :func:`next_use_indices` over the whole stream,
-    which is how streaming OPT stays two-pass with bounded memory: one
-    reverse pass resolving next-use per chunk, one forward pass replaying.
-
-    The chunk at offset 0 leaves ``next_seen`` untouched, since no earlier
-    chunk can consult it, so a one-chunk stream costs exactly one
-    :func:`next_use_indices`.
+    Call over the stream's chunks in *reverse* order with one ``table``;
+    ``start`` is the chunk's offset in the concatenated stream.  Each call
+    leaves every block of the chunk pointing at its first access there.  The
+    result equals the corresponding slice of :func:`next_use_indices` over
+    the whole stream, which is how streaming OPT stays two-pass with bounded
+    memory: one reverse pass resolving next-use per chunk, one forward pass
+    replaying.
     """
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-    out = next_use_indices(blocks)
-    if not start and not next_seen:
-        return out
-    within = out != NEVER
-    out[within] += start
-    missing = np.flatnonzero(~within)
-    if missing.size and next_seen:
-        out[missing] = np.fromiter(
-            (next_seen.get(block, NEVER) for block in blocks[missing].tolist()),
-            dtype=np.int64,
-            count=missing.shape[0],
-        )
-    if start:
-        unique, first_index = np.unique(blocks, return_index=True)
-        next_seen.update(zip(unique.tolist(), (first_index + start).tolist()))
+    if blocks.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    ids = table._slots(blocks)
+    out = None
+    if table._use_native:
+        out = kernels.opt_next_use(ids, start, table._next)
+    if out is None:
+        out = _numpy_next_use(ids, start, table._next)
     return out
+
+
+def _numpy_next_use(ids: np.ndarray, start: int, table: np.ndarray) -> np.ndarray:
+    """The reverse scan's result from one stable sort of the chunk's ids."""
+    occ = occurrence_order(ids)
+    grouped = ids[occ]
+    same = grouped[1:] == grouped[:-1]
+    out = np.empty(ids.shape[0], dtype=np.int64)
+    out[occ[:-1][same]] = occ[1:][same] + start
+    # An id's last access in the chunk finds its next use in a later chunk
+    # (the table); its first access becomes its earliest known access.
+    last = np.append(~same, True)
+    first = np.insert(~same, 0, True)
+    out[occ[last]] = table[grouped[last]]
+    table[grouped[first]] = occ[first] + start
+    return out
+
+
+def next_use_indices(blocks: np.ndarray) -> np.ndarray:
+    """Index of the next access to the same block, :data:`NEVER` for the last.
+
+    One :func:`resolve_chunk_next_use` of the whole trace on a fresh table.
+    """
+    return resolve_chunk_next_use(blocks, 0, NextUseTable())
 
 
 class OptStream:
@@ -134,14 +171,19 @@ class OptStream:
     def feed(self, block_addresses: np.ndarray, next_use: np.ndarray) -> np.ndarray:
         """Replay one chunk; returns its hit mask and advances the state."""
         blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
+        next_use = np.ascontiguousarray(next_use, dtype=np.int64)
         n = int(blocks.shape[0])
+        if next_use.shape[0] != n:
+            raise ValueError(
+                f"next-use stream length {next_use.shape[0]} != trace length {n}"
+            )
         if n == 0:
             return np.zeros(0, dtype=bool)
         hits = None
         if self._use_native:
             hits = kernels.opt_feed(
                 blocks,
-                np.ascontiguousarray(next_use, dtype=np.int64),
+                next_use,
                 self.num_sets,
                 self.ways,
                 self.tags,

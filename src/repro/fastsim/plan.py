@@ -60,7 +60,7 @@ from repro.fastsim.corun import CorunReplayStream, supports_vector_corun
 from repro.fastsim.dispatch import SCALAR, VECTOR, VERIFY, resolve_backend
 from repro.fastsim.filter import FilterStream, assert_stats_equal, run_filter
 from repro.fastsim.hawkeye import hawkeye_spec
-from repro.fastsim.opt import OptStream, resolve_chunk_next_use
+from repro.fastsim.opt import NextUseTable, OptStream, resolve_chunk_next_use
 from repro.fastsim.pipeline import (
     FusedPipeline,
     MultiFusedPipeline,
@@ -620,6 +620,7 @@ __all__ = [
     "FilterStream",
     "FusedPipeline",
     "MultiFusedPipeline",
+    "NextUseTable",
     "OptStream",
     "PolicyReplayStream",
     "assert_stats_equal",

@@ -347,6 +347,19 @@ class TestPolicyReplayEquivalence:
             assert stream.miss_count == expected.misses
             assert stream.evictions == expected.evictions
 
+    @pytest.mark.parametrize(
+        "use_native", [True, False], ids=["opt_replay", "numpy_opt_replay"]
+    )
+    def test_opt_rejects_short_next_use(self, use_native):
+        # The compiled replay used to read past a short next-use array and
+        # return counts silently; both paths must refuse it up front.
+        blocks = np.random.default_rng(5).integers(0, 256, size=4096)
+        stream = OptStream(16, 4, use_native=use_native)
+        with pytest.raises(ValueError, match="next-use stream length 16 != trace length 4096"):
+            stream.feed(blocks, next_use_indices(blocks)[:16])
+        assert stream.hit_count == 0
+        assert stream.miss_count == 0
+
     def test_native_and_numpy_engines_agree(self):
         if not kernels.available():
             pytest.skip("no C compiler available for the native kernel")

@@ -50,6 +50,7 @@ from repro.fastsim import (
     HawkeyeStream,
     LeewayStream,
     LRUStream,
+    NextUseTable,
     OptStream,
     PinStream,
     PolicyReplayStream,
@@ -216,11 +217,11 @@ class TestEngineStreams:
         )
         parts = chunked(streams["blocks"], chunk)
         starts = list(range(0, len(streams["blocks"]), chunk))
-        next_seen = {}
+        table = NextUseTable(use_native=use_native)
         next_uses = [None] * len(parts)
         for index in reversed(range(len(parts))):
             next_uses[index] = resolve_chunk_next_use(
-                parts[index], starts[index], next_seen
+                parts[index], starts[index], table
             )
         stream = OptStream(num_sets, ways, use_native=use_native)
         hits = np.concatenate(
@@ -353,18 +354,25 @@ class TestRunnerStreaming:
         reference = simulate_opt(one, config.hierarchy.llc)
         assert_stats_equal(reference, streamed, "streaming OPT")
 
-    def test_chunk_budget_invariance(self, setup):
+    @pytest.mark.parametrize("scheme", ["GRASP", "OPT"])
+    def test_chunk_budget_invariance(self, setup, scheme):
+        """Budget 700 replays many chunks (OPT: spilled, one next-use table
+        across them); 10**9 replays one in-memory chunk."""
         config, workload, _ = setup
-        policy = scheme_policy("GRASP")
+
+        def policy():
+            if scheme == "OPT":
+                return BeladyOptimal(config.hierarchy.llc)
+            return scheme_policy(scheme)
+
         baseline = simulate_policy(
-            workload, policy, config, streaming=True, max_chunk_accesses=1500
+            workload, policy(), config, streaming=True, max_chunk_accesses=1500
         )
         for budget in (700, 50_000, 10**9):
             other = simulate_policy(
-                workload, scheme_policy("GRASP"), config,
-                streaming=True, max_chunk_accesses=budget,
+                workload, policy(), config, streaming=True, max_chunk_accesses=budget
             )
-            assert_stats_equal(baseline, other, f"budget {budget}")
+            assert_stats_equal(baseline, other, f"{scheme} budget {budget}")
 
     def test_verify_backend_passes(self, setup):
         config, workload, _ = setup
