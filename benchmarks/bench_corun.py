@@ -25,7 +25,7 @@ import itertools
 import tracemalloc
 
 from repro.cache.partition import WayPartition
-from repro.experiments.runner import build_workload, iter_llc_chunks
+from repro.experiments.runner import build_workload, llc_chunks
 from repro.experiments.schemes import scheme_policy
 from repro.fastsim import CorunReplayStream, PolicyReplayStream, supports_vector_corun
 from repro.trace.interleave import InterleavedTraceStream
@@ -44,7 +44,7 @@ SMALL_BUDGET = 1 << 14
 def _single_app_replay(workload, config, scheme):
     """The single-app fast path: replay the app's LLC stream directly."""
     replay = PolicyReplayStream(scheme_policy(scheme), config.hierarchy.llc)
-    for chunk in iter_llc_chunks(workload, config, SMALL_BUDGET):
+    for chunk in llc_chunks(workload, config, True, SMALL_BUDGET):
         replay.feed(chunk.block_addresses, chunk.hints, chunk.regions, chunk.pcs)
     return replay.stats()
 
@@ -53,7 +53,7 @@ def _interleaved_replay(workload, config, scheme, partition):
     """The same stream through the K=1 co-run machinery."""
     llc = config.hierarchy.llc
     merged = InterleavedTraceStream(
-        [iter_llc_chunks(workload, config, SMALL_BUDGET)],
+        [llc_chunks(workload, config, True, SMALL_BUDGET)],
         chunk_accesses=SMALL_BUDGET,
     )
     replay = CorunReplayStream(scheme_policy(scheme), llc, 1, partition=partition)
@@ -133,7 +133,7 @@ def test_corun_peak_memory_bounded(benchmark, bench_config):
         # end to end, regenerated lazily so nothing is held in memory.
         return lambda: [
             itertools.chain.from_iterable(
-                iter_llc_chunks(workload, bench_config, SMALL_BUDGET)
+                llc_chunks(workload, bench_config, True, SMALL_BUDGET)
                 for _ in range(repeats)
             )
             for workload in workloads

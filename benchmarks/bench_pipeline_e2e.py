@@ -21,7 +21,7 @@ of work a cold sweep performs per scheme:
    outcome vectors are identical for every thread count.
 
 Both sides run the product code paths with a cold on-disk memo per round:
-the staged side is :func:`~repro.experiments.runner.iter_llc_chunks` feeding
+the staged side is :func:`~repro.experiments.runner.llc_chunks` feeding
 a :class:`~repro.fastsim.PolicyReplayStream` (materialize + persist every
 filtered chunk — what every replay paid before the fused route existed, and
 still pays when the stream is shared), the fused side is
@@ -41,7 +41,7 @@ from repro.experiments.runner import (
     build_workload,
     clear_caches,
     iter_execution_chunks,
-    iter_llc_chunks,
+    llc_chunks,
     set_disk_memo,
     simulate_policy,
     simulate_scheme,
@@ -101,7 +101,7 @@ def _staged_e2e(workload, config, scheme, memo_root):
     chunk (``llcchunk`` store), replay through the vectorized engine."""
     _fresh_memo(memo_root)
     replay = PolicyReplayStream(scheme_policy(scheme), config.hierarchy.llc)
-    for chunk in iter_llc_chunks(workload, config, SMALL_BUDGET, backend=VECTOR):
+    for chunk in llc_chunks(workload, config, True, SMALL_BUDGET, backend=VECTOR):
         replay.feed(
             chunk.block_addresses,
             hints=chunk.hints,
@@ -234,18 +234,18 @@ def test_multi_scheme_fused_beats_staged(benchmark, bench_config, tmp_path):
     total = workload_total_references(workload)
     try:
         staged_stats = _multi_staged(workload, bench_config, MULTI_SCHEMES, memo_root)
-        # The staged path really materialized the shared trace.
-        assert DiskMemo(memo_root).entry_count("llctrace") == 1
+        # The staged path really stored the shared ROI chunk.
+        assert DiskMemo(memo_root).entry_count("llcchunk") == 1
         fused_stats = _multi_fused(workload, bench_config, MULTI_SCHEMES, memo_root)
         for scheme, staged_s, fused_s in zip(MULTI_SCHEMES, staged_stats, fused_stats):
             _assert_identical(staged_s, fused_s, f"multi:{scheme}")
         # The fused-multi route really ran: per-scheme stats landed without
-        # the filtered ROI trace ever being materialized.
+        # the filtered ROI chunk ever being stored.
         memo = DiskMemo(memo_root)
-        assert memo.entry_count("llctrace") == 0, (
-            "fused-multi route wrote an llctrace entry — the staged path ran"
+        assert memo.entry_count("llcchunk") == 0, (
+            "fused-multi route wrote an llcchunk entry — the staged path ran"
         )
-        assert memo.entry_count("policy") == len(MULTI_SCHEMES)
+        assert memo.entry_count("policystream") == len(MULTI_SCHEMES)
 
         staged = measure_throughput(
             lambda: _multi_staged(workload, bench_config, MULTI_SCHEMES, memo_root),
@@ -271,7 +271,7 @@ def test_multi_scheme_fused_beats_staged(benchmark, bench_config, tmp_path):
         # one plain single-consumer run.
         _multi_reset(memo_root)
         _maybe_fused_multi(workload, ("GRASP",), bench_config)
-        assert DiskMemo(memo_root).entry_count("policy") == 0, (
+        assert DiskMemo(memo_root).entry_count("policystream") == 0, (
             "fused-multi pass engaged for a single consumer"
         )
 

@@ -62,7 +62,7 @@ SMALL_BUDGET = 1 << 14
 def _stream_replay(workload, iterations, config, budget, scheme="GRASP"):
     """Memo-free streaming pipeline over an explicit iteration list.
 
-    Mirrors :func:`repro.experiments.runner.iter_llc_chunks` +
+    Mirrors the full execution's :func:`repro.experiments.runner.llc_chunks` +
     :class:`~repro.fastsim.PolicyReplayStream` without the disk memo, so the
     measurement covers the pipeline itself and accepts a scaled (repeated)
     iteration list for the memory-growth gate.

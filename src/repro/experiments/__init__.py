@@ -38,7 +38,6 @@ from repro.experiments.runner import (
     execution_trace,
     filter_trace,
     iter_execution_chunks,
-    iter_llc_chunks,
     set_disk_memo,
     simulate_llc_policy,
     simulate_corun,
@@ -76,7 +75,6 @@ __all__ = [
     "execution_trace",
     "filter_trace",
     "iter_execution_chunks",
-    "iter_llc_chunks",
     "resume_sweep",
     "run_sweep",
     "scheme_policy",

@@ -51,10 +51,10 @@ class ExperimentConfig:
         routes feed the ROI's raw trace in slices of it.  ``None`` uses the
         runner's default.  Like the backend, this is a performance/memory
         knob only — results are bit-identical for every budget — so it is
-        excluded from *result* memo keys (``policy`` / ``policystream``
-        stats, stream summaries); only the chunk store itself (``llcchunk``
-        entries and their ``llcstream`` manifest) is budget-keyed, because
-        chunk boundaries depend on it.
+        excluded from *result* memo keys (``policystream`` stats, stream
+        summaries); only the full execution's chunk store itself
+        (``llcchunk`` entries and their ``llcstream`` manifest) is
+        budget-keyed, because chunk boundaries depend on it.
     graph_cache_dir:
         Root of the binary-CSR graph cache used when dataset entries are
         ``repro.graph.load`` file specs (``"file:..."``, ``"mtx:..."``);

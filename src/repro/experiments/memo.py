@@ -1,43 +1,42 @@
-"""On-disk memoisation of workloads, filtered traces and policy runs.
+"""On-disk memoisation of workloads, filtered streams and policy runs.
 
 The in-memory memo tables in :mod:`repro.experiments.runner` only live for
-one process; this module persists the same three kinds of artifacts so that
-separate invocations (each figure/table benchmark, every worker of the
-parallel runner) reuse each other's work:
+one process; this module persists the same artifacts so that separate
+invocations (each figure/table benchmark, every worker of the parallel
+runner) reuse each other's work.  There are five kinds, one directory each:
 
 ``<root>/v4/workload/<sha256>.pkl``
     Built :class:`~repro.experiments.runner.Workload` objects, keyed by the
     in-memory workload memo key (app, dataset, reorder, scale, seed, merged).
-``<root>/v4/llctrace/<sha256>.pkl``
-    L1/L2-filtered :class:`~repro.experiments.runner.LLCTrace` streams, keyed
-    by the workload key plus the cache hierarchy.
-``<root>/v4/policy/<sha256>.pkl``
-    Per-scheme :class:`~repro.cache.stats.CacheStats`, keyed by the trace key
-    plus the scheme name.
-
-The streaming pipeline (PR 5) adds three kinds with the same layout:
-
 ``<root>/v4/llcchunk/<sha256>.pkl``
-    One L1/L2-filtered chunk of a full-execution stream, keyed by the stream
-    key plus the chunk index.
+    One L1/L2-filtered :class:`~repro.experiments.runner.LLCTrace` chunk of
+    a scope's stream, keyed by the stream's manifest key plus the chunk
+    index.  The ROI is a one-chunk stream; the full execution has one chunk
+    per chunk budget's worth of raw trace.
 ``<root>/v4/llcstream/<sha256>.pkl``
-    The stream manifest — chunk count plus aggregate L1/L2 filter counters —
-    written once every chunk of a stream has been persisted; a later replay
-    serves the whole stream from disk without re-filtering.
+    Two entries per stream, both holding the chunk count and the aggregate
+    L1/L2 filter counters.  The *manifest*, keyed by the workload key plus
+    the cache hierarchy, the scope and the chunk budget (``None`` for the
+    ROI), is written once every chunk has been persisted; a later replay
+    serves the whole stream from disk without re-filtering.  The
+    budget-less *summary* feeds the cycle model, and fused passes write it
+    without storing any chunk.
 ``<root>/v4/policystream/<sha256>.pkl``
-    Per-scheme :class:`~repro.cache.stats.CacheStats` of a *full-execution*
-    streaming replay (chunk budgets do not affect results, so they are not
-    part of the key).
-
-The multi-programmed co-run subsystem (PR 9) adds one more:
-
+    Per-scheme :class:`~repro.cache.stats.CacheStats` of one scope, keyed
+    by the trace key plus the scheme name and the scope (chunk budgets do
+    not affect results, so they are not part of the key).
 ``<root>/v4/corun/<sha256>.pkl``
     Per-scheme :class:`~repro.cache.stats.CacheStats` (with per-stream
     counters) of an interleaved co-run replay, keyed by the app/dataset
     pairs, the interleaving schedule parameters and the way-partition
-    shares (see :func:`repro.experiments.runner.corun_memo_key`).  Kinds
-    are just directory names, so the new kind needs no ``MEMO_VERSION``
-    bump — old entries stay valid.
+    shares (see :func:`repro.experiments.runner.corun_memo_key`).
+
+Every filtered-stream and per-scheme key ends with its scope, ``"roi"`` or
+``"execution"``.  Kinds are just directory names, so adding or retiring a
+kind needs no ``MEMO_VERSION`` bump: v4 stores written before the ROI became
+a one-chunk stream keep their ``llctrace/``, ``roisummary/`` and ``policy/``
+directories, which nothing reads any more (delete them to reclaim the
+space), and every other entry stays valid.
 
 :class:`ChunkSpill` is the unkeyed sibling of the chunk store: a scratch
 directory for out-of-core intermediates that are only meaningful within one

@@ -14,7 +14,7 @@ paper's methodology (Sec. IV):
    every access with GRASP's reuse hint derived from the Address Bound
    Registers.
 
-Workloads, filtered traces and per-policy results are memoised so that
+Workloads, filtered streams and per-policy results are memoised so that
 figures sharing the same runs (e.g. Figs. 5 and 6) do not recompute them.
 
 Two scopes, one pipeline
@@ -26,14 +26,15 @@ the ROI iteration (``streaming=False``, the paper's methodology) or the
 application's *full execution* (``streaming=True``: every iteration's
 direction and frontier, generated, filtered and replayed chunk by chunk, so
 peak memory is bounded by the chunk budget).  Each stage is written once,
-over a stream of :class:`LLCTrace` chunks (:func:`llc_chunks`): the ROI is
-a one-chunk stream, the memoised :func:`llc_trace_for`; the full execution
-is the chunk stream of :func:`iter_llc_chunks`.  The scopes differ only in
-where the raw trace comes from, where the filtered stream is kept (the ROI
-trace in memory or in the disk memo, the execution's chunk store on disk
-only) and which memo kinds hold the results (``llctrace`` / ``roisummary``
-/ ``policy`` for the ROI, ``llcchunk`` / ``llcstream`` / ``policystream``
-for the full execution).
+over a stream of :class:`LLCTrace` chunks, and :func:`llc_chunks` is the
+only producer of those chunks: one :class:`~repro.fastsim.FilterStream`
+filters the scope's raw pieces, which are ``(roi_trace(w),)`` for the ROI
+(a one-chunk stream) and the execution's trace chunks otherwise.  Both
+scopes store their results in the same memo kinds (``llcchunk`` /
+``llcstream`` / ``policystream``), and every key ends with its scope,
+``"roi"`` or ``"execution"``.  The scopes differ only in where the raw
+trace comes from and where the filtered stream is kept: the ROI's one chunk
+in memory and in the disk memo, the execution's chunk store on disk only.
 
 Fast-path dispatch
 ------------------
@@ -59,7 +60,7 @@ from :mod:`repro.fastsim.plan`.
 
 On-disk memoisation
 -------------------
-The in-memory memo tables (workloads, filtered LLC traces, per-scheme
+The in-memory memo tables (workloads, the ROI's filtered chunk, per-scheme
 stats, stream summaries) can additionally be backed by a persistent store
 shared across processes and invocations — see :mod:`repro.experiments.memo`
 for the ``<cache_dir>/v4/<kind>/<sha256-of-key>.pkl`` layout
@@ -114,12 +115,11 @@ from repro.fastsim.plan import (
     SimRequest,
     assert_stats_equal,
     resolve_chunk_next_use,
-    run_filter,
     supports_vector_replay,
 )
-# The span tracer of benchmarks/suite wraps these two module globals; the
-# runner itself replays through the streams.
-from repro.fastsim.plan import vector_opt_replay, vector_policy_replay  # noqa: F401
+# The span tracer of benchmarks/suite wraps these three module globals; the
+# runner itself filters and replays through the streams.
+from repro.fastsim.plan import run_filter, vector_opt_replay, vector_policy_replay  # noqa: F401
 from repro.experiments.schemes import scheme_policy
 from repro.graph.csr import CSRGraph
 from repro.graph.csr import GraphError
@@ -197,8 +197,10 @@ class DataPoint:
 # memoisation
 # ---------------------------------------------------------------------------
 
-# The two scopes share the per-scheme and summary tables: their keys never
-# collide, because the full-execution keys carry a trailing "execution" tag.
+# The two scopes share every table: their keys never collide, because each
+# ends with its scope ("roi" or "execution").  ``_LLC_TRACES`` holds only the
+# ROI's one filtered chunk, under its stream key; the execution's chunks are
+# never held in memory.
 _WORKLOADS: Dict[tuple, Workload] = {}
 _LLC_TRACES: Dict[tuple, LLCTrace] = {}
 _POLICY_RUNS: Dict[tuple, CacheStats] = {}
@@ -298,34 +300,9 @@ def workload_memo_key(
     )
 
 
-def llctrace_memo_key(
-    app_name: str,
-    dataset_name: str,
-    reorder: str,
-    config: ExperimentConfig,
-    merged: Optional[bool] = None,
-) -> tuple:
-    """Memo key of the one-shot filtered ROI trace (kind ``llctrace``)."""
-    return (
-        (app_name, canonical_dataset(dataset_name), reorder),
-        config.scale, config.seed, config.hierarchy, _resolve_merged(config, merged),
-    )
-
-
-def policy_memo_key(
-    app_name: str,
-    dataset_name: str,
-    reorder: str,
-    scheme: str,
-    config: ExperimentConfig,
-    merged: Optional[bool] = None,
-) -> tuple:
-    """Memo key of one scheme's ROI replay stats (kind ``policy``)."""
-    return (
-        (app_name, canonical_dataset(dataset_name), reorder),
-        scheme, config.scale, config.seed, config.hierarchy,
-        _resolve_merged(config, merged),
-    )
+def _scope(streaming: bool) -> str:
+    """The scope tag that ends every filtered-stream and per-scheme key."""
+    return "execution" if streaming else "roi"
 
 
 def llcstream_summary_memo_key(
@@ -334,14 +311,40 @@ def llcstream_summary_memo_key(
     reorder: str,
     config: ExperimentConfig,
     merged: Optional[bool] = None,
+    *,
+    streaming: bool,
 ) -> tuple:
-    """Budget-independent key of a full-execution stream (kind ``llcstream``)."""
+    """Budget-independent key of one scope's L1/L2 counters (kind ``llcstream``)."""
     return (
         (app_name, canonical_dataset(dataset_name), reorder),
         config.scale, config.seed, config.hierarchy,
         _resolve_merged(config, merged),
-        "execution",
+        _scope(streaming),
     )
+
+
+def llcstream_memo_key(
+    app_name: str,
+    dataset_name: str,
+    reorder: str,
+    config: ExperimentConfig,
+    merged: Optional[bool] = None,
+    *,
+    streaming: bool,
+    max_chunk_accesses: Optional[int] = None,
+) -> tuple:
+    """Key of one scope's stored filtered stream: its manifest (kind
+    ``llcstream``), which chunk ``i`` (kind ``llcchunk``) extends by ``(i,)``.
+
+    The summary key plus the chunk budget for the execution, whose chunk
+    boundaries depend on it, or plus ``None`` for the one-chunk ROI.  It
+    never equals the summary key, which fused passes write without storing
+    any chunk.
+    """
+    budget = _chunk_budget(config, max_chunk_accesses) if streaming else None
+    return llcstream_summary_memo_key(
+        app_name, dataset_name, reorder, config, merged, streaming=streaming
+    ) + (budget,)
 
 
 def policystream_memo_key(
@@ -351,13 +354,15 @@ def policystream_memo_key(
     scheme: str,
     config: ExperimentConfig,
     merged: Optional[bool] = None,
+    *,
+    streaming: bool,
 ) -> tuple:
-    """Memo key of one scheme's full-execution stats (kind ``policystream``)."""
+    """Memo key of one scheme's stats on one scope (kind ``policystream``)."""
     return (
         (app_name, canonical_dataset(dataset_name), reorder),
         scheme, config.scale, config.seed, config.hierarchy,
         _resolve_merged(config, merged),
-        "execution",
+        _scope(streaming),
     )
 
 
@@ -484,6 +489,32 @@ def roi_trace(workload: Workload) -> Trace:
 # L1/L2 filtering and hint classification
 # ---------------------------------------------------------------------------
 
+def _filter_piece(
+    filter_stream: FilterStream, trace: Trace, classifier: GraspClassifier
+) -> LLCTrace:
+    """Feed one raw trace piece through ``filter_stream``; its LLC-bound chunk.
+
+    The chunk's upstream counters are the hits this piece added, and under
+    ``verify`` the stream cross-checks the backends' L1/L2 counters so far.
+    """
+    l1_before, l2_before = filter_stream.upstream_hit_counts()
+    keep = filter_stream.feed(trace)
+    l1_after, l2_after = filter_stream.upstream_hit_counts()
+    if filter_stream.mode == VERIFY:
+        filter_stream.level_stats()
+    byte_addresses = trace.addresses[keep]
+    return LLCTrace(
+        byte_addresses=byte_addresses,
+        block_addresses=byte_addresses >> filter_stream.hierarchy.llc.block_offset_bits,
+        pcs=trace.pcs[keep],
+        regions=trace.regions[keep],
+        hints=classifier.classify_array(byte_addresses),
+        upstream_l1_hits=l1_after - l1_before,
+        upstream_l2_hits=l2_after - l2_before,
+        total_references=len(trace),
+    )
+
+
 def filter_trace(
     trace: Trace,
     hierarchy: HierarchyConfig,
@@ -492,22 +523,13 @@ def filter_trace(
 ) -> LLCTrace:
     """Run the L1-D/L2 filters over a trace and return the LLC-bound accesses.
 
+    One piece through a fresh :class:`~repro.fastsim.FilterStream`.
     ``backend`` selects the implementation (``vector``/``scalar``/``verify``);
     ``None`` defers to :func:`repro.fastsim.default_backend`.  Both backends
     produce identical traces.
     """
-    result = run_filter(trace, hierarchy, backend=backend)
-    keep = result.keep
-    byte_addresses = trace.addresses[keep]
-    return LLCTrace(
-        byte_addresses=byte_addresses,
-        block_addresses=byte_addresses >> hierarchy.llc.block_offset_bits,
-        pcs=trace.pcs[keep],
-        regions=trace.regions[keep],
-        hints=_hint_classifier(layout, hierarchy.llc).classify_array(byte_addresses),
-        upstream_l1_hits=int(result.l1_stats.hits),
-        upstream_l2_hits=int(result.l2_stats.hits),
-        total_references=len(trace),
+    return _filter_piece(
+        FilterStream(hierarchy, backend=backend), trace, _hint_classifier(layout, hierarchy.llc)
     )
 
 
@@ -522,25 +544,18 @@ def _hint_classifier(
     return GraspClassifier(abrs, llc_size_bytes=llc_config.size_bytes)
 
 
-def _trace_key(workload: Workload, config: ExperimentConfig) -> tuple:
-    """Key of the filtered ROI trace and of its counters (``roisummary``)."""
-    return llctrace_memo_key(*workload.key, config, workload.layout.profile.merged)
-
-
 def llc_trace_for(workload: Workload, config: ExperimentConfig) -> LLCTrace:
-    """Memoised L1/L2-filtered LLC trace of the workload's ROI (kind ``llctrace``)."""
-    return _memoised(
-        _LLC_TRACES,
-        "llctrace",
-        _trace_key(workload, config),
-        lambda: filter_trace(
-            roi_trace(workload), config.hierarchy, workload.layout, backend=config.backend
-        ),
-    )
+    """Memoised L1/L2-filtered LLC trace of the workload's ROI.
+
+    The ROI stream's one chunk (:func:`llc_chunks`); unpacking it drains the
+    stream, so its manifest is written.
+    """
+    (chunk,) = llc_chunks(workload, config)
+    return chunk
 
 
 # ---------------------------------------------------------------------------
-# the full-execution stream
+# the filtered stream of either scope
 # ---------------------------------------------------------------------------
 
 #: Default access budget per streamed trace chunk (a few tens of MB of
@@ -585,42 +600,59 @@ def _chunk_budget(config: ExperimentConfig, max_chunk_accesses: Optional[int]) -
     return DEFAULT_CHUNK_ACCESSES
 
 
-def _summary_key(workload: Workload, config: ExperimentConfig) -> tuple:
-    """Budget-independent key for the aggregate L1/L2 stream counters."""
-    return llcstream_summary_memo_key(*workload.key, config, workload.layout.profile.merged)
+def _summary_key(workload: Workload, config: ExperimentConfig, streaming: bool) -> tuple:
+    """Budget-independent key of one scope's aggregate L1/L2 counters."""
+    return llcstream_summary_memo_key(
+        *workload.key, config, workload.layout.profile.merged, streaming=streaming
+    )
 
 
-def _stream_key(workload: Workload, config: ExperimentConfig, budget: int) -> tuple:
-    """Key for the chunked stream itself — chunk boundaries depend on the budget."""
-    return _summary_key(workload, config) + (budget,)
-
-
-def iter_llc_chunks(
+def _stream_key(
     workload: Workload,
     config: ExperimentConfig,
+    streaming: bool,
+    max_chunk_accesses: Optional[int] = None,
+) -> tuple:
+    """Key of one scope's stored filtered stream (its manifest)."""
+    return llcstream_memo_key(
+        *workload.key, config, workload.layout.profile.merged,
+        streaming=streaming, max_chunk_accesses=max_chunk_accesses,
+    )
+
+
+def llc_chunks(
+    workload: Workload,
+    config: ExperimentConfig,
+    streaming: bool = False,
     max_chunk_accesses: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> Iterator[LLCTrace]:
-    """Stream the full execution's post-L1/L2 LLC accesses, chunk by chunk.
+    """One scope's filtered LLC stream, as :class:`LLCTrace` chunks.
 
-    The streaming analogue of :func:`llc_trace_for`: each generated trace
-    chunk runs through one persistent :class:`~repro.fastsim.FilterStream`
-    (whose L1/L2 state carries across chunks) and is tagged with GRASP reuse
-    hints, yielding per-chunk :class:`LLCTrace` pieces whose concatenation is
-    bit-identical to filtering the materialized execution trace.
+    The only producer of filtered chunks, for both scopes.  The raw pieces
+    are ``(roi_trace(workload),)`` for the ROI, a one-chunk stream, or the
+    full execution's trace chunks under the chunk budget.  One
+    :class:`~repro.fastsim.FilterStream` filters them, its L1/L2 state
+    carried across pieces, and every kept access is tagged with its GRASP
+    reuse hint, so the chunks concatenate to exactly the filtered
+    materialized trace.
 
-    With the on-disk memo enabled, every filtered chunk is persisted
-    (``llcchunk``) and a manifest (``llcstream``) is written once the stream
-    completes; later iterations — other policies replaying the same
-    workload, other processes — serve the stream from disk one chunk at a
-    time (peak memory stays O(chunk) on the memo-hit path too) without
-    regenerating or re-filtering anything.  A missing or corrupt persisted
-    chunk falls back to regeneration mid-stream: the already-served prefix
-    is re-filtered to rebuild the L1/L2 state but not yielded again.
+    When the stream completes, its counters are published under the
+    budget-less summary key (for :func:`stream_summary`).  With the on-disk
+    memo, every chunk is persisted (``llcchunk``) and the manifest and the
+    summary (both ``llcstream``) are written after the last one; the ROI's
+    chunk is also held in memory.  Later calls serve the stored stream from
+    memory or, one chunk at a time, from disk, so peak memory stays O(chunk)
+    on the memo-hit path too.  A missing or corrupt persisted chunk falls
+    back to regeneration mid-stream: the already-served prefix is
+    re-filtered to rebuild the L1/L2 state but not yielded again, and the
+    broken tail is persisted anew.
     """
-    budget = _chunk_budget(config, max_chunk_accesses)
-    key = _stream_key(workload, config, budget)
-    summary_key = _summary_key(workload, config)
+    key = _stream_key(workload, config, streaming, max_chunk_accesses)
+    if key in _LLC_TRACES:
+        yield _LLC_TRACES[key]
+        return
+    summary_key = _summary_key(workload, config, streaming)
     memo = active_disk_memo()
     served = 0
     if memo is not None:
@@ -634,28 +666,21 @@ def iter_llc_chunks(
                 yield llc_chunk
                 served += 1
             if served == manifest["chunks"]:
+                if not streaming:
+                    _LLC_TRACES[key] = llc_chunk
                 return
+    if streaming:
+        budget = _chunk_budget(config, max_chunk_accesses)
+        pieces = (chunk.trace for chunk in iter_execution_chunks(workload, budget))
+    else:
+        pieces = (roi_trace(workload),)
     filter_stream = FilterStream(
         config.hierarchy, backend=backend if backend is not None else config.backend
     )
     classifier = _hint_classifier(workload.layout, config.hierarchy.llc)
-    offset_bits = config.hierarchy.llc.block_offset_bits
     count = 0
-    for chunk in iter_execution_chunks(workload, budget):
-        l1_before, l2_before = filter_stream.upstream_hit_counts()
-        keep = filter_stream.feed(chunk.trace)
-        l1_after, l2_after = filter_stream.upstream_hit_counts()
-        byte_addresses = chunk.trace.addresses[keep]
-        llc_chunk = LLCTrace(
-            byte_addresses=byte_addresses,
-            block_addresses=byte_addresses >> offset_bits,
-            pcs=chunk.trace.pcs[keep],
-            regions=chunk.trace.regions[keep],
-            hints=classifier.classify_array(byte_addresses),
-            upstream_l1_hits=l1_after - l1_before,
-            upstream_l2_hits=l2_after - l2_before,
-            total_references=len(chunk.trace),
-        )
+    for piece in pieces:
+        llc_chunk = _filter_piece(filter_stream, piece, classifier)
         if memo is not None and count >= served:
             # Chunks before `served` were just read back from disk intact;
             # only the broken/missing tail needs (re)persisting.
@@ -664,99 +689,27 @@ def iter_llc_chunks(
         if count > served:
             yield llc_chunk
     l1_hits, l2_hits = filter_stream.upstream_hit_counts()
-    if filter_stream.mode == VERIFY:
-        filter_stream.level_stats()  # cross-check the backends' counters
     summary = {
         "chunks": count,
         "l1_hits": l1_hits,
         "l2_hits": l2_hits,
         "total_references": filter_stream.total_references,
     }
-    # The budget-keyed entry is the manifest the chunk store is served by;
-    # the budget-less entry lets stream_summary reuse the counters
-    # (identical for every budget) from runs with other chunk budgets.
+    # The manifest serves the chunk store; the budget-less summary lets
+    # stream_summary reuse the counters (identical for every budget).
     _SUMMARIES[summary_key] = summary
+    if not streaming:
+        _LLC_TRACES[key] = llc_chunk
     if memo is not None:
         memo.put("llcstream", key, summary)
         memo.put("llcstream", summary_key, summary)
 
 
-# ---------------------------------------------------------------------------
-# scopes: the ROI iteration and the full execution
-# ---------------------------------------------------------------------------
-
-def llc_chunks(
-    workload: Workload,
-    config: ExperimentConfig,
-    streaming: bool = False,
-    max_chunk_accesses: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> Iterable[LLCTrace]:
-    """One scope's filtered LLC stream, as :class:`LLCTrace` chunks.
-
-    The ROI is a one-chunk stream, the memoised :func:`llc_trace_for`
-    (filtered under the config's backend: the trace is memoised, and every
-    backend filters it identically); the full execution streams
-    :func:`iter_llc_chunks` under the chunk budget.
-    """
-    if streaming:
-        return iter_llc_chunks(workload, config, max_chunk_accesses, backend=backend)
-    return (llc_trace_for(workload, config),)
-
-
-def _stream_stored(
-    app_name: str,
-    dataset_name: str,
-    reorder: str,
-    config: ExperimentConfig,
-    merged: bool,
-    streaming: bool,
-    budget: int,
-) -> bool:
-    """Whether the scope's filtered stream is already stored.
-
-    The ROI trace may sit in memory or on disk; the execution's chunk store
-    (its budget-keyed manifest) only ever lives on disk.
-    """
+def _stream_stored(key: tuple) -> bool:
+    """Whether the filtered stream whose manifest key is ``key`` is stored:
+    the ROI's chunk in memory, or either scope's manifest on disk."""
     memo = active_disk_memo()
-    if streaming:
-        key = llcstream_summary_memo_key(app_name, dataset_name, reorder, config, merged)
-        return memo is not None and memo.contains("llcstream", key + (budget,))
-    key = llctrace_memo_key(app_name, dataset_name, reorder, config, merged)
-    return key in _LLC_TRACES or (memo is not None and memo.contains("llctrace", key))
-
-
-def _summary_entry(
-    workload: Workload, config: ExperimentConfig, streaming: bool
-) -> Tuple[str, tuple]:
-    """Memo kind and budget-less key of one scope's aggregate L1/L2 counters."""
-    if streaming:
-        return "llcstream", _summary_key(workload, config)
-    return "roisummary", _trace_key(workload, config)
-
-
-def _publish_summary(
-    workload: Workload,
-    config: ExperimentConfig,
-    streaming: bool,
-    chunks: int,
-    l1_hits: int,
-    l2_hits: int,
-    total_references: int,
-) -> None:
-    """Record one scope's L1/L2 counters unless they are already stored."""
-    kind, key = _summary_entry(workload, config, streaming)
-    summary = {
-        "l1_hits": int(l1_hits),
-        "l2_hits": int(l2_hits),
-        "total_references": int(total_references),
-    }
-    if streaming:
-        summary = {"chunks": chunks, **summary}
-    _SUMMARIES.setdefault(key, summary)
-    memo = active_disk_memo()
-    if memo is not None and not memo.contains(kind, key):
-        memo.put(kind, key, summary)
+    return key in _LLC_TRACES or (memo is not None and memo.contains("llcstream", key))
 
 
 def stream_summary(
@@ -767,29 +720,22 @@ def stream_summary(
 ) -> dict:
     """Aggregate L1/L2 filter counters of one scope's stream.
 
-    Served from the in-memory/on-disk summary when there is one (kind
-    ``roisummary`` for the ROI, the budget-less ``llcstream`` entry for the
-    full execution): the fused routes and the filtered stream both leave
-    one behind, and the counters are identical for every chunk budget.
-    Otherwise drains the scope's filtered stream (:func:`llc_chunks`) once,
-    whose chunks carry the same counters — so timing never forces the
-    filtered stream back into existence when a fused run already produced
-    them.
+    Served from the in-memory/on-disk budget-less summary when there is
+    one: the fused routes and the filtered stream both leave one behind,
+    and the counters are identical for every chunk budget.  Otherwise
+    drains the scope's filtered stream (:func:`llc_chunks`) once, which
+    publishes them — so timing never forces the filtered stream back into
+    existence when a fused run already produced them.
     """
-    kind, key = _summary_entry(workload, config, streaming)
+    key = _summary_key(workload, config, streaming)
     if key not in _SUMMARIES:
         memo = active_disk_memo()
-        summary = memo.get(kind, key) if memo is not None else None
+        summary = memo.get("llcstream", key) if memo is not None else None
         if summary is not None:
             _SUMMARIES[key] = summary
         else:
-            chunks = l1_hits = l2_hits = total = 0
-            for chunk in llc_chunks(workload, config, streaming, max_chunk_accesses):
-                chunks += 1
-                l1_hits += chunk.upstream_l1_hits
-                l2_hits += chunk.upstream_l2_hits
-                total += chunk.total_references
-            _publish_summary(workload, config, streaming, chunks, l1_hits, l2_hits, total)
+            for _ in llc_chunks(workload, config, streaming, max_chunk_accesses):
+                pass
     return _SUMMARIES[key]
 
 
@@ -1073,8 +1019,8 @@ def _fused_pass(
 
     No filtered stream is ever materialized.  The aggregate L1/L2 counters
     the pass produced are published under the scope's budget-less summary
-    key (for :func:`stream_summary`) — but *not* under the execution's
-    budget-keyed manifest, which promises per-chunk ``llcchunk`` entries
+    key (for :func:`stream_summary`), unless already stored — but *not*
+    under the scope's manifest key, which promises ``llcchunk`` entries
     that this pass never writes.
     """
     if streaming:
@@ -1086,9 +1032,17 @@ def _fused_pass(
         pipeline.feed(piece)
         chunks += 1
     l1_hits, l2_hits = pipeline.upstream_hit_counts()
-    _publish_summary(
-        workload, config, streaming, chunks, l1_hits, l2_hits, pipeline.total_references
-    )
+    key = _summary_key(workload, config, streaming)
+    summary = {
+        "chunks": chunks,
+        "l1_hits": int(l1_hits),
+        "l2_hits": int(l2_hits),
+        "total_references": int(pipeline.total_references),
+    }
+    _SUMMARIES.setdefault(key, summary)
+    memo = active_disk_memo()
+    if memo is not None and not memo.contains("llcstream", key):
+        memo.put("llcstream", key, summary)
     return pipeline
 
 
@@ -1136,7 +1090,7 @@ def simulate_policy(
         backend=backend,
         consumers=2 if shared else 1,
         have_stream=_stream_stored(
-            *workload.key, config, workload.layout.profile.merged, streaming, budget
+            _stream_key(workload, config, streaming, max_chunk_accesses)
         ),
     )
     if plan.route == ROUTE_FUSED:
@@ -1151,14 +1105,13 @@ def simulate_policy(
     return _replay_llc(chunks, policy, config.hierarchy.llc, use_hints, plan)
 
 
-def _policy_entry(
+def _policy_key(
     workload: Workload, scheme: str, config: ExperimentConfig, streaming: bool
-) -> Tuple[str, tuple]:
-    """Memo kind and key of one scheme's stats on one scope."""
-    merged = workload.layout.profile.merged
-    if streaming:
-        return "policystream", policystream_memo_key(*workload.key, scheme, config, merged)
-    return "policy", policy_memo_key(*workload.key, scheme, config, merged)
+) -> tuple:
+    """Memo key of one scheme's stats on one scope (kind ``policystream``)."""
+    return policystream_memo_key(
+        *workload.key, scheme, config, workload.layout.profile.merged, streaming=streaming
+    )
 
 
 def simulate_scheme(
@@ -1171,16 +1124,15 @@ def simulate_scheme(
 ) -> CacheStats:
     """Memoised simulation of one scheme on one scope of a workload.
 
-    Kind ``policy`` for the ROI, ``policystream`` for the full execution;
-    results are chunk-budget- and backend-invariant, so neither key
-    carries either.  ``shared`` declares that other schemes will replay the
-    same filtered stream (see :func:`simulate_policy`).
+    Kind ``policystream``, keyed by the scope; results are chunk-budget-
+    and backend-invariant, so the key carries neither.  ``shared`` declares
+    that other schemes will replay the same filtered stream (see
+    :func:`simulate_policy`).
     """
-    kind, key = _policy_entry(workload, scheme, config, streaming)
     return _memoised(
         _POLICY_RUNS,
-        kind,
-        key,
+        "policystream",
+        _policy_key(workload, scheme, config, streaming),
         lambda: simulate_policy(
             workload, _policy_for(scheme, config), config,
             streaming=streaming, shared=shared,
@@ -1212,8 +1164,8 @@ def _maybe_fused_multi(
     for scheme in dict.fromkeys(schemes):
         if scheme == "OPT":
             continue
-        kind, key = _policy_entry(workload, scheme, config, streaming)
-        if key in _POLICY_RUNS or (memo is not None and memo.contains(kind, key)):
+        key = _policy_key(workload, scheme, config, streaming)
+        if key in _POLICY_RUNS or (memo is not None and memo.contains("policystream", key)):
             continue
         policy = scheme_policy(scheme)
         if supports_vector_replay(policy):
@@ -1221,15 +1173,12 @@ def _maybe_fused_multi(
             policies.append(policy)
     if len(targets) < 2:
         return
-    budget = _chunk_budget(config, None)
     plan = _plan(
         targets,
         policies,
         config,
         streaming,
-        have_stream=_stream_stored(
-            *workload.key, config, workload.layout.profile.merged, streaming, budget
-        ),
+        have_stream=_stream_stored(_stream_key(workload, config, streaming)),
     )
     if plan.route != ROUTE_FUSED_MULTI:
         return
@@ -1238,12 +1187,12 @@ def _maybe_fused_multi(
         policies,
         classifier=_hint_classifier(workload.layout, config.hierarchy.llc),
     )
-    _fused_pass(workload, config, streaming, budget, multi)
+    _fused_pass(workload, config, streaming, _chunk_budget(config, None), multi)
     for scheme, stats in zip(targets, multi.stats()):
-        kind, key = _policy_entry(workload, scheme, config, streaming)
+        key = _policy_key(workload, scheme, config, streaming)
         _POLICY_RUNS[key] = stats
         if memo is not None:
-            memo.put(kind, key, stats)
+            memo.put("policystream", key, stats)
 
 
 def _data_point(
@@ -1351,7 +1300,7 @@ def simulate_corun(
     """Replay N co-running applications through one shared LLC, streaming.
 
     Each application's post-L1/L2 stream is produced exactly as in the
-    single-programmed path (:func:`iter_llc_chunks` — private L1/L2 filters
+    single-programmed path (:func:`llc_chunks` — private L1/L2 filters
     per app, per-app reuse hints), merged under the spec's arrival schedule
     with per-stream address-space remapping, and replayed through one shared
     LLC.  The returned :class:`CacheStats` carries per-stream counters that
@@ -1391,7 +1340,7 @@ def simulate_corun(
         ]
         merged = InterleavedTraceStream(
             [
-                iter_llc_chunks(workload, config, max_chunk_accesses)
+                llc_chunks(workload, config, True, max_chunk_accesses)
                 for workload in workloads
             ],
             schedule=spec.schedule,
@@ -1496,8 +1445,8 @@ def plan_pair_tasks(
     """Plan every scheme task of one (app, dataset) pair, keyed by scheme.
 
     Memo keys are computable from the experiment parameters alone, so
-    whether the scope's filtered stream is already stored (the ROI trace,
-    the execution's chunk store) is probed directly from the memo — the
+    whether the scope's filtered stream is already stored (its manifest
+    key, :func:`llcstream_memo_key`) is probed directly from the memo — the
     sweep service embeds these plans in run manifests and ``repro plan
     explain`` answers before any simulation runs.  That flag belongs to
     the pair, not the scheme, so the store is probed once per call.  Each
@@ -1505,8 +1454,10 @@ def plan_pair_tasks(
     :func:`simulate_scheme` call would execute under the same memo state.
     """
     have_stream = _stream_stored(
-        app_name, dataset_name, reorder, config, config.merged_properties, streaming,
-        _chunk_budget(config, None),
+        llcstream_memo_key(
+            app_name, dataset_name, reorder, config, config.merged_properties,
+            streaming=streaming,
+        )
     )
     return {
         scheme: _plan(

@@ -69,10 +69,8 @@ from repro.experiments.runner import (
     build_workload,
     compare_policies,
     llc_chunks,
-    llcstream_summary_memo_key,
-    llctrace_memo_key,
+    llcstream_memo_key,
     plan_pair_tasks,
-    policy_memo_key,
     policystream_memo_key,
     set_disk_memo,
     simulate_scheme,
@@ -158,17 +156,17 @@ def exec_filter_task(
 ) -> str:
     """Filter one workload's scope through L1/L2 and store the result.
 
-    Draining :func:`~repro.experiments.runner.llc_chunks` persists the ROI's
-    ``llctrace``, or every ``llcchunk`` entry and the ``llcstream``
-    manifests of the full execution; per-chunk entries already in the store
-    are served, not recomputed, so a retried or resumed filter task only
-    pays for the missing tail.
+    Draining :func:`~repro.experiments.runner.llc_chunks` persists every
+    ``llcchunk`` entry of the scope's stream, then its ``llcstream``
+    manifest (the task's entry) and summary; per-chunk entries already in
+    the store are served, not recomputed, so a retried or resumed filter
+    task only pays for the missing tail.
     """
     _worker_setup(cache_dir, config)
     workload = build_workload(app, dataset, reorder=reorder, config=config)
     for _ in llc_chunks(workload, config, streaming):
         pass
-    return "llcstream" if streaming else "llctrace"
+    return "llcstream"
 
 
 def exec_scheme_task(
@@ -179,21 +177,19 @@ def exec_scheme_task(
     _worker_setup(cache_dir, config)
     workload = build_workload(app, dataset, reorder=reorder, config=config)
     simulate_scheme(workload, scheme, config, streaming=streaming)
-    return "policystream" if streaming else "policy"
+    return "policystream"
 
 
 def sweep_tasks(spec: SweepSpec, config: ExperimentConfig, cache_dir: Path | str) -> List[Task]:
-    """Decompose a sweep into its content-addressed task DAG."""
+    """Decompose a sweep into its content-addressed task DAG.
+
+    The filter task completes into its scope's stream manifest, the entry
+    it stores and the one the planner probes; each scheme task into its
+    ``policystream`` entry.  Both keys carry the scope.
+    """
     reorder = spec.resolved_reorder(config)
     cache = str(cache_dir)
-    # The scope decides only which memo kinds (and key functions) the filter
-    # and scheme tasks complete into.
-    if spec.streaming:
-        filter_kind, filter_key_of = "llcstream", llcstream_summary_memo_key
-        scheme_kind, scheme_key_of = "policystream", policystream_memo_key
-    else:
-        filter_kind, filter_key_of = "llctrace", llctrace_memo_key
-        scheme_kind, scheme_key_of = "policy", policy_memo_key
+    streaming = spec.streaming
     tasks: Dict[str, Task] = {}
     for dataset in spec.datasets:
         for app in spec.apps:
@@ -208,26 +204,28 @@ def sweep_tasks(spec: SweepSpec, config: ExperimentConfig, cache_dir: Path | str
                 label=f"workload {app}/{dataset}",
                 store_key=workload_key,
             ))
-            filter_key = filter_key_of(app, dataset, reorder, config)
+            filter_key = llcstream_memo_key(app, dataset, reorder, config, streaming=streaming)
             filter_id = key_digest(filter_key)
             tasks.setdefault(filter_id, Task(
                 task_id=filter_id,
                 fn=exec_filter_task,
-                args=pair_args + (spec.streaming,),
+                args=pair_args + (streaming,),
                 deps=(workload_id,),
-                kind=filter_kind,
+                kind="llcstream",
                 label=f"filter {app}/{dataset}",
                 store_key=filter_key,
             ))
             for scheme in spec.all_schemes():
-                scheme_key = scheme_key_of(app, dataset, reorder, scheme, config)
+                scheme_key = policystream_memo_key(
+                    app, dataset, reorder, scheme, config, streaming=streaming
+                )
                 scheme_id = key_digest(scheme_key)
                 tasks.setdefault(scheme_id, Task(
                     task_id=scheme_id,
                     fn=exec_scheme_task,
-                    args=pair_args + (scheme, spec.streaming),
+                    args=pair_args + (scheme, streaming),
                     deps=(filter_id,),
-                    kind=scheme_kind,
+                    kind="policystream",
                     label=f"{scheme} {app}/{dataset}",
                     store_key=scheme_key,
                 ))

@@ -58,8 +58,9 @@ chunks, or replay a whole trace with one ``feed`` on a fresh stream.
     this module's execution-surface re-exports.
 ``filter``
     The L1-D/L2 filter of pipeline stage 5 (both levels are always LRU, see
-    Sec. IV of the paper), with a scalar reference path and an equivalence
-    guard used by the ``verify`` backend.
+    Sec. IV of the paper): one resumable engine, :class:`FilterStream`, with
+    a scalar reference backend and an equivalence guard used by the
+    ``verify`` backend.
 ``replay``
     LLC replay dispatch for stage 6 — every scheme of the paper's matrix,
     including the per-region statistics breakdown of Fig. 2.  One family
@@ -93,8 +94,6 @@ from repro.fastsim.filter import (
     FilterResult,
     FilterStream,
     run_filter,
-    scalar_filter,
-    vector_filter,
 )
 from repro.fastsim.hawkeye import (
     HawkeyeSpec,
@@ -158,7 +157,6 @@ from repro.fastsim.stackdist import (
     occurrence_order,
     previous_occurrence_indices,
     prior_leq_counts,
-    substream_previous_indices,
 )
 
 __all__ = [
@@ -213,13 +211,10 @@ __all__ = [
     "resolve_backend",
     "rrip_spec",
     "run_filter",
-    "scalar_filter",
     "set_default_backend",
     "ship_spec",
-    "substream_previous_indices",
     "supports_vector_corun",
     "supports_vector_replay",
-    "vector_filter",
     "vector_opt_replay",
     "vector_policy_replay",
 ]

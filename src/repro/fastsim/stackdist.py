@@ -28,15 +28,14 @@ broadcast comparisons for narrow levels, sort + one flat ``searchsorted``
 (pairs packed into disjoint 32-bit key ranges where possible) for the middle,
 and cumulative histograms once the value span is comparable to the width.
 
-Two structural shortcuts keep the constant factors small.  *Run
+One structural shortcut keeps the constant factors small.  *Run
 compression*: an access whose previous same-set access touched the same block
 (ubiquitous in graph traces — sequential Edge-Array reads hit one 64-byte
 block ``block/stride`` times in a row) is a guaranteed hit that leaves the
 LRU stack untouched, so such repeats are answered directly and excluded from
-the ranking problem, typically halving it.  *Shared occurrence links*: the
-caller can pass precomputed previous-same-block indices
-(:func:`previous_occurrence_indices`), letting a filter pipeline sort the
-trace by block once and derive every level's links from it.
+the ranking problem, typically halving it.  The previous-same-block links
+the ranking starts from come from one stable block sort
+(:func:`previous_occurrence_indices` over :func:`occurrence_order`).
 
 Eviction counts need no per-access bookkeeping either: LRU never bypasses, so
 a set's occupancy grows by one per miss until it is full, giving
@@ -147,10 +146,9 @@ def prior_leq_counts(values: np.ndarray) -> np.ndarray:
 def occurrence_order(blocks: np.ndarray) -> np.ndarray:
     """Stable order grouping equal blocks together, time-ordered within.
 
-    One radix argsort (narrowed to 32-bit when the block range allows) whose
-    result can derive the previous-occurrence links of the full stream *and*
-    of any filtered substream, so a multi-level filter pipeline sorts by
-    block only once.
+    One radix argsort (narrowed to 32-bit when the block range allows): the
+    previous-occurrence links of :func:`previous_occurrence_indices` and
+    OPT's next-use links in NumPy are adjacent pairs of it.
     """
     base = int(blocks.min()) if blocks.size else 0
     sort_blocks = blocks
@@ -159,52 +157,17 @@ def occurrence_order(blocks: np.ndarray) -> np.ndarray:
     return np.argsort(sort_blocks, kind="stable")
 
 
-def previous_occurrence_indices(
-    blocks: np.ndarray, occ: Optional[np.ndarray] = None
-) -> np.ndarray:
+def previous_occurrence_indices(blocks: np.ndarray) -> np.ndarray:
     """Index of the previous access to the same block, ``-1`` for the first."""
     n = int(blocks.shape[0])
     prev = np.full(n, -1, dtype=np.int64)
     if n < 2:
         return prev
-    if occ is None:
-        occ = occurrence_order(blocks)
+    occ = occurrence_order(blocks)
     occ_blocks = blocks[occ]
     same = occ_blocks[1:] == occ_blocks[:-1]
     prev[occ[1:][same]] = occ[:-1][same]
     return prev
-
-
-def substream_previous_indices(
-    blocks: np.ndarray, occ: np.ndarray, member_indices: np.ndarray
-) -> np.ndarray:
-    """Previous-same-block links within a filtered substream.
-
-    ``member_indices`` selects (in increasing order) the surviving accesses
-    of the stream; the result is expressed in substream positions, ready to
-    hand to :func:`numpy_lru_replay` for the stream ``blocks[member_indices]``.
-    Restricting ``occ`` to the survivors keeps equal blocks adjacent and
-    time-ordered, so the links fall out of one adjacent-equality pass — no
-    new sort.
-    """
-    n = int(blocks.shape[0])
-    m = int(member_indices.shape[0])
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    member = np.zeros(n, dtype=bool)
-    member[member_indices] = True
-    occ_members = occ[member[occ]]
-    occ_blocks = blocks[occ_members]
-    same = occ_blocks[1:] == occ_blocks[:-1]
-    prev = np.full(n, -1, dtype=np.int64)
-    prev[occ_members[1:][same]] = occ_members[:-1][same]
-    sub_position = np.full(n, -1, dtype=np.int64)
-    sub_position[member_indices] = np.arange(m, dtype=np.int64)
-    prev_of_member = prev[member_indices]
-    has_prev = prev_of_member >= 0
-    return np.where(
-        has_prev, sub_position[np.where(has_prev, prev_of_member, 0)], -1
-    )
 
 
 class DenseIdMap:
@@ -436,10 +399,7 @@ class LRUStream:
 
 
 def numpy_lru_replay(
-    block_addresses: np.ndarray,
-    num_sets: int,
-    ways: int,
-    prev_indices: Optional[np.ndarray] = None,
+    block_addresses: np.ndarray, num_sets: int, ways: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Replay ``block_addresses`` through a ``num_sets`` x ``ways`` LRU cache
     with the NumPy stack-distance engine.
@@ -447,10 +407,7 @@ def numpy_lru_replay(
     Returns the per-access hit mask (in trace order) and the per-set miss
     counts.  ``num_sets`` must be a power of two (the set index is
     ``block & mask``, matching :class:`repro.cache.cache.SetAssociativeCache`).
-    This is the engine behind :class:`LRUStream`'s NumPy path and the
-    vector filter's NumPy tier; ``prev_indices`` optionally supplies
-    precomputed previous-same-block links (:func:`previous_occurrence_indices`)
-    to skip the internal sort.
+    This is the engine behind :class:`LRUStream`'s NumPy path.
     """
     blocks = np.asarray(block_addresses, dtype=np.int64)
     n = int(blocks.shape[0])
@@ -473,8 +430,7 @@ def numpy_lru_replay(
 
     # Previous occurrence of each access's block, as a within-set position.
     # A block maps to exactly one set, so same-block links are same-set links.
-    if prev_indices is None:
-        prev_indices = previous_occurrence_indices(blocks)
+    prev_indices = previous_occurrence_indices(blocks)
     original_pos = np.empty(n, dtype=index_dtype)
     original_pos[order] = within_set_pos
     has_link = prev_indices >= 0

@@ -16,21 +16,13 @@ the graph datasets the paper evaluates on:
 * :mod:`~repro.graph.properties` — degree/skew analysis used to reproduce
   Table I.
 
-The older per-mechanism entry points (:mod:`~repro.graph.generators`
-functions, :func:`~repro.graph.datasets.get_dataset`,
-:mod:`~repro.graph.io` load/save, raw :func:`~repro.graph.builder.build_csr`)
-remain importable as deprecated wrappers around the same implementations.
+The generators, the dataset registry, the edge-list/npz readers and writers
+and the CSR builder are private implementations behind
+:func:`~repro.graph.source.load` and :func:`~repro.graph.source.save`.
 """
 
-from repro.graph.builder import build_csr, from_edge_list
 from repro.graph.csr import CSRGraph, GraphError, MmapCSRGraph
-from repro.graph.datasets import DatasetSpec, get_dataset, list_datasets
-from repro.graph.generators import (
-    chung_lu_graph,
-    low_skew_graph,
-    rmat_graph,
-    uniform_random_graph,
-)
+from repro.graph.datasets import DatasetSpec, list_datasets
 from repro.graph.ingest import fetch_dataset, ingest_graph, verify_file
 from repro.graph.properties import (
     DegreeStatistics,
@@ -63,26 +55,19 @@ __all__ = [
     "MmapCSRGraph",
     "SkewProfile",
     "SkewReport",
-    "build_csr",
     "canonical_spec",
-    "chung_lu_graph",
     "degree_statistics",
     "describe_spec",
     "edge_coverage",
     "fetch_dataset",
-    "from_edge_list",
-    "get_dataset",
     "hot_vertex_mask",
     "ingest_graph",
     "list_datasets",
     "list_sources",
     "load",
     "load_for_experiment",
-    "low_skew_graph",
     "register_source",
-    "rmat_graph",
     "save",
     "skew_report",
-    "uniform_random_graph",
     "verify_file",
 ]

@@ -1,8 +1,8 @@
 """Construction of :class:`~repro.graph.csr.CSRGraph` objects from edge lists.
 
-The public :func:`build_csr` / :func:`from_edge_list` entry points are
-deprecated in favour of :func:`repro.graph.load` (``"edges:..."`` specs go
-through the same code); internal callers use the private ``_build_csr``.
+Graphs are acquired through :func:`repro.graph.load`; its ``"edges:..."``
+specs, the generators and the parsers all build through the private
+``_build_csr`` here.
 
 Every CSR array is ordered by one int64 edge key, ``group * num_vertices +
 other`` (see :func:`_order_edges`): the out-adjacency groups by source and
@@ -18,7 +18,6 @@ allocated.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -169,54 +168,3 @@ def _from_edge_list(
         num_vertices = int(edge_array.max()) + 1 if edge_array.size else 0
     weight_array = None if weights is None else np.asarray(weights, dtype=WEIGHT_DTYPE)
     return _build_csr(num_vertices, sources, targets, weights=weight_array, name=name, **kwargs)
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def build_csr(
-    num_vertices: int,
-    sources: np.ndarray,
-    targets: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-    remove_self_loops: bool = False,
-    deduplicate: bool = False,
-    name: str = "graph",
-) -> CSRGraph:
-    """Build a :class:`CSRGraph` from parallel source/target arrays.
-
-    .. deprecated:: use :func:`repro.graph.load` (or keep raw arrays out of
-       application code entirely); this wrapper forwards to the same builder.
-    """
-    _deprecated("repro.graph.builder.build_csr", "repro.graph.load")
-    return _build_csr(
-        num_vertices,
-        sources,
-        targets,
-        weights=weights,
-        remove_self_loops=remove_self_loops,
-        deduplicate=deduplicate,
-        name=name,
-    )
-
-
-def from_edge_list(
-    edges: Iterable[Sequence[int]],
-    num_vertices: Optional[int] = None,
-    weights: Optional[Sequence[float]] = None,
-    name: str = "graph",
-    **kwargs,
-) -> CSRGraph:
-    """Build a graph from an iterable of ``(source, target)`` pairs.
-
-    ``num_vertices`` defaults to one more than the largest vertex ID seen.
-
-    .. deprecated:: use :func:`repro.graph.load` instead.
-    """
-    _deprecated("repro.graph.builder.from_edge_list", "repro.graph.load")
-    return _from_edge_list(edges, num_vertices=num_vertices, weights=weights, name=name, **kwargs)

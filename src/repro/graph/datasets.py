@@ -19,7 +19,6 @@ preserved so that, as in the paper, the larger datasets thrash the LLC harder.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -161,21 +160,3 @@ def _get_dataset(
     if weighted:
         graph = graph.with_random_weights(seed=seed + 1)
     return graph
-
-
-def get_dataset(
-    name: str,
-    scale: float = 1.0,
-    seed: int = 42,
-    weighted: bool = False,
-) -> CSRGraph:
-    """Instantiate a named dataset.
-
-    .. deprecated:: use ``repro.graph.load("lj")`` (etc.) instead.
-    """
-    warnings.warn(
-        'repro.graph.datasets.get_dataset is deprecated; use repro.graph.load("<name>") instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _get_dataset(name, scale=scale, seed=seed, weighted=weighted)

@@ -4,23 +4,24 @@ The paper evaluates on five high-skew natural graphs (LiveJournal, PLD,
 Twitter, Kron, SD1-ARC), one low-skew graph (Friendster) and one no-skew
 uniform random graph.  Real datasets are tens of gigabytes and are not
 available offline, so this module provides scaled-down generators whose
-*degree-distribution shape* matches each class of dataset:
+*degree-distribution shape* matches each class of dataset.  They are
+reached through :func:`repro.graph.load` specs (``"chung-lu:n=4096,deg=8"``,
+``"rmat:scale=18,seed=7"``, ...) and the named datasets of
+:mod:`~repro.graph.datasets`:
 
-* :func:`chung_lu_graph` — power-law degree sequence with edges sampled
-  proportionally to vertex weights (Chung-Lu model); both the in- and the
-  out-degree distributions are skewed, as in natural graphs.
-* :func:`rmat_graph` — the R-MAT recursive-matrix generator used by the
-  paper's ``kr`` (Kron) and ``uni`` (R-MAT with uniform parameters) datasets.
-* :func:`low_skew_graph` — a mildly skewed Chung-Lu variant modelling
-  Friendster's comparatively flat degree distribution.
-* :func:`uniform_random_graph` — Erdős–Rényi-style uniform edge endpoints
-  (no skew), the paper's adversarial ``uni`` dataset.
+* ``_chung_lu_graph`` (``chung-lu``) — power-law degree sequence with edges
+  sampled proportionally to vertex weights (Chung-Lu model); both the in-
+  and the out-degree distributions are skewed, as in natural graphs.
+* ``_rmat_graph`` (``rmat``) — the R-MAT recursive-matrix generator used by
+  the paper's ``kr`` (Kron) and ``uni`` (R-MAT with uniform parameters)
+  datasets.
+* ``_low_skew_graph`` (``low-skew``) — a mildly skewed Chung-Lu variant
+  modelling Friendster's comparatively flat degree distribution.
+* ``_uniform_random_graph`` (``uniform``) — Erdős–Rényi-style uniform edge
+  endpoints (no skew), the paper's adversarial ``uni`` dataset.
 """
 
 from __future__ import annotations
-
-import functools
-import warnings
 
 import numpy as np
 
@@ -232,39 +233,3 @@ def _planted_community_graph(
         deduplicate=True,
         name=name,
     )
-
-
-# ---------------------------------------------------------------------------
-# deprecated public entry points
-# ---------------------------------------------------------------------------
-#
-# Graph acquisition is unified behind ``repro.graph.load(spec)``; these
-# wrappers keep the original signatures working while steering callers to the
-# spec grammar (e.g. ``"rmat:scale=18,seed=7"``, ``"chung-lu:n=4096,deg=8"``).
-
-
-def _deprecated_generator(impl, public_name: str, spec_head: str):
-    @functools.wraps(impl)
-    def wrapper(*args, **kwargs):
-        warnings.warn(
-            f"repro.graph.generators.{public_name} is deprecated; "
-            f'use repro.graph.load("{spec_head}:...") instead',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return impl(*args, **kwargs)
-
-    wrapper.__name__ = public_name
-    wrapper.__qualname__ = public_name
-    return wrapper
-
-
-chung_lu_graph = _deprecated_generator(_chung_lu_graph, "chung_lu_graph", "chung-lu")
-low_skew_graph = _deprecated_generator(_low_skew_graph, "low_skew_graph", "low-skew")
-uniform_random_graph = _deprecated_generator(
-    _uniform_random_graph, "uniform_random_graph", "uniform"
-)
-rmat_graph = _deprecated_generator(_rmat_graph, "rmat_graph", "rmat")
-planted_community_graph = _deprecated_generator(
-    _planted_community_graph, "planted_community_graph", "community"
-)

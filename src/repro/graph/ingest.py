@@ -23,8 +23,8 @@ corrupt entry reads as a miss and is rebuilt.
 pass A streams parsed chunks to a binary spill while accumulating degree
 counts, pass B scatters each chunk into ``np.memmap``-backed adjacency
 arrays with a counting-sort cursor, and pass C sorts each vertex's neighbour
-run in bounded blocks.  The result is bit-identical to
-:func:`repro.graph.builder.build_csr` on the same edges, so an
+run in bounded blocks.  The result is bit-identical to the in-RAM builder
+(``repro.graph.builder._build_csr``) on the same edges, so an
 :class:`~repro.graph.csr.MmapCSRGraph` loaded from the cache replays through
 the trace pipeline with exactly the CacheStats of the in-RAM path.
 
@@ -198,7 +198,7 @@ def _require_integer_ids(columns: np.ndarray, where: str) -> np.ndarray:
 
 
 class EdgeListReader:
-    """Chunked reader for whitespace edge lists (SNAP / ``save_edge_list``).
+    """Chunked reader for whitespace edge lists (SNAP / :func:`repro.graph.save`).
 
     Attributes populated while streaming:
 
@@ -455,8 +455,8 @@ def parse_graph(path: PathLike, options: ParseOptions = ParseOptions(),
     """Parse a graph file fully into RAM (the small-graph path).
 
     The result is produced by the same parser as the out-of-core path and
-    assembled with :func:`repro.graph.builder.build_csr`, so both paths are
-    bit-identical on the same file.
+    assembled with the in-RAM builder (``repro.graph.builder._build_csr``),
+    so both paths are bit-identical on the same file.
     """
     reader = make_reader(path, options.fmt, chunk_edges=chunk_edges)
     srcs, dsts, wts = [], [], []

@@ -1,9 +1,8 @@
 """Unified graph acquisition: ``repro.graph.load(spec)``.
 
-One string spec replaces the four parallel entry points that accumulated
-around graph construction (the :mod:`~repro.graph.generators` functions, the
-:mod:`~repro.graph.datasets` registry, :mod:`~repro.graph.io` load/save and
-raw ``build_csr``).  The grammar is ``"head"`` or ``"head:rest"``:
+One string spec is the entry point to every way of constructing a graph
+(the :mod:`~repro.graph.generators`, the :mod:`~repro.graph.datasets`
+registry, :mod:`~repro.graph.io` load/save and raw edge arrays).  The grammar is ``"head"`` or ``"head:rest"``:
 
 ``"lj"``, ``"kr"``, ...
     Named synthetic datasets from the Table V registry (scaled by the

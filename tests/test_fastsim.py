@@ -33,10 +33,8 @@ from repro.fastsim import (
     prior_leq_counts,
     resolve_backend,
     run_filter,
-    scalar_filter,
     set_default_backend,
     supports_vector_replay,
-    vector_filter,
     vector_policy_replay,
 )
 from repro.fastsim.filter import assert_stats_equal
@@ -170,8 +168,8 @@ class TestFilterEquivalence:
         rng = np.random.default_rng(seed)
         trace = self._random_trace(rng, int(rng.integers(0, 3000)))
         hierarchy = HierarchyConfig()
-        scalar = scalar_filter(trace, hierarchy)
-        vector = vector_filter(trace, hierarchy)
+        scalar = run_filter(trace, hierarchy, backend=SCALAR)
+        vector = run_filter(trace, hierarchy, backend=VECTOR)
         assert np.array_equal(scalar.keep, vector.keep)
         for left, right in ((scalar.l1_stats, vector.l1_stats), (scalar.l2_stats, vector.l2_stats)):
             assert_stats_equal(left, right, "test")

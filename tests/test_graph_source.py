@@ -13,7 +13,6 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.graph as graph_pkg
 from repro.experiments.cli import _spec_from_args, build_parser, main
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import canonical_dataset, workload_memo_key
@@ -254,40 +253,11 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# deprecated wrappers
+# the public entry points raise no deprecation warnings
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecationWrappers:
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda: graph_pkg.get_dataset("uni", scale=0.02),
-            lambda: graph_pkg.chung_lu_graph(60, 3.0, seed=1),
-            lambda: graph_pkg.rmat_graph(scale=6, seed=1),
-            lambda: graph_pkg.uniform_random_graph(50, 3.0, seed=1),
-            lambda: graph_pkg.build_csr(
-                4, np.array([0, 1]), np.array([1, 2])
-            ),
-            lambda: graph_pkg.from_edge_list(
-                [(0, 1), (1, 2)], num_vertices=3
-            ),
-        ],
-    )
-    def test_old_entry_points_warn_and_work(self, call):
-        with pytest.warns(DeprecationWarning, match="repro.graph.load"):
-            result = call()
-        assert result.num_vertices > 0
-
-    def test_io_wrappers_warn(self, tmp_path):
-        graph = _chung_lu_graph(40, 3.0, seed=2, name="dep")
-        path = tmp_path / "d.txt"
-        with pytest.warns(DeprecationWarning):
-            graph_pkg.io.save_edge_list(graph, path)
-        with pytest.warns(DeprecationWarning):
-            loaded = graph_pkg.io.load_edge_list(path)
-        assert arrays_equal(graph, loaded)
-
     def test_new_paths_do_not_warn(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

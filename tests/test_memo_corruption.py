@@ -20,12 +20,16 @@ from conftest import assert_points_equal
 from repro.experiments import (
     DiskMemo,
     ExperimentConfig,
+    build_workload,
     clear_caches,
     compare_policies,
     set_disk_memo,
+    simulate_policy,
 )
 from repro.experiments.queue import InlineBackend
-from repro.experiments.service import SweepSpec, run_sweep, sweep_tasks
+from repro.experiments.schemes import scheme_policy
+from repro.experiments.service import MemoTaskStore, SweepSpec, run_sweep, sweep_tasks
+from repro.fastsim import fused_native_supported
 
 pytestmark = pytest.mark.usefixtures("memo_isolation")
 
@@ -34,19 +38,20 @@ DATASETS = ("lj",)
 SCHEMES = ("RRIP", "GRASP")
 
 SPEC = SweepSpec(apps=APPS, datasets=DATASETS, schemes=SCHEMES)
+STREAM_SPEC = SweepSpec(apps=APPS, datasets=DATASETS, schemes=SCHEMES, streaming=True)
 
 
-def _task_paths(memo: DiskMemo, config) -> dict:
-    """label -> on-disk memo path for every task of SPEC's DAG."""
+def _task_paths(memo: DiskMemo, config, spec: SweepSpec = SPEC) -> dict:
+    """label -> on-disk memo path for every task of the spec's DAG."""
     return {
         task.label: memo.path_for(task.kind, task.store_key)
-        for task in sweep_tasks(SPEC, config, memo.root.parent)
+        for task in sweep_tasks(spec, config, memo.root.parent)
     }
 
 
-def _run(config, cache_dir, **kwargs):
+def _run(config, cache_dir, spec: SweepSpec = SPEC, **kwargs):
     return run_sweep(
-        SPEC, config=config, cache_dir=cache_dir, workers=2,
+        spec, config=config, cache_dir=cache_dir, workers=2,
         worker_backend=InlineBackend(), **kwargs,
     )
 
@@ -97,6 +102,41 @@ class TestCorruptEntriesAreMisses:
         again = _run(config, tmp_path)
         assert again.report.executed == 1
         assert again.report.cached == 3
+
+    def test_damaged_streaming_filter_entry_is_repaired_once(self, tmp_path):
+        """The filter task's entry is the stream manifest it stores, so a
+        damaged one is rewritten by the first rerun and cached after that."""
+        config = ExperimentConfig.smoke().with_overrides(chunk_accesses=4096)
+        _run(config, tmp_path, STREAM_SPEC)
+        memo = DiskMemo(tmp_path)
+        _task_paths(memo, config, STREAM_SPEC)["filter PR/lj"].write_bytes(b"not a pickle")
+        executed = []
+        for _ in range(2):
+            clear_caches()
+            set_disk_memo(None)
+            executed.append(_run(config, tmp_path, STREAM_SPEC).report.executed)
+        assert executed == [1, 0]
+
+    @pytest.mark.parametrize("spec", [SPEC, STREAM_SPEC], ids=["roi", "execution"])
+    def test_fused_pass_leaves_the_filter_task_undone(self, tmp_path, spec):
+        """A fused pass writes the scope's counter summary but no chunk, so
+        the filter task (keyed on the manifest) must still look undone."""
+        config = ExperimentConfig.smoke().with_overrides(backend="vector")
+        policy = scheme_policy("GRASP")
+        if not fused_native_supported(policy, config.hierarchy):
+            pytest.skip("no fused kernel available")
+        memo = DiskMemo(tmp_path)
+        set_disk_memo(memo)
+        workload = build_workload("PR", "lj", config=config)
+        simulate_policy(workload, policy, config, streaming=spec.streaming)
+        assert memo.entry_count("llcchunk") == 0
+        assert memo.entry_count("llcstream") == 1
+        store = MemoTaskStore(memo)
+        (filter_task,) = [
+            task for task in sweep_tasks(spec, config, tmp_path)
+            if task.label == "filter PR/lj"
+        ]
+        assert not store.is_done(filter_task)
 
     def test_contains_rejects_corrupt_entries(self, tmp_path):
         memo = DiskMemo(tmp_path)

@@ -13,13 +13,11 @@ import pytest
 from repro.experiments import ExperimentConfig
 from repro.experiments.memo import MEMO_VERSION, DiskMemo, key_digest
 from repro.experiments.runner import (
-    DEFAULT_CHUNK_ACCESSES,
     CorunSpec,
     build_workload,
     corun_memo_key,
+    llcstream_memo_key,
     llcstream_summary_memo_key,
-    llctrace_memo_key,
-    policy_memo_key,
     policystream_memo_key,
     set_disk_memo,
     simulate_corun,
@@ -33,33 +31,41 @@ pytestmark = pytest.mark.usefixtures("memo_isolation")
 CONFIG = ExperimentConfig.smoke()
 CORUN = CorunSpec(pairs=(("PR", "lj"), ("PR", "lj")))
 
-#: (memo kind, key, golden digest).  ``llctrace`` doubles as the
-#: ``roisummary`` key; ``llcchunk`` is chunk 0 of the budget-keyed stream.
+#: The memo kinds a run writes; nothing else may appear under the store.
+LIVE_KINDS = {"workload", "llcchunk", "llcstream", "policystream", "corun"}
+
+#: (memo kind, key, golden digest), ROI rows first.  Each scope's
+#: ``llcstream`` kind holds a budget-less summary and a manifest (the ROI's
+#: keyed by ``None``, the execution's by the default chunk budget);
+#: ``llcchunk`` is chunk 0 of the stored stream.
 GOLDEN = [
     ("workload", workload_memo_key("PR", "lj", "dbg", CONFIG),
      "8f3ed7053d0cd5254a3d8d44fc8e6b5499ffdb2022ccee6910fff747b82654a0"),
-    ("llctrace", llctrace_memo_key("PR", "lj", "dbg", CONFIG),
-     "d35b82e4f071093192f5f8756ba65ac5073d4530d3ce606324ef23ed3248d42d"),
-    ("roisummary", llctrace_memo_key("PR", "lj", "dbg", CONFIG),
-     "d35b82e4f071093192f5f8756ba65ac5073d4530d3ce606324ef23ed3248d42d"),
-    ("policy", policy_memo_key("PR", "lj", "dbg", "GRASP", CONFIG),
-     "3077c2ca869a872c0ec78d35b2969b193ebfc4248d2e0ee8bbcd0da6c0583deb"),
-    ("llcstream", llcstream_summary_memo_key("PR", "lj", "dbg", CONFIG),
+    ("llcstream", llcstream_summary_memo_key("PR", "lj", "dbg", CONFIG, streaming=False),
+     "ad5d21662ef59064e337d0f4186ea4b36778f722d73a3c137a879941a63dc42c"),
+    ("llcstream", llcstream_memo_key("PR", "lj", "dbg", CONFIG, streaming=False),
+     "921d3255f23465be166ac6332dd2e7dfae95a89c24a49dd8ddcd358714212609"),
+    ("llcchunk", llcstream_memo_key("PR", "lj", "dbg", CONFIG, streaming=False) + (0,),
+     "0dd1cb0a258d283bbba2c17e95f20b4a7fff28c4ada89033d32ad90f62922eee"),
+    ("policystream",
+     policystream_memo_key("PR", "lj", "dbg", "GRASP", CONFIG, streaming=False),
+     "73598754dc48f249a76cdc1122725808f274f099058fe968a802729255e0970e"),
+    ("llcstream", llcstream_summary_memo_key("PR", "lj", "dbg", CONFIG, streaming=True),
      "d38651dd8c1bddb0bb7c0929371f96fea8c9770ef5a016a029d1aa01b254ea88"),
-    ("llcstream",
-     llcstream_summary_memo_key("PR", "lj", "dbg", CONFIG) + (DEFAULT_CHUNK_ACCESSES,),
+    ("llcstream", llcstream_memo_key("PR", "lj", "dbg", CONFIG, streaming=True),
      "22cb1cc88afb8ee929dd00806efb591ac91b3acb0ea9b9f7971959a76a9c7f39"),
-    ("llcchunk",
-     llcstream_summary_memo_key("PR", "lj", "dbg", CONFIG) + (DEFAULT_CHUNK_ACCESSES, 0),
+    ("llcchunk", llcstream_memo_key("PR", "lj", "dbg", CONFIG, streaming=True) + (0,),
      "60019a8025b2eb80271a11d743308da0686bdf91c9fc150f0cb2cd160684aa32"),
-    ("policystream", policystream_memo_key("PR", "lj", "dbg", "GRASP", CONFIG),
+    ("policystream",
+     policystream_memo_key("PR", "lj", "dbg", "GRASP", CONFIG, streaming=True),
      "557a7c93740393b91b4c9157486aa153899f4e2f4d85e6a204adb507b2931666"),
     ("corun", corun_memo_key(CORUN, "dbg", "GRASP", CONFIG),
      "215317d78471d8293f62ccf1d872713949d4fd03761cc8f2c93a371effaa1af4"),
 ]
 IDS = [
-    "workload", "llctrace", "roisummary", "policy", "llcstream",
-    "llcstream-budget", "llcchunk", "policystream", "corun",
+    "workload", "llcstream-roi", "llcstream-roi-manifest", "llcchunk-roi",
+    "policystream-roi", "llcstream", "llcstream-budget", "llcchunk", "policystream",
+    "corun",
 ]
 
 
@@ -73,7 +79,8 @@ def test_key_digest_is_golden(kind, key, digest):
 
 
 def test_runs_write_entries_at_the_golden_keys(tmp_path):
-    """Both scopes' staged paths (``shared``) and a co-run write every kind."""
+    """Both scopes' staged paths (``shared``) and a co-run write every kind,
+    and nothing but the five live kinds."""
     memo = DiskMemo(tmp_path)
     set_disk_memo(memo)
     workload = build_workload("PR", "lj", config=CONFIG)
@@ -83,3 +90,4 @@ def test_runs_write_entries_at_the_golden_keys(tmp_path):
     simulate_corun(CORUN, "GRASP", CONFIG)
     for kind, _, digest in GOLDEN:
         assert (memo.root / kind / f"{digest}.pkl").is_file(), kind
+    assert {path.name for path in memo.root.iterdir()} == LIVE_KINDS

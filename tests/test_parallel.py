@@ -51,20 +51,20 @@ class TestDiskMemo:
 
     def test_versioned_layout(self, tmp_path):
         memo = DiskMemo(tmp_path)
-        memo.put("policy", ("k",), 1)
-        assert (tmp_path / f"v{MEMO_VERSION}" / "policy").is_dir()
+        memo.put("policystream", ("k",), 1)
+        assert (tmp_path / f"v{MEMO_VERSION}" / "policystream").is_dir()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         memo = DiskMemo(tmp_path)
         key = ("corrupt",)
-        memo.put("llctrace", key, [1, 2, 3])
-        memo.path_for("llctrace", key).write_bytes(b"not a pickle")
-        assert memo.get("llctrace", key) is None
+        memo.put("llcchunk", key, [1, 2, 3])
+        memo.path_for("llcchunk", key).write_bytes(b"not a pickle")
+        assert memo.get("llcchunk", key) is None
 
     def test_distinct_keys_distinct_paths(self, tmp_path):
         memo = DiskMemo(tmp_path)
-        assert memo.path_for("policy", ("a",)) != memo.path_for("policy", ("b",))
-        assert memo.path_for("policy", ("a",)) != memo.path_for("workload", ("a",))
+        assert memo.path_for("policystream", ("a",)) != memo.path_for("policystream", ("b",))
+        assert memo.path_for("policystream", ("a",)) != memo.path_for("workload", ("a",))
 
     def test_default_cache_dir_env(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -135,16 +135,17 @@ class TestParallelRunner:
         assert memo.entry_count("workload") == len(self.DATASETS)
         # With the fused filter kernel, multi-scheme comparisons take the
         # fused-multi route: one shared filter pass feeds every scheme's
-        # replay and no filtered ROI trace is ever materialized.  Without
-        # it, the staged path materializes the trace once per workload and
-        # shares it across schemes.  The budget-less timing counters ride
-        # along for workload_cycles either way.
+        # replay and no filtered ROI chunk is ever stored, only the
+        # budget-less timing counters for workload_cycles.  Without it, the
+        # staged path stores the ROI's one chunk per workload (plus its
+        # manifest next to the counters) and shares it across schemes.
         if kernels.has_capability("fused:filter"):
-            assert memo.entry_count("llctrace") == 0
+            assert memo.entry_count("llcchunk") == 0
+            assert memo.entry_count("llcstream") == len(self.DATASETS)
         else:
-            assert memo.entry_count("llctrace") == len(self.DATASETS)
-        assert memo.entry_count("roisummary") == len(self.DATASETS)
-        assert memo.entry_count("policy") == len(self.DATASETS) * len(self.SCHEMES)
+            assert memo.entry_count("llcchunk") == len(self.DATASETS)
+            assert memo.entry_count("llcstream") == 2 * len(self.DATASETS)
+        assert memo.entry_count("policystream") == len(self.DATASETS) * len(self.SCHEMES)
         # A fresh "invocation": cold in-memory tables, warm disk.
         clear_caches()
         set_disk_memo(None)
@@ -193,9 +194,8 @@ class TestParallelRunner:
         assert memo.entry_count("policystream") == len(self.DATASETS) * len(self.SCHEMES)
 
     def test_single_consumer_stream_skips_chunk_store(self, tmp_path):
-        """A lone policy replay takes the fused route: no chunk store, only
-        the budget-less counter summary (and, for the ROI path, the
-        ``roisummary`` counters instead of a materialized ``llctrace``)."""
+        """A lone policy replay takes the fused route on either scope: no
+        chunk store, only the scope's budget-less counter summary."""
         from repro.experiments.runner import simulate_policy, simulate_scheme
 
         config = ExperimentConfig.smoke().with_overrides(backend="vector")
@@ -209,8 +209,8 @@ class TestParallelRunner:
         assert memo.entry_count("llcchunk") == 0
         assert memo.entry_count("llcstream") == 1
         simulate_scheme(workload, "GRASP", config)
-        assert memo.entry_count("llctrace") == 0
-        assert memo.entry_count("roisummary") == 1
+        assert memo.entry_count("llcchunk") == 0
+        assert memo.entry_count("llcstream") == 2
 
     def test_single_pair_runs_serially(self):
         config = ExperimentConfig.smoke()

@@ -385,17 +385,18 @@ class TestManifestPlans:
             assert plan["kernel"]
 
     def test_sweep_plans_probe_the_trace_cache_once_per_pair(self, tmp_path, monkeypatch):
-        from repro.experiments.runner import llctrace_memo_key
+        from repro.experiments.runner import llcstream_memo_key
         from repro.experiments.service import SweepSpec, sweep_plans
 
         config = ExperimentConfig.smoke()
         spec = SweepSpec(apps=("PR",), datasets=("lj", "kr"), schemes=("RRIP", "GRASP", "OPT"))
         memo = DiskMemo(tmp_path)
         set_disk_memo(memo)
-        # One pair with a cached trace, one without: each pair's plans must
-        # match per-scheme planning under that pair's memo state.
-        memo.put("llctrace", llctrace_memo_key(
-            "PR", "lj", config.reorder, config, config.merged_properties), {"stub": 1})
+        # One pair with a stored ROI stream, one without: each pair's plans
+        # must match per-scheme planning under that pair's memo state.
+        memo.put("llcstream", llcstream_memo_key(
+            "PR", "lj", config.reorder, config, config.merged_properties, streaming=False,
+        ), {"stub": 1})
         probes = []
         contains = DiskMemo.contains
 
@@ -405,7 +406,7 @@ class TestManifestPlans:
 
         monkeypatch.setattr(DiskMemo, "contains", counting)
         plans = sweep_plans(spec, config)
-        assert probes.count("llctrace") == len(spec.apps) * len(spec.datasets)
+        assert probes.count("llcstream") == len(spec.apps) * len(spec.datasets)
         assert plans == {
             f"PR/{dataset}/{scheme}": plan_scheme_task(
                 "PR", dataset, config.reorder, scheme, config).to_json()

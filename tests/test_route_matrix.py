@@ -187,7 +187,7 @@ class TestChunkBudgetInvariance:
         stats = simulate_scheme(workload, "GRASP", config, streaming=streaming, shared=shared)
         _assert_stats_equal(stats, reference)
         assert stats.bypasses == reference.bypasses
-        stored = memo.entry_count("llcchunk" if streaming else "llctrace")
+        stored = memo.entry_count("llcchunk")
         if shared:
             assert stored > 0
         elif kernels.has_capability("fused:rrip"):

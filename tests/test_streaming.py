@@ -32,12 +32,11 @@ from repro.core.grasp import GraspPolicy
 from repro.experiments import ExperimentConfig, clear_caches, set_disk_memo
 from repro.experiments.memo import DiskMemo
 from repro.experiments.runner import (
-    _chunk_budget,
     _stream_key,
     build_workload,
     execution_trace,
     filter_trace,
-    iter_llc_chunks,
+    llc_chunks,
     simulate_llc_policy,
     simulate_opt,
     simulate_policy,
@@ -320,7 +319,7 @@ class TestRunnerStreaming:
 
     def test_llc_chunks_concatenate_to_one_shot_filter(self, setup):
         config, workload, one = setup
-        chunks = list(iter_llc_chunks(workload, config, max_chunk_accesses=5000))
+        chunks = list(llc_chunks(workload, config, streaming=True, max_chunk_accesses=5000))
         np.testing.assert_array_equal(
             np.concatenate([chunk.block_addresses for chunk in chunks]),
             one.block_addresses,
@@ -412,14 +411,14 @@ class TestRunnerStreaming:
         config, workload, _ = setup
         set_disk_memo(DiskMemo(tmp_path))
         try:
-            first = list(iter_llc_chunks(workload, config, max_chunk_accesses=5000))
+            first = list(llc_chunks(workload, config, streaming=True, max_chunk_accesses=5000))
             stats_first = simulate_scheme(workload, "GRASP", config, streaming=True)
             memo = DiskMemo(tmp_path)
             assert memo.entry_count("llcchunk") >= len(first)
             assert memo.entry_count("llcstream") >= 1
             assert memo.entry_count("policystream") == 1
             clear_caches()
-            second = list(iter_llc_chunks(workload, config, max_chunk_accesses=5000))
+            second = list(llc_chunks(workload, config, streaming=True, max_chunk_accesses=5000))
             assert len(first) == len(second)
             for a, b in zip(first, second):
                 np.testing.assert_array_equal(a.block_addresses, b.block_addresses)
@@ -429,28 +428,29 @@ class TestRunnerStreaming:
             set_disk_memo(None)
             clear_caches()
 
-    def test_corrupt_memo_chunk_falls_back_mid_stream(self, setup, tmp_path):
-        """A lost/corrupt persisted chunk regenerates the tail, bit-identically."""
+    @pytest.mark.parametrize("streaming", [False, True], ids=["roi", "execution"])
+    def test_corrupt_memo_chunk_falls_back_mid_stream(self, setup, tmp_path, streaming):
+        """A lost/corrupt persisted chunk regenerates the tail, bit-identically:
+        the ROI's only chunk, or a middle chunk of the full execution."""
         config, workload, _ = setup
         memo = DiskMemo(tmp_path)
         set_disk_memo(memo)
         try:
-            first = list(iter_llc_chunks(workload, config, max_chunk_accesses=5000))
-            assert len(first) > 2
-            # Corrupt a middle chunk: the memo-hit path serves the prefix from
-            # disk, then falls back to regeneration for the rest of the stream.
-            key = _stream_key(
-                workload, config, _chunk_budget(config, 5000)
-            )
-            memo.path_for("llcchunk", key + (1,)).write_bytes(b"not a pickle")
+            first = list(llc_chunks(workload, config, streaming, max_chunk_accesses=5000))
+            assert len(first) > 2 if streaming else len(first) == 1
+            # Corrupt a chunk: the memo-hit path serves the prefix from disk,
+            # then falls back to regeneration for the rest of the stream.
+            damaged = 1 if streaming else 0
+            key = _stream_key(workload, config, streaming, 5000)
+            memo.path_for("llcchunk", key + (damaged,)).write_bytes(b"not a pickle")
             clear_caches()
-            second = list(iter_llc_chunks(workload, config, max_chunk_accesses=5000))
+            second = list(llc_chunks(workload, config, streaming, max_chunk_accesses=5000))
             assert len(first) == len(second)
             for a, b in zip(first, second):
-                np.testing.assert_array_equal(a.block_addresses, b.block_addresses)
-                np.testing.assert_array_equal(a.hints, b.hints)
+                for name, value in vars(a).items():
+                    np.testing.assert_array_equal(value, getattr(b, name), err_msg=name)
             # The fallback also repaired the corrupted entry.
-            assert memo.get("llcchunk", key + (1,)) is not None
+            assert memo.get("llcchunk", key + (damaged,)) is not None
         finally:
             set_disk_memo(None)
             clear_caches()
