@@ -27,7 +27,8 @@ import tracemalloc
 from repro.cache.partition import WayPartition
 from repro.experiments.runner import build_workload, llc_chunks
 from repro.experiments.schemes import scheme_policy
-from repro.fastsim import CorunReplayStream, PolicyReplayStream, supports_vector_corun
+from repro.fastsim.corun import CorunReplayStream, supports_vector_corun
+from repro.fastsim.replay import PolicyReplayStream
 from repro.trace.interleave import InterleavedTraceStream
 
 #: Peak traced memory may grow at most this factor when the co-run

@@ -7,7 +7,7 @@ speed-up over the scalar reference on this workload set.
 """
 
 from repro.experiments.runner import build_workload, filter_trace, roi_trace
-from repro.fastsim import SCALAR, VECTOR
+from repro.fastsim.dispatch import SCALAR, VECTOR
 from repro.perf.throughput import measure_throughput
 
 #: The fast path must beat the scalar reference by at least this factor.

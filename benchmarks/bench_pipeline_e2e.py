@@ -1,7 +1,7 @@
 """Benchmark F5 — fused single-pass pipeline: end-to-end throughput.
 
 PR 7 fuses the per-chunk generate → filter → replay flow into one native
-pipeline pass (:class:`~repro.fastsim.FusedPipeline`): each raw trace chunk
+pipeline pass (:class:`~repro.fastsim.pipeline.FusedPipeline`): each raw trace chunk
 runs through the L1/L2 filter and the LLC engine in a single kernel call,
 with no intermediate filtered-trace materialization and no per-chunk
 persistence.  This benchmark gates the contracts the fused route makes for
@@ -22,7 +22,7 @@ of work a cold sweep performs per scheme:
 
 Both sides run the product code paths with a cold on-disk memo per round:
 the staged side is :func:`~repro.experiments.runner.llc_chunks` feeding
-a :class:`~repro.fastsim.PolicyReplayStream` (materialize + persist every
+a :class:`~repro.fastsim.replay.PolicyReplayStream` (materialize + persist every
 filtered chunk — what every replay paid before the fused route existed, and
 still pays when the stream is shared), the fused side is
 :func:`~repro.experiments.runner.simulate_policy` on the full execution,
@@ -47,9 +47,11 @@ from repro.experiments.runner import (
     simulate_scheme,
 )
 from repro.experiments.schemes import scheme_policy
-from repro.fastsim import VECTOR, FusedPipeline, PolicyReplayStream
 from repro.fastsim import kernels
+from repro.fastsim.dispatch import VECTOR
 from repro.fastsim.kernels import THREADS_ENV_VAR
+from repro.fastsim.pipeline import FusedPipeline
+from repro.fastsim.replay import PolicyReplayStream
 from repro.perf.throughput import measure_throughput
 
 pytestmark = pytest.mark.skipif(

@@ -19,7 +19,8 @@ import pytest
 
 from repro.experiments.runner import build_workload, llc_trace_for, simulate_opt
 from repro.experiments.schemes import scheme_policy
-from repro.fastsim import SCALAR, VECTOR, kernels
+from repro.fastsim import kernels
+from repro.fastsim.dispatch import SCALAR, VECTOR
 from repro.perf.throughput import measure_throughput
 
 #: The fast path must beat the scalar reference by at least this factor.

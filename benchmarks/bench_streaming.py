@@ -35,7 +35,9 @@ from repro.experiments.runner import (
     simulate_policy,
 )
 from repro.experiments.schemes import scheme_policy
-from repro.fastsim import VECTOR, FilterStream, PolicyReplayStream
+from repro.fastsim.dispatch import VECTOR
+from repro.fastsim.filter import FilterStream
+from repro.fastsim.replay import PolicyReplayStream
 from repro.perf.throughput import measure_throughput
 from repro.trace import generate_execution_trace, iter_execution_trace
 
@@ -63,7 +65,7 @@ def _stream_replay(workload, iterations, config, budget, scheme="GRASP"):
     """Memo-free streaming pipeline over an explicit iteration list.
 
     Mirrors the full execution's :func:`repro.experiments.runner.llc_chunks` +
-    :class:`~repro.fastsim.PolicyReplayStream` without the disk memo, so the
+    :class:`~repro.fastsim.replay.PolicyReplayStream` without the disk memo, so the
     measurement covers the pipeline itself and accepts a scaled (repeated)
     iteration list for the memory-growth gate.
     """

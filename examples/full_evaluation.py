@@ -12,9 +12,11 @@ Usage:
 ``--quick`` trims the workload matrix (three datasets, three applications)
 so the whole report finishes in a few minutes; the default runs the full
 5-application x 5-dataset matrix of the paper.  ``--workers`` prewarms the
-figure drivers by sharding the main policy comparison across processes, and
+figure drivers by running the main policy comparison as a sweep
+(:func:`repro.experiments.run_sweep`) over N worker processes, and
 ``--cache-dir`` persists workloads/traces/results on disk so repeated runs
-(and the individual benchmarks) reuse them.
+(and the individual benchmarks) reuse them; the sweep's run manifest lands
+under ``DIR/runs/``.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ def main() -> int:
     )
 
     if args.cache_dir or (args.workers or 0) > 1:
-        # Shard the heaviest comparison (Figs. 5/6) across processes and/or a
-        # persistent cache; the figure drivers below then reuse every
+        # Sweep the heaviest comparison (Figs. 5/6) across processes and/or
+        # into a persistent cache; the figure drivers below then reuse every
         # workload, filtered trace and policy run from the memo.  Worker
         # results only reach this process through the disk memo, so a
         # parallel prewarm without --cache-dir still needs a (throwaway)
@@ -92,20 +94,24 @@ def main() -> int:
         import shutil
         import tempfile
 
-        from repro.experiments import compare_policies_parallel
+        from repro.experiments import SweepSpec, run_sweep
         from repro.experiments.schemes import HISTORY_SCHEMES
 
         cache_dir = args.cache_dir
         if cache_dir is None:
             cache_dir = tempfile.mkdtemp(prefix="grasp-memo-")
             atexit.register(shutil.rmtree, cache_dir, ignore_errors=True)
-        compare_policies_parallel(
-            config.apps,
-            config.high_skew_datasets,
-            list(HISTORY_SCHEMES),
-            config=config,
-            max_workers=args.workers or 1,
+        workers = args.workers or 1
+        run_sweep(
+            SweepSpec(
+                apps=config.apps,
+                datasets=config.high_skew_datasets,
+                schemes=tuple(HISTORY_SCHEMES),
+            ),
+            config,
             cache_dir=cache_dir,
+            workers=workers,
+            worker_backend="process" if workers > 1 else "inline",
         )
 
     started = time.time()

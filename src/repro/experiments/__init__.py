@@ -25,7 +25,6 @@ Table VII (LLC size sweep)      :func:`repro.experiments.tables.table7_llc_sweep
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.memo import DiskMemo
-from repro.experiments.parallel import WorkerPoolBrokenWarning, compare_policies_parallel
 from repro.experiments.queue import FailureEvent, RetryPolicy
 from repro.experiments.runner import (
     CorunSpec,
@@ -65,12 +64,10 @@ __all__ = [
     "SweepError",
     "SweepResult",
     "SweepSpec",
-    "WorkerPoolBrokenWarning",
     "Workload",
     "build_workload",
     "clear_caches",
     "compare_policies",
-    "compare_policies_parallel",
     "compare_policies_corun",
     "execution_trace",
     "filter_trace",

@@ -2,8 +2,8 @@
 
 The in-memory memo tables in :mod:`repro.experiments.runner` only live for
 one process; this module persists the same artifacts so that separate
-invocations (each figure/table benchmark, every worker of the parallel
-runner) reuse each other's work.  There are five kinds, one directory each:
+invocations (each figure/table benchmark, every worker of a sweep) reuse
+each other's work.  There are five kinds, one directory each:
 
 ``<root>/v4/workload/<sha256>.pkl``
     Built :class:`~repro.experiments.runner.Workload` objects, keyed by the
@@ -45,9 +45,9 @@ between its reverse and forward passes).
 
 Keys are hashed from their ``repr`` — every component is a primitive or a
 frozen dataclass with a deterministic ``repr``.  Writes go through a
-temporary file and ``os.replace`` so concurrent writers (the parallel
-runner's worker processes) can never expose a partially-written entry; a
-corrupt or unreadable entry is treated as a miss and recomputed.
+temporary file and ``os.replace`` so concurrent writers (a sweep's worker
+processes) can never expose a partially-written entry; a corrupt or
+unreadable entry is treated as a miss and recomputed.
 
 Entry layout (v4)
 -----------------
@@ -70,7 +70,8 @@ read-only ``mmap`` instead: it still proves the entry loads, object
 construction included, but never reads the array bytes, so probing a
 multi-megabyte trace costs about as much as probing a tiny entry.
 
-The store is enabled by passing a ``cache_dir`` to the parallel runner or by
+The store is enabled by passing a ``cache_dir`` to
+:func:`~repro.experiments.service.run_sweep` (which requires one) or by
 setting the ``REPRO_CACHE_DIR`` environment variable, in which case the
 serial runner uses it too.
 """

@@ -11,18 +11,17 @@ It defines
   the longest other queue, so no worker ever idles while any queue holds
   work;
 * :class:`RetryPolicy` — bounded retries with exponential backoff;
-* :class:`FailureEvent` — the structured failure record shared by the
-  scheduler's run manifest and the parallel runner's
-  :class:`WorkerPoolBrokenWarning`, so a dying worker looks the same whether
-  it died under the service or under the legacy pair-sharded runner;
+* :class:`FailureEvent` — the structured failure record the scheduler
+  keeps in its report and the run manifest;
 * :class:`WorkerBackend` implementations — :class:`InlineBackend` (execute
-  in-process; the serial fallback and the base class of the test harness's
-  fault-injecting backend) and :class:`ProcessPoolBackend`
-  (:class:`~concurrent.futures.ProcessPoolExecutor` with file-based worker
-  heartbeats).  The backend interface is deliberately small (submit / poll /
-  heartbeat_age / cancel) so a remote transport (e.g. a celery- or
-  socket-based pool, the wiscsee deployment shape) can slot in without
-  touching the scheduler.
+  in-process; the choice for hosts without process pools, and the base
+  class of the test harness's fault-injecting backend) and
+  :class:`ProcessPoolBackend` (:class:`~concurrent.futures.ProcessPoolExecutor`
+  with file-based worker heartbeats; a pool that dies is replaced and its
+  lost tasks retried, while a pool that cannot start raises).  The backend
+  interface is deliberately small (submit / poll / heartbeat_age / cancel)
+  so a remote transport (e.g. a celery- or socket-based pool, the wiscsee
+  deployment shape) can slot in without touching the scheduler.
 """
 
 from __future__ import annotations
@@ -44,11 +43,10 @@ TASK_OK = "ok"
 TASK_ERROR = "error"
 TASK_DIED = "died"
 
-# Failure-event kinds (also used by repro.experiments.parallel).
+# Failure-event kinds.
 WORKER_DIED = "worker-died"
 TASK_FAILED = "task-error"
 HEARTBEAT_TIMEOUT = "heartbeat-timeout"
-POOL_BROKEN = "worker-pool-broken"
 
 
 class WorkerCrash(RuntimeError):
@@ -83,7 +81,7 @@ class Task:
 class FailureEvent:
     """Structured record of one scheduling-visible failure."""
 
-    kind: str  #: WORKER_DIED / TASK_FAILED / HEARTBEAT_TIMEOUT / POOL_BROKEN
+    kind: str  #: WORKER_DIED / TASK_FAILED / HEARTBEAT_TIMEOUT
     task_id: str = ""
     label: str = ""
     worker: Optional[int] = None
@@ -105,19 +103,6 @@ class FailureEvent:
         where = f" on worker {self.worker}" if self.worker is not None else ""
         label = self.label or self.task_id or "<pool>"
         return f"{self.kind}: {label}{where} (attempt {self.attempt}): {self.detail}"
-
-
-class WorkerPoolBrokenWarning(UserWarning):
-    """A worker pool died and the computation fell back to the serial path.
-
-    Carries the :class:`FailureEvent` as ``.event`` so programmatic callers
-    (and the sweep service's failure reporting) see the same structured
-    record the warning renders.
-    """
-
-    def __init__(self, event: FailureEvent) -> None:
-        super().__init__(str(event))
-        self.event = event
 
 
 @dataclass(frozen=True)
@@ -242,11 +227,12 @@ class WorkerBackend(ABC):
 class InlineBackend(WorkerBackend):
     """Executes tasks synchronously in-process.
 
-    The serial fallback of the service, and the base class the test
-    harness's fault-injecting backend builds on: execution happens inside
-    :meth:`submit` (via the overridable :meth:`_execute`), outcomes are
-    buffered until :meth:`poll`, and :meth:`cancel` drops a buffered outcome
-    — which is exactly how a crash-after-side-effect looks to the scheduler.
+    The service's serial backend (``worker_backend="inline"``), and the
+    base class the test harness's fault-injecting backend builds on:
+    execution happens inside :meth:`submit` (via the overridable
+    :meth:`_execute`), outcomes are buffered until :meth:`poll`, and
+    :meth:`cancel` drops a buffered outcome — which is exactly how a
+    crash-after-side-effect looks to the scheduler.
     """
 
     name = "inline"
@@ -464,7 +450,6 @@ __all__ = [
     "FailureEvent",
     "HEARTBEAT_TIMEOUT",
     "InlineBackend",
-    "POOL_BROKEN",
     "ProcessPoolBackend",
     "RetryPolicy",
     "TASK_DIED",
@@ -477,5 +462,4 @@ __all__ = [
     "WorkQueue",
     "WorkerBackend",
     "WorkerCrash",
-    "WorkerPoolBrokenWarning",
 ]

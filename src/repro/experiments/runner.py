@@ -27,7 +27,7 @@ application's *full execution* (``streaming=True``: every iteration's
 direction and frontier, generated, filtered and replayed chunk by chunk, so
 peak memory is bounded by the chunk budget).  Each stage is written once,
 over a stream of :class:`LLCTrace` chunks, and :func:`llc_chunks` is the
-only producer of those chunks: one :class:`~repro.fastsim.FilterStream`
+only producer of those chunks: one :class:`~repro.fastsim.filter.FilterStream`
 filters the scope's raw pieces, which are ``(roi_trace(w),)`` for the ROI
 (a one-chunk stream) and the execution's trace chunks otherwise.  Both
 scopes store their results in the same memo kinds (``llcchunk`` /
@@ -67,9 +67,10 @@ for the ``<cache_dir>/v4/<kind>/<sha256-of-key>.pkl`` layout
 (header, pickle stream, out-of-band array buffers: reads copy the buffers
 into owned memory, existence probes unpickle over a read-only mapping).
 The store is off unless ``REPRO_CACHE_DIR`` is set or
-:func:`set_disk_memo` is called; the parallel runner
-(:mod:`repro.experiments.parallel`) installs it in every worker so shards
-and later invocations (Figs. 5-11, Tables 1-7) reuse each other's runs.
+:func:`set_disk_memo` is called; the sweep service
+(:func:`repro.experiments.service.run_sweep`) installs it in every worker so
+its tasks and later invocations (Figs. 5-11, Tables 1-7) reuse each other's
+runs.
 :func:`clear_caches` drops only the in-memory tables, never the disk store.
 """
 
@@ -523,9 +524,9 @@ def filter_trace(
 ) -> LLCTrace:
     """Run the L1-D/L2 filters over a trace and return the LLC-bound accesses.
 
-    One piece through a fresh :class:`~repro.fastsim.FilterStream`.
+    One piece through a fresh :class:`~repro.fastsim.filter.FilterStream`.
     ``backend`` selects the implementation (``vector``/``scalar``/``verify``);
-    ``None`` defers to :func:`repro.fastsim.default_backend`.  Both backends
+    ``None`` defers to :func:`repro.fastsim.dispatch.default_backend`.  Both backends
     produce identical traces.
     """
     return _filter_piece(
@@ -632,7 +633,7 @@ def llc_chunks(
     The only producer of filtered chunks, for both scopes.  The raw pieces
     are ``(roi_trace(workload),)`` for the ROI, a one-chunk stream, or the
     full execution's trace chunks under the chunk budget.  One
-    :class:`~repro.fastsim.FilterStream` filters them, its L1/L2 state
+    :class:`~repro.fastsim.filter.FilterStream` filters them, its L1/L2 state
     carried across pieces, and every kept access is tagged with its GRASP
     reuse hint, so the chunks concatenate to exactly the filtered
     materialized trace.
@@ -805,12 +806,12 @@ def _replay_llc(
 ) -> CacheStats:
     """Replay one policy over a stream of LLC chunks, under any backend.
 
-    ``vector`` feeds a :class:`~repro.fastsim.PolicyReplayStream`, ``scalar``
+    ``vector`` feeds a :class:`~repro.fastsim.replay.PolicyReplayStream`, ``scalar``
     keeps the reference cache alive across chunks, and ``verify`` runs both
-    and raises :class:`~repro.fastsim.FastSimMismatchError` unless their
+    and raises :class:`~repro.fastsim.filter.FastSimMismatchError` unless their
     statistics are identical.  A co-run's merged, stream-tagged chunks
     (``corun`` is its spec) replay through a
-    :class:`~repro.fastsim.CorunReplayStream` and a stream-tracking
+    :class:`~repro.fastsim.corun.CorunReplayStream` and a stream-tracking
     reference cache under the spec's partition, so the cross-check covers
     every per-stream counter.  Belady's OPT goes to :func:`_replay_opt`.
     """
@@ -871,12 +872,12 @@ def _replay_opt(
 
     OPT needs the future, so the stream is processed in two passes instead
     of one resumable pass: a reverse sweep resolves globally consistent
-    per-chunk next-use indices (:func:`~repro.fastsim.resolve_chunk_next_use`),
-    then a forward sweep feeds an :class:`~repro.fastsim.OptStream`.  A
+    per-chunk next-use indices (:func:`~repro.fastsim.opt.resolve_chunk_next_use`),
+    then a forward sweep feeds an :class:`~repro.fastsim.opt.OptStream`.  A
     stream of several chunks is spilled to disk between the passes
     (:class:`~repro.experiments.memo.ChunkSpill`), so peak memory stays
     bounded by the chunk budget plus the reverse pass's
-    :class:`~repro.fastsim.NextUseTable` (one int64 per distinct block and
+    :class:`~repro.fastsim.opt.NextUseTable` (one int64 per distinct block and
     its id map's key table); a one-chunk stream (the ROI) stays in memory.
 
     The scalar reference (:func:`simulate_opt_misses`) is inherently
@@ -1066,7 +1067,7 @@ def simulate_policy(
     executed.  Results are bit-identical for every chunk budget and backend.
 
     Under the ``vector`` backend, policies with a fused kernel take the
-    single-pass route (:class:`~repro.fastsim.FusedPipeline`): each raw
+    single-pass route (:class:`~repro.fastsim.pipeline.FusedPipeline`): each raw
     trace piece runs through the L1/L2 filter and the LLC engine in one
     native call, with no filtered stream materialized.  The fused route is
     skipped when replaying the scope's stored filtered stream is cheaper
@@ -1313,8 +1314,8 @@ def simulate_corun(
 
     The merged stream replays through the one LLC replay driver, so backend
     semantics match the single-app streaming path: ``vector`` uses
-    :class:`~repro.fastsim.CorunReplayStream` when
-    :func:`~repro.fastsim.supports_vector_corun` accepts the configuration
+    :class:`~repro.fastsim.corun.CorunReplayStream` when
+    :func:`~repro.fastsim.corun.supports_vector_corun` accepts the configuration
     (per-stream engines under a partition, shared engine plus ``bincount``
     attribution without), ``scalar`` replays through a stream-tracking
     :class:`~repro.cache.SetAssociativeCache`, and ``verify`` runs both and

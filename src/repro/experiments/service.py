@@ -129,10 +129,12 @@ class SweepSpec:
 # Worker-side task bodies.  Module-level (picklable for the process backend);
 # each installs the shared DiskMemo so results land in the content-addressed
 # store, which is both the task's output channel and its completion marker.
-# Values returned to the scheduler are deliberately tiny — real results
-# travel through the store, not the transport.
+# They touch no other process state: the inline backend runs them in the
+# caller's process.  Values returned to the scheduler are deliberately tiny —
+# real results travel through the store, not the transport.
 
 def _worker_setup(cache_dir: str, config: ExperimentConfig) -> None:
+    """Initializer of every :class:`ProcessPoolBackend` worker process."""
     # Sweep workers already occupy one core each; keep the fused pipeline's
     # filter threading out of the picture (results are thread-invariant).
     os.environ[THREADS_ENV_VAR] = "1"
@@ -145,7 +147,7 @@ def exec_workload_task(
     cache_dir: str, app: str, dataset: str, reorder: str, config: ExperimentConfig
 ) -> str:
     """Build (and persist) one workload."""
-    _worker_setup(cache_dir, config)
+    set_disk_memo(DiskMemo(Path(cache_dir)))
     build_workload(app, dataset, reorder=reorder, config=config)
     return "workload"
 
@@ -162,7 +164,7 @@ def exec_filter_task(
     the store are served, not recomputed, so a retried or resumed filter
     task only pays for the missing tail.
     """
-    _worker_setup(cache_dir, config)
+    set_disk_memo(DiskMemo(Path(cache_dir)))
     workload = build_workload(app, dataset, reorder=reorder, config=config)
     for _ in llc_chunks(workload, config, streaming):
         pass
@@ -174,7 +176,7 @@ def exec_scheme_task(
     config: ExperimentConfig, scheme: str, streaming: bool = False,
 ) -> str:
     """Replay one scheme over one pair's stored filtered stream."""
-    _worker_setup(cache_dir, config)
+    set_disk_memo(DiskMemo(Path(cache_dir)))
     workload = build_workload(app, dataset, reorder=reorder, config=config)
     simulate_scheme(workload, scheme, config, streaming=streaming)
     return "policystream"

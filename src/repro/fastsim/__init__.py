@@ -11,6 +11,9 @@ Each policy family has exactly one engine, a resumable ``*Stream`` class
 ``HawkeyeStream``, ``LeewayStream``, ``OptStream``): feed it a trace in
 chunks, or replay a whole trace with one ``feed`` on a fresh stream.
 
+The package itself re-exports nothing: import every name from the module
+below that defines it (``from repro.fastsim.rrip import RRIPStream``).
+
 ``stackdist``
     The LRU engine.  Exploits the LRU *stack property*: a W-way set hits an
     access exactly when fewer than W distinct blocks of the same set were
@@ -77,144 +80,3 @@ Only the GRASP ablation variants (RRIP+Hints, insertion-only GRASP) still
 use the scalar simulator regardless of the selected backend — they subclass
 DRRIP/GRASP and override hooks the array-form specs cannot express.
 """
-
-from repro.fastsim.corun import CorunReplayStream, supports_vector_corun
-from repro.fastsim.dispatch import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    SCALAR,
-    VECTOR,
-    VERIFY,
-    default_backend,
-    resolve_backend,
-    set_default_backend,
-)
-from repro.fastsim.filter import (
-    FastSimMismatchError,
-    FilterResult,
-    FilterStream,
-    run_filter,
-)
-from repro.fastsim.hawkeye import (
-    HawkeyeSpec,
-    HawkeyeStream,
-    hawkeye_spec,
-)
-from repro.fastsim.leeway import (
-    LeewaySpec,
-    LeewayStream,
-    leeway_spec,
-)
-from repro.fastsim.opt import (
-    NextUseTable,
-    OptStream,
-    next_use_indices,
-    resolve_chunk_next_use,
-)
-from repro.fastsim.pin import (
-    PinSpec,
-    PinStream,
-    pin_spec,
-)
-from repro.fastsim.pipeline import (
-    FusedPipeline,
-    FusedStats,
-    MultiFusedPipeline,
-    effective_threads,
-    fused_native_supported,
-    fused_supported,
-)
-from repro.fastsim.plan import (
-    ENGINE_CAPABILITIES,
-    EngineCapabilities,
-    ExecutionPlan,
-    PLANNER,
-    RoutePlanner,
-    SimRequest,
-    capabilities_for,
-    plan_request,
-)
-from repro.fastsim.replay import (
-    PolicyReplayStream,
-    supports_vector_replay,
-    vector_opt_replay,
-    vector_policy_replay,
-)
-from repro.fastsim.rrip import (
-    RRIPSpec,
-    RRIPStream,
-    rrip_spec,
-)
-from repro.fastsim.ship import (
-    ShipSpec,
-    ShipStream,
-    ship_spec,
-)
-from repro.fastsim.stackdist import (
-    DenseIdMap,
-    LRUStream,
-    numpy_lru_replay,
-    occurrence_order,
-    previous_occurrence_indices,
-    prior_leq_counts,
-)
-
-__all__ = [
-    "BACKEND_ENV_VAR",
-    "BACKENDS",
-    "CorunReplayStream",
-    "ENGINE_CAPABILITIES",
-    "EngineCapabilities",
-    "ExecutionPlan",
-    "PLANNER",
-    "RoutePlanner",
-    "SCALAR",
-    "SimRequest",
-    "VECTOR",
-    "VERIFY",
-    "DenseIdMap",
-    "FastSimMismatchError",
-    "FilterResult",
-    "FilterStream",
-    "FusedPipeline",
-    "FusedStats",
-    "MultiFusedPipeline",
-    "HawkeyeSpec",
-    "HawkeyeStream",
-    "LRUStream",
-    "LeewaySpec",
-    "LeewayStream",
-    "NextUseTable",
-    "OptStream",
-    "PinSpec",
-    "PinStream",
-    "PolicyReplayStream",
-    "RRIPSpec",
-    "RRIPStream",
-    "ShipSpec",
-    "ShipStream",
-    "capabilities_for",
-    "default_backend",
-    "effective_threads",
-    "fused_native_supported",
-    "fused_supported",
-    "hawkeye_spec",
-    "leeway_spec",
-    "next_use_indices",
-    "numpy_lru_replay",
-    "occurrence_order",
-    "pin_spec",
-    "plan_request",
-    "previous_occurrence_indices",
-    "prior_leq_counts",
-    "resolve_chunk_next_use",
-    "resolve_backend",
-    "rrip_spec",
-    "run_filter",
-    "set_default_backend",
-    "ship_spec",
-    "supports_vector_corun",
-    "supports_vector_replay",
-    "vector_opt_replay",
-    "vector_policy_replay",
-]

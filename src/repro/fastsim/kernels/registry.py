@@ -5,8 +5,8 @@ declare a :class:`KernelSpec` — a C source fragment, the symbols it exports
 with their ctypes signatures, and the capability names it provides — and
 register it with :func:`register_kernel` at import time.  Registration is
 pure bookkeeping: **nothing is compiled until the first kernel lookup**, so
-``import repro`` (and ``import repro.fastsim``) stays cheap even on hosts
-with a C toolchain.
+importing the engines (``import repro.fastsim.plan`` imports every one)
+stays cheap even on hosts with a C toolchain.
 
 On first use the registry concatenates every registered fragment, in
 registration order, into one translation unit and compiles it with the

@@ -42,8 +42,9 @@ from repro.experiments.runner import (
     simulate_scheme,
 )
 from repro.experiments.schemes import scheme_policy
-from repro.fastsim import CorunReplayStream, PolicyReplayStream, supports_vector_corun
+from repro.fastsim.corun import CorunReplayStream, supports_vector_corun
 from repro.fastsim.filter import assert_stats_equal
+from repro.fastsim.replay import PolicyReplayStream
 from repro.trace.interleave import (
     SCHEDULES,
     STREAM_ADDRESS_BITS,

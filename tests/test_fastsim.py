@@ -20,24 +20,19 @@ from repro.experiments.runner import (
     roi_trace,
     simulate_llc_policy,
 )
-from repro.fastsim import (
+from repro.fastsim import kernels
+from repro.fastsim.dispatch import (
     BACKENDS,
     SCALAR,
     VECTOR,
     VERIFY,
-    DenseIdMap,
-    FastSimMismatchError,
-    LRUStream,
-    kernels,
     default_backend,
-    prior_leq_counts,
     resolve_backend,
-    run_filter,
     set_default_backend,
-    supports_vector_replay,
-    vector_policy_replay,
 )
-from repro.fastsim.filter import assert_stats_equal
+from repro.fastsim.filter import FastSimMismatchError, assert_stats_equal, run_filter
+from repro.fastsim.replay import supports_vector_replay, vector_policy_replay
+from repro.fastsim.stackdist import DenseIdMap, LRUStream, prior_leq_counts
 from repro.trace import Trace
 
 GEOMETRIES = [(1, 1), (1, 4), (4, 1), (4, 4), (8, 2), (2, 8), (16, 16)]

@@ -30,25 +30,15 @@ from repro.experiments.runner import (
     simulate_opt,
 )
 from repro.experiments.schemes import scheme_policy
-from repro.fastsim import (
-    SCALAR,
-    VECTOR,
-    VERIFY,
-    HawkeyeStream,
-    LeewayStream,
-    OptStream,
-    PinStream,
-    ShipStream,
-    kernels,
-    hawkeye_spec,
-    leeway_spec,
-    next_use_indices,
-    pin_spec,
-    ship_spec,
-    supports_vector_replay,
-    vector_policy_replay,
-)
+from repro.fastsim import kernels
+from repro.fastsim.dispatch import SCALAR, VECTOR, VERIFY
 from repro.fastsim.filter import assert_stats_equal
+from repro.fastsim.hawkeye import HawkeyeStream, hawkeye_spec
+from repro.fastsim.leeway import LeewayStream, leeway_spec
+from repro.fastsim.opt import OptStream, next_use_indices
+from repro.fastsim.pin import PinStream, pin_spec
+from repro.fastsim.replay import supports_vector_replay, vector_policy_replay
+from repro.fastsim.ship import ShipStream, ship_spec
 
 GEOMETRIES = [(1, 1), (1, 4), (4, 2), (8, 8), (16, 16), (32, 4), (64, 2)]
 

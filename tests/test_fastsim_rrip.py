@@ -28,17 +28,11 @@ from repro.experiments.runner import (
     simulate_llc_policy,
 )
 from repro.experiments.schemes import scheme_policy
-from repro.fastsim import (
-    SCALAR,
-    VECTOR,
-    VERIFY,
-    RRIPStream,
-    kernels,
-    rrip_spec,
-    supports_vector_replay,
-    vector_policy_replay,
-)
+from repro.fastsim import kernels
+from repro.fastsim.dispatch import SCALAR, VECTOR, VERIFY
 from repro.fastsim.filter import assert_stats_equal
+from repro.fastsim.replay import supports_vector_replay, vector_policy_replay
+from repro.fastsim.rrip import RRIPStream, rrip_spec
 
 GEOMETRIES = [(1, 1), (1, 4), (4, 2), (8, 8), (16, 16), (32, 4), (64, 2)]
 

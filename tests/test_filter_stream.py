@@ -1,7 +1,7 @@
 """Property suite for the one L1-D/L2 filter engine.
 
-:class:`repro.fastsim.FilterStream` is the only filter engine: the runner
-feeds it every scope's raw pieces, and :func:`repro.fastsim.run_filter` is
+:class:`repro.fastsim.filter.FilterStream` is the only filter engine: the runner
+feeds it every scope's raw pieces, and :func:`repro.fastsim.filter.run_filter` is
 one feed on a fresh stream.  On drawn L1/L2 geometries (power-of-two set
 counts, one set and one way included) and drawn address streams (a single
 repeated block, strided conflicts into one set, a small random footprint,
@@ -26,7 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.cache import CacheConfig, SetAssociativeCache  # noqa: E402
 from repro.cache.config import HierarchyConfig  # noqa: E402
 from repro.cache.policies import LRUPolicy  # noqa: E402
-from repro.fastsim import FilterStream, run_filter  # noqa: E402
+from repro.fastsim.filter import FilterStream, run_filter  # noqa: E402
 from repro.trace import Trace  # noqa: E402
 
 BLOCK = 64

@@ -29,7 +29,7 @@ from repro.experiments import (
 from repro.experiments.queue import InlineBackend
 from repro.experiments.schemes import scheme_policy
 from repro.experiments.service import MemoTaskStore, SweepSpec, run_sweep, sweep_tasks
-from repro.fastsim import fused_native_supported
+from repro.fastsim.pipeline import fused_native_supported
 
 pytestmark = pytest.mark.usefixtures("memo_isolation")
 

@@ -1,7 +1,7 @@
 """Property suite for OPT's reverse next-use pass.
 
-:func:`repro.fastsim.resolve_chunk_next_use` resolves a stream's chunks in
-reverse order through one :class:`repro.fastsim.NextUseTable`.  On drawn
+:func:`repro.fastsim.opt.resolve_chunk_next_use` resolves a stream's chunks in
+reverse order through one :class:`repro.fastsim.opt.NextUseTable`.  On drawn
 block streams (small ids, a single repeated block, and ids at and above
 ``DenseIdMap.DIRECT_LIMIT``, where the table's id map leaves its direct
 range) split at drawn points (empty chunks and one-access chunks
@@ -23,13 +23,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.fastsim import (  # noqa: E402
+from repro.fastsim import kernels  # noqa: E402
+from repro.fastsim.opt import (  # noqa: E402
+    NEVER,
     NextUseTable,
-    kernels,
     next_use_indices,
     resolve_chunk_next_use,
 )
-from repro.fastsim.opt import NEVER  # noqa: E402
 from repro.fastsim.stackdist import DenseIdMap  # noqa: E402
 
 PATHS = [True, False] if kernels.available() else [False]

@@ -1,20 +1,31 @@
-"""Tests for the parallel experiment runner and the on-disk memo store."""
+"""Tests for the parallel runner (the sweep service's process pool) and the
+on-disk memo store."""
 
+import os
 import pickle
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import repro.experiments.queue as queue_module
+import repro.fastsim.dispatch as dispatch
 from repro.experiments import (
     ExperimentConfig,
+    RetryPolicy,
+    SweepSpec,
     clear_caches,
     compare_policies,
-    compare_policies_parallel,
+    run_sweep,
 )
 from repro.experiments.memo import DiskMemo, MEMO_VERSION, default_cache_dir
+from repro.experiments.queue import WORKER_DIED
 from repro.experiments.runner import active_disk_memo, build_workload, set_disk_memo
 from repro.experiments.schemes import scheme_policy
-from repro.fastsim import fused_native_supported, kernels
+from repro.experiments.service import _default_workers
+from repro.fastsim import kernels
+from repro.fastsim.pipeline import fused_native_supported
 
 
 @pytest.fixture(autouse=True)
@@ -106,92 +117,76 @@ class TestRunnerDiskIntegration:
 
 
 class TestParallelRunner:
-    APPS = ("PR",)
-    DATASETS = ("lj", "pl")
-    SCHEMES = ("RRIP", "GRASP")
+    """``run_sweep`` on its real process pool, PR x {lj, pl} x {RRIP, GRASP}.
+
+    A sweep's points are assembled by the serial runner reading the store
+    the workers filled, so the sweep tests compare them against a serial run
+    made beforehand, without any disk store.
+    """
+
+    SPEC = SweepSpec(apps=("PR",), datasets=("lj", "pl"), schemes=("RRIP", "GRASP"))
+
+    def _serial(self, config, streaming=False):
+        return compare_policies(
+            self.SPEC.apps, self.SPEC.datasets, self.SPEC.schemes,
+            config=config, streaming=streaming,
+        )
+
+    def _sweep(self, config, cache_dir, spec=None, **kwargs):
+        # A fresh "invocation": cold in-memory tables, only the disk store.
+        clear_caches()
+        set_disk_memo(None)
+        return run_sweep(
+            spec or self.SPEC, config, cache_dir=cache_dir,
+            workers=2, worker_backend="process", **kwargs,
+        )
 
     def test_matches_serial_results_and_order(self, tmp_path):
         config = ExperimentConfig.smoke()
-        serial = compare_policies(self.APPS, self.DATASETS, self.SCHEMES, config=config)
-        clear_caches()
-        parallel = compare_policies_parallel(
-            self.APPS,
-            self.DATASETS,
-            self.SCHEMES,
-            config=config,
-            max_workers=2,
-            cache_dir=tmp_path / "memo",
-        )
-        _points_equal(serial, parallel)
+        serial = self._serial(config)
+        result = self._sweep(config, tmp_path / "memo")
+        _points_equal(serial, result.points)
 
     def test_disk_reuse_across_invocations(self, tmp_path):
         config = ExperimentConfig.smoke().with_overrides(backend="vector")
         cache_dir = tmp_path / "memo"
-        compare_policies_parallel(
-            self.APPS, self.DATASETS, self.SCHEMES, config=config,
-            max_workers=2, cache_dir=cache_dir,
-        )
+        serial = self._serial(config)
+        first = self._sweep(config, cache_dir)
+        pairs = len(self.SPEC.apps) * len(self.SPEC.datasets)
+        tasks = pairs * (2 + len(self.SPEC.schemes))  # workload, filter, schemes
+        assert first.report.executed == tasks
         memo = DiskMemo(cache_dir)
-        assert memo.entry_count("workload") == len(self.DATASETS)
-        # With the fused filter kernel, multi-scheme comparisons take the
-        # fused-multi route: one shared filter pass feeds every scheme's
-        # replay and no filtered ROI chunk is ever stored, only the
-        # budget-less timing counters for workload_cycles.  Without it, the
-        # staged path stores the ROI's one chunk per workload (plus its
-        # manifest next to the counters) and shares it across schemes.
-        if kernels.has_capability("fused:filter"):
-            assert memo.entry_count("llcchunk") == 0
-            assert memo.entry_count("llcstream") == len(self.DATASETS)
-        else:
-            assert memo.entry_count("llcchunk") == len(self.DATASETS)
-            assert memo.entry_count("llcstream") == 2 * len(self.DATASETS)
-        assert memo.entry_count("policystream") == len(self.DATASETS) * len(self.SCHEMES)
-        # A fresh "invocation": cold in-memory tables, warm disk.
-        clear_caches()
-        set_disk_memo(None)
-        again = compare_policies_parallel(
-            self.APPS, self.DATASETS, self.SCHEMES, config=config,
-            max_workers=2, cache_dir=cache_dir,
-        )
-        serial = compare_policies(self.APPS, self.DATASETS, self.SCHEMES, config=config)
-        _points_equal(serial, again)
+        assert memo.entry_count("workload") == pairs
+        # The filter task stores the ROI's one chunk, then its stream
+        # manifest and the budget-less summary; each scheme task its stats.
+        assert memo.entry_count("llcchunk") == pairs
+        assert memo.entry_count("llcstream") == 2 * pairs
+        assert memo.entry_count("policystream") == pairs * len(self.SPEC.schemes)
+        again = self._sweep(config, cache_dir)
+        assert again.report.executed == 0
+        assert again.report.cached == tasks
+        _points_equal(serial, again.points)
 
     def test_streaming_matches_serial_streaming(self, tmp_path):
         config = ExperimentConfig.smoke().with_overrides(
             chunk_accesses=1 << 12, backend="vector"
         )
-        serial = compare_policies(
-            self.APPS, self.DATASETS, self.SCHEMES, config=config, streaming=True
-        )
-        clear_caches()
-        set_disk_memo(None)
+        serial = self._serial(config, streaming=True)
         cache_dir = tmp_path / "memo"
-        parallel = compare_policies_parallel(
-            self.APPS,
-            self.DATASETS,
-            self.SCHEMES,
-            config=config,
-            max_workers=2,
-            cache_dir=cache_dir,
-            streaming=True,
+        spec = SweepSpec(
+            apps=self.SPEC.apps, datasets=self.SPEC.datasets,
+            schemes=self.SPEC.schemes, streaming=True,
         )
-        _points_equal(serial, parallel)
-        # The workers persisted the chunked LLC streams and per-scheme
-        # full-execution results for reuse across schemes and invocations.
+        result = self._sweep(config, cache_dir, spec=spec)
+        _points_equal(serial, result.points)
+        # The workers persisted the chunked LLC streams (manifest and summary
+        # per stream) and the per-scheme full-execution results, for reuse
+        # across schemes and invocations.
         memo = DiskMemo(cache_dir)
-        # With the fused filter kernel, multi-scheme streaming comparisons
-        # take the fused-multi route: one shared filter pass per workload,
-        # no chunk store, only the budget-less counter summary.  Without
-        # it, the staged path persists the filtered chunk store once and
-        # replays every scheme from it — two llcstream entries per stream
-        # (the budget-keyed chunk manifest and the budget-less summary).
-        if kernels.has_capability("fused:filter"):
-            assert memo.entry_count("llcstream") == len(self.DATASETS)
-            assert memo.entry_count("llcchunk") == 0
-        else:
-            assert memo.entry_count("llcstream") == 2 * len(self.DATASETS)
-            assert memo.entry_count("llcchunk") > len(self.DATASETS)
-        assert memo.entry_count("policystream") == len(self.DATASETS) * len(self.SCHEMES)
+        pairs = len(self.SPEC.apps) * len(self.SPEC.datasets)
+        assert memo.entry_count("llcstream") == 2 * pairs
+        assert memo.entry_count("llcchunk") > pairs
+        assert memo.entry_count("policystream") == pairs * len(self.SPEC.schemes)
 
     def test_single_consumer_stream_skips_chunk_store(self, tmp_path):
         """A lone policy replay takes the fused route on either scope: no
@@ -212,22 +207,45 @@ class TestParallelRunner:
         assert memo.entry_count("llcchunk") == 0
         assert memo.entry_count("llcstream") == 2
 
-    def test_single_pair_runs_serially(self):
+    def test_dead_pool_is_restarted_and_retried(self, tmp_path, monkeypatch):
+        """Every future of the first pool dies; the backend makes a second
+        pool and the scheduler retries what the first one lost."""
+        pools = []
+
+        class _DeadPool:
+            def submit(self, *args, **kwargs):
+                future = Future()
+                future.set_exception(BrokenProcessPool("injected pool death"))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        def make_pool(**kwargs):
+            pool = ProcessPoolExecutor(**kwargs) if pools else _DeadPool()
+            pools.append(pool)
+            return pool
+
+        monkeypatch.setattr(queue_module, "ProcessPoolExecutor", make_pool)
         config = ExperimentConfig.smoke()
-        points = compare_policies_parallel(
-            ("PR",), ("lj",), self.SCHEMES, config=config, max_workers=8
-        )
-        serial = compare_policies(("PR",), ("lj",), self.SCHEMES, config=config)
-        _points_equal(serial, points)
+        serial = self._serial(config)
+        result = self._sweep(config, tmp_path / "memo", retry=RetryPolicy(base_delay=0.0))
+        _points_equal(serial, result.points)
+        assert len(pools) == 2
+        # Only the two workload tasks were ready, and both died with the pool.
+        assert result.report.worker_deaths == len(self.SPEC.datasets)
+        assert result.report.retries == result.report.worker_deaths
+        assert result.report.events
+        assert all(event.kind == WORKER_DIED for event in result.report.events)
 
     def test_workers_env_cap(self, monkeypatch):
-        from repro.experiments.parallel import _worker_budget
-
         monkeypatch.setenv("REPRO_WORKERS", "1")
-        assert _worker_budget(8, None) == 1
+        assert _default_workers(8, None) == 1
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert _worker_budget(3, 16) == 3
-        assert _worker_budget(0, None) == 0
+        assert _default_workers(3, 16) == 3
+        monkeypatch.setenv("REPRO_WORKERS", "many")
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            _default_workers(8, None)
 
     def test_datapoints_pickle(self):
         config = ExperimentConfig.smoke()
@@ -237,50 +255,16 @@ class TestParallelRunner:
         _points_equal(points, restored)
 
 
-class TestBrokenPoolWarning:
-    """The pool-death fallback is loud: a structured WorkerPoolBrokenWarning."""
-
-    SCHEMES = ("RRIP", "GRASP")
-
-    def _broken_pool(self, monkeypatch):
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
-        import repro.experiments.parallel as parallel_module
-
-        class _BrokenPool:
-            def __init__(self, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, task):
-                future = Future()
-                future.set_exception(BrokenProcessPool("injected pool death"))
-                return future
-
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _BrokenPool)
-
-    def test_fallback_warns_with_failed_pair(self, monkeypatch):
-        from repro.experiments import WorkerPoolBrokenWarning
-        from repro.experiments.queue import POOL_BROKEN
-
-        self._broken_pool(monkeypatch)
-        config = ExperimentConfig.smoke()
-        serial = compare_policies(("PR",), ("lj", "pl"), self.SCHEMES, config=config)
-        clear_caches()
-        with pytest.warns(WorkerPoolBrokenWarning) as captured:
-            points = compare_policies_parallel(
-                ("PR",), ("lj", "pl"), self.SCHEMES, config=config, max_workers=2
-            )
-        _points_equal(serial, points)
-        event = captured[0].message.event
-        assert event.kind == POOL_BROKEN
-        # The first pair awaited is the one whose result was lost.
-        assert event.label == "PR/lj"
-        assert "BrokenProcessPool" in event.detail
-        assert "serial" in event.detail
+def test_inline_sweep_leaves_the_caller_as_it_found_it(tmp_path, monkeypatch):
+    """Inline task bodies run in the caller's process: they may install the
+    disk memo, but not the pool workers' thread count or default backend."""
+    monkeypatch.setenv("REPRO_THREADS", "4")
+    # Restores the module's default at teardown, whatever the sweep does.
+    monkeypatch.setattr(dispatch, "_default_backend", dispatch._default_backend)
+    before = dispatch.default_backend()
+    config = ExperimentConfig.smoke().with_overrides(backend="scalar")
+    spec = SweepSpec(apps=("PR",), datasets=("lj",), schemes=("RRIP",))
+    run_sweep(spec, config, cache_dir=tmp_path, worker_backend="inline")
+    assert os.environ["REPRO_THREADS"] == "4"
+    assert kernels.thread_count() == 4
+    assert dispatch.default_backend() == before

@@ -25,16 +25,16 @@ from repro.cache.config import HierarchyConfig
 from repro.cache.policies import create_policy
 from repro.core import AddressBoundRegisterFile, GraspClassifier
 from repro.experiments.runner import LLCTrace, simulate_llc_policy
-from repro.fastsim import (
+from repro.fastsim import kernels
+from repro.fastsim.filter import run_filter
+from repro.fastsim.pipeline import (
     FusedPipeline,
+    FusedStats,
     MultiFusedPipeline,
     effective_threads,
     fused_native_supported,
     fused_supported,
-    kernels,
-    run_filter,
 )
-from repro.fastsim.pipeline import FusedStats
 from repro.trace import Trace, iter_trace_slices
 
 HIERARCHY = HierarchyConfig()
@@ -319,11 +319,12 @@ def _run_subprocess(code: str, env_overrides: dict) -> str:
 
 class TestLazyCompilation:
     def test_import_does_not_compile(self, tmp_path):
-        # Even with the compiler replaced by /usr/bin/false, importing the
-        # package (and the top-level repro package) must succeed and must not
-        # attempt a build; only the first kernel lookup resolves.
+        # Even with the compiler replaced by /usr/bin/false, importing every
+        # engine and kernel module (the planner imports them all) must
+        # succeed and must not attempt a build; only the first kernel lookup
+        # resolves.
         out = _run_subprocess(
-            "import repro, repro.fastsim\n"
+            "import repro, repro.fastsim.plan\n"
             "import repro.fastsim.kernels as k\n"
             "print(k.resolved())\n"
             "k.lookup('lru_replay')\n"
@@ -341,7 +342,7 @@ class TestLazyCompilation:
             "import repro.fastsim.kernels as k\n"
             "from repro.cache.config import HierarchyConfig\n"
             "from repro.cache.policies import create_policy\n"
-            "from repro.fastsim import FusedPipeline, fused_native_supported\n"
+            "from repro.fastsim.pipeline import FusedPipeline, fused_native_supported\n"
             "from repro.trace import Trace\n"
             "hier = HierarchyConfig()\n"
             "policy = create_policy('grasp')\n"

@@ -10,8 +10,8 @@ distances).  Covered at three levels:
   every ``*Stream``, for both the compiled kernel and the NumPy fallback,
   across several chunk budgets, against one feed of the whole stream on a
   fresh stream (compiled kernel when available);
-* filter level: :class:`repro.fastsim.FilterStream` against
-  :func:`repro.fastsim.run_filter` under all three backends;
+* filter level: :class:`repro.fastsim.filter.FilterStream` against
+  :func:`repro.fastsim.filter.run_filter` under all three backends;
 * pipeline level: the runner's full-execution streaming simulation against
   one-shot replay of the materialized execution trace, for every scheme of
   the paper's matrix including OPT, plus chunk-budget invariance and the
@@ -44,29 +44,21 @@ from repro.experiments.runner import (
     stream_summary,
 )
 from repro.experiments.schemes import scheme_policy
-from repro.fastsim import (
-    FilterStream,
-    HawkeyeStream,
-    LeewayStream,
-    LRUStream,
+from repro.fastsim import kernels
+from repro.fastsim.filter import FilterStream, assert_stats_equal, run_filter
+from repro.fastsim.hawkeye import HawkeyeStream, hawkeye_spec
+from repro.fastsim.leeway import LeewayStream, leeway_spec
+from repro.fastsim.opt import (
     NextUseTable,
     OptStream,
-    PinStream,
-    PolicyReplayStream,
-    RRIPStream,
-    ShipStream,
-    kernels,
-    hawkeye_spec,
-    leeway_spec,
     next_use_indices,
-    pin_spec,
     resolve_chunk_next_use,
-    rrip_spec,
-    run_filter,
-    ship_spec,
-    vector_policy_replay,
 )
-from repro.fastsim.filter import assert_stats_equal
+from repro.fastsim.pin import PinStream, pin_spec
+from repro.fastsim.replay import PolicyReplayStream, vector_policy_replay
+from repro.fastsim.rrip import RRIPStream, rrip_spec
+from repro.fastsim.ship import ShipStream, ship_spec
+from repro.fastsim.stackdist import LRUStream
 from repro.trace import Trace, generate_execution_trace, iter_execution_trace
 
 GEOMETRY = (8, 4)
