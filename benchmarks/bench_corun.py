@@ -18,18 +18,27 @@ pipeline it generalizes:
    allocations at a fixed chunk budget stay flat when the co-run is made
    4x longer, for a real K=2 partitioned co-run.
 
-Wired into CI as ``BENCH_corun.json``.
+Wired into CI as ``BENCH_corun.json``.  Both gates build the compiled
+engines directly, so they skip on a host without a C compiler, where the
+runner replays co-runs on the scalar reference instead.
 """
 
 import itertools
 import tracemalloc
 
+import pytest
+
 from repro.cache.partition import WayPartition
 from repro.experiments.runner import build_workload, llc_chunks
 from repro.experiments.schemes import scheme_policy
+from repro.fastsim import kernels
 from repro.fastsim.corun import CorunReplayStream, supports_vector_corun
 from repro.fastsim.replay import PolicyReplayStream
 from repro.trace.interleave import InterleavedTraceStream
+
+pytestmark = pytest.mark.skipif(
+    not kernels.available(), reason="no C compiler for the native kernels"
+)
 
 #: Peak traced memory may grow at most this factor when the co-run
 #: quadruples (the bound is the chunk budget, not the merged length).

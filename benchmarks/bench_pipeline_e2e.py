@@ -56,7 +56,7 @@ from repro.perf.throughput import measure_throughput
 
 pytestmark = pytest.mark.skipif(
     not kernels.has_capability("fused"),
-    reason="fused native kernels unavailable (no C compiler or REPRO_NATIVE=0)",
+    reason="fused native kernels unavailable (no C compiler, or one without pthreads)",
 )
 
 #: Fused must beat the staged persist-as-you-filter pipeline by this factor

@@ -6,11 +6,10 @@ both backends and reports simulated accesses per second.  The acceptance bar
 for the RRIP fast path is a >= 5x speed-up over the scalar reference for
 *each* policy.
 
-The bar is carried by the compiled kernel (`repro.fastsim.kernels`); the
-portable NumPy engine is exact but its set-parallel batches are only as wide
-as the scaled-down LLC's 16 sets, so the benchmark skips when no C compiler
-is available rather than measure an engine the dispatch would not pick for
-throughput-critical runs.
+The bar is carried by the compiled kernel (`repro.fastsim.kernels`).  On a
+host without a C compiler the ``vector`` backend resolves to the scalar
+reference itself, so there is no fast path to measure and the benchmark
+skips.
 """
 
 import pytest
@@ -47,8 +46,8 @@ def _replay_all(traces, llc_config, scheme, backend):
 
 def test_rrip_replay_throughput(benchmark, bench_config):
     if not kernels.available():
-        pytest.skip("no C compiler for the native kernel; NumPy RRIP engine is "
-                    "exactness-oriented and not held to the 5x bar")
+        pytest.skip("no C compiler for the native kernel: the vector backend "
+                    "runs the scalar reference, so there is no speed-up to gate")
     traces = _fig6_llc_traces(bench_config)
     total_accesses = sum(len(llc_trace) for _, llc_trace in traces)
     llc = bench_config.hierarchy.llc

@@ -20,10 +20,14 @@ the pipeline makes:
 
 Memory is measured with :mod:`tracemalloc`, which NumPy reports its array
 allocations to; the workload (graph, layout, application result) is built
-before tracing starts so only pipeline allocations are counted.
+before tracing starts so only pipeline allocations are counted.  The gates
+replay through the compiled engines directly, so they skip on a host
+without a C compiler, where every simulation runs the scalar reference.
 """
 
 import tracemalloc
+
+import pytest
 
 from repro.cache.policies import BeladyOptimal
 from repro.experiments.runner import (
@@ -35,11 +39,16 @@ from repro.experiments.runner import (
     simulate_policy,
 )
 from repro.experiments.schemes import scheme_policy
+from repro.fastsim import kernels
 from repro.fastsim.dispatch import VECTOR
 from repro.fastsim.filter import FilterStream
 from repro.fastsim.replay import PolicyReplayStream
 from repro.perf.throughput import measure_throughput
 from repro.trace import generate_execution_trace, iter_execution_trace
+
+pytestmark = pytest.mark.skipif(
+    not kernels.available(), reason="no C compiler for the native kernels"
+)
 
 #: Streaming must retain at least this fraction of the one-shot throughput.
 MIN_THROUGHPUT_RATIO = 0.9

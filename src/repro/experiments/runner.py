@@ -39,17 +39,17 @@ in memory and in the disk memo, the execution's chunk store on disk only.
 Fast-path dispatch
 ------------------
 Stages 5 and 6 exist in two implementations.  The default ``vector`` backend
-(:mod:`repro.fastsim`) replays the always-LRU L1-D/L2 filters as batched
-NumPy stack-distance computations, and the LLC whenever the scheme under
-study has a vectorized engine — plain LRU (stack-distance), the whole RRIP
-family (SRRIP/BRRIP/DRRIP/GRASP, batched set-parallel sweeps with exact PSEL
+(:mod:`repro.fastsim`) replays the always-LRU L1-D/L2 filters, and the LLC
+whenever the scheme under study has an engine, through compiled kernels —
+plain LRU, the whole RRIP family (SRRIP/BRRIP/DRRIP/GRASP, with exact PSEL
 set dueling and per-access reuse hints), and the full comparison matrix:
 SHiP-MEM, Hawkeye, Leeway, the PIN-X pinning configurations (including
 BYPASS accounting) and Belady's OPT.  Only the GRASP ablation subclasses
 fall back to the scalar per-access simulator, which also remains
 selectable as a whole via ``backend="scalar"`` (per call),
 :attr:`ExperimentConfig.backend` (per experiment) or the
-``REPRO_SIM_BACKEND`` environment variable (process-wide).
+``REPRO_SIM_BACKEND`` environment variable (process-wide), and which every
+simulation runs on a host where the kernels cannot be compiled.
 The ``verify`` backend runs both paths and raises
 :class:`~repro.fastsim.filter.FastSimMismatchError` unless their
 hit/miss/eviction counts are identical.  Backends are bit-equivalent by

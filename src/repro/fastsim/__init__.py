@@ -1,50 +1,46 @@
-"""NumPy-vectorized fast path for the trace-driven cache simulation.
+"""Compiled fast path for the trace-driven cache simulation.
 
 The scalar simulator (:mod:`repro.cache.cache`) replays one access at a time
 through Python-level policy objects.  That is the reference implementation —
 easy to audit against the paper, but it costs microseconds per access.  This
-package reimplements the hot stages of the pipeline as batched computations
-over whole traces:
+package runs the hot stages of the pipeline through small C kernels instead,
+so every policy family has two implementations: the reference and its
+kernel.
 
 Each policy family has exactly one engine, a resumable ``*Stream`` class
 (``LRUStream``, ``RRIPStream``, ``PinStream``, ``ShipStream``,
-``HawkeyeStream``, ``LeewayStream``, ``OptStream``): feed it a trace in
-chunks, or replay a whole trace with one ``feed`` on a fresh stream.
+``HawkeyeStream``, ``LeewayStream``, ``OptStream``) over its kernel: feed it
+a trace in chunks, or replay a whole trace with one ``feed`` on a fresh
+stream.  On a host where the kernels cannot be built (no C compiler),
+:func:`repro.fastsim.dispatch.resolve_backend` sends every simulation to
+the scalar reference, with identical numbers.
 
 The package itself re-exports nothing: import every name from the module
 below that defines it (``from repro.fastsim.rrip import RRIPStream``).
 
 ``stackdist``
-    The LRU engine.  Exploits the LRU *stack property*: a W-way set hits an
-    access exactly when fewer than W distinct blocks of the same set were
-    touched since the previous access to the same block.  Stack distances are
-    computed for a whole trace at once with a vectorized merge-count, so no
-    per-access Python loop remains.
+    The LRU engine, plus the dense-id and growable-table helpers the other
+    engines share.
 ``rrip``
     The RRIP-family engine (SRRIP, BRRIP, DRRIP and GRASP with per-access
     reuse hints) — the policies behind every headline result of the paper.
     Keeps the whole simulator state (tags, RRPV counters, the set-dueling
-    PSEL counter) in NumPy arrays and replays the trace in batched
-    set-parallel sweeps, reproducing the scalar policies bit-exactly
-    including the global duel state.
+    PSEL counter) in arrays the kernel advances, reproducing the scalar
+    policies bit-exactly including the global duel state.
 ``ship`` / ``hawkeye`` / ``leeway`` / ``pin`` / ``opt``
     The remaining schemes of the paper's comparison matrix (Figs. 5-11):
     SHiP-MEM, Hawkeye, Leeway, the PIN-X pinning configurations (including
     BYPASS when a set is fully pinned) and Belady's OPT.  Per-set state
-    (tags, RRPVs, pinned masks, recency positions, next-use values) batches
-    under the same set-parallel chunking as ``rrip``; globally shared
-    learning state (SHiP's SHCT, Leeway's and Hawkeye's PC predictors) is
-    advanced in exact trace order over each chunk's sparse events, the same
-    way the RRIP engine walks PSEL updates.
+    (tags, RRPVs, pinned masks, recency positions, next-use values) and the
+    globally shared learning state (SHiP's SHCT, Leeway's and Hawkeye's PC
+    predictors) live in flat arrays, densified through grow-only id maps.
 ``kernels``
-    Optional accelerator: tiny C kernels compiled on demand (plain ``cc``,
-    no third-party packages) for every engine, an order of magnitude faster
-    than NumPy.  Kernels live in a registry package — one module per engine
-    family, a shared ``register_kernel``/capability-probe API, and a single
-    lazily-compiled translation unit (nothing compiles at import time).  The
-    ``*Stream`` engines use them automatically through the ``*_feed``
-    wrappers; set ``REPRO_NATIVE=0`` or remove the compiler and everything
-    transparently stays on NumPy.
+    Tiny C kernels compiled on demand (plain ``cc``, no third-party
+    packages) for every engine.  Kernels live in a registry package — one
+    module per engine family, a shared ``register_kernel``/capability-probe
+    API, and a single lazily-compiled translation unit (nothing compiles at
+    import time).  The ``*Stream`` engines call them through the ``*_feed``
+    wrappers, which accept only arrays of exactly the kernel's types.
 ``pipeline``
     The fused single-pass pipeline: L1/L2 filtering and the LLC replay of
     one policy run in a single native call per trace chunk, threaded across

@@ -82,7 +82,6 @@ class CorunReplayStream:
         llc_config: CacheConfig,
         num_streams: int,
         partition: Optional[WayPartition] = None,
-        use_native=None,
     ) -> None:
         if num_streams < 1:
             raise ValueError("num_streams must be at least 1")
@@ -104,7 +103,7 @@ class CorunReplayStream:
         self._stream_hits: Dict[int, int] = {}
         self._stream_misses: Dict[int, int] = {}
         if partition is None:
-            self._engines = [PolicyReplayStream(policy, llc_config, use_native=use_native)]
+            self._engines = [PolicyReplayStream(policy, llc_config)]
         else:
             self._engines = []
             for ways in partition.counts:
@@ -114,9 +113,7 @@ class CorunReplayStream:
                     block_bytes=llc_config.block_bytes,
                     name=llc_config.name,
                 )
-                self._engines.append(
-                    PolicyReplayStream(policy, sub_config, use_native=use_native)
-                )
+                self._engines.append(PolicyReplayStream(policy, sub_config))
 
     def feed(
         self,

@@ -3,9 +3,8 @@
 Three backends exist:
 
 ``vector``
-    The batched fast engines — one ``*Stream`` per policy family, running
-    the compiled kernels (:mod:`repro.fastsim.kernels`) when available and
-    NumPy otherwise.  The default.
+    The fast engines — one ``*Stream`` per policy family, each running its
+    compiled kernel (:mod:`repro.fastsim.kernels`).  The default.
 ``scalar``
     The original per-access reference simulator
     (:class:`repro.cache.cache.SetAssociativeCache`).
@@ -16,13 +15,18 @@ Three backends exist:
 
 Resolution order for any simulation call: the explicit ``backend=`` argument,
 else the process-wide default installed with :func:`set_default_backend`,
-else the ``REPRO_SIM_BACKEND`` environment variable, else ``vector``.
+else the ``REPRO_SIM_BACKEND`` environment variable, else ``vector``.  On a
+host where the kernel library cannot be built (no C compiler, or a broken
+``REPRO_CC``), :func:`resolve_backend` turns ``vector`` and ``verify`` into
+``scalar``: the numbers are the same, only slower.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Optional
+
+from repro.fastsim import kernels
 
 SCALAR = "scalar"
 VECTOR = "vector"
@@ -66,8 +70,17 @@ def default_backend() -> str:
     return VECTOR
 
 
-def resolve_backend(backend: Optional[str]) -> str:
-    """Resolve an optional per-call backend to a concrete backend name."""
-    if backend is None:
-        return default_backend()
-    return _validate(backend)
+def resolve_backend(backend: Optional[str], native: Optional[bool] = None) -> str:
+    """Resolve an optional per-call backend to the backend that will run.
+
+    ``vector`` and ``verify`` need the compiled kernel library; when it is
+    unavailable (``native`` false, or ``None`` and
+    :func:`repro.fastsim.kernels.available` false) both resolve to
+    ``scalar``, the per-access reference.
+    """
+    name = default_backend() if backend is None else _validate(backend)
+    if name == SCALAR:
+        return name
+    if native is None:
+        native = kernels.available()
+    return name if native else SCALAR

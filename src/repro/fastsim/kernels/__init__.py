@@ -14,7 +14,6 @@ from repro.fastsim.kernels.registry import (
     BASE_CFLAGS,
     CC_ENV_VAR,
     KernelSpec,
-    NATIVE_ENV_VAR,
     THREADS_ENV_VAR,
     available,
     build_key,
@@ -53,7 +52,6 @@ __all__ = [
     "CC_ENV_VAR",
     "FilterState",
     "KernelSpec",
-    "NATIVE_ENV_VAR",
     "RegionTable",
     "THREADS_ENV_VAR",
     "available",

@@ -462,14 +462,12 @@ def _prep(blocks, out_n):
 
 
 def fused_filter_feed(blocks, nthreads, filt):
-    """Threaded L1/L2 filter phase over one chunk; ``None`` when unavailable.
+    """Threaded L1/L2 filter phase over one chunk.
 
     Returns the per-access outcome vector with the LLC phase left unrun:
     0 = L1 hit, 1 = L2 hit, 2 = kept (LLC-bound).
     """
     kernel = registry.lookup("fused_filter_only")
-    if kernel is None:
-        return None
     blocks, out = _prep(blocks, len(blocks))
     kernel(*_filter_args(blocks, len(blocks), nthreads, filt), as_u8(out))
     return out
@@ -477,10 +475,8 @@ def fused_filter_feed(blocks, nthreads, filt):
 
 def fused_lru_feed(blocks, nthreads, filt, num_sets, ways, tags, stamps,
                    clocks, misses_per_set):
-    """Fused LRU pipeline over one chunk; ``None`` when unavailable."""
+    """Fused LRU pipeline over one chunk."""
     kernel = registry.lookup("fused_lru")
-    if kernel is None:
-        return None
     blocks, out = _prep(blocks, len(blocks))
     kernel(
         *_filter_args(blocks, len(blocks), nthreads, filt),
@@ -498,10 +494,8 @@ def fused_lru_feed(blocks, nthreads, filt, num_sets, ways, tags, stamps,
 def fused_rrip_feed(blocks, addrs, nthreads, filt, regions, num_sets, ways,
                     max_rrpv, ins_table, promo_table, epsilon, psel_max,
                     leader_period, tags, rrpv, misses_per_set, state):
-    """Fused RRIP-family pipeline over one chunk; ``None`` when unavailable."""
+    """Fused RRIP-family pipeline over one chunk."""
     kernel = registry.lookup("fused_rrip")
-    if kernel is None:
-        return None
     blocks, out = _prep(blocks, len(blocks))
     addrs = np.ascontiguousarray(addrs, dtype=np.int64)
     kernel(
@@ -532,10 +526,8 @@ def fused_pin_feed(blocks, addrs, nthreads, filt, regions, num_sets, ways,
                    max_rrpv, epsilon, psel_max, leader_period, reserved_ways,
                    hint_high, tags, rrpv, pinned, pinned_count,
                    misses_per_set, bypasses_per_set, state):
-    """Fused PIN-X pipeline over one chunk; ``None`` when unavailable."""
+    """Fused PIN-X pipeline over one chunk."""
     kernel = registry.lookup("fused_pin")
-    if kernel is None:
-        return None
     blocks, out = _prep(blocks, len(blocks))
     addrs = np.ascontiguousarray(addrs, dtype=np.int64)
     kernel(
@@ -568,10 +560,8 @@ def fused_pin_feed(blocks, addrs, nthreads, filt, regions, num_sets, ways,
 def fused_ship_feed(blocks, sig_ids, nthreads, filt, num_sets, ways, max_rrpv,
                     counter_max, tags, rrpv, line_sig, reused, shct,
                     misses_per_set):
-    """Fused SHiP-MEM pipeline over one chunk; ``None`` when unavailable."""
+    """Fused SHiP-MEM pipeline over one chunk."""
     kernel = registry.lookup("fused_ship")
-    if kernel is None:
-        return None
     blocks, out = _prep(blocks, len(blocks))
     sig_ids = np.ascontiguousarray(sig_ids, dtype=np.int64)
     kernel(
@@ -595,10 +585,8 @@ def fused_ship_feed(blocks, sig_ids, nthreads, filt, num_sets, ways, max_rrpv,
 def fused_leeway_feed(blocks, pc_ids, nthreads, filt, num_sets, ways,
                       decay_period, tags, pos, line_sig, observed, predicted,
                       votes, misses_per_set):
-    """Fused Leeway pipeline over one chunk; ``None`` when unavailable."""
+    """Fused Leeway pipeline over one chunk."""
     kernel = registry.lookup("fused_leeway")
-    if kernel is None:
-        return None
     blocks, out = _prep(blocks, len(blocks))
     pc_ids = np.ascontiguousarray(pc_ids, dtype=np.int64)
     kernel(
@@ -624,10 +612,8 @@ def fused_hawkeye_feed(blocks, block_ids, pc_ids, nthreads, filt, num_sets,
                        tags, rrpv, friendly, line_pc, predictor, last_access,
                        last_pc, occupancy, occ_head, occ_len, timestamps,
                        misses_per_set):
-    """Fused Hawkeye pipeline over one chunk; ``None`` when unavailable."""
+    """Fused Hawkeye pipeline over one chunk."""
     kernel = registry.lookup("fused_hawkeye")
-    if kernel is None or history <= 0:
-        return None
     blocks, out = _prep(blocks, len(blocks))
     block_ids = np.ascontiguousarray(block_ids, dtype=np.int64)
     pc_ids = np.ascontiguousarray(pc_ids, dtype=np.int64)

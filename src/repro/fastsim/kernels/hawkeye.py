@@ -211,7 +211,7 @@ def hawkeye_feed(
     timestamps: np.ndarray,
     misses_per_set: np.ndarray,
 ):
-    """Run the Hawkeye kernel over caller-owned state; ``None`` when unavailable.
+    """Run the Hawkeye kernel over caller-owned state.
 
     ``block_ids``/``pc_ids`` must use dense ids that are stable across calls
     and covered by ``last_access``/``last_pc``/``predictor``; all array
@@ -219,8 +219,6 @@ def hawkeye_feed(
     hit mask.
     """
     kernel = registry.lookup("hawkeye_replay")
-    if kernel is None or history <= 0:
-        return None
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     block_ids = np.ascontiguousarray(block_ids, dtype=np.int64)
     pc_ids = np.ascontiguousarray(pc_ids, dtype=np.int64)

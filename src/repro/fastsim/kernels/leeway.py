@@ -133,7 +133,7 @@ def leeway_feed(
     votes: np.ndarray,
     misses_per_set: np.ndarray,
 ):
-    """Run the Leeway kernel over caller-owned state; ``None`` when unavailable.
+    """Run the Leeway kernel over caller-owned state.
 
     ``pc_ids`` must use PC ids that are stable across calls, and
     ``predicted``/``votes`` must cover every id in the chunk; all array
@@ -141,8 +141,6 @@ def leeway_feed(
     chunk's hit mask.
     """
     kernel = registry.lookup("leeway_replay")
-    if kernel is None:
-        return None
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     pc_ids = np.ascontiguousarray(pc_ids, dtype=np.int64)
     n = int(blocks.shape[0])

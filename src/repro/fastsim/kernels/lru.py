@@ -61,7 +61,7 @@ def lru_feed(
     misses_per_set: np.ndarray,
     state: np.ndarray,
 ):
-    """Run the LRU kernel over caller-owned state; ``None`` when unavailable.
+    """Run the LRU kernel over caller-owned state.
 
     ``tags``/``stamps`` (``num_sets * ways`` int64, tags initialised to -1),
     ``misses_per_set`` (accumulating) and ``state`` (``[clock]``) persist
@@ -69,8 +69,6 @@ def lru_feed(
     over the concatenation.  Returns the chunk's hit mask.
     """
     kernel = registry.lookup("lru_replay")
-    if kernel is None:
-        return None
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     n = int(blocks.shape[0])
     hits = np.empty(n, dtype=np.uint8)

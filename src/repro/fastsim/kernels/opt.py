@@ -87,7 +87,7 @@ register_kernel(
 
 
 def opt_next_use(ids: np.ndarray, start: int, table: np.ndarray):
-    """Resolve one chunk's next-use indices backwards; ``None`` when unavailable.
+    """Resolve one chunk's next-use indices backwards.
 
     ``ids`` are the chunk's dense block ids and ``table`` (indexed by id) the
     earliest known future access of each, updated in place.  Both must be
@@ -112,8 +112,6 @@ def opt_next_use(ids: np.ndarray, start: int, table: np.ndarray):
             f"got [{int(ids.min())}, {int(ids.max())}]"
         )
     kernel = registry.lookup("opt_next_use")
-    if kernel is None:
-        return None
     out = np.empty(n, dtype=np.int64)
     kernel(as_i64(ids), ctypes.c_int64(n), ctypes.c_int64(start), as_i64(table), as_i64(out))
     return out
@@ -128,15 +126,13 @@ def opt_feed(
     next_vals: np.ndarray,
     misses_per_set: np.ndarray,
 ):
-    """Run the OPT kernel over caller-owned state; ``None`` when unavailable.
+    """Run the OPT kernel over caller-owned state.
 
     ``next_use`` must hold globally consistent next-use indices (the caller's
     two-pass precompute); ``tags``/``next_vals``/``misses_per_set`` persist
     across calls.  Returns the chunk's hit mask.
     """
     kernel = registry.lookup("opt_replay")
-    if kernel is None:
-        return None
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     next_use = np.ascontiguousarray(next_use, dtype=np.int64)
     n = int(blocks.shape[0])

@@ -160,14 +160,12 @@ def pin_feed(
     bypasses_per_set: np.ndarray,
     state: np.ndarray,
 ):
-    """Run the PIN-X kernel over caller-owned state; ``None`` when unavailable.
+    """Run the PIN-X kernel over caller-owned state.
 
     All array arguments after ``hint_high`` persist across calls (``state``
     is ``[psel, insert_count]``).  Returns the chunk's hit mask.
     """
     kernel = registry.lookup("pin_replay")
-    if kernel is None:
-        return None
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     hints = np.ascontiguousarray(hints, dtype=np.uint8)
     n = int(blocks.shape[0])

@@ -15,16 +15,21 @@ directory.  The cache key hashes the *composed source, the compiler flags
 and the compiler itself*, so editing a fragment, changing flags, or
 switching compilers forces a rebuild instead of silently loading a stale
 kernel.  Failure at any point (no compiler, sandboxed exec, bad flags)
-degrades to "no native kernels": :func:`lookup` returns ``None`` and every
-engine falls back to its NumPy path.
+leaves the library unavailable: :func:`available` is false,
+:func:`lookup` raises :class:`RuntimeError` naming the symbol, and
+:func:`repro.fastsim.dispatch.resolve_backend` sends every ``vector`` or
+``verify`` simulation to the per-access ``scalar`` reference instead.
+
+The ctypes argument helpers (:func:`as_i64`, :func:`as_i32`, :func:`as_u8`)
+accept only C-contiguous arrays of exactly their element type, so a state
+array of the wrong dtype or a strided view raises :class:`TypeError`
+instead of being read or written as raw memory of another layout.
 
 Environment knobs:
 
-``REPRO_NATIVE=0``
-    Disable native kernels entirely (never compile, never load).
 ``REPRO_CC``
     C compiler executable (default ``cc``).  Pointing it at a missing or
-    broken binary exercises the NumPy degradation path.
+    broken binary leaves the library unavailable.
 ``REPRO_THREADS``
     Worker-thread count for the fused pipeline's filter phase
     (:func:`thread_count`); unset or ``1`` means single-threaded.
@@ -42,8 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-#: Set to ``0`` to disable the native kernels entirely.
-NATIVE_ENV_VAR = "REPRO_NATIVE"
+import numpy as np
 
 #: C compiler used to build the kernel library (default ``cc``).
 CC_ENV_VAR = "REPRO_CC"
@@ -229,7 +233,7 @@ def _resolve() -> bool:
     global _RESOLVED, _LIB, _FUNCTIONS, _CAPABILITIES
     if _RESOLVED is not None:
         return _RESOLVED
-    if os.environ.get(NATIVE_ENV_VAR, "").strip() == "0" or not _SPECS:
+    if not _SPECS:
         _RESOLVED = False
         return False
     specs = list(_SPECS.values())
@@ -254,10 +258,20 @@ def available() -> bool:
 
 
 def lookup(symbol: str):
-    """The bound native function for ``symbol``, or ``None`` if unavailable."""
-    if not _resolve():
-        return None
-    return _FUNCTIONS.get(symbol)
+    """The bound native function for ``symbol``.
+
+    Raises :class:`RuntimeError` naming ``symbol`` when the library could
+    not be built or lacks it; probe with :func:`available` or
+    :func:`has_capability` first.
+    """
+    function = _FUNCTIONS.get(symbol) if _resolve() else None
+    if function is None:
+        raise RuntimeError(
+            f"native kernel {symbol!r} is unavailable: the kernel library could "
+            f"not be built (no C compiler, or a broken {CC_ENV_VAR}) or lacks it; "
+            "run the scalar backend"
+        )
+    return function
 
 
 def capabilities() -> FrozenSet[str]:
@@ -287,23 +301,36 @@ def thread_count() -> int:
 # ctypes argument helpers shared by the family wrapper modules.
 
 
+def _pointer(array, dtype, pointer) -> "ctypes.POINTER":
+    """``array``'s data pointer, once it is exactly what the kernel reads."""
+    if not (
+        isinstance(array, np.ndarray)
+        and array.dtype == dtype
+        and array.flags.c_contiguous
+    ):
+        raise TypeError(
+            f"kernel argument must be a C-contiguous {np.dtype(dtype)} ndarray, "
+            f"got {type(array).__name__} of dtype {getattr(array, 'dtype', None)}"
+        )
+    return array.ctypes.data_as(pointer)
+
+
 def as_i64(array) -> "ctypes.POINTER":
-    return array.ctypes.data_as(p_i64)
+    return _pointer(array, np.int64, p_i64)
 
 
 def as_i32(array) -> "ctypes.POINTER":
-    return array.ctypes.data_as(p_i32)
+    return _pointer(array, np.int32, p_i32)
 
 
 def as_u8(array) -> "ctypes.POINTER":
-    return array.ctypes.data_as(p_u8)
+    return _pointer(array, np.uint8, p_u8)
 
 
 __all__ = [
     "BASE_CFLAGS",
     "CC_ENV_VAR",
     "KernelSpec",
-    "NATIVE_ENV_VAR",
     "THREADS_ENV_VAR",
     "available",
     "build_key",

@@ -153,15 +153,13 @@ def rrip_feed(
     misses_per_set: np.ndarray,
     state: np.ndarray,
 ):
-    """Run the RRIP kernel over caller-owned state; ``None`` when unavailable.
+    """Run the RRIP kernel over caller-owned state.
 
     ``tags`` (int64, -1 initial) / ``rrpv`` (int32, ``max_rrpv`` initial) /
     ``misses_per_set`` / ``state`` (``[psel, insert_count]``) persist across
     calls.  Returns the chunk's hit mask.
     """
     kernel = registry.lookup("rrip_replay")
-    if kernel is None:
-        return None
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     hints = np.ascontiguousarray(hints, dtype=np.uint8)
     ins_table = np.ascontiguousarray(ins_table, dtype=np.int32)

@@ -114,15 +114,13 @@ def ship_feed(
     shct: np.ndarray,
     misses_per_set: np.ndarray,
 ):
-    """Run the SHiP kernel over caller-owned state; ``None`` when unavailable.
+    """Run the SHiP kernel over caller-owned state.
 
     ``sig_ids`` must use signature ids that are stable across calls, and
     ``shct`` must cover every id in the chunk; all array arguments after
     ``counter_max`` persist across calls.  Returns the chunk's hit mask.
     """
     kernel = registry.lookup("ship_replay")
-    if kernel is None:
-        return None
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     sig_ids = np.ascontiguousarray(sig_ids, dtype=np.int64)
     n = int(blocks.shape[0])

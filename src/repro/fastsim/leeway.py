@@ -1,26 +1,19 @@
-"""Exact vectorized replay for Leeway (live-distance dead-block prediction).
+"""Exact replay for Leeway (live-distance dead-block prediction).
 
 :class:`~repro.cache.policies.leeway.LeewayPolicy` keeps a true LRU recency
 stack per set plus per-line observed live distances, and one global
 per-signature (PC) predictor updated on evictions with reuse-oriented bias.
-The per-set state vectorizes with the RRIP engine's chunking: recency stacks
-become a ``(num_sets, ways)`` *position* matrix (0 = MRU), so within a chunk
-— where every set appears at most once — all hit bookkeeping (observed
-live-distance maxima, move-to-MRU rotations) is batched array arithmetic.
+:class:`LeewayStream` holds the recency stacks as a ``(num_sets, ways)``
+*position* matrix (0 = MRU) next to the tags, observed live distances and
+line signatures, and the compiled kernel
+(:func:`repro.fastsim.kernels.leeway_feed`) advances them in trace order:
+hits record live-distance maxima and rotate the line to MRU, and each miss
+evicts the deepest predicted-dead line, else plain LRU, updating the
+victim signature's prediction.  PC signatures are densified through a
+grow-only :class:`~repro.fastsim.stackdist.DenseIdMap` so the predictor is
+flat arrays rather than dicts.
 
-The predictor is global: a victim's eviction may update the very signature a
-later miss in another set consults, so victim selection and prediction
-updates advance in trace order over the chunk's *misses only* (hits never
-touch the predictor — the batched phase handles them entirely).  Victim
-choice per miss is two array reductions on the set's position row: the
-deepest predicted-dead line, else plain LRU.  PC signatures are densified
-through a grow-only :class:`~repro.fastsim.stackdist.DenseIdMap` so the
-predictor is flat arrays rather than dicts.
-
-:class:`LeewayStream` is the engine: it advances its state through the
-compiled kernel (:func:`repro.fastsim.kernels.leeway_feed`) when one is
-available and through the NumPy sweeps otherwise; both are exact, including
-the final predicted live distances.
+The replay is exact, including the final predicted live distances.
 """
 
 from __future__ import annotations
@@ -33,12 +26,7 @@ import numpy as np
 from repro.cache.policies.base import ReplacementPolicy
 from repro.cache.policies.leeway import LeewayPolicy
 from repro.fastsim import kernels
-from repro.fastsim.rrip import _chunk_end
-from repro.fastsim.stackdist import (
-    DenseIdMap,
-    grow_to,
-    previous_occurrence_indices,
-)
+from repro.fastsim.stackdist import DenseIdMap, grow_to
 
 
 @dataclass(frozen=True)
@@ -76,27 +64,20 @@ class LeewayStream:
     signatures and the global per-PC predictor across :meth:`feed` calls;
     chunked replay is bit-identical to one replay over the concatenation.
     PCs are densified incrementally (grow-only first-appearance ids), and
-    the predictor/vote arrays grow with the id space.
+    the predictor/vote arrays grow with the id space.  Building a stream on
+    a host without the kernel library raises :class:`RuntimeError`.
     """
 
-    def __init__(
-        self,
-        num_sets: int,
-        ways: int,
-        spec: LeewaySpec,
-        use_native: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, num_sets: int, ways: int, spec: LeewaySpec) -> None:
+        kernels.lookup("leeway_replay")
         self.num_sets = num_sets
         self.ways = ways
         self.spec = spec
-        self._use_native = (
-            kernels.available() if use_native is None else bool(use_native)
-        )
         self.tags = np.full((num_sets, ways), -1, dtype=np.int64)
         # positions[s, w] is way w's depth in set s's recency stack (0 = MRU);
         # each row is a permutation of 0..ways-1, mirroring the scalar
         # policy's bind-time stack [0, 1, ..., ways-1].  int32 to match the
-        # compiled kernel; the NumPy path shares the array.
+        # compiled kernel.
         self.positions = np.tile(np.arange(ways, dtype=np.int32), (num_sets, 1))
         self.observed = np.zeros((num_sets, ways), dtype=np.int32)
         # Line signatures as dense PC ids; the initial value is never
@@ -142,107 +123,19 @@ class LeewayStream:
         pc_ids = self._pc_ids.map(pc_values)
         self._predicted = grow_to(self._predicted, len(self._pc_ids), 0)
         self._votes = grow_to(self._votes, len(self._pc_ids), 0)
-        hits = None
-        if self._use_native:
-            hits = kernels.leeway_feed(
-                blocks,
-                pc_ids,
-                self.num_sets,
-                self.ways,
-                self.spec.decay_period,
-                self.tags,
-                self.positions,
-                self.line_sig,
-                self.observed,
-                self._predicted,
-                self._votes,
-                self.misses_per_set,
-            )
-        if hits is None:
-            hits = self._numpy_feed(blocks, pc_ids)
+        hits = kernels.leeway_feed(
+            blocks,
+            pc_ids,
+            self.num_sets,
+            self.ways,
+            self.spec.decay_period,
+            self.tags,
+            self.positions,
+            self.line_sig,
+            self.observed,
+            self._predicted,
+            self._votes,
+            self.misses_per_set,
+        )
         self.hit_count += int(hits.sum())
-        return hits
-
-    def _numpy_feed(self, blocks: np.ndarray, pc_ids: np.ndarray) -> np.ndarray:
-        num_sets = self.num_sets
-        decay_period = self.spec.decay_period
-        tags, positions = self.tags, self.positions
-        observed, line_sig = self.observed, self.line_sig
-        predicted, votes = self._predicted, self._votes
-        n = int(blocks.shape[0])
-        hits = np.zeros(n, dtype=bool)
-        set_ids = blocks & (num_sets - 1)
-        prev = previous_occurrence_indices(set_ids)
-
-        position = 0
-        while position < n:
-            end = _chunk_end(prev, position, n)
-            sets = set_ids[position:end]
-            chunk_blocks = blocks[position:end]
-            chunk_pcs = pc_ids[position:end]
-
-            match = tags[sets] == chunk_blocks[:, None]
-            is_hit = match.any(axis=1)
-            hits[position:end] = is_hit
-
-            if is_hit.any():
-                # Batched hit phase (hits never touch the global predictor):
-                # record live-distance maxima, then rotate each hit line to
-                # MRU.
-                hit_sets = sets[is_hit]
-                hit_ways = match[is_hit].argmax(axis=1)
-                rows = positions[hit_sets]
-                depth = rows[np.arange(rows.shape[0]), hit_ways]
-                observed[hit_sets, hit_ways] = np.maximum(
-                    observed[hit_sets, hit_ways], depth
-                )
-                rows += rows < depth[:, None]
-                rows[np.arange(rows.shape[0]), hit_ways] = 0
-                positions[hit_sets] = rows
-
-            if not is_hit.all():
-                # Trace-order miss walk: victim selection reads the predictor
-                # that earlier evictions (possibly in other sets) just
-                # updated.
-                miss = ~is_hit
-                for pos_in_chunk in np.flatnonzero(miss).tolist():
-                    set_index = int(sets[pos_in_chunk])
-                    tag_row = tags[set_index]
-                    empty = np.flatnonzero(tag_row == -1)
-                    if empty.size:
-                        way = int(empty[0])
-                    else:
-                        pos_row = positions[set_index]
-                        sig_row = line_sig[set_index]
-                        dead = pos_row > predicted[sig_row]
-                        if dead.any():
-                            # Deepest predicted-dead line == first dead line
-                            # on the scalar LRU-to-MRU walk (positions are
-                            # unique).
-                            way = int(np.where(dead, pos_row, -1).argmax())
-                        else:
-                            way = int(pos_row.argmax())
-                        # Eviction: reuse-oriented predictor update (grow
-                        # fast, shrink only after decay_period consecutive
-                        # votes).
-                        signature = int(sig_row[way])
-                        observation = int(observed[set_index, way])
-                        prediction = int(predicted[signature])
-                        if observation > prediction:
-                            predicted[signature] = observation
-                            votes[signature] = 0
-                        elif observation < prediction:
-                            votes[signature] += 1
-                            if votes[signature] >= decay_period:
-                                predicted[signature] = prediction - 1
-                                votes[signature] = 0
-                    tag_row[way] = chunk_blocks[pos_in_chunk]
-                    line_sig[set_index, way] = chunk_pcs[pos_in_chunk]
-                    observed[set_index, way] = 0
-                    pos_row = positions[set_index]
-                    pos_row += pos_row < pos_row[way]
-                    pos_row[way] = 0
-            position = end
-
-        self.misses_per_set += np.bincount(set_ids[~hits], minlength=num_sets)
         return hits

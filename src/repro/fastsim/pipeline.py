@@ -11,13 +11,15 @@ per-set miss counters, and are bit-identical to the staged
 ``FilterStream`` → ``PolicyReplayStream`` pipeline for every supported
 policy family and any ``REPRO_THREADS`` setting.
 
-When the native fused kernel is unavailable (no compiler, ``REPRO_NATIVE=0``,
-or an unsupported family configuration), the pipeline transparently runs the
-staged NumPy engines internally — same inputs, same stats, no caller-side
-branching — so the NumPy-only path stays first-class.
+Both pipelines run their native kernels only: building one where the
+kernel library lacks the kernel (no C compiler, or a toolchain without
+pthreads) raises :class:`RuntimeError` naming it.  The planner checks
+:func:`fused_native_supported` first and otherwise routes the staged
+engines, or the scalar reference when no kernel library exists at all.
 
 Belady's OPT is not fused (it needs future next-use indices, a two-pass
-offline computation); :func:`fused_supported` returns ``False`` for it.
+offline computation); :func:`fused_native_supported` returns ``False`` for
+it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from repro.cache.config import HierarchyConfig
 from repro.cache.hints import HINT_HIGH
 from repro.cache.stats import CacheStats
 from repro.fastsim import kernels
-from repro.fastsim.filter import FilterStream
 from repro.fastsim.hawkeye import hawkeye_spec
 from repro.fastsim.kernels.fused import MAX_THREADS, FilterState, RegionTable
 from repro.fastsim.leeway import leeway_spec
@@ -43,22 +44,10 @@ from repro.fastsim.stackdist import DenseIdMap, grow_to
 from repro.trace.generator import Trace
 
 
-def fused_supported(policy) -> bool:
-    """Whether the fused pipeline covers this policy (natively or staged)."""
-    return _family(policy) is not None
-
-
-def fused_native_supported(policy, hierarchy: HierarchyConfig) -> bool:
-    """Whether the *native* fused kernel covers this policy configuration."""
+def fused_native_supported(policy) -> bool:
+    """Whether the kernel library has a fused kernel for this policy."""
     family = _family(policy)
-    if family is None:
-        return False
-    if not kernels.has_capability(f"fused:{family}"):
-        return False
-    if family == "hawkeye":
-        # The ring-buffer OPTgen needs a positive history window.
-        return hawkeye_spec(policy).history_factor * hierarchy.llc.ways > 0
-    return True
+    return family is not None and kernels.has_capability(f"fused:{family}")
 
 
 def effective_threads(requested: int, hierarchy: HierarchyConfig) -> int:
@@ -100,7 +89,7 @@ class FusedPipeline:
         Cache hierarchy (shared block size across levels is enforced by
         :class:`~repro.cache.config.HierarchyConfig`).
     policy:
-        LLC replacement policy; must satisfy :func:`fused_supported`.
+        LLC replacement policy; must satisfy :func:`fused_native_supported`.
     classifier:
         Optional :class:`~repro.core.classification.GraspClassifier`
         providing reuse hints for the hint-driven families (GRASP, PIN-X).
@@ -122,17 +111,17 @@ class FusedPipeline:
         use_hints: bool = True,
         threads: Optional[int] = None,
     ) -> None:
-        if not fused_supported(policy):
+        self.family = _family(policy)
+        if self.family is None:
             raise ValueError(
                 f"policy {policy!r} has no fused pipeline; "
-                "use fused_supported() before dispatching"
+                "use fused_native_supported() before dispatching"
             )
+        kernels.lookup(f"fused_{self.family}")
         self.hierarchy = hierarchy
         self.policy = policy
-        self.family = _family(policy)
         requested = kernels.thread_count() if threads is None else int(threads)
         self.threads = effective_threads(requested, hierarchy)
-        self.native = fused_native_supported(policy, hierarchy)
         self._offset_bits = hierarchy.l1.block_offset_bits
         self._outcomes = np.zeros(5, dtype=np.int64)
         self._total = 0
@@ -142,15 +131,6 @@ class FusedPipeline:
         if use_hints and classifier is not None:
             regions = classifier.regions()
         self._regions = RegionTable.from_regions(tuple(regions))
-        if not self.native:
-            # Staged engines behind the same interface: identical statistics,
-            # NumPy-only friendly (the engines themselves pick up the
-            # standalone native kernels when those are available).
-            self._filter = FilterStream(hierarchy, backend="vector")
-            self._replay = PolicyReplayStream(policy, hierarchy.llc)
-            self._use_hints = use_hints and classifier is not None
-            self._classifier = classifier
-            return
         llc = hierarchy.llc
         num_sets, ways = llc.num_sets, llc.ways
         self._filt = FilterState(
@@ -222,20 +202,16 @@ class FusedPipeline:
 
     # -- feeding ----------------------------------------------------------
 
-    def feed(self, trace: Trace) -> Optional[np.ndarray]:
+    def feed(self, trace: Trace) -> np.ndarray:
         """Run one trace chunk through the pipeline.
 
-        Returns the chunk's per-access outcome vector on the native path
-        (codes in :mod:`repro.fastsim.kernels.fused`), ``None`` on the
-        staged fallback.  Either way the accumulated statistics advance
-        identically.
+        Returns the chunk's per-access outcome vector (codes in
+        :mod:`repro.fastsim.kernels.fused`) and advances the accumulated
+        statistics.
         """
         n = len(trace)
         if n == 0:
-            return np.zeros(0, dtype=np.uint8) if self.native else None
-        if not self.native:
-            self._staged_feed(trace)
-            return None
+            return np.zeros(0, dtype=np.uint8)
         blocks = trace.block_addresses(self._offset_bits)
         out = self._native_feed(trace, blocks)
         self._total += n
@@ -330,47 +306,21 @@ class FusedPipeline:
                 self._last_pc, self._occupancy, self._occ_head, self._occ_len,
                 self._timestamps, self._llc_misses,
             )
-        if out is None:
-            raise RuntimeError(
-                "fused kernel disappeared mid-stream; "
-                "construct a fresh FusedPipeline"
-            )
         return out
-
-    def _staged_feed(self, trace: Trace) -> None:
-        keep = self._filter.feed(trace)
-        addresses = trace.addresses[keep]
-        blocks = addresses >> self._offset_bits
-        hints = None
-        if self._use_hints:
-            hints = self._classifier.classify_array(addresses)
-        self._replay.feed(
-            blocks,
-            hints=hints,
-            regions=np.asarray(trace.regions)[keep],
-            pcs=np.asarray(trace.pcs, dtype=np.int64)[keep],
-        )
 
     # -- results ----------------------------------------------------------
 
     @property
     def total_references(self) -> int:
         """Accesses fed so far (all levels see the same reference stream)."""
-        if not self.native:
-            return self._filter.total_references
         return self._total
 
     def upstream_hit_counts(self):
         """Aggregate ``(l1_hits, l2_hits)`` of the filter phase."""
-        if not self.native:
-            return self._filter.upstream_hit_counts()
         return int(self._outcomes[0]), int(self._outcomes[1])
 
     def stats(self) -> FusedStats:
         """Aggregate per-level :class:`CacheStats` over everything fed."""
-        if not self.native:
-            l1, l2 = self._filter.level_stats()
-            return FusedStats(l1_stats=l1, l2_stats=l2, llc_stats=self._replay.stats())
         hierarchy = self.hierarchy
         oc = self._outcomes
         l1_hits = int(oc[0])
@@ -423,14 +373,12 @@ class MultiFusedPipeline:
     filtered stream ever materialized to memory beyond the current chunk
     or to disk at all.
 
-    Every policy must satisfy :func:`fused_supported` (an online vector
-    engine, so not the offline OPT); per-policy LLC
-    statistics are bit-identical to running each policy alone through the
-    staged (or fused single-policy) pipeline.  Without the native filter
-    kernel the shared phase runs on the staged vector
-    :class:`~repro.fastsim.filter.FilterStream` — same results, NumPy-only
-    friendly — though the planner prefers the staged materialize-once path
-    in that environment.
+    Every policy needs an online vector engine (so not the offline OPT);
+    per-policy LLC statistics are bit-identical to running each policy
+    alone through the staged (or fused single-policy) pipeline.  Building
+    one where the kernel library lacks the fused filter kernel raises
+    :class:`RuntimeError`; the planner then takes the staged
+    materialize-once path instead.
     """
 
     def __init__(
@@ -446,58 +394,44 @@ class MultiFusedPipeline:
         if not policies:
             raise ValueError("MultiFusedPipeline needs at least one policy")
         for policy in policies:
-            if not fused_supported(policy):
+            if _family(policy) is None:
                 raise ValueError(
-                    f"policy {policy!r} has no vector replay engine; "
-                    "use fused_supported() before dispatching"
+                    f"policy {policy!r} has no vector replay engine to feed "
+                    "(the ablation subclasses and the offline OPT have none)"
                 )
+        kernels.lookup("fused_filter_only")
         self.hierarchy = hierarchy
         self.policies = policies
         requested = kernels.thread_count() if threads is None else int(threads)
         self.threads = effective_threads(requested, hierarchy)
-        self.native = kernels.has_capability("fused:filter")
         self._offset_bits = hierarchy.l1.block_offset_bits
         self._use_hints = use_hints and classifier is not None
         self._classifier = classifier
         self._replays = [
             PolicyReplayStream(policy, hierarchy.llc) for policy in policies
         ]
-        if self.native:
-            self._filt = FilterState(
-                hierarchy.l1.num_sets, hierarchy.l1.ways,
-                hierarchy.l2.num_sets, hierarchy.l2.ways,
-            )
-            self._l1_hits = 0
-            self._l2_hits = 0
-            self._total = 0
-        else:
-            self._filter = FilterStream(hierarchy, backend="vector")
+        self._filt = FilterState(
+            hierarchy.l1.num_sets, hierarchy.l1.ways,
+            hierarchy.l2.num_sets, hierarchy.l2.ways,
+        )
+        self._l1_hits = 0
+        self._l2_hits = 0
+        self._total = 0
 
     def feed(self, trace: Trace) -> None:
         """Filter one raw chunk once; advance every policy's replay."""
         n = len(trace)
         if n == 0:
             return
-        if self.native:
-            blocks = trace.block_addresses(self._offset_bits)
-            out = kernels.fused_filter_feed(blocks, self.threads, self._filt)
-            if out is None:
-                raise RuntimeError(
-                    "fused filter kernel disappeared mid-stream; "
-                    "construct a fresh MultiFusedPipeline"
-                )
-            keep = out == 2
-            kept_blocks = blocks[keep]
-            l1_hits = int(np.count_nonzero(out == 0))
-            self._total += n
-            self._l1_hits += l1_hits
-            self._l2_hits += n - l1_hits - int(kept_blocks.shape[0])
-        else:
-            keep = self._filter.feed(trace)
-            kept_blocks = None
+        blocks = trace.block_addresses(self._offset_bits)
+        out = kernels.fused_filter_feed(blocks, self.threads, self._filt)
+        keep = out == 2
+        kept_blocks = blocks[keep]
+        l1_hits = int(np.count_nonzero(out == 0))
+        self._total += n
+        self._l1_hits += l1_hits
+        self._l2_hits += n - l1_hits - int(kept_blocks.shape[0])
         addresses = trace.addresses[keep]
-        if kept_blocks is None:
-            kept_blocks = addresses >> self._offset_bits
         hints = None
         if self._use_hints:
             hints = self._classifier.classify_array(addresses)
@@ -511,20 +445,14 @@ class MultiFusedPipeline:
     @property
     def total_references(self) -> int:
         """Accesses fed so far (all levels see the same reference stream)."""
-        if self.native:
-            return self._total
-        return self._filter.total_references
+        return self._total
 
     def upstream_hit_counts(self):
         """Aggregate ``(l1_hits, l2_hits)`` of the shared filter phase."""
-        if self.native:
-            return self._l1_hits, self._l2_hits
-        return self._filter.upstream_hit_counts()
+        return self._l1_hits, self._l2_hits
 
     def level_stats(self):
         """``(l1_stats, l2_stats)`` of the shared filter phase."""
-        if not self.native:
-            return self._filter.level_stats()
         hierarchy = self.hierarchy
         kept = self._total - self._l1_hits - self._l2_hits
         l1 = CacheStats.from_counts(
@@ -556,5 +484,4 @@ __all__ = [
     "MultiFusedPipeline",
     "effective_threads",
     "fused_native_supported",
-    "fused_supported",
 ]

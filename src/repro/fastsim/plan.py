@@ -34,8 +34,8 @@ module collapses that sprawl into one explainable layer:
     The decision procedure.  The fused-route consumer-count rule, the
     co-run fallback to ``scalar`` (an unpartitioned PIN co-run, whose
     bypasses the vector co-run engine cannot attribute per stream), the
-    verify-mode dual-run and the NumPy degradation logic each live exactly
-    once, here.
+    verify-mode dual-run and the degradation to ``scalar`` on a host
+    without the kernel library each live exactly once, here.
 
 The runner imports its engines *through this module* (see the re-exports
 at the bottom): a CI lint leg enforces that ``experiments/runner.py``
@@ -59,7 +59,6 @@ from repro.fastsim import kernels
 from repro.fastsim.corun import CorunReplayStream, supports_vector_corun
 from repro.fastsim.dispatch import SCALAR, VECTOR, VERIFY, resolve_backend
 from repro.fastsim.filter import FilterStream, assert_stats_equal, run_filter
-from repro.fastsim.hawkeye import hawkeye_spec
 from repro.fastsim.opt import NextUseTable, OptStream, resolve_chunk_next_use
 from repro.fastsim.pipeline import (
     FusedPipeline,
@@ -98,7 +97,8 @@ class EngineCapabilities:
 
 #: Declarative capability records, one per engine family.  ``scalar`` is the
 #: pseudo-family of policies without an array-form spec (the GRASP ablation
-#: subclasses): the reference simulator covers them on every route.
+#: subclasses, and a Hawkeye policy with no OPTgen window): the reference
+#: simulator covers them on every route.
 ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
     "lru": EngineCapabilities(
         family="lru", vector_replay=True, fused_kernel="fused:lru",
@@ -119,10 +119,6 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
     ),
     "hawkeye": EngineCapabilities(
         family="hawkeye", vector_replay=True, fused_kernel="fused:hawkeye",
-        fallbacks=(
-            "a zero-length OPTgen history window (history_factor * ways == 0) "
-            "disables the native kernels; the NumPy engine runs instead",
-        ),
     ),
     "leeway": EngineCapabilities(
         family="leeway", vector_replay=True, fused_kernel="fused:leeway",
@@ -139,8 +135,8 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
         family="scalar", vector_replay=False, fused_kernel=None,
         fallbacks=(
             "policies without an exact array-form spec (the GRASP ablation "
-            "subclasses) replay through the per-access reference simulator "
-            "on every backend",
+            "subclasses, a Hawkeye policy with no OPTgen window) replay "
+            "through the per-access reference simulator on every backend",
         ),
     ),
 }
@@ -178,8 +174,13 @@ ROUTE_FUSED_MULTI = "fused-multi"  # one filter phase, N policy replays
 #: Kernel tiers a plan can name.
 KERNEL_NATIVE_FUSED = "native-fused"  # one C call per chunk, threaded filter
 KERNEL_NATIVE = "native"              # per-family compiled replay kernels
-KERNEL_NUMPY = "numpy"                # batched NumPy engines
 KERNEL_PYTHON = "python"              # per-access reference simulator
+
+#: Why every plan on a host without the kernel library is a ``scalar`` one.
+NO_KERNELS = (
+    "native kernel library unavailable (no compiler, or a broken REPRO_CC): "
+    "the per-access reference runs"
+)
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,8 @@ class SimRequest:
     regenerating the raw trace.  ``partition`` is a co-run's way
     partition (``None``: the streams share every way).
     ``native_override`` pins kernel availability for testing; ``None``
-    probes the live registry.
+    probes the live registry, and ``False`` plans like a host without the
+    kernel library, where every route is ``scalar``.
     """
 
     schemes: Tuple[str, ...]
@@ -243,7 +245,7 @@ class SimRequest:
             return False
         if self.native_override is True and kernels.available() is False:
             # An override can only *disable* kernels; it cannot conjure a
-            # compiler into a NumPy-only environment.
+            # compiler onto a host without one.
             return False
         return kernels.has_capability(capability)
 
@@ -313,10 +315,12 @@ class RoutePlanner:
     """
 
     def plan(self, request: SimRequest) -> ExecutionPlan:
-        mode = resolve_backend(request.backend)
+        requested = resolve_backend(request.backend, native=True)
+        mode = resolve_backend(request.backend, native=request.native_available())
+        degraded = (NO_KERNELS,) if mode != requested else ()
         if len(request.schemes) > 1 and request.stage in (STAGE_ROI, STAGE_STREAMING):
-            return self._plan_multi(request, mode)
-        return self._plan_single(request, mode)
+            return self._plan_multi(request, mode, degraded)
+        return self._plan_single(request, mode, degraded)
 
     # -- helpers ----------------------------------------------------------
 
@@ -325,18 +329,6 @@ class RoutePlanner:
         if not request.policies and request.scheme == "OPT":
             return ENGINE_CAPABILITIES["opt"]
         return capabilities_for(request.policy)
-
-    def _vector_kernel(self, request: SimRequest, policy) -> str:
-        """Kernel tier of the staged vector engines for this policy."""
-        if not request.native_available():
-            return KERNEL_NUMPY
-        if (
-            _family(policy) == "hawkeye"
-            and request.hierarchy is not None
-            and hawkeye_spec(policy).history_factor * request.hierarchy.llc.ways <= 0
-        ):
-            return KERNEL_NUMPY
-        return KERNEL_NATIVE
 
     def _effective_threads(self, request: SimRequest) -> int:
         from repro.fastsim.pipeline import effective_threads
@@ -348,13 +340,17 @@ class RoutePlanner:
 
     # -- single-policy plans ----------------------------------------------
 
-    def _plan_single(self, request: SimRequest, mode: str) -> ExecutionPlan:
+    def _plan_single(
+        self, request: SimRequest, mode: str, degraded: Tuple[str, ...]
+    ) -> ExecutionPlan:
         """One policy over one stream: a materialized trace, either scope,
         or a co-run's merged stream (one engine, per-stream attribution).
 
         OPT is one more engine over the stream (offline, so in two passes);
         a co-run stage has no fused route and takes the scalar reference
         when the vector co-run engine cannot attribute it per stream.
+        ``degraded`` holds the reason when the backend fell back to
+        ``scalar`` for want of the kernel library.
         """
         policy = request.policy
         caps = self._capabilities(request)
@@ -362,18 +358,20 @@ class RoutePlanner:
         corun = request.stage == STAGE_CORUN
         if opt and corun:
             raise ValueError("OPT is offline and has no co-run analogue")
-        fallbacks = []
+        fallbacks = list(degraded)
 
         if mode == SCALAR:
-            if opt:
-                fallbacks.append("backend=scalar requested: offline reference OPT loop")
-                if request.stage == STAGE_STREAMING:
-                    fallbacks.append(
-                        "the offline reference is one-shot: the filtered stream is "
-                        "materialized in memory"
-                    )
-            else:
-                fallbacks.append("backend=scalar requested: reference simulator")
+            if not degraded:
+                fallbacks.append(
+                    "backend=scalar requested: offline reference OPT loop"
+                    if opt
+                    else "backend=scalar requested: reference simulator"
+                )
+            if opt and request.stage == STAGE_STREAMING:
+                fallbacks.append(
+                    "the offline reference is one-shot: the filtered stream is "
+                    "materialized in memory"
+                )
             return self._scalar_plan(
                 request, mode, engine="opt" if opt else "scalar", fallbacks=fallbacks
             )
@@ -430,7 +428,7 @@ class RoutePlanner:
             stage=request.stage,
             scheme=request.scheme,
             engine=caps.family,
-            kernel=self._vector_kernel(request, policy),
+            kernel=KERNEL_NATIVE,
             backend=mode,
             verify=verify,
             fallbacks=tuple(fallbacks),
@@ -441,25 +439,17 @@ class RoutePlanner:
         self, request: SimRequest, policy, caps: EngineCapabilities
     ) -> Tuple[bool, Tuple[str, ...]]:
         """Whether the fused single-pass route applies; reasons when not."""
-        reasons = []
         native = (
             request.native_override
             if request.native_override is not None
-            else (
-                request.hierarchy is not None
-                and fused_native_supported(policy, request.hierarchy)
-            )
+            else fused_native_supported(policy)
         )
         if not native:
-            if not request.has_kernel(caps.fused_kernel):
-                reasons.append(
-                    f"fused kernel {caps.fused_kernel!r} unavailable "
-                    "(no compiler, REPRO_NATIVE=0, or unsupported configuration): "
-                    "staged NumPy engines run instead"
-                )
-            else:
-                reasons.extend(caps.fallbacks)
-            return False, tuple(reasons)
+            return False, (
+                f"fused kernel {caps.fused_kernel!r} unavailable (a toolchain "
+                "without pthreads builds the per-family kernels only): the "
+                "staged engines run instead",
+            )
         if request.have_stream:
             return False, (self._stored_reason(request),)
         # Several consumers replay one stored stream when the scope can keep
@@ -499,7 +489,9 @@ class RoutePlanner:
 
     # -- multi-scheme (shared-stream) plans --------------------------------
 
-    def _plan_multi(self, request: SimRequest, mode: str) -> ExecutionPlan:
+    def _plan_multi(
+        self, request: SimRequest, mode: str, degraded: Tuple[str, ...]
+    ) -> ExecutionPlan:
         """Consumer-count rule: N>1 schemes replaying one filtered stream.
 
         The preferred route is ``fused-multi``: one (natively threaded)
@@ -508,7 +500,7 @@ class RoutePlanner:
         It needs the ``fused:filter`` kernel and a vector engine for every
         scheme; otherwise the staged materialize-once path runs as before.
         """
-        fallbacks = []
+        fallbacks = list(degraded)
         if mode == VECTOR and request.policies:
             ok, reasons = self._multi_eligible(request)
             if ok:
@@ -524,7 +516,7 @@ class RoutePlanner:
                     threads=self._effective_threads(request),
                 )
             fallbacks.extend(reasons)
-        elif mode != VECTOR:
+        elif mode != VECTOR and not degraded:
             fallbacks.append(
                 f"backend={mode}: the fused multi-scheme route only runs under "
                 "the pure vector backend"
@@ -539,11 +531,7 @@ class RoutePlanner:
             stage=request.stage,
             scheme="+".join(dict.fromkeys(request.schemes)),
             engine="staged",
-            kernel=(
-                KERNEL_PYTHON
-                if mode == SCALAR
-                else (KERNEL_NATIVE if request.native_available() else KERNEL_NUMPY)
-            ),
+            kernel=KERNEL_PYTHON if mode == SCALAR else KERNEL_NATIVE,
             backend=mode,
             verify=mode == VERIFY,
             fallbacks=tuple(fallbacks),
@@ -554,8 +542,8 @@ class RoutePlanner:
         reasons = []
         if not request.has_kernel("fused:filter"):
             reasons.append(
-                "fused filter kernel unavailable (no compiler or REPRO_NATIVE=0): "
-                "the shared filter phase would not beat the staged path"
+                "fused filter kernel unavailable (a toolchain without pthreads "
+                "builds the per-family kernels only): the staged path runs instead"
             )
             return False, tuple(reasons)
         for scheme, policy in zip(request.schemes, request.policies):
@@ -600,8 +588,8 @@ __all__ = [
     "ExecutionPlan",
     "KERNEL_NATIVE",
     "KERNEL_NATIVE_FUSED",
-    "KERNEL_NUMPY",
     "KERNEL_PYTHON",
+    "NO_KERNELS",
     "PLANNER",
     "ROUTE_FUSED",
     "ROUTE_FUSED_MULTI",

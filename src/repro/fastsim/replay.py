@@ -124,10 +124,12 @@ class PolicyReplayStream:
     :meth:`stats`.  Chunked replay is bit-identical to one feed of the
     concatenation, including the final policy state, which is exposed via
     the underlying ``engine`` attribute (the family's ``*Stream`` object
-    carrying PSEL, SHCT, predictor tables, pinned populations, ...).
+    carrying PSEL, SHCT, predictor tables, pinned populations, ...).  The
+    engines run the compiled kernels only, so building a stream on a host
+    without the kernel library raises :class:`RuntimeError`.
     """
 
-    def __init__(self, policy, llc_config: CacheConfig, use_native=None) -> None:
+    def __init__(self, policy, llc_config: CacheConfig) -> None:
         if type(policy) is BeladyOptimal:
             raise ValueError(
                 "BeladyOptimal has no online stream; replay it through OptStream"
@@ -142,10 +144,10 @@ class PolicyReplayStream:
         self.family = family
         num_sets, ways = llc_config.num_sets, llc_config.ways
         if family == "lru":
-            self.engine = LRUStream(num_sets, ways, use_native=use_native)
+            self.engine = LRUStream(num_sets, ways)
         else:
             spec, engine = _SPEC_FAMILIES[family]
-            self.engine = engine(num_sets, ways, spec(policy), use_native=use_native)
+            self.engine = engine(num_sets, ways, spec(policy))
         self._region_accesses: dict = {}
         self._region_misses: dict = {}
 

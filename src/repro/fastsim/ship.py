@@ -1,30 +1,19 @@
-"""Exact vectorized replay for SHiP-MEM (memory-region signature SHiP).
+"""Exact replay for SHiP-MEM (memory-region signature SHiP).
 
 :class:`~repro.cache.policies.ship.ShipMemPolicy` is SRRIP plus one global
 learning structure: the Signature History Counter Table (SHCT), keyed by the
-block's memory region.  Per-set state (tags, RRPVs, per-line signature and
-reused bits) batches exactly like the RRIP engine — within a maximal
-trace-ordered chunk every set appears at most once, so the tag compare, the
-hit promotion (RRPV 0 for every hint) and the age-until-saturated victim
-search are whole-chunk array operations.
+block's memory region.  A first reuse trains the line's signature up, an
+eviction of a never-reused line trains it down, and every insertion reads
+the incoming block's signature to pick between long (``max-1``) and distant
+(``max``) re-reference insertion.  :class:`ShipStream` keeps the per-set
+state (tags, RRPVs, per-line signature and reused bits) and the SHCT in
+arrays, and the compiled kernel (:func:`repro.fastsim.kernels.ship_feed`)
+advances them in trace order.  Signatures are densified through a grow-only
+:class:`~repro.fastsim.stackdist.DenseIdMap` so the SHCT is a flat array
+rather than a dict (the paper's table is unbounded, so no aliasing is
+introduced).
 
-The SHCT itself is shared *across* sets, so its reads and saturating updates
-must advance in trace order: a first reuse trains the line's signature up, an
-eviction of a never-reused line trains it down, and every insertion reads the
-incoming block's signature to pick between long (``max-1``) and distant
-(``max``) re-reference insertion.  Those events are sparse relative to the
-trace (misses plus first-reuse hits only) and all their inputs — victim ways,
-line signatures, reused bits — are known from the batched phase, so the
-engine walks just the chunk's event positions in order, exactly like the
-RRIP engine walks leader-set PSEL updates.  Signatures are densified through
-a grow-only :class:`~repro.fastsim.stackdist.DenseIdMap` so the SHCT is a
-flat array rather than a dict (the paper's table is unbounded, so no
-aliasing is introduced).
-
-:class:`ShipStream` is the engine: it advances its state through the
-compiled kernel (:func:`repro.fastsim.kernels.ship_feed`) when one is
-available and through the NumPy sweeps otherwise; both are exact, including
-the final SHCT contents.
+The replay is exact, including the final SHCT contents.
 """
 
 from __future__ import annotations
@@ -37,12 +26,7 @@ import numpy as np
 from repro.cache.policies.base import ReplacementPolicy
 from repro.cache.policies.ship import ShipMemPolicy
 from repro.fastsim import kernels
-from repro.fastsim.rrip import _chunk_end
-from repro.fastsim.stackdist import (
-    DenseIdMap,
-    grow_to,
-    previous_occurrence_indices,
-)
+from repro.fastsim.stackdist import DenseIdMap, grow_to
 
 #: SHCT value assumed for a signature that was never trained (weakly reused).
 _UNSEEN = 1
@@ -79,22 +63,15 @@ class ShipStream:
     across :meth:`feed` calls; chunked replay is bit-identical to one replay
     over the concatenation.  Signatures are densified incrementally through
     a grow-only id map, and the SHCT array grows with the id space
-    (label-invariant, so outcomes are unchanged).
+    (label-invariant, so outcomes are unchanged).  Building a stream on a
+    host without the kernel library raises :class:`RuntimeError`.
     """
 
-    def __init__(
-        self,
-        num_sets: int,
-        ways: int,
-        spec: ShipSpec,
-        use_native: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, num_sets: int, ways: int, spec: ShipSpec) -> None:
+        kernels.lookup("ship_replay")
         self.num_sets = num_sets
         self.ways = ways
         self.spec = spec
-        self._use_native = (
-            kernels.available() if use_native is None else bool(use_native)
-        )
         self.tags = np.full((num_sets, ways), -1, dtype=np.int64)
         self.rrpv = np.full((num_sets, ways), spec.max_rrpv, dtype=np.int32)
         self.line_sig = np.zeros((num_sets, ways), dtype=np.int64)
@@ -132,120 +109,19 @@ class ShipStream:
             return np.zeros(0, dtype=bool)
         sig_ids = self._sig_ids.map(blocks >> self.spec.region_shift)
         self._shct = grow_to(self._shct, len(self._sig_ids), _UNSEEN)
-        hits = None
-        if self._use_native:
-            hits = kernels.ship_feed(
-                blocks,
-                sig_ids,
-                self.num_sets,
-                self.ways,
-                self.spec.max_rrpv,
-                self.spec.counter_max,
-                self.tags,
-                self.rrpv,
-                self.line_sig,
-                self.reused,
-                self._shct,
-                self.misses_per_set,
-            )
-        if hits is None:
-            hits = self._numpy_feed(blocks, sig_ids)
+        hits = kernels.ship_feed(
+            blocks,
+            sig_ids,
+            self.num_sets,
+            self.ways,
+            self.spec.max_rrpv,
+            self.spec.counter_max,
+            self.tags,
+            self.rrpv,
+            self.line_sig,
+            self.reused,
+            self._shct,
+            self.misses_per_set,
+        )
         self.hit_count += int(hits.sum())
-        return hits
-
-    def _numpy_feed(self, blocks: np.ndarray, sig_ids: np.ndarray) -> np.ndarray:
-        num_sets = self.num_sets
-        max_rrpv = self.spec.max_rrpv
-        counter_max = self.spec.counter_max
-        tags, rrpv, line_sig = self.tags, self.rrpv, self.line_sig
-        reused = self.reused.view(bool)
-        shct = self._shct
-        n = int(blocks.shape[0])
-        hits = np.zeros(n, dtype=bool)
-        set_ids = blocks & (num_sets - 1)
-        prev = previous_occurrence_indices(set_ids)
-
-        position = 0
-        while position < n:
-            end = _chunk_end(prev, position, n)
-            sets = set_ids[position:end]
-            chunk_blocks = blocks[position:end]
-            chunk_sigs = sig_ids[position:end]
-
-            match = tags[sets] == chunk_blocks[:, None]
-            is_hit = match.any(axis=1)
-            hits[position:end] = is_hit
-
-            # Batched per-set phase: promotions, victim selection, reused
-            # bits.  SHCT reads/updates are deferred to the trace-order walk
-            # below.
-            train_up = np.empty(0, dtype=np.int64)
-            train_up_pos = np.empty(0, dtype=np.int64)
-            if is_hit.any():
-                hit_sets = sets[is_hit]
-                hit_ways = match[is_hit].argmax(axis=1)
-                rrpv[hit_sets, hit_ways] = 0
-                first_reuse = ~reused[hit_sets, hit_ways]
-                reused[hit_sets[first_reuse], hit_ways[first_reuse]] = True
-                train_up = line_sig[hit_sets[first_reuse], hit_ways[first_reuse]]
-                train_up_pos = np.flatnonzero(is_hit)[first_reuse]
-
-            miss_pos = np.empty(0, dtype=np.int64)
-            train_down = np.empty(0, dtype=np.int64)
-            ins_sigs = np.empty(0, dtype=np.int64)
-            miss_sets = victim_way = None
-            if not is_hit.all():
-                miss = ~is_hit
-                miss_pos = np.flatnonzero(miss)
-                miss_sets = sets[miss]
-                empty = tags[miss_sets] == -1
-                has_empty = empty.any(axis=1)
-                victim_way = np.empty(miss_sets.shape[0], dtype=np.int64)
-                victim_way[has_empty] = empty[has_empty].argmax(axis=1)
-                full_sets = miss_sets[~has_empty]
-                if full_sets.size:
-                    full_rrpvs = rrpv[full_sets]
-                    full_rrpvs += (max_rrpv - full_rrpvs.max(axis=1))[:, None]
-                    victim_way[~has_empty] = (full_rrpvs == max_rrpv).argmax(axis=1)
-                    rrpv[full_sets] = full_rrpvs
-                # A capacity eviction of a never-reused line trains its
-                # signature down; -1 marks fills (no eviction, nothing to
-                # train).
-                victim_sig = line_sig[miss_sets, victim_way]
-                victim_reused = reused[miss_sets, victim_way]
-                train_down = np.where(~has_empty & ~victim_reused, victim_sig, -1)
-                ins_sigs = chunk_sigs[miss]
-                # State writes independent of the SHCT can land now; the
-                # insertion RRPVs are filled in by the walk below.
-                tags[miss_sets, victim_way] = chunk_blocks[miss]
-                line_sig[miss_sets, victim_way] = ins_sigs
-                reused[miss_sets, victim_way] = False
-
-            # Trace-order SHCT walk over the chunk's sparse events:
-            # first-reuse hits train up, evictions train down, insertions
-            # read.
-            ins_values = np.empty(ins_sigs.shape[0], dtype=np.int32)
-            up_iter = iter(zip(train_up_pos.tolist(), train_up.tolist()))
-            next_up = next(up_iter, None)
-            for index, (pos, down_sig, ins_sig) in enumerate(
-                zip(miss_pos.tolist(), train_down.tolist(), ins_sigs.tolist())
-            ):
-                while next_up is not None and next_up[0] < pos:
-                    up_sig = next_up[1]
-                    if shct[up_sig] < counter_max:
-                        shct[up_sig] += 1
-                    next_up = next(up_iter, None)
-                if down_sig >= 0 and shct[down_sig] > 0:
-                    shct[down_sig] -= 1
-                ins_values[index] = max_rrpv if shct[ins_sig] == 0 else max_rrpv - 1
-            while next_up is not None:
-                up_sig = next_up[1]
-                if shct[up_sig] < counter_max:
-                    shct[up_sig] += 1
-                next_up = next(up_iter, None)
-            if miss_pos.size:
-                rrpv[miss_sets, victim_way] = ins_values
-            position = end
-
-        self.misses_per_set += np.bincount(set_ids[~hits], minlength=num_sets)
         return hits

@@ -1,5 +1,9 @@
 """Shared test fixtures: the sweep-service fault-injection harness.
 
+:data:`needs_native` skips a test that builds a fast engine directly on a
+host where the kernel library cannot be compiled; everything routed through
+the planner runs on the scalar reference there instead.
+
 The classes here plug into the scheduler of
 :mod:`repro.experiments.service` through the regular
 :class:`~repro.experiments.queue.WorkerBackend` interface — no test hooks
@@ -44,6 +48,12 @@ from repro.experiments.queue import (
     Task,
     TaskOutcome,
     WorkerBackend,
+)
+from repro.fastsim import kernels
+
+
+needs_native = pytest.mark.skipif(
+    not kernels.available(), reason="no kernel library (no C compiler)"
 )
 
 

@@ -25,6 +25,7 @@ Covers every layer the stream identity threads through:
 
 import numpy as np
 import pytest
+from conftest import needs_native
 
 from repro.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
@@ -272,6 +273,7 @@ def test_partition_boundary_invariant(scheme):
     assert sum(stats.stream_accesses.values()) == stats.accesses
 
 
+@needs_native
 @pytest.mark.parametrize("scheme", CORUN_SCHEMES)
 @pytest.mark.parametrize("counts", [None, (8, 8), (4, 12)])
 def test_vector_corun_matches_scalar(scheme, counts):
@@ -293,6 +295,7 @@ def test_vector_corun_matches_scalar(scheme, counts):
     assert_stats_equal(cache.stats.validate(), vector.stats(), f"co-run {scheme}")
 
 
+@needs_native
 @pytest.mark.parametrize("scheme", CORUN_SCHEMES)
 def test_single_stream_replay_identity(scheme):
     """A 1-stream co-run replay is bit-identical to the single-app replay."""

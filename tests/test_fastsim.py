@@ -8,6 +8,7 @@ the L1/L2 filter and the LLC LRU replay.
 
 import numpy as np
 import pytest
+from conftest import needs_native
 
 from repro.cache import CacheConfig, SetAssociativeCache
 from repro.cache.config import HierarchyConfig
@@ -32,7 +33,7 @@ from repro.fastsim.dispatch import (
 )
 from repro.fastsim.filter import FastSimMismatchError, assert_stats_equal, run_filter
 from repro.fastsim.replay import supports_vector_replay, vector_policy_replay
-from repro.fastsim.stackdist import DenseIdMap, LRUStream, prior_leq_counts
+from repro.fastsim.stackdist import DenseIdMap, LRUStream
 from repro.trace import Trace
 
 GEOMETRIES = [(1, 1), (1, 4), (4, 1), (4, 4), (8, 2), (2, 8), (16, 16)]
@@ -56,22 +57,6 @@ def _random_blocks(rng, style, n, footprint):
     if style == "streaming":
         return np.arange(n, dtype=np.int64) % (2 * footprint + 1)
     raise AssertionError(style)
-
-
-class TestPriorLeqCounts:
-    def test_matches_quadratic_reference(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            n = int(rng.integers(0, 120))
-            values = rng.integers(-1, 40, size=n)
-            expected = np.array(
-                [int(np.sum(values[:i] <= values[i])) for i in range(n)], dtype=np.int64
-            )
-            assert np.array_equal(prior_leq_counts(values), expected)
-
-    def test_trivial_lengths(self):
-        assert prior_leq_counts(np.array([], dtype=np.int64)).tolist() == []
-        assert prior_leq_counts(np.array([5])).tolist() == [0]
 
 
 class TestDenseIdMap:
@@ -107,48 +92,35 @@ class TestDenseIdMap:
             assert via_dict.keys_in_id_order() == list(reference)
 
 
+@needs_native
 class TestLRUReplayEquivalence:
-    # One feed on a fresh ``LRUStream``: ``use_native=None`` runs the
-    # compiled kernel when one is available, ``use_native=False`` the
-    # portable stack-distance engine.  Both must reproduce the scalar
-    # simulator exactly.  (The ids are the cases' long-standing names.)
-    ENGINES = pytest.mark.parametrize(
-        "use_native", [None, False], ids=["lru_replay", "numpy_lru_replay"]
-    )
+    # One feed on a fresh ``LRUStream`` (the compiled kernel) must reproduce
+    # the scalar simulator exactly.  The ``kernel`` id is the cases'
+    # long-standing name.
+    KERNEL = pytest.mark.parametrize("kernel", ["lru_replay"])
 
-    @ENGINES
+    @KERNEL
     @pytest.mark.parametrize("num_sets,ways", GEOMETRIES)
     @pytest.mark.parametrize("style", ["reuse-heavy", "thrashing", "skewed", "streaming"])
-    def test_random_streams(self, use_native, num_sets, ways, style):
+    def test_random_streams(self, kernel, num_sets, ways, style):
         rng = np.random.default_rng(hash((num_sets, ways, style)) % (2**32))
         for n in (0, 1, 2, ways, 257):
             blocks = _random_blocks(rng, style, n, num_sets * ways)
             expected_hits, expected_stats = _reference_lru(blocks, num_sets, ways)
-            stream = LRUStream(num_sets, ways, use_native=use_native)
+            stream = LRUStream(num_sets, ways)
             assert np.array_equal(stream.feed(blocks), expected_hits)
             assert stream.hit_count == expected_stats.hits
             assert stream.miss_count == expected_stats.misses
             assert stream.evictions == expected_stats.evictions
 
-    @ENGINES
-    def test_handcrafted_eviction_pattern(self, use_native):
+    @KERNEL
+    def test_handcrafted_eviction_pattern(self, kernel):
         # One 2-way set: A B C B A -> C evicts A, final A evicts C.
-        stream = LRUStream(num_sets=1, ways=2, use_native=use_native)
+        stream = LRUStream(num_sets=1, ways=2)
         hits = stream.feed(np.array([0, 1, 2, 1, 0]) * 1)
         assert hits.tolist() == [False, False, False, True, False]
         assert stream.miss_count == 4
         assert stream.evictions == 2
-
-    def test_native_and_numpy_engines_agree(self):
-        if not kernels.available():
-            pytest.skip("no C compiler available for the native kernel")
-        rng = np.random.default_rng(99)
-        for _ in range(10):
-            blocks = rng.integers(0, 512, size=int(rng.integers(1, 2000)))
-            native = LRUStream(num_sets=8, ways=4, use_native=None)
-            portable = LRUStream(num_sets=8, ways=4, use_native=False)
-            assert np.array_equal(native.feed(blocks), portable.feed(blocks))
-            assert np.array_equal(native.misses_per_set, portable.misses_per_set)
 
 
 class TestFilterEquivalence:
@@ -227,6 +199,7 @@ class TestLLCReplayEquivalence:
 
         assert not supports_vector_replay(NotQuiteLRU())
 
+    @needs_native
     def test_vector_replay_region_breakdown(self):
         rng = np.random.default_rng(3)
         blocks = rng.integers(0, 64, size=800)
@@ -265,7 +238,19 @@ class TestDispatch:
         set_default_backend(None)
         assert default_backend() == SCALAR
         assert resolve_backend(None) == SCALAR
-        assert resolve_backend(VECTOR) == VECTOR
+        assert resolve_backend(VECTOR, native=True) == VECTOR
+
+    def test_no_kernel_library_resolves_to_scalar(self, monkeypatch):
+        # The two backends that need the compiled kernels fall back to the
+        # reference; an explicit scalar request is untouched either way.
+        for backend in (VECTOR, VERIFY):
+            assert resolve_backend(backend, native=False) == SCALAR
+            assert resolve_backend(backend, native=True) == backend
+        assert resolve_backend(SCALAR, native=True) == SCALAR
+        monkeypatch.setattr(kernels, "available", lambda: False)
+        assert resolve_backend(VECTOR) == SCALAR
+        monkeypatch.setattr(kernels, "available", lambda: True)
+        assert resolve_backend(VERIFY) == VERIFY
 
     def test_set_default_backend(self):
         set_default_backend(VERIFY)

@@ -2,17 +2,23 @@
 
 Property-style, mirroring ``tests/test_fastsim_rrip.py``: randomized block
 streams x reuse-hint streams x PC streams x cache geometries must produce
-byte-identical outcomes on the scalar policies and both fast engines (NumPy
-and, when a compiler is present, the compiled kernel) for SHiP-MEM, Hawkeye,
-Leeway, the PIN-X pinning configurations and Belady's OPT — per-access hit
+byte-identical outcomes on the scalar policies and the compiled-kernel
+engines for SHiP-MEM, Hawkeye, Leeway, the PIN-X pinning configurations and
+Belady's OPT — per-access hit
 masks, full hit/miss/eviction/bypass statistics, and the global learning
-state (SHCT, PC predictors, PSEL).  Also regression-tests the scalar-policy
+state (SHCT, PC predictors, PSEL).  The same cases replay once more through
+the runner with the kernel library reported unavailable -- the ``scalar``
+route a host without a C compiler takes -- and must reproduce the
+reference's counts and learning state.  Also regression-tests the scalar-policy
 bugs fixed in this PR (PIN's skipped PSEL updates and stale pinned RRPVs,
 SHiP's silently truncated region sizes, Leeway's quadratic victim scan).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import needs_native
 
 from repro.cache import CacheConfig, SetAssociativeCache
 from repro.cache.hints import HINT_DEFAULT, HINT_HIGH
@@ -25,6 +31,7 @@ from repro.cache.policies.ship import ShipMemPolicy
 from repro.core.variants import GraspInsertionOnlyPolicy, RRIPWithHintsPolicy
 from repro.experiments import ExperimentConfig, build_workload, clear_caches
 from repro.experiments.runner import (
+    LLCTrace,
     llc_trace_for,
     simulate_llc_policy,
     simulate_opt,
@@ -37,6 +44,13 @@ from repro.fastsim.hawkeye import HawkeyeStream, hawkeye_spec
 from repro.fastsim.leeway import LeewayStream, leeway_spec
 from repro.fastsim.opt import OptStream, next_use_indices
 from repro.fastsim.pin import PinStream, pin_spec
+from repro.fastsim.plan import (
+    KERNEL_PYTHON,
+    NO_KERNELS,
+    ROUTE_SCALAR,
+    SimRequest,
+    plan_request,
+)
 from repro.fastsim.replay import supports_vector_replay, vector_policy_replay
 from repro.fastsim.ship import ShipStream, ship_spec
 
@@ -77,27 +91,80 @@ def _scalar_reference(policy, blocks, hints, pcs, num_sets, ways):
     return hits, cache.stats
 
 
-def _vector_replay(engine, policy, blocks, hints, pcs, num_sets, ways):
+def _vector_replay(policy, blocks, hints, pcs, num_sets, ways):
     """One feed on a fresh stream engine matching one (fresh) policy instance.
 
-    Returns ``(hits, stream)``; ``engine`` is the stream's ``use_native``.
+    Returns ``(hits, stream)``.
     """
     if type(policy) is ShipMemPolicy:
-        stream = ShipStream(num_sets, ways, ship_spec(policy), use_native=engine)
+        stream = ShipStream(num_sets, ways, ship_spec(policy))
         return stream.feed(blocks), stream
     if type(policy) is HawkeyePolicy:
-        stream = HawkeyeStream(num_sets, ways, hawkeye_spec(policy), use_native=engine)
+        stream = HawkeyeStream(num_sets, ways, hawkeye_spec(policy))
         return stream.feed(blocks, pcs), stream
     if type(policy) is LeewayPolicy:
-        stream = LeewayStream(num_sets, ways, leeway_spec(policy), use_native=engine)
+        stream = LeewayStream(num_sets, ways, leeway_spec(policy))
         return stream.feed(blocks, pcs), stream
-    stream = PinStream(num_sets, ways, pin_spec(policy), use_native=engine)
+    stream = PinStream(num_sets, ways, pin_spec(policy))
     return stream.feed(blocks, hints), stream
 
 
-#: Engines under test, as the streams' ``use_native``: the compiled kernel
-#: when available, and the portable NumPy engines.
-ENGINES = {"dispatch": None, "numpy": False}
+def _llc_trace(blocks, hints, pcs):
+    """A materialized LLC trace (region 0 throughout) over block ids."""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    return LLCTrace(
+        byte_addresses=blocks << 6,
+        block_addresses=blocks,
+        pcs=np.asarray(pcs, dtype=np.int64),
+        regions=np.zeros(len(blocks), dtype=np.int8),
+        hints=np.asarray(hints, dtype=np.int64),
+        upstream_l1_hits=0,
+        upstream_l2_hits=0,
+        total_references=len(blocks),
+    )
+
+
+def _scalar_route_replay(monkeypatch, policy, blocks, hints, pcs, num_sets, ways):
+    """Replay through the runner as a host without the kernel library does.
+
+    With :func:`repro.fastsim.kernels.available` false the planner turns the
+    ``vector`` request into a ``scalar`` plan, and the runner's LLC driver
+    feeds ``policy`` on the per-access reference.  Returns the stats.
+    """
+    monkeypatch.setattr(kernels, "available", lambda: False)
+    name = getattr(policy, "name", type(policy).__name__)
+    plan = plan_request(SimRequest(schemes=(name,), policies=(policy,), backend=VECTOR))
+    assert (plan.route, plan.kernel) == (ROUTE_SCALAR, KERNEL_PYTHON)
+    assert NO_KERNELS in plan.fallbacks
+    llc = CacheConfig(size_bytes=num_sets * ways * 64, ways=ways, name="ref")
+    return simulate_llc_policy(
+        _llc_trace(blocks, hints, pcs), policy, llc, backend=VECTOR
+    )
+
+
+def _counts(stats):
+    return (stats.accesses, stats.hits, stats.misses, stats.evictions, stats.bypasses)
+
+
+def _learned_state(policy):
+    """A scalar policy's global learning state, as plain values."""
+    if type(policy) is ShipMemPolicy:
+        return dict(policy._shct)
+    if type(policy) is HawkeyePolicy:
+        return dict(policy._predictor)
+    if type(policy) is LeewayPolicy:
+        return dict(policy._predicted_ld)
+    return policy._psel, policy._insert_count
+
+
+#: Engine ids of the equivalence cases (their long-standing names):
+#: ``dispatch`` feeds the family's compiled-kernel stream, and ``numpy`` --
+#: named for the batched engines that once served hosts without a C
+#: compiler -- replays through the runner on the ``scalar`` route such a
+#: host now takes (:func:`_scalar_route_replay`).
+ENGINE = pytest.mark.parametrize(
+    "engine_name", [pytest.param("dispatch", marks=needs_native), "numpy"]
+)
 
 
 def _assert_replay_matches(replay, policy, expected_hits, expected_stats):
@@ -258,10 +325,10 @@ class TestSpecExtraction:
 
 
 class TestPolicyReplayEquivalence:
-    @pytest.mark.parametrize("engine_name", sorted(ENGINES))
+    @ENGINE
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     @pytest.mark.parametrize("num_sets,ways", GEOMETRIES)
-    def test_random_streams(self, engine_name, policy_name, num_sets, ways):
+    def test_random_streams(self, engine_name, policy_name, num_sets, ways, monkeypatch):
         seed = sorted(POLICIES).index(policy_name) * 9973 + num_sets * 131 + ways
         rng = np.random.default_rng(seed)
         for n in (0, 1, ways, 193, 600):
@@ -272,13 +339,19 @@ class TestPolicyReplayEquivalence:
             expected_hits, expected_stats = _scalar_reference(
                 policy, blocks, hints, pcs, num_sets, ways
             )
-            replay = _vector_replay(
-                ENGINES[engine_name], policy, blocks, hints, pcs, num_sets, ways
-            )
+            if engine_name == "numpy":
+                routed = POLICIES[policy_name]()
+                stats = _scalar_route_replay(
+                    monkeypatch, routed, blocks, hints, pcs, num_sets, ways
+                )
+                assert _counts(stats) == _counts(expected_stats)
+                assert _learned_state(routed) == _learned_state(policy)
+                continue
+            replay = _vector_replay(policy, blocks, hints, pcs, num_sets, ways)
             _assert_replay_matches(replay, policy, expected_hits, expected_stats)
 
-    @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-    def test_pin_100_bypass_accounting(self, engine_name):
+    @ENGINE
+    def test_pin_100_bypass_accounting(self, engine_name, monkeypatch):
         # All-High-Reuse traffic under PIN-100 pins every way of every
         # touched set; the steady state is nothing but bypasses, which must
         # be counted (inside misses) identically to the scalar simulator.
@@ -292,18 +365,26 @@ class TestPolicyReplayEquivalence:
             policy, blocks, hints, pcs, num_sets, ways
         )
         assert expected_stats.bypasses > 0  # the scenario actually bypasses
-        replay = _vector_replay(
-            ENGINES[engine_name], policy, blocks, hints, pcs, num_sets, ways
-        )
+        if engine_name == "numpy":
+            routed = PinningPolicy(reserved_fraction=1.0)
+            stats = _scalar_route_replay(
+                monkeypatch, routed, blocks, hints, pcs, num_sets, ways
+            )
+            assert _counts(stats) == _counts(expected_stats)
+            assert _learned_state(routed) == _learned_state(policy)
+            return
+        replay = _vector_replay(policy, blocks, hints, pcs, num_sets, ways)
         _assert_replay_matches(replay, policy, expected_hits, expected_stats)
         _, stream = replay
         assert stream.bypass_count == expected_stats.bypasses
         # Bypasses are misses that never insert: eviction counts must agree.
         assert stream.evictions == expected_stats.evictions == 0
 
-    @pytest.mark.parametrize("engine_name", sorted(ENGINES))
+    @ENGINE
     @pytest.mark.parametrize("sample_period", [1, 4, 1024])
-    def test_hawkeye_sampled_and_unsampled_sets(self, engine_name, sample_period):
+    def test_hawkeye_sampled_and_unsampled_sets(
+        self, engine_name, sample_period, monkeypatch
+    ):
         # sample_period=1 trains OPTgen on every set, 4 on a subset, 1024 on
         # set 0 only (period larger than the set count); all must match.
         num_sets, ways = 8, 4
@@ -316,59 +397,54 @@ class TestPolicyReplayEquivalence:
             policy, blocks, hints, pcs, num_sets, ways
         )
         assert policy._samplers  # OPTgen actually engaged
-        replay = _vector_replay(
-            ENGINES[engine_name], policy, blocks, hints, pcs, num_sets, ways
-        )
+        if engine_name == "numpy":
+            routed = HawkeyePolicy(sample_period=sample_period)
+            stats = _scalar_route_replay(
+                monkeypatch, routed, blocks, hints, pcs, num_sets, ways
+            )
+            assert _counts(stats) == _counts(expected_stats)
+            assert _learned_state(routed) == _learned_state(policy)
+            return
+        replay = _vector_replay(policy, blocks, hints, pcs, num_sets, ways)
         _assert_replay_matches(replay, policy, expected_hits, expected_stats)
 
-    @pytest.mark.parametrize(
-        "use_native", [None, False], ids=["opt_replay", "numpy_opt_replay"]
-    )
+    @needs_native
+    def test_hawkeye_stream_refuses_an_empty_optgen_window(self):
+        # The kernel's OPTgen ring buffer indexes modulo the window length;
+        # a zero window must be refused before it reaches the kernel.
+        empty = dataclasses.replace(hawkeye_spec(HawkeyePolicy()), history_factor=0)
+        with pytest.raises(ValueError, match="OPTgen window"):
+            HawkeyeStream(8, 4, empty)
+
+    @needs_native
+    @pytest.mark.parametrize("kernel", ["opt_replay"])
     @pytest.mark.parametrize("num_sets,ways", GEOMETRIES)
-    def test_opt_matches_offline_reference(self, use_native, num_sets, ways):
+    def test_opt_matches_offline_reference(self, kernel, num_sets, ways):
         rng = np.random.default_rng(num_sets * 131 + ways)
         config = CacheConfig(size_bytes=num_sets * ways * 64, ways=ways, name="ref")
         for n in (0, 1, ways, 400, 1200):
             blocks = rng.integers(0, max(1, 2 * num_sets * ways), size=n).astype(np.int64)
             expected = simulate_opt_misses(blocks, config)
-            stream = OptStream(num_sets, ways, use_native=use_native)
+            stream = OptStream(num_sets, ways)
             stream.feed(blocks, next_use_indices(blocks))
             assert stream.hit_count == expected.hits
             assert stream.miss_count == expected.misses
             assert stream.evictions == expected.evictions
 
-    @pytest.mark.parametrize(
-        "use_native", [True, False], ids=["opt_replay", "numpy_opt_replay"]
-    )
-    def test_opt_rejects_short_next_use(self, use_native):
+    @needs_native
+    @pytest.mark.parametrize("kernel", ["opt_replay"])
+    def test_opt_rejects_short_next_use(self, kernel):
         # The compiled replay used to read past a short next-use array and
-        # return counts silently; both paths must refuse it up front.
+        # return counts silently; the stream must refuse it up front.
         blocks = np.random.default_rng(5).integers(0, 256, size=4096)
-        stream = OptStream(16, 4, use_native=use_native)
+        stream = OptStream(16, 4)
         with pytest.raises(ValueError, match="next-use stream length 16 != trace length 4096"):
             stream.feed(blocks, next_use_indices(blocks)[:16])
         assert stream.hit_count == 0
         assert stream.miss_count == 0
 
-    def test_native_and_numpy_engines_agree(self):
-        if not kernels.available():
-            pytest.skip("no C compiler available for the native kernel")
-        rng = np.random.default_rng(77)
-        for policy_name in sorted(POLICIES):
-            blocks = rng.integers(0, 512, size=int(rng.integers(1, 2000)))
-            hints = rng.integers(0, 4, size=blocks.shape[0])
-            pcs = rng.integers(0, 9, size=blocks.shape[0])
-            policy = POLICIES[policy_name]()
-            native_hits, native = _vector_replay(
-                ENGINES["dispatch"], policy, blocks, hints, pcs, 16, 4
-            )
-            portable_hits, portable = _vector_replay(
-                ENGINES["numpy"], policy, blocks, hints, pcs, 16, 4
-            )
-            assert np.array_equal(native_hits, portable_hits)
-            assert np.array_equal(native.misses_per_set, portable.misses_per_set)
 
-
+@needs_native
 class TestVectorPolicyReplay:
     @pytest.mark.parametrize("policy_name", ["ship", "hawkeye", "leeway", "pin-75"])
     def test_region_breakdown_matches_scalar(self, policy_name):
@@ -476,3 +552,40 @@ class TestEndToEndDispatch:
             backend=VECTOR,
         )
         assert_stats_equal(direct, public, "test")
+
+    def test_hawkeye_without_optgen_window_is_scalar(self):
+        # A zero-length OPTgen window leaves the kernel's ring buffers
+        # nothing to hold: the policy has no array-form spec, so it belongs
+        # to the scalar pseudo-family and every backend replays it on the
+        # reference.
+        assert hawkeye_spec(HawkeyePolicy(history_factor=0)) is None
+        assert not supports_vector_replay(HawkeyePolicy(history_factor=0))
+        plan = plan_request(
+            SimRequest(
+                schemes=("Hawkeye",),
+                policies=(HawkeyePolicy(history_factor=0),),
+                backend=VECTOR,
+            )
+        )
+        assert (plan.route, plan.engine, plan.kernel) == (ROUTE_SCALAR, "scalar", "python")
+        rng = np.random.default_rng(31)
+        blocks = rng.integers(0, 160, size=1500).astype(np.int64)
+        trace = LLCTrace(
+            byte_addresses=blocks << 6,
+            block_addresses=blocks,
+            pcs=rng.integers(0, 6, size=1500).astype(np.int64),
+            regions=rng.integers(0, 4, size=1500).astype(np.int8),
+            hints=np.zeros(1500, dtype=np.int64),
+            upstream_l1_hits=0,
+            upstream_l2_hits=0,
+            total_references=1500,
+        )
+        llc = CacheConfig(size_bytes=16 * 64 * 4, ways=4, name="LLC")
+        scalar = simulate_llc_policy(
+            trace, HawkeyePolicy(history_factor=0), llc, backend=SCALAR
+        )
+        vector = simulate_llc_policy(
+            trace, HawkeyePolicy(history_factor=0), llc, backend=VECTOR
+        )
+        assert_stats_equal(scalar, vector, "test")
+        assert scalar.region_accesses == vector.region_accesses

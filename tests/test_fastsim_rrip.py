@@ -2,14 +2,14 @@
 
 Property-style: randomized block streams x randomized reuse-hint streams x
 randomized cache geometries must produce byte-identical outcomes on the
-scalar policies and both fast engines (NumPy and, when a compiler is
-present, the compiled kernel) — per-access hit masks, full
+scalar policies and the compiled-kernel engine — per-access hit masks, full
 hit/miss/eviction statistics, and the global set-dueling state (PSEL and
 the bimodal insertion counter).
 """
 
 import numpy as np
 import pytest
+from conftest import needs_native
 
 from repro.cache import CacheConfig, SetAssociativeCache
 from repro.cache.policies import LRUPolicy
@@ -28,7 +28,6 @@ from repro.experiments.runner import (
     simulate_llc_policy,
 )
 from repro.experiments.schemes import scheme_policy
-from repro.fastsim import kernels
 from repro.fastsim.dispatch import SCALAR, VECTOR, VERIFY
 from repro.fastsim.filter import assert_stats_equal
 from repro.fastsim.replay import supports_vector_replay, vector_policy_replay
@@ -62,9 +61,9 @@ def _scalar_reference(policy, blocks, hints, num_sets, ways):
     return hits, cache.stats
 
 
-def _replay(use_native, blocks, hints, num_sets, ways, spec):
+def _replay(blocks, hints, num_sets, ways, spec):
     """Replay a whole stream with one feed on a fresh engine."""
-    stream = RRIPStream(num_sets, ways, spec, use_native=use_native)
+    stream = RRIPStream(num_sets, ways, spec)
     return stream.feed(blocks, hints), stream
 
 
@@ -131,19 +130,17 @@ class TestSpecExtraction:
         assert grasp.promotion_table == (0, 0, -1, -1)
 
 
+@needs_native
 class TestRRIPReplayEquivalence:
-    # One feed on a fresh ``RRIPStream``: ``use_native=None`` runs the
-    # compiled kernel when one is available, ``use_native=False`` the
-    # portable batched engine.  Both must reproduce the scalar policies
-    # exactly.  (The ids are the cases' long-standing names.)
-    ENGINES = pytest.mark.parametrize(
-        "use_native", [None, False], ids=["rrip_replay", "numpy_rrip_replay"]
-    )
+    # One feed on a fresh ``RRIPStream`` (the compiled kernel) must reproduce
+    # the scalar policies exactly.  The ``kernel`` id is the cases'
+    # long-standing name.
+    KERNEL = pytest.mark.parametrize("kernel", ["rrip_replay"])
 
-    @ENGINES
+    @KERNEL
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     @pytest.mark.parametrize("num_sets,ways", GEOMETRIES)
-    def test_random_streams(self, use_native, policy_name, num_sets, ways):
+    def test_random_streams(self, kernel, policy_name, num_sets, ways):
         seed = sorted(POLICIES).index(policy_name) * 9973 + num_sets * 131 + ways
         rng = np.random.default_rng(seed)
         for n in (0, 1, ways, 193, 800):
@@ -154,14 +151,14 @@ class TestRRIPReplayEquivalence:
             expected_hits, expected_stats = _scalar_reference(
                 policy, blocks, hints, num_sets, ways
             )
-            hits, stream = _replay(use_native, blocks, hints, num_sets, ways, spec)
+            hits, stream = _replay(blocks, hints, num_sets, ways, spec)
             _assert_replay_matches(
                 hits, stream, policy, expected_hits, expected_stats, spec
             )
 
-    @ENGINES
+    @KERNEL
     @pytest.mark.parametrize("policy_name", ["drrip-saturating", "grasp-tight"])
-    def test_leader_heavy_streams_keep_psel_exact(self, use_native, policy_name):
+    def test_leader_heavy_streams_keep_psel_exact(self, kernel, policy_name):
         # Concentrate accesses on leader sets so PSEL saturates repeatedly.
         num_sets, ways = 32, 2
         rng = np.random.default_rng(5)
@@ -176,11 +173,11 @@ class TestRRIPReplayEquivalence:
         expected_hits, expected_stats = _scalar_reference(
             policy, blocks, hints, num_sets, ways
         )
-        hits, stream = _replay(use_native, blocks, hints, num_sets, ways, spec)
+        hits, stream = _replay(blocks, hints, num_sets, ways, spec)
         _assert_replay_matches(hits, stream, policy, expected_hits, expected_stats, spec)
 
-    @ENGINES
-    def test_hint_stream_none_matches_hint_blind_scalar(self, use_native):
+    @KERNEL
+    def test_hint_stream_none_matches_hint_blind_scalar(self, kernel):
         rng = np.random.default_rng(9)
         blocks = rng.integers(0, 128, size=700)
         policy = GraspPolicy()
@@ -188,25 +185,11 @@ class TestRRIPReplayEquivalence:
         expected_hits, expected_stats = _scalar_reference(
             policy, blocks, np.zeros(700, dtype=np.int64), 16, 4
         )
-        hits, stream = _replay(use_native, blocks, None, 16, 4, spec)
+        hits, stream = _replay(blocks, None, 16, 4, spec)
         _assert_replay_matches(hits, stream, policy, expected_hits, expected_stats, spec)
 
-    def test_native_and_numpy_engines_agree(self):
-        if not kernels.available():
-            pytest.skip("no C compiler available for the native kernel")
-        rng = np.random.default_rng(77)
-        for policy_name in sorted(POLICIES):
-            blocks = rng.integers(0, 512, size=int(rng.integers(1, 2500)))
-            hints = rng.integers(0, 4, size=blocks.shape[0])
-            spec = rrip_spec(POLICIES[policy_name]())
-            native_hits, native = _replay(None, blocks, hints, 16, 4, spec)
-            portable_hits, portable = _replay(False, blocks, hints, 16, 4, spec)
-            assert np.array_equal(native_hits, portable_hits)
-            assert np.array_equal(native.misses_per_set, portable.misses_per_set)
-            assert native.psel == portable.psel
-            assert native.insert_count == portable.insert_count
 
-
+@needs_native
 class TestVectorPolicyReplay:
     def test_region_breakdown_matches_scalar(self):
         rng = np.random.default_rng(3)

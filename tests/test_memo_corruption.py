@@ -123,7 +123,7 @@ class TestCorruptEntriesAreMisses:
         the filter task (keyed on the manifest) must still look undone."""
         config = ExperimentConfig.smoke().with_overrides(backend="vector")
         policy = scheme_policy("GRASP")
-        if not fused_native_supported(policy, config.hierarchy):
+        if not fused_native_supported(policy):
             pytest.skip("no fused kernel available")
         memo = DiskMemo(tmp_path)
         set_disk_memo(memo)

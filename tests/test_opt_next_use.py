@@ -6,8 +6,8 @@ block streams (small ids, a single repeated block, and ids at and above
 ``DenseIdMap.DIRECT_LIMIT``, where the table's id map leaves its direct
 range) split at drawn points (empty chunks and one-access chunks
 included), every chunk's result must equal the matching slice of a
-pure-Python backwards walk over the whole stream, on the compiled scan and
-on the NumPy fallback alike.  :func:`next_use_indices` must be that same
+pure-Python backwards walk over the whole stream through the compiled
+scan.  :func:`next_use_indices` must be that same
 resolve on one chunk at offset 0.  The compiled scan's wrapper must refuse,
 before the kernel runs, ids outside the table and arrays the kernel cannot
 take (not C-contiguous int64, or a read-only table).
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+from conftest import needs_native  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
@@ -32,8 +33,8 @@ from repro.fastsim.opt import (  # noqa: E402
 )
 from repro.fastsim.stackdist import DenseIdMap  # noqa: E402
 
-PATHS = [True, False] if kernels.available() else [False]
-PATH_IDS = ["native", "numpy"] if kernels.available() else ["numpy"]
+#: The scan's id in the property cases: their long-standing name.
+SCAN = pytest.mark.parametrize("scan", ["native"])
 
 LIMIT = DenseIdMap.DIRECT_LIMIT
 
@@ -78,24 +79,26 @@ def split_streams(draw):
     return blocks, [0, *sorted(cuts), n]
 
 
-@pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
+@needs_native
+@SCAN
 @given(split_streams())
 @settings(max_examples=150, deadline=None)
-def test_reverse_pass_matches_backwards_walk(use_native, drawn):
+def test_reverse_pass_matches_backwards_walk(scan, drawn):
     blocks, bounds = drawn
     expected = reference_next_use(blocks)
-    table = NextUseTable(use_native=use_native)
+    table = NextUseTable()
     for start, end in reversed(list(zip(bounds[:-1], bounds[1:]))):
         got = resolve_chunk_next_use(blocks[start:end], start, table)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, expected[start:end])
 
 
-@pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
+@needs_native
+@SCAN
 @given(block_streams)
 @settings(max_examples=100, deadline=None)
-def test_next_use_indices_is_one_chunk_at_offset_zero(use_native, blocks):
-    one_chunk = resolve_chunk_next_use(blocks, 0, NextUseTable(use_native=use_native))
+def test_next_use_indices_is_one_chunk_at_offset_zero(scan, blocks):
+    one_chunk = resolve_chunk_next_use(blocks, 0, NextUseTable())
     np.testing.assert_array_equal(next_use_indices(blocks), one_chunk)
     np.testing.assert_array_equal(one_chunk, reference_next_use(blocks))
 

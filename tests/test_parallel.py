@@ -195,7 +195,7 @@ class TestParallelRunner:
 
         config = ExperimentConfig.smoke().with_overrides(backend="vector")
         policy = scheme_policy("GRASP")
-        if not fused_native_supported(policy, config.hierarchy):
+        if not fused_native_supported(policy):
             pytest.skip("no fused kernel available")
         memo = DiskMemo(tmp_path / "memo")
         set_disk_memo(memo)

@@ -5,15 +5,17 @@ Covers the two contracts the fused path must honour:
 * **Bit-identity** — the threaded fused pipeline (L1/L2 filter + LLC replay
   in one native call) must match the scalar reference pipeline access for
   access, for every policy family, at every thread count, for any chunking
-  of the input stream; and the NumPy fallback must produce the same
-  statistics as the native path.
+  of the input stream.
 * **Registry hygiene** — kernels are registered declaratively and compiled
   lazily (importing ``repro`` must not touch a compiler), the build cache
   key covers source, flags and compiler, capability probes replace
-  hard-coded symbol checks, and a broken/missing compiler degrades to the
-  NumPy engines with no error surfaced to callers.
+  hard-coded symbol checks, kernel arguments of the wrong dtype or layout
+  raise instead of reaching the kernel, and on a broken or missing
+  compiler every plan runs the scalar reference with identical results
+  while building an engine directly raises.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -27,14 +29,15 @@ from repro.core import AddressBoundRegisterFile, GraspClassifier
 from repro.experiments.runner import LLCTrace, simulate_llc_policy
 from repro.fastsim import kernels
 from repro.fastsim.filter import run_filter
+from repro.fastsim.kernels import registry
 from repro.fastsim.pipeline import (
     FusedPipeline,
     FusedStats,
     MultiFusedPipeline,
     effective_threads,
     fused_native_supported,
-    fused_supported,
 )
+from repro.fastsim.rrip import RRIPStream, rrip_spec
 from repro.trace import Trace, iter_trace_slices
 
 HIERARCHY = HierarchyConfig()
@@ -100,12 +103,8 @@ def scalar_reference(trace, classifier):
 
 def run_fused(trace, policy, classifier, threads, chunk=3333):
     fused = FusedPipeline(HIERARCHY, policy, classifier=classifier, threads=threads)
-    outcomes = []
-    for piece in iter_trace_slices(trace, chunk):
-        out = fused.feed(piece)
-        if out is not None:
-            outcomes.append(out)
-    return fused, (np.concatenate(outcomes) if outcomes else None)
+    outcomes = [fused.feed(piece) for piece in iter_trace_slices(trace, chunk)]
+    return fused, np.concatenate(outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +118,8 @@ def run_fused(trace, policy, classifier, threads, chunk=3333):
 class TestFusedMatchesScalar:
     def test_stats(self, trace, classifier, scalar_reference, name, threads):
         policy = create_policy(name)
-        assert fused_native_supported(policy, HIERARCHY)
+        assert fused_native_supported(policy)
         fused, _ = run_fused(trace, policy, classifier, threads)
-        assert fused.native
         got = fused.stats()
         want = scalar_reference(name)
         assert got.l1_stats == want.l1_stats
@@ -151,26 +149,10 @@ class TestFusedInvariances:
             )
             np.testing.assert_array_equal(oneshot, out)
 
-    def test_numpy_fallback_matches_native(self, trace, classifier, name, monkeypatch):
-        policy = create_policy(name)
-        native, _ = run_fused(trace, policy, classifier, threads=2)
-        monkeypatch.setattr(
-            "repro.fastsim.pipeline.fused_native_supported", lambda p, h: False
-        )
-        fallback, out = run_fused(trace, create_policy(name), classifier, threads=2)
-        assert not fallback.native
-        assert out is None
-        got, want = fallback.stats(), native.stats()
-        assert got.l1_stats == want.l1_stats
-        assert got.l2_stats == want.l2_stats
-        assert got.llc_stats == want.llc_stats
-        assert fallback.total_references == native.total_references
-
 
 class TestMultiFusedPipeline:
     """The multi-scheme shared-filter pipeline matches every per-policy
-    reference, native or not (the phases differ only in where the filter
-    runs; the replay engines are the same)."""
+    reference."""
 
     NAMES = ("lru", "grasp", "ship-mem", "hawkeye")
 
@@ -185,6 +167,7 @@ class TestMultiFusedPipeline:
             multi.feed(piece)
         return multi
 
+    @needs_native
     def test_matches_scalar_reference(self, trace, classifier, scalar_reference):
         multi = self._run_multi(trace, classifier, self.NAMES)
         l1, l2 = multi.level_stats()
@@ -205,19 +188,6 @@ class TestMultiFusedPipeline:
             for a, b in zip(base.stats(), other.stats()):
                 assert (a.hits, a.misses, a.evictions) == (b.hits, b.misses, b.evictions)
 
-    @needs_native
-    def test_filter_stream_fallback_matches_native(self, trace, classifier, monkeypatch):
-        native = self._run_multi(trace, classifier, self.NAMES)
-        assert native.native
-        monkeypatch.setattr(
-            "repro.fastsim.pipeline.kernels.has_capability", lambda cap: False
-        )
-        fallback = self._run_multi(trace, classifier, self.NAMES)
-        assert not fallback.native
-        assert fallback.level_stats() == native.level_stats()
-        for a, b in zip(native.stats(), fallback.stats()):
-            assert (a.hits, a.misses, a.evictions) == (b.hits, b.misses, b.evictions)
-
     def test_rejects_non_vector_policies(self):
         from repro.cache.policies import BeladyOptimal
 
@@ -231,12 +201,15 @@ class TestMultiFusedPipeline:
 
 class TestSupportPredicates:
     def test_fused_supported_matrix(self):
+        # Every family has a fused kernel wherever the library was built.
         for name in FAMILIES:
-            assert fused_supported(create_policy(name))
-        assert not fused_supported(create_policy("random"))
+            assert fused_native_supported(create_policy(name)) == (
+                kernels.has_capability("fused")
+            )
+        assert not fused_native_supported(create_policy("random"))
         from repro.cache.policies import BeladyOptimal
 
-        assert not fused_supported(BeladyOptimal(HIERARCHY.llc))
+        assert not fused_native_supported(BeladyOptimal(HIERARCHY.llc))
 
     def test_unsupported_policy_raises(self):
         with pytest.raises(ValueError):
@@ -302,6 +275,38 @@ class TestRegistry:
             )
 
 
+class TestKernelArguments:
+    """The ctypes boundary takes exactly the arrays the kernels read."""
+
+    def test_pointers_need_exact_dtype_and_c_layout(self):
+        assert registry.as_i64(np.zeros(3, dtype=np.int64)) is not None
+        assert registry.as_i32(np.zeros((2, 2), dtype=np.int32)) is not None
+        assert registry.as_u8(np.zeros(3, dtype=np.uint8)) is not None
+        with pytest.raises(TypeError, match="int64"):
+            registry.as_i64(np.zeros(3, dtype=np.int32))
+        with pytest.raises(TypeError, match="C-contiguous"):
+            registry.as_i64(np.arange(8, dtype=np.int64)[::2])
+        with pytest.raises(TypeError):
+            registry.as_i32(np.zeros(3, dtype=np.int64))
+        with pytest.raises(TypeError):
+            registry.as_u8(np.zeros(3, dtype=bool))
+        with pytest.raises(TypeError):
+            registry.as_i64([1, 2, 3])
+
+    @needs_native
+    def test_wrong_state_dtype_raises_before_the_kernel_runs(self):
+        # The RRIP kernel writes int32 RRPVs: handed an int64 buffer it used
+        # to scribble over it and return wrong hits silently.
+        stream = RRIPStream(16, 4, rrip_spec(create_policy("grasp")))
+        stream.rrpv = stream.rrpv.astype(np.int64)
+        before = stream.rrpv.copy()
+        with pytest.raises(TypeError, match="int32"):
+            stream.feed(np.arange(64, dtype=np.int64))
+        np.testing.assert_array_equal(stream.rrpv, before)
+        assert stream.hit_count == 0
+        assert stream.miss_count == 0
+
+
 def _run_subprocess(code: str, env_overrides: dict) -> str:
     env = dict(os.environ)
     env.update(env_overrides)
@@ -317,57 +322,100 @@ def _run_subprocess(code: str, env_overrides: dict) -> str:
     return result.stdout.strip()
 
 
+#: Schemes of the degraded-host run: the smoke comparison's baseline, one
+#: scheme per kernel family it exercises, and the offline OPT.
+DEGRADED_SCHEMES = ("RRIP", "GRASP", "Hawkeye", "PIN-100", "OPT")
+
+#: Turns ``compare_policies`` points into JSON-ready rows; run in-process
+#: and in the degraded subprocess so both sides compare the same fields.
+POINT_ROWS = """
+def point_rows(points):
+    return [
+        [p.app_name, p.dataset_name, p.scheme, p.stats.accesses, p.stats.hits,
+         p.stats.misses, p.stats.evictions, p.stats.bypasses,
+         sorted((p.stats.region_misses or {}).items()), p.cycles]
+        for p in points
+    ]
+"""
+
+
+def _point_rows(points):
+    namespace: dict = {}
+    exec(POINT_ROWS, namespace)
+    return json.loads(json.dumps(namespace["point_rows"](points)))
+
+
 class TestLazyCompilation:
     def test_import_does_not_compile(self, tmp_path):
         # Even with the compiler replaced by /usr/bin/false, importing every
         # engine and kernel module (the planner imports them all) must
-        # succeed and must not attempt a build; only the first kernel lookup
+        # succeed and must not attempt a build; only the first probe
         # resolves.
         out = _run_subprocess(
             "import repro, repro.fastsim.plan\n"
             "import repro.fastsim.kernels as k\n"
             "print(k.resolved())\n"
-            "k.lookup('lru_replay')\n"
+            "k.available()\n"
             "print(k.resolved())\n",
             {"REPRO_CC": "/usr/bin/false", "XDG_CACHE_HOME": str(tmp_path)},
         )
         assert out.splitlines() == ["False", "True"]
 
-    def test_broken_compiler_degrades_to_numpy(self, tmp_path):
-        # End to end under a toolchain that always fails: engines fall back
-        # to NumPy, the fused pipeline falls back to the staged engines, and
-        # results still come out (exercised via one policy replay).
+    @needs_native
+    def test_broken_compiler_runs_the_scalar_reference(self, tmp_path, memo_isolation):
+        # With no usable compiler every plan is a scalar one that says why,
+        # the comparison comes out identical to the compiled run in both
+        # scopes, and building an engine or a fused pipeline directly
+        # raises instead of running something else.
+        from repro.experiments import ExperimentConfig, compare_policies
+
+        config = ExperimentConfig.smoke()
+        expected = {
+            str(streaming): _point_rows(
+                compare_policies(
+                    ["PR"], ["lj"], DEGRADED_SCHEMES, config, streaming=streaming
+                )
+            )
+            for streaming in (False, True)
+        }
         out = _run_subprocess(
-            "import numpy as np\n"
+            POINT_ROWS
+            + "import json\n"
+            "import pytest\n"
             "import repro.fastsim.kernels as k\n"
             "from repro.cache.config import HierarchyConfig\n"
             "from repro.cache.policies import create_policy\n"
-            "from repro.fastsim.pipeline import FusedPipeline, fused_native_supported\n"
-            "from repro.trace import Trace\n"
-            "hier = HierarchyConfig()\n"
-            "policy = create_policy('grasp')\n"
-            "assert not fused_native_supported(policy, hier)\n"
+            "from repro.core.grasp import GraspPolicy\n"
+            "from repro.experiments import ExperimentConfig, compare_policies\n"
+            "from repro.experiments.runner import plan_pair_tasks, set_disk_memo\n"
+            "from repro.fastsim.pipeline import FusedPipeline\n"
+            "from repro.fastsim.plan import NO_KERNELS\n"
+            "from repro.fastsim.replay import PolicyReplayStream\n"
+            "set_disk_memo(None)\n"
+            f"expected = json.loads({json.dumps(expected)!r})\n"
+            f"schemes = {DEGRADED_SCHEMES!r}\n"
+            "config = ExperimentConfig.smoke()\n"
             "assert not k.available()\n"
-            "assert k.lookup('lru_replay') is None\n"
-            "rng = np.random.default_rng(3)\n"
-            "n = 500\n"
-            "trace = Trace(addresses=(rng.integers(0, 300, n) * 8).astype(np.int64),\n"
-            "              pcs=np.zeros(n, dtype=np.int64),\n"
-            "              regions=np.zeros(n, dtype=np.int64))\n"
-            "fused = FusedPipeline(hier, policy)\n"
-            "assert not fused.native\n"
-            "assert fused.feed(trace) is None\n"
-            "stats = fused.stats()\n"
-            "assert stats.llc_stats.hits + stats.llc_stats.misses > 0\n"
+            "for streaming in (False, True):\n"
+            "    plans = plan_pair_tasks('PR', 'lj', config.reorder, schemes, config,\n"
+            "                            streaming)\n"
+            "    for plan in plans.values():\n"
+            "        assert (plan.route, plan.kernel) == ('scalar', 'python'), plan\n"
+            "        assert NO_KERNELS in plan.fallbacks, plan\n"
+            "    points = compare_policies(['PR'], ['lj'], schemes, config,\n"
+            "                              streaming=streaming)\n"
+            "    got = json.loads(json.dumps(point_rows(points)))\n"
+            "    assert got == expected[str(streaming)], (streaming, got)\n"
+            "llc = HierarchyConfig().llc\n"
+            "with pytest.raises(RuntimeError, match='rrip_replay'):\n"
+            "    PolicyReplayStream(GraspPolicy(), llc)\n"
+            "with pytest.raises(RuntimeError, match='fused_rrip'):\n"
+            "    FusedPipeline(HierarchyConfig(), create_policy('grasp'))\n"
             "print('ok')\n",
-            {"REPRO_CC": "/usr/bin/false", "XDG_CACHE_HOME": str(tmp_path)},
+            {
+                "REPRO_CC": "/usr/bin/false",
+                "REPRO_SIM_BACKEND": "vector",
+                "XDG_CACHE_HOME": str(tmp_path),
+            },
         )
         assert out == "ok"
-
-    def test_native_disable_env(self, tmp_path):
-        out = _run_subprocess(
-            "import repro.fastsim.kernels as k\n"
-            "print(k.available(), k.lookup('lru_replay') is None)\n",
-            {"REPRO_NATIVE": "0", "XDG_CACHE_HOME": str(tmp_path)},
-        )
-        assert out == "False True"

@@ -31,6 +31,7 @@ from repro.fastsim.dispatch import (
     set_default_backend,
 )
 from repro.fastsim.plan import (
+    NO_KERNELS,
     PLANNER,
     ROUTE_FUSED,
     ROUTE_FUSED_MULTI,
@@ -46,6 +47,10 @@ from repro.fastsim.plan import (
 )
 
 HIERARCHY = ExperimentConfig.smoke().hierarchy
+
+#: The staged route of a request that does not pin ``native_override``:
+#: ``vector`` with the kernel library, the ``scalar`` reference without one.
+STAGED = ROUTE_VECTOR if kernels.available() else ROUTE_SCALAR
 
 
 @pytest.fixture(autouse=True)
@@ -106,11 +111,14 @@ class TestSinglePolicyRouting:
         assert plan.kernel == "native-fused"
         assert plan.fallbacks == ()
 
-    def test_no_kernels_degrades_to_numpy_with_reason(self):
-        plan = PLANNER.plan(_request(stage=STAGE_ROI, native=False, backend="vector"))
-        assert plan.route == ROUTE_VECTOR
-        assert plan.kernel == "numpy"
-        assert any("unavailable" in reason for reason in plan.fallbacks)
+    def test_no_kernels_degrades_to_scalar_with_reason(self):
+        for backend in ("vector", "verify", None):
+            plan = PLANNER.plan(_request(stage=STAGE_ROI, native=False, backend=backend))
+            assert (plan.route, plan.engine, plan.kernel) == (ROUTE_SCALAR, "scalar", "python")
+            assert plan.backend == "scalar"
+            assert not plan.verify
+            assert plan.fallbacks == (NO_KERNELS,)
+            assert "unavailable" in plan.explain()
 
     def test_shared_roi_trace_skips_fused(self):
         plan = PLANNER.plan(_request(stage=STAGE_ROI, consumers=2, backend="vector"))
@@ -213,13 +221,15 @@ class TestMultiSchemeRouting:
 
     def test_no_kernel_materializes_once(self):
         plan = PLANNER.plan(self._multi(("RRIP", "GRASP"), native_override=False))
-        assert plan.route == ROUTE_VECTOR
+        assert plan.route == ROUTE_SCALAR
         assert plan.engine == "staged"
+        assert plan.fallbacks[0] == NO_KERNELS
         assert any("materializes the filtered trace once" in r for r in plan.fallbacks)
 
     def test_ablation_member_disables_shared_pass(self, monkeypatch):
         # Pin a host with the fused filter kernel: without one the kernel
         # rule decides first and the member rule is never reached.
+        monkeypatch.setattr(kernels, "available", lambda: True)
         monkeypatch.setattr(kernels, "has_capability", lambda name: True)
         plan = PLANNER.plan(self._multi(("RRIP", "RRIP+Hints"), backend="vector"))
         assert plan.route == ROUTE_VECTOR
@@ -227,7 +237,7 @@ class TestMultiSchemeRouting:
 
     def test_cached_trace_disables_shared_pass(self):
         plan = PLANNER.plan(self._multi(("RRIP", "GRASP"), have_stream=True))
-        assert plan.route == ROUTE_VECTOR
+        assert plan.route == STAGED
 
     def test_scalar_backend_stays_scalar(self):
         plan = PLANNER.plan(self._multi(("RRIP", "GRASP"), backend="scalar"))
@@ -241,7 +251,7 @@ GOLDEN_PLANS = [
     (dict(scheme="RRIP", stage=STAGE_ROI, native=True, backend="vector"),
      (ROUTE_FUSED, "rrip", "native-fused")),
     (dict(scheme="RRIP", stage=STAGE_ROI, native=False),
-     (ROUTE_VECTOR, "rrip", "numpy")),
+     (ROUTE_SCALAR, "scalar", "python")),
     (dict(scheme="RRIP", stage=STAGE_ROI, native=True, consumers=2),
      (ROUTE_VECTOR, "rrip", "native")),
     (dict(scheme="GRASP", stage=STAGE_STREAMING, native=True, backend="vector"),
@@ -251,7 +261,7 @@ GOLDEN_PLANS = [
     (dict(scheme="Hawkeye", stage=STAGE_ONESHOT, native=True),
      (ROUTE_VECTOR, "hawkeye", "native")),
     (dict(scheme="SHiP-MEM", stage=STAGE_ONESHOT, native=False),
-     (ROUTE_VECTOR, "ship", "numpy")),
+     (ROUTE_SCALAR, "scalar", "python")),
     (dict(scheme="RRIP+Hints", stage=STAGE_ROI, native=True),
      (ROUTE_SCALAR, "scalar", "python")),
     (dict(scheme="RRIP", stage=STAGE_ROI, native=True, backend="scalar"),
@@ -259,7 +269,7 @@ GOLDEN_PLANS = [
     (dict(scheme="OPT", stage=STAGE_ONESHOT, native=True),
      (ROUTE_VECTOR, "opt", "native")),
     (dict(scheme="OPT", stage=STAGE_ONESHOT, native=False),
-     (ROUTE_VECTOR, "opt", "numpy")),
+     (ROUTE_SCALAR, "opt", "python")),
     (dict(scheme="OPT", stage=STAGE_STREAMING, native=True),
      (ROUTE_VECTOR, "opt", "native")),
     (dict(scheme="OPT", stage=STAGE_STREAMING, native=True, backend="scalar"),
@@ -320,7 +330,7 @@ class TestTaskPlanning:
         config = ExperimentConfig.smoke()
         plan = plan_scheme_task("PR", "lj", config.reorder, "GRASP", config)
         assert plan.stage == STAGE_ROI
-        assert plan.route in (ROUTE_FUSED, ROUTE_VECTOR)
+        assert plan.route in (ROUTE_FUSED, STAGED)
 
     def test_plan_reflects_memo_state(self, tmp_path, monkeypatch):
         """Once a sweep persisted its chunk store, the next plan replays it."""
@@ -336,6 +346,7 @@ class TestTaskPlanning:
         )
         # Pin a host with the fused kernels: without them the kernel rule
         # decides first and the chunk-store rule is never reached.
+        monkeypatch.setattr(kernels, "available", lambda: True)
         monkeypatch.setattr(kernels, "has_capability", lambda name: True)
         plan = plan_scheme_task(
             "PR", "lj", config.reorder, "GRASP", config, streaming=True

@@ -7,9 +7,9 @@ counts, hit/miss/eviction/bypass statistics and the *final policy state*
 distances).  Covered at three levels:
 
 * engine level: randomized block/hint/PC streams fed in chunks through
-  every ``*Stream``, for both the compiled kernel and the NumPy fallback,
-  across several chunk budgets, against one feed of the whole stream on a
-  fresh stream (compiled kernel when available);
+  every ``*Stream`` across several chunk budgets, and through the runner's
+  ``scalar`` route that a host without the kernel library takes, against
+  one feed of the whole stream on a fresh stream;
 * filter level: :class:`repro.fastsim.filter.FilterStream` against
   :func:`repro.fastsim.filter.run_filter` under all three backends;
 * pipeline level: the runner's full-execution streaming simulation against
@@ -20,10 +20,13 @@ distances).  Covered at three levels:
 
 import numpy as np
 import pytest
+from conftest import needs_native
 
+from repro.cache.config import CacheConfig
 from repro.cache.hints import HINT_HIGH
 from repro.cache.policies.hawkeye import HawkeyePolicy
 from repro.cache.policies.leeway import LeewayPolicy
+from repro.cache.policies.lru import LRUPolicy
 from repro.cache.policies.opt import BeladyOptimal
 from repro.cache.policies.pin import PinningPolicy
 from repro.cache.policies.rrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
@@ -32,6 +35,8 @@ from repro.core.grasp import GraspPolicy
 from repro.experiments import ExperimentConfig, clear_caches, set_disk_memo
 from repro.experiments.memo import DiskMemo
 from repro.experiments.runner import (
+    LLCTrace,
+    _replay_llc,
     _stream_key,
     build_workload,
     execution_trace,
@@ -44,7 +49,6 @@ from repro.experiments.runner import (
     stream_summary,
 )
 from repro.experiments.schemes import scheme_policy
-from repro.fastsim import kernels
 from repro.fastsim.filter import FilterStream, assert_stats_equal, run_filter
 from repro.fastsim.hawkeye import HawkeyeStream, hawkeye_spec
 from repro.fastsim.leeway import LeewayStream, leeway_spec
@@ -55,6 +59,13 @@ from repro.fastsim.opt import (
     resolve_chunk_next_use,
 )
 from repro.fastsim.pin import PinStream, pin_spec
+from repro.fastsim.plan import (
+    KERNEL_PYTHON,
+    ROUTE_SCALAR,
+    STAGE_STREAMING,
+    SimRequest,
+    plan_request,
+)
 from repro.fastsim.replay import PolicyReplayStream, vector_policy_replay
 from repro.fastsim.rrip import RRIPStream, rrip_spec
 from repro.fastsim.ship import ShipStream, ship_spec
@@ -63,8 +74,6 @@ from repro.trace import Trace, generate_execution_trace, iter_execution_trace
 
 GEOMETRY = (8, 4)
 CHUNK_SIZES = (1, 97, 1024, 10**9)
-
-BACKENDS = [True, False] if kernels.available() else [False]
 
 
 @pytest.fixture(scope="module")
@@ -87,13 +96,91 @@ def one_feed(stream, *inputs):
     return stream.feed(*inputs), stream
 
 
-@pytest.mark.parametrize("use_native", BACKENDS)
+def scalar_route_replay(policy, streams, chunk):
+    """Replay ``streams`` in ``chunk``-access pieces on the ``scalar`` route.
+
+    This is what a host without the kernel library runs: the planner turns
+    the ``vector`` request into a ``scalar`` plan, and the runner's LLC
+    driver keeps one reference cache (or, for OPT, spills the chunks for
+    the offline reference) across the pieces.  Returns the stats.
+    """
+    num_sets, ways = GEOMETRY
+    name = getattr(policy, "name", type(policy).__name__)
+    plan = plan_request(
+        SimRequest(
+            schemes=(name,),
+            policies=(policy,),
+            backend="vector",
+            stage=STAGE_STREAMING,
+            native_override=False,
+        )
+    )
+    assert (plan.route, plan.kernel) == (ROUTE_SCALAR, KERNEL_PYTHON)
+    llc = CacheConfig(size_bytes=num_sets * ways * 64, ways=ways, name="LLC")
+    pieces = [
+        LLCTrace(
+            byte_addresses=blocks << 6,
+            block_addresses=blocks,
+            pcs=pcs,
+            regions=np.zeros(len(blocks), dtype=np.int8),
+            hints=hints,
+            upstream_l1_hits=0,
+            upstream_l2_hits=0,
+            total_references=len(blocks),
+        )
+        for blocks, hints, pcs in zip(
+            chunked(streams["blocks"], chunk),
+            chunked(streams["hints"], chunk),
+            chunked(streams["pcs"], chunk),
+        )
+    ]
+    return _replay_llc(pieces, policy, llc, True, plan)
+
+
+def assert_scalar_route_matches(policy, streams, chunk, one_hits, one):
+    """The ``scalar`` route's counts and learned state equal one kernel feed's."""
+    stats = scalar_route_replay(policy, streams, chunk)
+    assert stats.hits == int(one_hits.sum())
+    assert stats.misses == len(one_hits) - stats.hits
+    assert stats.evictions == one.evictions
+    assert stats.bypasses == getattr(one, "bypass_count", 0)
+    kind = type(policy)
+    if kind is PinningPolicy:
+        assert (policy._psel, policy._insert_count) == (one.psel, one.insert_count)
+    elif kind is ShipMemPolicy:
+        assert policy._shct == {s: one.shct.get(s, 1) for s in policy._shct}
+    elif kind is HawkeyePolicy:
+        midpoint = (policy.predictor_max + 1) // 2
+        assert policy._predictor == {
+            pc: one.predictor.get(pc, midpoint) for pc in policy._predictor
+        }
+    elif kind is LeewayPolicy:
+        assert policy._predicted_ld == {
+            s: one.predicted_live_distances.get(s, 0) for s in policy._predicted_ld
+        }
+    elif rrip_spec(policy) is not None:
+        spec = rrip_spec(policy)
+        if spec.dueling:
+            assert policy._psel == one.psel
+        if spec.dueling or spec.epsilon:
+            assert policy._insert_count == one.insert_count
+
+
+@needs_native
+# ``native=True`` feeds the chunks to the family's compiled-kernel stream;
+# ``native=False`` replays them on the ``scalar`` route a host without the
+# kernel library takes (:func:`scalar_route_replay`).  Both must reproduce
+# one kernel feed of the whole stream.
+@pytest.mark.parametrize("native", [True, False])
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
 class TestEngineStreams:
-    def test_lru(self, streams, use_native, chunk):
+    def test_lru(self, streams, native, chunk):
         num_sets, ways = GEOMETRY
         one_hits, one = one_feed(LRUStream(num_sets, ways), streams["blocks"])
-        stream = LRUStream(num_sets, ways, use_native=use_native)
+        if not native:
+            assert_scalar_route_matches(LRUPolicy(), streams, chunk, one_hits, one)
+            return
+        stream = LRUStream(num_sets, ways)
         hits = np.concatenate(
             [stream.feed(part) for part in chunked(streams["blocks"], chunk)]
         )
@@ -106,13 +193,16 @@ class TestEngineStreams:
         [SRRIPPolicy, BRRIPPolicy, DRRIPPolicy, GraspPolicy],
         ids=["srrip", "brrip", "drrip", "grasp"],
     )
-    def test_rrip_family(self, streams, use_native, chunk, policy_factory):
+    def test_rrip_family(self, streams, native, chunk, policy_factory):
         num_sets, ways = GEOMETRY
         spec = rrip_spec(policy_factory())
         one_hits, one = one_feed(
             RRIPStream(num_sets, ways, spec), streams["blocks"], streams["hints"]
         )
-        stream = RRIPStream(num_sets, ways, spec, use_native=use_native)
+        if not native:
+            assert_scalar_route_matches(policy_factory(), streams, chunk, one_hits, one)
+            return
+        stream = RRIPStream(num_sets, ways, spec)
         hits = np.concatenate(
             [
                 stream.feed(blocks, hints)
@@ -127,13 +217,17 @@ class TestEngineStreams:
         assert stream.insert_count == one.insert_count
 
     @pytest.mark.parametrize("fraction", [0.25, 1.0], ids=["pin25", "pin100"])
-    def test_pin(self, streams, use_native, chunk, fraction):
+    def test_pin(self, streams, native, chunk, fraction):
         num_sets, ways = GEOMETRY
         spec = pin_spec(PinningPolicy(reserved_fraction=fraction))
         one_hits, one = one_feed(
             PinStream(num_sets, ways, spec), streams["blocks"], streams["hints"]
         )
-        stream = PinStream(num_sets, ways, spec, use_native=use_native)
+        if not native:
+            policy = PinningPolicy(reserved_fraction=fraction)
+            assert_scalar_route_matches(policy, streams, chunk, one_hits, one)
+            return
+        stream = PinStream(num_sets, ways, spec)
         hits = np.concatenate(
             [
                 stream.feed(blocks, hints)
@@ -149,11 +243,15 @@ class TestEngineStreams:
         assert stream.insert_count == one.insert_count
         assert stream.evictions == one.evictions
 
-    def test_ship(self, streams, use_native, chunk):
+    def test_ship(self, streams, native, chunk):
         num_sets, ways = GEOMETRY
         spec = ship_spec(ShipMemPolicy(region_bytes=256, block_bytes=64))
         one_hits, one = one_feed(ShipStream(num_sets, ways, spec), streams["blocks"])
-        stream = ShipStream(num_sets, ways, spec, use_native=use_native)
+        if not native:
+            policy = ShipMemPolicy(region_bytes=256, block_bytes=64)
+            assert_scalar_route_matches(policy, streams, chunk, one_hits, one)
+            return
+        stream = ShipStream(num_sets, ways, spec)
         hits = np.concatenate(
             [stream.feed(part) for part in chunked(streams["blocks"], chunk)]
         )
@@ -161,13 +259,16 @@ class TestEngineStreams:
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.shct == one.shct
 
-    def test_hawkeye(self, streams, use_native, chunk):
+    def test_hawkeye(self, streams, native, chunk):
         num_sets, ways = GEOMETRY
         spec = hawkeye_spec(HawkeyePolicy())
         one_hits, one = one_feed(
             HawkeyeStream(num_sets, ways, spec), streams["blocks"], streams["pcs"]
         )
-        stream = HawkeyeStream(num_sets, ways, spec, use_native=use_native)
+        if not native:
+            assert_scalar_route_matches(HawkeyePolicy(), streams, chunk, one_hits, one)
+            return
+        stream = HawkeyeStream(num_sets, ways, spec)
         hits = np.concatenate(
             [
                 stream.feed(blocks, pcs)
@@ -180,13 +281,16 @@ class TestEngineStreams:
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.predictor == one.predictor
 
-    def test_leeway(self, streams, use_native, chunk):
+    def test_leeway(self, streams, native, chunk):
         num_sets, ways = GEOMETRY
         spec = leeway_spec(LeewayPolicy())
         one_hits, one = one_feed(
             LeewayStream(num_sets, ways, spec), streams["blocks"], streams["pcs"]
         )
-        stream = LeewayStream(num_sets, ways, spec, use_native=use_native)
+        if not native:
+            assert_scalar_route_matches(LeewayPolicy(), streams, chunk, one_hits, one)
+            return
+        stream = LeewayStream(num_sets, ways, spec)
         hits = np.concatenate(
             [
                 stream.feed(blocks, pcs)
@@ -199,22 +303,27 @@ class TestEngineStreams:
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.predicted_live_distances == one.predicted_live_distances
 
-    def test_opt_two_pass(self, streams, use_native, chunk):
+    def test_opt_two_pass(self, streams, native, chunk):
         num_sets, ways = GEOMETRY
         one_hits, one = one_feed(
             OptStream(num_sets, ways),
             streams["blocks"],
             next_use_indices(streams["blocks"]),
         )
+        if not native:
+            llc = CacheConfig(size_bytes=num_sets * ways * 64, ways=ways, name="LLC")
+            policy = BeladyOptimal(llc)
+            assert_scalar_route_matches(policy, streams, chunk, one_hits, one)
+            return
         parts = chunked(streams["blocks"], chunk)
         starts = list(range(0, len(streams["blocks"]), chunk))
-        table = NextUseTable(use_native=use_native)
+        table = NextUseTable()
         next_uses = [None] * len(parts)
         for index in reversed(range(len(parts))):
             next_uses[index] = resolve_chunk_next_use(
                 parts[index], starts[index], table
             )
-        stream = OptStream(num_sets, ways, use_native=use_native)
+        stream = OptStream(num_sets, ways)
         hits = np.concatenate(
             [stream.feed(blocks, nxt) for blocks, nxt in zip(parts, next_uses)]
         )
@@ -223,10 +332,9 @@ class TestEngineStreams:
 
 
 class TestPolicyReplayStream:
+    @needs_native
     def test_stats_match_one_shot_vector_replay(self, streams):
         num_sets, ways = GEOMETRY
-        from repro.cache.config import CacheConfig
-
         llc = CacheConfig(size_bytes=num_sets * ways * 64, ways=ways, name="LLC")
         regions = (streams["blocks"] % 3).astype(np.int8)
         for factory in (
@@ -256,8 +364,6 @@ class TestPolicyReplayStream:
             assert_stats_equal(one, stream.stats(), "PolicyReplayStream")
 
     def test_opt_policy_rejected(self):
-        from repro.cache.config import CacheConfig
-
         llc = CacheConfig(size_bytes=2048, ways=4, name="LLC")
         with pytest.raises(ValueError):
             PolicyReplayStream(BeladyOptimal(llc), llc)
