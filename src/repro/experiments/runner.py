@@ -1150,9 +1150,9 @@ def _maybe_fused_multi(
     """Opportunistic fused multi-scheme pass over one scope.
 
     When the planner picks the ``fused-multi`` route, every eligible
-    uncached scheme replays from one shared (natively threaded) filter
-    phase — the raw trace is generated and filtered once for all of them —
-    and the per-scheme stats land in the scope's memo kind, so the
+    uncached scheme replays from one shared native filter phase — the raw
+    trace is generated and filtered once for all of them — and the
+    per-scheme stats land in the scope's memo kind, so the
     per-scheme :func:`simulate_scheme` calls that follow are pure memo hits.
     Any other plan returns without side effects and the staged
     store-once path runs exactly as before.

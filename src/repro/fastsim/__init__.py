@@ -43,9 +43,8 @@ below that defines it (``from repro.fastsim.rrip import RRIPStream``).
     wrappers, which accept only arrays of exactly the kernel's types.
 ``pipeline``
     The fused single-pass pipeline: L1/L2 filtering and the LLC replay of
-    one policy run in a single native call per trace chunk, threaded across
-    set-group shards (``REPRO_THREADS``), bit-identical to the staged
-    engines at any thread count.  :class:`MultiFusedPipeline` is the
+    one policy run in a single native call per trace chunk, bit-identical
+    to the staged engines at any ``REPRO_THREADS`` setting.  :class:`MultiFusedPipeline` is the
     multi-scheme variant: one shared filter phase feeding N policies'
     replay engines.
 ``plan``

@@ -5,7 +5,7 @@ Importing this package registers every engine family's
 bookkeeping — see :mod:`repro.fastsim.kernels.registry`; nothing compiles
 until the first lookup).  Import order matters: ``core`` defines the shared
 ``static inline`` C steps, the family fragments build on them, and ``fused``
-(last) stitches family steps into the single-pass threaded pipeline.
+(last) stitches family steps into the single-pass pipeline.
 """
 
 from __future__ import annotations

@@ -1,23 +1,21 @@
-"""Fused single-pass pipeline kernels: threaded L1/L2 filter + LLC replay.
+"""Fused single-pass pipeline kernels: L1/L2 filter + LLC replay.
 
 One C call per trace chunk replaces the staged vector pipeline's
 filter → compact → classify → replay sequence.  The call runs two phases
-over a shared per-access ``outcome`` vector (uint8):
+over a shared per-access ``outcome`` vector (uint8), both serial, in trace
+order, on the calling thread:
 
-* **Filter phase** (threaded): every access is pushed through the L1 and L2
-  LRU filters.  Work is sharded by ``block & (nthreads - 1)``; because the
-  shard count is a power of two dividing every level's set count, each
-  cache set — at L1, L2 *and* the LLC — is owned by exactly one thread, so
-  threads touch disjoint state and disjoint ``outcome`` slots without
-  locks.  Each thread collapses runs of its own last block (a repeat of a
-  thread's previous block is a guaranteed L1 MRU hit), mirroring the staged
-  path's run-head collapse.  L1/L2 recency uses per-set clocks, which makes
-  hit/miss outcomes independent of the thread count (stamp order within a
-  set depends only on that set's access subsequence).
-* **LLC phase** (serial, trace order): accesses the filter marked as kept
-  run through the engine family's ``*_step`` transition — the same C code
-  the standalone kernels loop over — including GRASP hint classification in
-  C for the hint-driven families.  Serial order keeps duel/predictor state
+* **Filter phase**: every access is pushed through the L1 and L2 LRU
+  filters in place on the persistent :class:`FilterState`.  A repeat of the
+  previous block is a guaranteed L1 MRU hit and touches no state, mirroring
+  the staged path's run-head collapse.  The pipelines' ``threads`` setting
+  (``REPRO_THREADS``) does not fan this phase out: a set-sharded filter
+  never beat this loop on the hosts measured (``ROADMAP.md`` keeps the
+  numbers).
+* **LLC phase**: accesses the filter marked as kept run through the engine
+  family's ``*_step`` transition — the same C code the standalone kernels
+  loop over — including GRASP hint classification in C for the
+  hint-driven families.  Serial order keeps duel/predictor state
   (PSEL, SHCT, OPTgen) bit-identical to the staged engines.
 
 Outcome codes: 0 = L1 hit, 1 = L2 hit, 2 = LLC hit (and the filter phase's
@@ -55,117 +53,52 @@ OUT_LLC_HIT = 2
 OUT_LLC_MISS = 3
 OUT_LLC_BYPASS = 4
 
-#: Hard clamp on the filter phase's thread fan-out (stack-allocated tasks).
-MAX_THREADS = 64
-
 _SOURCE = r"""
-#include <pthread.h>
-
-#define FUSED_MAX_THREADS 64
-
-typedef struct {
-    const int64_t *blocks;
-    int64_t n;
-    int64_t shard_mask;
-    int64_t tid;
-    int64_t l1_mask, l2_mask;
-    int32_t l1_ways, l2_ways;
-    int64_t *l1_tags, *l1_stamps, *l1_clocks, *l1_miss;
-    int64_t *l2_tags, *l2_stamps, *l2_clocks, *l2_miss;
-    uint8_t *out;
-} fused_filter_task;
-
-static void fused_filter_range(fused_filter_task *t)
-{
-    int64_t last_block = -1;
-    for (int64_t i = 0; i < t->n; i++) {
-        const int64_t block = t->blocks[i];
-        if ((block & t->shard_mask) != t->tid) continue;
-        if (block == last_block) { t->out[i] = 0; continue; }
-        last_block = block;
-        const int64_t s1 = block & t->l1_mask;
-        if (lru_step(block, t->l1_ways, t->l1_tags + s1 * t->l1_ways,
-                     t->l1_stamps + s1 * t->l1_ways, t->l1_miss + s1,
-                     t->l1_clocks + s1)) { t->out[i] = 0; continue; }
-        const int64_t s2 = block & t->l2_mask;
-        if (lru_step(block, t->l2_ways, t->l2_tags + s2 * t->l2_ways,
-                     t->l2_stamps + s2 * t->l2_ways, t->l2_miss + s2,
-                     t->l2_clocks + s2)) { t->out[i] = 1; continue; }
-        t->out[i] = 2;
-    }
-}
-
-static void *fused_filter_thread(void *arg)
-{
-    fused_filter_range((fused_filter_task *)arg);
-    return NULL;
-}
-
-/* Run the filter phase over nthreads set-group shards.  The caller
- * guarantees nthreads is a power of two dividing l1_sets and l2_sets (and
- * the LLC set count).  pthread_create failure is tolerated: the failed
- * shard simply runs on the calling thread after the others are joined. */
-static void fused_filter(const int64_t *blocks, int64_t n, int32_t nthreads,
-                         int32_t l1_sets, int32_t l1_ways, int64_t *l1_tags,
+/* The filter phase: push blocks[0..n) through L1 then L2, one outcome byte
+ * each (0 = L1 hit, 1 = L2 hit, 2 = LLC-bound). */
+static void fused_filter(const int64_t *blocks, int64_t n, int32_t l1_sets,
+                         int32_t l1_ways, int64_t *l1_tags,
                          int64_t *l1_stamps, int64_t *l1_clocks,
                          int64_t *l1_miss, int32_t l2_sets, int32_t l2_ways,
                          int64_t *l2_tags, int64_t *l2_stamps,
                          int64_t *l2_clocks, int64_t *l2_miss, uint8_t *out)
 {
-    if (nthreads < 1) nthreads = 1;
-    if (nthreads > FUSED_MAX_THREADS) nthreads = FUSED_MAX_THREADS;
-    fused_filter_task tasks[FUSED_MAX_THREADS];
-    for (int32_t t = 0; t < nthreads; t++) {
-        fused_filter_task *task = &tasks[t];
-        task->blocks = blocks;
-        task->n = n;
-        task->shard_mask = (int64_t)nthreads - 1;
-        task->tid = t;
-        task->l1_mask = (int64_t)l1_sets - 1;
-        task->l2_mask = (int64_t)l2_sets - 1;
-        task->l1_ways = l1_ways;
-        task->l2_ways = l2_ways;
-        task->l1_tags = l1_tags;
-        task->l1_stamps = l1_stamps;
-        task->l1_clocks = l1_clocks;
-        task->l1_miss = l1_miss;
-        task->l2_tags = l2_tags;
-        task->l2_stamps = l2_stamps;
-        task->l2_clocks = l2_clocks;
-        task->l2_miss = l2_miss;
-        task->out = out;
-    }
-    if (nthreads == 1) {
-        fused_filter_range(&tasks[0]);
-        return;
-    }
-    pthread_t threads[FUSED_MAX_THREADS];
-    uint8_t started[FUSED_MAX_THREADS];
-    for (int32_t t = 1; t < nthreads; t++) {
-        started[t] = pthread_create(&threads[t], NULL, fused_filter_thread,
-                                    &tasks[t]) == 0;
-    }
-    fused_filter_range(&tasks[0]);
-    for (int32_t t = 1; t < nthreads; t++) {
-        if (started[t]) pthread_join(threads[t], NULL);
-        else fused_filter_range(&tasks[t]);
+    const int64_t l1_mask = (int64_t)l1_sets - 1;
+    const int64_t l2_mask = (int64_t)l2_sets - 1;
+    int64_t last_block = -1;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t block = blocks[i];
+        if (block == last_block) { out[i] = 0; continue; }
+        last_block = block;
+        const int64_t s1 = block & l1_mask;
+        if (lru_step(block, l1_ways, l1_tags + s1 * l1_ways,
+                     l1_stamps + s1 * l1_ways, l1_miss + s1, l1_clocks + s1)) {
+            out[i] = 0;
+            continue;
+        }
+        const int64_t s2 = block & l2_mask;
+        if (lru_step(block, l2_ways, l2_tags + s2 * l2_ways,
+                     l2_stamps + s2 * l2_ways, l2_miss + s2, l2_clocks + s2)) {
+            out[i] = 1;
+            continue;
+        }
+        out[i] = 2;
     }
 }
 
 #define FUSED_FILTER_ARGS                                                    \
-    const int64_t *blocks, int64_t n, int32_t nthreads, int32_t l1_sets,     \
-    int32_t l1_ways, int64_t *l1_tags, int64_t *l1_stamps,                   \
-    int64_t *l1_clocks, int64_t *l1_miss, int32_t l2_sets, int32_t l2_ways,  \
-    int64_t *l2_tags, int64_t *l2_stamps, int64_t *l2_clocks,                \
-    int64_t *l2_miss
+    const int64_t *blocks, int64_t n, int32_t l1_sets, int32_t l1_ways,      \
+    int64_t *l1_tags, int64_t *l1_stamps, int64_t *l1_clocks,                \
+    int64_t *l1_miss, int32_t l2_sets, int32_t l2_ways, int64_t *l2_tags,    \
+    int64_t *l2_stamps, int64_t *l2_clocks, int64_t *l2_miss
 
 #define FUSED_RUN_FILTER()                                                   \
-    fused_filter(blocks, n, nthreads, l1_sets, l1_ways, l1_tags, l1_stamps,  \
-                 l1_clocks, l1_miss, l2_sets, l2_ways, l2_tags, l2_stamps,   \
-                 l2_clocks, l2_miss, out)
+    fused_filter(blocks, n, l1_sets, l1_ways, l1_tags, l1_stamps, l1_clocks, \
+                 l1_miss, l2_sets, l2_ways, l2_tags, l2_stamps, l2_clocks,   \
+                 l2_miss, out)
 
-/* Filter-only entry: run the threaded L1/L2 phase and stop, leaving the
- * "kept" placeholder (2) on every LLC-bound access.  Lets one filter pass
+/* Filter-only entry: run the L1/L2 phase and stop, leaving the "kept"
+ * placeholder (2) on every LLC-bound access.  Lets one filter pass
  * feed any number of per-policy LLC engines (the fused multi-scheme route)
  * without duplicating the filter work or materializing a filtered trace. */
 void fused_filter_only(FUSED_FILTER_ARGS, uint8_t *out)
@@ -325,7 +258,7 @@ void fused_hawkeye(FUSED_FILTER_ARGS, const int64_t *block_ids,
 
 # Filter-phase argtypes shared by every fused entry (FUSED_FILTER_ARGS).
 _FILTER_ARGTYPES = [
-    p_i64, i64, i32,
+    p_i64, i64,
     i32, i32, p_i64, p_i64, p_i64, p_i64,
     i32, i32, p_i64, p_i64, p_i64, p_i64,
 ]
@@ -371,7 +304,6 @@ register_kernel(
             "fused:leeway",
             "fused:hawkeye",
         ),
-        threaded=True,
     )
 )
 
@@ -435,11 +367,10 @@ class RegionTable:
         return int(self.lo.shape[0])
 
 
-def _filter_args(blocks: np.ndarray, n: int, nthreads: int, filt: FilterState):
+def _filter_args(blocks: np.ndarray, n: int, filt: FilterState):
     return [
         as_i64(blocks),
         ctypes.c_int64(n),
-        ctypes.c_int32(nthreads),
         ctypes.c_int32(filt.l1_sets),
         ctypes.c_int32(filt.l1_ways),
         as_i64(filt.l1_tags),
@@ -461,25 +392,25 @@ def _prep(blocks, out_n):
     return blocks, out
 
 
-def fused_filter_feed(blocks, nthreads, filt):
-    """Threaded L1/L2 filter phase over one chunk.
+def fused_filter_feed(blocks, filt):
+    """L1/L2 filter phase over one chunk.
 
     Returns the per-access outcome vector with the LLC phase left unrun:
     0 = L1 hit, 1 = L2 hit, 2 = kept (LLC-bound).
     """
     kernel = registry.lookup("fused_filter_only")
     blocks, out = _prep(blocks, len(blocks))
-    kernel(*_filter_args(blocks, len(blocks), nthreads, filt), as_u8(out))
+    kernel(*_filter_args(blocks, len(blocks), filt), as_u8(out))
     return out
 
 
-def fused_lru_feed(blocks, nthreads, filt, num_sets, ways, tags, stamps,
-                   clocks, misses_per_set):
+def fused_lru_feed(blocks, filt, num_sets, ways, tags, stamps, clocks,
+                   misses_per_set):
     """Fused LRU pipeline over one chunk."""
     kernel = registry.lookup("fused_lru")
     blocks, out = _prep(blocks, len(blocks))
     kernel(
-        *_filter_args(blocks, len(blocks), nthreads, filt),
+        *_filter_args(blocks, len(blocks), filt),
         ctypes.c_int32(num_sets),
         ctypes.c_int32(ways),
         as_i64(tags),
@@ -491,15 +422,15 @@ def fused_lru_feed(blocks, nthreads, filt, num_sets, ways, tags, stamps,
     return out
 
 
-def fused_rrip_feed(blocks, addrs, nthreads, filt, regions, num_sets, ways,
-                    max_rrpv, ins_table, promo_table, epsilon, psel_max,
+def fused_rrip_feed(blocks, addrs, filt, regions, num_sets, ways, max_rrpv,
+                    ins_table, promo_table, epsilon, psel_max,
                     leader_period, tags, rrpv, misses_per_set, state):
     """Fused RRIP-family pipeline over one chunk."""
     kernel = registry.lookup("fused_rrip")
     blocks, out = _prep(blocks, len(blocks))
     addrs = np.ascontiguousarray(addrs, dtype=np.int64)
     kernel(
-        *_filter_args(blocks, len(blocks), nthreads, filt),
+        *_filter_args(blocks, len(blocks), filt),
         as_i64(addrs),
         as_i64(regions.lo),
         as_i64(regions.hi),
@@ -522,16 +453,16 @@ def fused_rrip_feed(blocks, addrs, nthreads, filt, regions, num_sets, ways,
     return out
 
 
-def fused_pin_feed(blocks, addrs, nthreads, filt, regions, num_sets, ways,
-                   max_rrpv, epsilon, psel_max, leader_period, reserved_ways,
-                   hint_high, tags, rrpv, pinned, pinned_count,
-                   misses_per_set, bypasses_per_set, state):
+def fused_pin_feed(blocks, addrs, filt, regions, num_sets, ways, max_rrpv,
+                   epsilon, psel_max, leader_period, reserved_ways, hint_high,
+                   tags, rrpv, pinned, pinned_count, misses_per_set,
+                   bypasses_per_set, state):
     """Fused PIN-X pipeline over one chunk."""
     kernel = registry.lookup("fused_pin")
     blocks, out = _prep(blocks, len(blocks))
     addrs = np.ascontiguousarray(addrs, dtype=np.int64)
     kernel(
-        *_filter_args(blocks, len(blocks), nthreads, filt),
+        *_filter_args(blocks, len(blocks), filt),
         as_i64(addrs),
         as_i64(regions.lo),
         as_i64(regions.hi),
@@ -557,7 +488,7 @@ def fused_pin_feed(blocks, addrs, nthreads, filt, regions, num_sets, ways,
     return out
 
 
-def fused_ship_feed(blocks, sig_ids, nthreads, filt, num_sets, ways, max_rrpv,
+def fused_ship_feed(blocks, sig_ids, filt, num_sets, ways, max_rrpv,
                     counter_max, tags, rrpv, line_sig, reused, shct,
                     misses_per_set):
     """Fused SHiP-MEM pipeline over one chunk."""
@@ -565,7 +496,7 @@ def fused_ship_feed(blocks, sig_ids, nthreads, filt, num_sets, ways, max_rrpv,
     blocks, out = _prep(blocks, len(blocks))
     sig_ids = np.ascontiguousarray(sig_ids, dtype=np.int64)
     kernel(
-        *_filter_args(blocks, len(blocks), nthreads, filt),
+        *_filter_args(blocks, len(blocks), filt),
         as_i64(sig_ids),
         ctypes.c_int32(num_sets),
         ctypes.c_int32(ways),
@@ -582,15 +513,15 @@ def fused_ship_feed(blocks, sig_ids, nthreads, filt, num_sets, ways, max_rrpv,
     return out
 
 
-def fused_leeway_feed(blocks, pc_ids, nthreads, filt, num_sets, ways,
-                      decay_period, tags, pos, line_sig, observed, predicted,
-                      votes, misses_per_set):
+def fused_leeway_feed(blocks, pc_ids, filt, num_sets, ways, decay_period,
+                      tags, pos, line_sig, observed, predicted, votes,
+                      misses_per_set):
     """Fused Leeway pipeline over one chunk."""
     kernel = registry.lookup("fused_leeway")
     blocks, out = _prep(blocks, len(blocks))
     pc_ids = np.ascontiguousarray(pc_ids, dtype=np.int64)
     kernel(
-        *_filter_args(blocks, len(blocks), nthreads, filt),
+        *_filter_args(blocks, len(blocks), filt),
         as_i64(pc_ids),
         ctypes.c_int32(num_sets),
         ctypes.c_int32(ways),
@@ -607,8 +538,8 @@ def fused_leeway_feed(blocks, pc_ids, nthreads, filt, num_sets, ways,
     return out
 
 
-def fused_hawkeye_feed(blocks, block_ids, pc_ids, nthreads, filt, num_sets,
-                       ways, max_rrpv, sample_period, predictor_max, history,
+def fused_hawkeye_feed(blocks, block_ids, pc_ids, filt, num_sets, ways,
+                       max_rrpv, sample_period, predictor_max, history,
                        tags, rrpv, friendly, line_pc, predictor, last_access,
                        last_pc, occupancy, occ_head, occ_len, timestamps,
                        misses_per_set):
@@ -618,7 +549,7 @@ def fused_hawkeye_feed(blocks, block_ids, pc_ids, nthreads, filt, num_sets,
     block_ids = np.ascontiguousarray(block_ids, dtype=np.int64)
     pc_ids = np.ascontiguousarray(pc_ids, dtype=np.int64)
     kernel(
-        *_filter_args(blocks, len(blocks), nthreads, filt),
+        *_filter_args(blocks, len(blocks), filt),
         as_i64(block_ids),
         as_i64(pc_ids),
         ctypes.c_int32(num_sets),

@@ -31,8 +31,10 @@ Environment knobs:
     C compiler executable (default ``cc``).  Pointing it at a missing or
     broken binary leaves the library unavailable.
 ``REPRO_THREADS``
-    Worker-thread count for the fused pipeline's filter phase
-    (:func:`thread_count`); unset or ``1`` means single-threaded.
+    Requested fused-pipeline thread count (:func:`thread_count`), clamped
+    by :func:`repro.fastsim.pipeline.effective_threads` and reported in
+    execution plans.  The fused filter phase runs on the calling thread at
+    every count, so it changes neither results nor wall-clock.
 """
 
 from __future__ import annotations
@@ -52,11 +54,10 @@ import numpy as np
 #: C compiler used to build the kernel library (default ``cc``).
 CC_ENV_VAR = "REPRO_CC"
 
-#: Thread count for the fused pipeline's sharded filter phase.
+#: Requested thread count of the fused pipelines (see module docstring).
 THREADS_ENV_VAR = "REPRO_THREADS"
 
-#: Base compiler flags; ``-pthread`` is appended when a threaded spec is in
-#: the build (see :func:`_compose`).
+#: Compiler flags of the kernel library build.
 BASE_CFLAGS: Tuple[str, ...] = ("-O3", "-shared", "-fPIC")
 
 _HEADER = "#include <stdint.h>\n#include <stddef.h>\n"
@@ -83,18 +84,12 @@ class KernelSpec:
     capabilities:
         Names answerable through :func:`has_capability` (e.g.
         ``"replay:rrip"``, ``"fused:rrip"``).
-    threaded:
-        Fragment needs pthreads.  Threaded fragments are compiled with
-        ``-pthread`` and dropped from a fallback single-thread build if the
-        threaded build fails, so a toolchain without pthread support still
-        gets the per-stage kernels.
     """
 
     name: str
     source: str
     functions: Dict[str, List[object]] = field(default_factory=dict)
     capabilities: Tuple[str, ...] = ()
-    threaded: bool = False
 
 
 _SPECS: "Dict[str, KernelSpec]" = {}
@@ -143,12 +138,11 @@ def _compiler() -> str:
 
 def _compose(specs: Sequence[KernelSpec]) -> Tuple[str, Tuple[str, ...]]:
     """Concatenate fragments into one translation unit plus its flags."""
-    flags = BASE_CFLAGS + (("-pthread",) if any(s.threaded for s in specs) else ())
     parts = [_HEADER]
     for spec in specs:
         parts.append(f"/* ---- kernel fragment: {spec.name} ---- */\n")
         parts.append(spec.source)
-    return "".join(parts), flags
+    return "".join(parts), BASE_CFLAGS
 
 
 def build_key(source: str, flags: Sequence[str], compiler: str) -> str:
@@ -238,11 +232,6 @@ def _resolve() -> bool:
         return False
     specs = list(_SPECS.values())
     built = _try_build(specs)
-    if built is None and any(s.threaded for s in specs):
-        # pthread-less toolchain: retry without the threaded fragments so
-        # the per-stage kernels still work.
-        specs = [s for s in specs if not s.threaded]
-        built = _try_build(specs)
     if built is None:
         _RESOLVED = False
         return False

@@ -3,7 +3,7 @@
 :class:`FusedPipeline` is the chunk-feedable front end to the fused kernels
 of :mod:`repro.fastsim.kernels.fused`: each :meth:`~FusedPipeline.feed`
 pushes a raw :class:`~repro.trace.generator.Trace` chunk through the
-threaded L1/L2 filter and the policy's LLC engine in a single native call —
+L1/L2 filter and the policy's LLC engine in a single native call —
 no keep-mask, no compacted block/hint/PC arrays, no Python-side
 classification.  Statistics for all three levels come from one
 ``np.bincount`` over the per-access outcome vector plus the kernels'
@@ -12,8 +12,8 @@ per-set miss counters, and are bit-identical to the staged
 policy family and any ``REPRO_THREADS`` setting.
 
 Both pipelines run their native kernels only: building one where the
-kernel library lacks the kernel (no C compiler, or a toolchain without
-pthreads) raises :class:`RuntimeError` naming it.  The planner checks
+kernel library lacks the kernel (no C compiler, or a broken ``REPRO_CC``)
+raises :class:`RuntimeError` naming it.  The planner checks
 :func:`fused_native_supported` first and otherwise routes the staged
 engines, or the scalar reference when no kernel library exists at all.
 
@@ -34,7 +34,7 @@ from repro.cache.hints import HINT_HIGH
 from repro.cache.stats import CacheStats
 from repro.fastsim import kernels
 from repro.fastsim.hawkeye import hawkeye_spec
-from repro.fastsim.kernels.fused import MAX_THREADS, FilterState, RegionTable
+from repro.fastsim.kernels.fused import FilterState, RegionTable
 from repro.fastsim.leeway import leeway_spec
 from repro.fastsim.pin import pin_spec
 from repro.fastsim.replay import PolicyReplayStream, _family
@@ -50,13 +50,19 @@ def fused_native_supported(policy) -> bool:
     return family is not None and kernels.has_capability(f"fused:{family}")
 
 
+#: Largest thread count :func:`effective_threads` reports.
+MAX_THREADS = 64
+
+
 def effective_threads(requested: int, hierarchy: HierarchyConfig) -> int:
     """Largest power-of-two shard count consistent with every level's sets.
 
-    The fused filter shards work by ``block & (S - 1)``; for per-set state
-    to be thread-private, S must divide the set count of every simulated
-    level, so S is clamped to the largest power of two not exceeding the
-    request, ``MAX_THREADS``, and each level's set count.
+    This is the clamp a set-sharded filter needs: it splits work by
+    ``block & (S - 1)``, so S must divide the set count of every simulated
+    level, and S is the largest power of two not exceeding the request,
+    ``MAX_THREADS`` and each level's set count.  The pipelines record it as
+    ``threads`` and plans report it; the fused filter itself runs on the
+    calling thread.
     """
     cap = min(
         max(1, requested),
@@ -97,9 +103,9 @@ class FusedPipeline:
         When ``False``, the LLC replays hint-blind even if a classifier is
         given (matching the scalar simulator's ``use_hints=False``).
     threads:
-        Filter-phase thread count; defaults to ``REPRO_THREADS``.  The
-        effective count is clamped by :func:`effective_threads` and never
-        affects results, only wall-clock.
+        Requested thread count; defaults to ``REPRO_THREADS``.  Recorded,
+        clamped by :func:`effective_threads`, as :attr:`threads`; the
+        filter phase runs on the calling thread at every count.
     """
 
     def __init__(
@@ -193,12 +199,10 @@ class FusedPipeline:
             self._predictor = np.empty(0, dtype=np.int32)
             self._last_access = np.empty(0, dtype=np.int64)
             self._last_pc = np.empty(0, dtype=np.int64)
-            self._occupancy = np.zeros(
-                max(1, num_samplers * self._history), dtype=np.int32
-            )
-            self._occ_head = np.zeros(max(1, num_samplers), dtype=np.int64)
-            self._occ_len = np.zeros(max(1, num_samplers), dtype=np.int64)
-            self._timestamps = np.zeros(max(1, num_samplers), dtype=np.int64)
+            self._occupancy = np.zeros(num_samplers * self._history, dtype=np.int32)
+            self._occ_head = np.zeros(num_samplers, dtype=np.int64)
+            self._occ_len = np.zeros(num_samplers, dtype=np.int64)
+            self._timestamps = np.zeros(num_samplers, dtype=np.int64)
 
     # -- feeding ----------------------------------------------------------
 
@@ -247,13 +251,13 @@ class FusedPipeline:
         family = self.family
         if family == "lru":
             out = kernels.fused_lru_feed(
-                blocks, self.threads, self._filt, num_sets, ways,
+                blocks, self._filt, num_sets, ways,
                 self._tags, self._stamps, self._clocks, self._llc_misses,
             )
         elif family == "rrip":
             spec = self._spec
             out = kernels.fused_rrip_feed(
-                blocks, trace.addresses, self.threads, self._filt,
+                blocks, trace.addresses, self._filt,
                 self._regions, num_sets, ways, spec.max_rrpv,
                 self._ins_table, self._promo_table, spec.epsilon,
                 spec.psel_max, spec.leader_period, self._tags, self._rrpv,
@@ -262,7 +266,7 @@ class FusedPipeline:
         elif family == "pin":
             spec = self._spec
             out = kernels.fused_pin_feed(
-                blocks, trace.addresses, self.threads, self._filt,
+                blocks, trace.addresses, self._filt,
                 self._regions, num_sets, ways, spec.max_rrpv, spec.epsilon,
                 spec.psel_max, spec.leader_period, spec.reserved_ways(ways),
                 HINT_HIGH, self._tags, self._rrpv, self._pinned,
@@ -274,7 +278,7 @@ class FusedPipeline:
             sig_ids = self._sig_ids.map(blocks >> spec.region_shift)
             self._shct = grow_to(self._shct, len(self._sig_ids), _UNSEEN)
             out = kernels.fused_ship_feed(
-                blocks, sig_ids, self.threads, self._filt, num_sets, ways,
+                blocks, sig_ids, self._filt, num_sets, ways,
                 spec.max_rrpv, spec.counter_max, self._tags, self._rrpv,
                 self._line_sig, self._reused, self._shct, self._llc_misses,
             )
@@ -284,7 +288,7 @@ class FusedPipeline:
             self._predicted = grow_to(self._predicted, len(self._pc_ids), 0)
             self._votes = grow_to(self._votes, len(self._pc_ids), 0)
             out = kernels.fused_leeway_feed(
-                blocks, pc_ids, self.threads, self._filt, num_sets, ways,
+                blocks, pc_ids, self._filt, num_sets, ways,
                 spec.decay_period, self._tags, self._pos, self._line_sig,
                 self._observed, self._predicted, self._votes,
                 self._llc_misses,
@@ -299,7 +303,7 @@ class FusedPipeline:
             self._last_access = grow_to(self._last_access, len(self._block_ids), -1)
             self._last_pc = grow_to(self._last_pc, len(self._block_ids), 0)
             out = kernels.fused_hawkeye_feed(
-                blocks, block_ids, pc_ids, self.threads, self._filt, num_sets,
+                blocks, block_ids, pc_ids, self._filt, num_sets,
                 ways, spec.max_rrpv, spec.sample_period, spec.predictor_max,
                 self._history, self._tags, self._rrpv, self._friendly,
                 self._line_pc, self._predictor, self._last_access,
@@ -364,7 +368,7 @@ class MultiFusedPipeline:
     """One shared filter phase feeding N per-policy LLC replay engines.
 
     The fused multi-scheme route: each raw trace chunk runs through the
-    threaded native L1/L2 filter exactly once
+    native L1/L2 filter exactly once
     (:func:`repro.fastsim.kernels.fused.fused_filter_feed`), and the kept
     accesses — compacted, hint-classified once — feed every policy's
     :class:`~repro.fastsim.replay.PolicyReplayStream`.  Compared with
@@ -424,7 +428,7 @@ class MultiFusedPipeline:
         if n == 0:
             return
         blocks = trace.block_addresses(self._offset_bits)
-        out = kernels.fused_filter_feed(blocks, self.threads, self._filt)
+        out = kernels.fused_filter_feed(blocks, self._filt)
         keep = out == 2
         kept_blocks = blocks[keep]
         l1_hits = int(np.count_nonzero(out == 0))

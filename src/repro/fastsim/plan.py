@@ -172,7 +172,7 @@ ROUTE_FUSED = "fused"              # single-pass native filter+LLC pipeline
 ROUTE_FUSED_MULTI = "fused-multi"  # one filter phase, N policy replays
 
 #: Kernel tiers a plan can name.
-KERNEL_NATIVE_FUSED = "native-fused"  # one C call per chunk, threaded filter
+KERNEL_NATIVE_FUSED = "native-fused"  # one C call per chunk: filter + LLC
 KERNEL_NATIVE = "native"              # per-family compiled replay kernels
 KERNEL_PYTHON = "python"              # per-access reference simulator
 
@@ -446,9 +446,8 @@ class RoutePlanner:
         )
         if not native:
             return False, (
-                f"fused kernel {caps.fused_kernel!r} unavailable (a toolchain "
-                "without pthreads builds the per-family kernels only): the "
-                "staged engines run instead",
+                f"fused kernel {caps.fused_kernel!r} unavailable: the staged "
+                "engines run instead",
             )
         if request.have_stream:
             return False, (self._stored_reason(request),)
@@ -494,9 +493,9 @@ class RoutePlanner:
     ) -> ExecutionPlan:
         """Consumer-count rule: N>1 schemes replaying one filtered stream.
 
-        The preferred route is ``fused-multi``: one (natively threaded)
-        filter phase feeds every scheme's replay engine, so the raw trace
-        is generated and filtered exactly once with nothing materialized.
+        The preferred route is ``fused-multi``: one native filter phase
+        feeds every scheme's replay engine, so the raw trace is generated
+        and filtered exactly once with nothing materialized.
         It needs the ``fused:filter`` kernel and a vector engine for every
         scheme; otherwise the staged materialize-once path runs as before.
         """
@@ -542,8 +541,7 @@ class RoutePlanner:
         reasons = []
         if not request.has_kernel("fused:filter"):
             reasons.append(
-                "fused filter kernel unavailable (a toolchain without pthreads "
-                "builds the per-family kernels only): the staged path runs instead"
+                "fused filter kernel unavailable: the staged path runs instead"
             )
             return False, tuple(reasons)
         for scheme, policy in zip(request.schemes, request.policies):

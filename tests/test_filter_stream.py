@@ -12,6 +12,12 @@ masks and ``level_stats()`` must equal a reference built here on two
 scalar branch.  ``run_filter`` over the whole stream must equal the chunked
 result.
 
+The fused pipelines' filter kernel (``fused_filter_feed``) gets the same
+cases: its outcome vector's keep code, its L1-hit and L2-hit counts, and
+the miss counters and resident blocks it leaves in ``FilterState`` must
+match the same reference.  That property is skipped where the kernel
+library has no fused filter.
+
 The suite needs ``hypothesis``; it is skipped wholesale where the package
 is unavailable.
 """
@@ -26,6 +32,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.cache import CacheConfig, SetAssociativeCache  # noqa: E402
 from repro.cache.config import HierarchyConfig  # noqa: E402
 from repro.cache.policies import LRUPolicy  # noqa: E402
+from repro.fastsim import kernels  # noqa: E402
 from repro.fastsim.filter import FilterStream, run_filter  # noqa: E402
 from repro.trace import Trace  # noqa: E402
 
@@ -38,14 +45,14 @@ def _counts(stats) -> tuple:
 
 
 def reference_filter(addresses, hierarchy):
-    """Keep mask and L1/L2 counters from two live LRU caches, one access each.
+    """Keep mask and the L1/L2 caches after one live LRU access each.
 
     L2 sees only the L1 misses; an access is kept when it misses both.
     """
     l1 = SetAssociativeCache(hierarchy.l1, LRUPolicy())
     l2 = SetAssociativeCache(hierarchy.l2, LRUPolicy())
     keep = [not l1.access(address) and not l2.access(address) for address in addresses]
-    return np.array(keep, dtype=bool), l1.stats, l2.stats
+    return np.array(keep, dtype=bool), l1, l2
 
 
 def _level(sets_log2: int, ways: int, name: str) -> CacheConfig:
@@ -120,7 +127,8 @@ def _chunked(hierarchy, addresses, bounds):
 @settings(max_examples=300, deadline=None)
 def test_chunked_vector_stream_matches_two_live_caches(case):
     hierarchy, addresses, bounds = case
-    keep, l1_ref, l2_ref = reference_filter(addresses.tolist(), hierarchy)
+    keep, l1_cache, l2_cache = reference_filter(addresses.tolist(), hierarchy)
+    l1_ref, l2_ref = l1_cache.stats, l2_cache.stats
     chunked, stream = _chunked(hierarchy, addresses, bounds)
     np.testing.assert_array_equal(chunked, keep)
     l1, l2 = stream.level_stats()
@@ -138,3 +146,37 @@ def test_run_filter_equals_the_chunked_stream(case):
     whole = run_filter(_trace(addresses), hierarchy, backend="vector")
     np.testing.assert_array_equal(whole.keep, chunked)
     assert (_counts(whole.l1_stats), _counts(whole.l2_stats)) == (_counts(l1), _counts(l2))
+
+
+def _fused(hierarchy, addresses, bounds):
+    """Outcomes of the fused filter kernel fed the chunks, and its state."""
+    filt = kernels.FilterState(
+        hierarchy.l1.num_sets, hierarchy.l1.ways,
+        hierarchy.l2.num_sets, hierarchy.l2.ways,
+    )
+    blocks = addresses >> hierarchy.l1.block_offset_bits
+    outs = [
+        kernels.fused_filter_feed(blocks[start:end], filt)
+        for start, end in zip(bounds[:-1], bounds[1:])
+    ]
+    return np.concatenate(outs), filt
+
+
+@pytest.mark.skipif(
+    not kernels.has_capability("fused:filter"), reason="fused filter kernel unavailable"
+)
+@given(filter_cases())
+@settings(max_examples=300, deadline=None)
+def test_fused_filter_kernel_matches_two_live_caches(case):
+    hierarchy, addresses, bounds = case
+    keep, l1_ref, l2_ref = reference_filter(addresses.tolist(), hierarchy)
+    out, filt = _fused(hierarchy, addresses, bounds)
+    np.testing.assert_array_equal(out == 2, keep)
+    assert np.count_nonzero(out == 0) == l1_ref.stats.hits
+    assert np.count_nonzero(out == 1) == l2_ref.stats.hits
+    for tags, misses, ref in (
+        (filt.l1_tags, filt.l1_misses, l1_ref),
+        (filt.l2_tags, filt.l2_misses, l2_ref),
+    ):
+        assert misses.sum() == ref.stats.misses
+        assert sorted(tags[tags >= 0].tolist()) == sorted(ref.resident_blocks())

@@ -43,6 +43,10 @@ from repro.trace import Trace, iter_trace_slices
 HIERARCHY = HierarchyConfig()
 FAMILIES = ("lru", "srrip", "brrip", "drrip", "grasp", "ship-mem", "hawkeye", "leeway", "pin")
 THREAD_COUNTS = (1, 2, 8)
+FILTER_STATE_ARRAYS = (
+    "l1_tags", "l1_stamps", "l1_clocks", "l1_misses",
+    "l2_tags", "l2_stamps", "l2_clocks", "l2_misses",
+)
 
 needs_native = pytest.mark.skipif(
     not kernels.has_capability("fused"), reason="fused kernels unavailable"
@@ -135,10 +139,16 @@ class TestFusedMatchesScalar:
 class TestFusedInvariances:
     def test_outcomes_thread_invariant(self, trace, classifier, name):
         policy = create_policy(name)
-        _, base = run_fused(trace, policy, classifier, threads=1)
+        first, base = run_fused(trace, policy, classifier, threads=1)
         for threads in THREAD_COUNTS[1:]:
-            _, out = run_fused(trace, create_policy(name), classifier, threads=threads)
+            fused, out = run_fused(trace, create_policy(name), classifier, threads=threads)
             np.testing.assert_array_equal(base, out)
+            # A later chunk reads the filter's state, so it must match too.
+            for array in FILTER_STATE_ARRAYS:
+                np.testing.assert_array_equal(
+                    getattr(fused._filt, array), getattr(first._filt, array),
+                    err_msg=f"{array} at threads={threads}",
+                )
 
     def test_chunked_equals_oneshot(self, trace, classifier, name):
         policy = create_policy(name)

@@ -571,9 +571,9 @@ class TestFusedStreaming:
 
     The ``vector`` route of ``simulate_policy(streaming=True)`` fuses trace
     generation, L1/L2 filtering and the LLC replay into one native call per
-    chunk, sharded over ``REPRO_THREADS`` filter threads.  It must stay
-    bit-identical to the staged/scalar cross-checked pipeline for every
-    thread count and chunk budget, including the hint-driven schemes.
+    chunk.  It must stay bit-identical to the staged/scalar cross-checked
+    pipeline for every ``REPRO_THREADS`` setting and chunk budget, including
+    the hint-driven schemes.
     """
 
     SCHEMES = ("GRASP", "SHiP-MEM", "Hawkeye", "Leeway", "PIN-50")
