@@ -2,11 +2,12 @@
 
 PR 7 fuses the per-chunk generate → filter → replay flow into one native
 pipeline pass (:class:`~repro.fastsim.pipeline.FusedPipeline`): each raw trace chunk
-runs through the L1/L2 filter and the LLC engine in a single kernel call,
-with no intermediate filtered-trace materialization and no per-chunk
-persistence.  This benchmark gates the contracts the fused route makes for
-its regime — a *single-consumer* replay (one policy, cold caches), the unit
-of work a cold sweep performs per scheme:
+runs through the L1/L2 filter kernel and then the LLC family's own kernel
+over one outcome vector, with no intermediate filtered-trace
+materialization and no per-chunk persistence.  This benchmark gates the
+contracts the fused route makes for its regime — a *single-consumer*
+replay (one policy, cold caches), the unit of work a cold sweep performs
+per scheme:
 
 1. **Exactness** — the fused end-to-end result (graph → trace generation →
    filter → LLC replay → ``CacheStats``) is bit-identical to the staged
@@ -16,9 +17,9 @@ of work a cold sweep performs per scheme:
    ``MIN_FUSED_SPEEDUP``x the staged persist-as-you-filter pipeline for the
    paper's GRASP scheme, and at least ``MIN_FUSED_SPEEDUP_ALL``x for every
    fused family.
-3. **Thread scaling** — with more than one core, the set-sharded filter
-   (``REPRO_THREADS``) beats the single-threaded pass; on any machine the
-   outcome vectors are identical for every thread count.
+3. **Multi-scheme** — the fused-multi route (one shared filter pass
+   feeding N replays) beats the staged materialize-once path by
+   ``MIN_MULTI_SPEEDUP``x, and a single-consumer run is untouched by it.
 
 Both sides run the product code paths with a cold on-disk memo per round:
 the staged side is :func:`~repro.experiments.runner.llc_chunks` feeding
@@ -29,14 +30,12 @@ still pays when the stream is shared), the fused side is
 whose fused gate takes the single-pass route.
 """
 
-import os
 import shutil
 
 import pytest
 
 from repro.experiments.memo import DiskMemo
 from repro.experiments.runner import (
-    _hint_classifier,
     _maybe_fused_multi,
     build_workload,
     clear_caches,
@@ -49,14 +48,12 @@ from repro.experiments.runner import (
 from repro.experiments.schemes import scheme_policy
 from repro.fastsim import kernels
 from repro.fastsim.dispatch import VECTOR
-from repro.fastsim.kernels import THREADS_ENV_VAR
-from repro.fastsim.pipeline import FusedPipeline
 from repro.fastsim.replay import PolicyReplayStream
 from repro.perf.throughput import measure_throughput
 
 pytestmark = pytest.mark.skipif(
     not kernels.has_capability("fused"),
-    reason="fused native kernels unavailable (no C compiler, or one without pthreads)",
+    reason="fused native kernels unavailable (no C compiler)",
 )
 
 #: Fused must beat the staged persist-as-you-filter pipeline by this factor
@@ -76,12 +73,6 @@ MIN_MULTI_SPEEDUP = 1.1
 #: eligible schemes and returns) may cost at most this fraction of one
 #: plain single-consumer run (measured ~2% at bench scale).
 MAX_DECLINED_MULTI_COST = 0.25
-
-#: Minimum threaded-over-serial speedup of the fused replay when the machine
-#: actually has cores to shard across (kept modest: at most
-#: ``min(l1_sets, l2_sets, llc_sets)`` shards exist, and only the filter
-#: phase parallelizes).
-MIN_THREAD_SPEEDUP = 1.05
 
 #: One scheme per fused engine family.
 SCHEMES = ("LRU", "RRIP", "GRASP", "SHiP-MEM", "Hawkeye", "Leeway", "PIN-100")
@@ -319,55 +310,3 @@ def test_multi_scheme_fused_beats_staged(benchmark, bench_config, tmp_path):
     finally:
         set_disk_memo(None)
         clear_caches()
-
-
-def test_fused_thread_scaling(benchmark, bench_config, monkeypatch):
-    """Gate 3: REPRO_THREADS shards the filter; identical outcomes always,
-    faster wall-clock whenever there is more than one core to shard onto."""
-    workload = build_workload("PR", "lj", config=bench_config)
-    classifier = _hint_classifier(workload.layout, bench_config.hierarchy.llc)
-    chunks = [
-        chunk.trace
-        for chunk in iter_execution_chunks(workload, SMALL_BUDGET)
-    ]
-    accesses = sum(len(trace) for trace in chunks)
-
-    def replay(threads):
-        monkeypatch.setenv(THREADS_ENV_VAR, str(threads))
-        pipeline = FusedPipeline(
-            bench_config.hierarchy, scheme_policy("GRASP"), classifier=classifier
-        )
-        outcomes = [pipeline.feed(trace) for trace in chunks]
-        return pipeline.stats(), outcomes
-
-    serial_stats, serial_outcomes = replay(1)
-    threaded_stats, threaded_outcomes = replay(4)
-    _assert_identical(serial_stats.llc_stats, threaded_stats.llc_stats, "threads")
-    for serial_out, threaded_out in zip(serial_outcomes, threaded_outcomes):
-        assert (serial_out == threaded_out).all(), (
-            "threaded outcome vector differs from single-threaded"
-        )
-
-    serial = measure_throughput(
-        lambda: replay(1), accesses=accesses, label="threads=1"
-    )
-    threaded = measure_throughput(
-        lambda: replay(4), accesses=accesses, label="threads=4"
-    )
-    speedup = threaded.speedup_over(serial)
-
-    cores = os.cpu_count() or 1
-    benchmark.extra_info["cpu_count"] = cores
-    benchmark.extra_info["accesses"] = accesses
-    benchmark.extra_info["serial_accesses_per_s"] = round(serial.accesses_per_second)
-    benchmark.extra_info["threaded_accesses_per_s"] = round(
-        threaded.accesses_per_second
-    )
-    benchmark.extra_info["threaded_over_serial"] = round(speedup, 2)
-    benchmark.pedantic(replay, args=(4,), iterations=1, rounds=3)
-
-    if cores > 1:
-        assert speedup >= MIN_THREAD_SPEEDUP, (
-            f"threaded fused replay at {speedup:.2f}x of single-threaded on "
-            f"{cores} cores (required: {MIN_THREAD_SPEEDUP}x)"
-        )

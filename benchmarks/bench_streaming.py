@@ -16,7 +16,8 @@ the pipeline makes:
    while the one-shot pipeline's peak is O(trace); the streaming peak must
    also sit far below the one-shot peak.
 3. **Throughput** — the streaming pipeline (generate + filter + replay) is
-   within 10% of the one-shot fast path on the same workload.
+   within 10% of the one-shot fast path on the same workload, as the median
+   ratio of interleaved timing pairs.
 
 Memory is measured with :mod:`tracemalloc`, which NumPy reports its array
 allocations to; the workload (graph, layout, application result) is built
@@ -25,6 +26,8 @@ replay through the compiled engines directly, so they skip on a host
 without a C compiler, where every simulation runs the scalar reference.
 """
 
+import statistics
+import time
 import tracemalloc
 
 import pytest
@@ -43,7 +46,6 @@ from repro.fastsim import kernels
 from repro.fastsim.dispatch import VECTOR
 from repro.fastsim.filter import FilterStream
 from repro.fastsim.replay import PolicyReplayStream
-from repro.perf.throughput import measure_throughput
 from repro.trace import generate_execution_trace, iter_execution_trace
 
 pytestmark = pytest.mark.skipif(
@@ -52,6 +54,11 @@ pytestmark = pytest.mark.skipif(
 
 #: Streaming must retain at least this fraction of the one-shot throughput.
 MIN_THROUGHPUT_RATIO = 0.9
+
+#: Interleaved (one-shot, streaming) timing pairs behind the throughput
+#: gate; which side runs first alternates from pair to pair, and the gate
+#: reads the median per-pair ratio, so one slow draw cannot decide it.
+THROUGHPUT_PAIRS = 7
 
 #: Peak traced memory may grow at most this factor when the execution
 #: quadruples (the bound is the chunk budget, not the trace length).
@@ -192,6 +199,19 @@ def test_streaming_peak_memory_bounded(benchmark, bench_config):
     )
 
 
+def _paired_seconds(first, second, pairs):
+    """``pairs`` back-to-back timings of ``first`` and ``second``, the side
+    that runs first alternating; returns their seconds as two lists."""
+    seconds = ([], [])
+    for pair in range(pairs):
+        order = (0, 1) if pair % 2 == 0 else (1, 0)
+        for side in order:
+            start = time.perf_counter()
+            (first, second)[side]()
+            seconds[side].append(time.perf_counter() - start)
+    return seconds
+
+
 def test_streaming_throughput_matches_one_shot(benchmark, bench_config):
     """Gate 3: the streaming pipeline keeps the one-shot fast path's speed."""
     workload = build_workload("PR", "lj", config=bench_config)
@@ -200,22 +220,24 @@ def test_streaming_throughput_matches_one_shot(benchmark, bench_config):
     accesses = len(trace)
     del trace
 
-    one_shot = measure_throughput(
+    one_shot, streaming = _paired_seconds(
         lambda: _one_shot_replay(workload, iterations, bench_config),
-        accesses=accesses,
-        label="one-shot",
-    )
-    streaming = measure_throughput(
         lambda: _stream_replay(workload, iterations, bench_config, None),
-        accesses=accesses,
-        label="streaming",
+        THROUGHPUT_PAIRS,
     )
-    ratio = streaming.accesses_per_second / one_shot.accesses_per_second
+    # Throughput ratio of one pair: one-shot time over streaming time.
+    ratios = [one / stream for one, stream in zip(one_shot, streaming)]
+    ratio = statistics.median(ratios)
 
     benchmark.extra_info["accesses"] = accesses
-    benchmark.extra_info["one_shot_accesses_per_s"] = round(one_shot.accesses_per_second)
-    benchmark.extra_info["streaming_accesses_per_s"] = round(streaming.accesses_per_second)
+    benchmark.extra_info["one_shot_accesses_per_s"] = round(
+        accesses / statistics.median(one_shot)
+    )
+    benchmark.extra_info["streaming_accesses_per_s"] = round(
+        accesses / statistics.median(streaming)
+    )
     benchmark.extra_info["streaming_over_one_shot"] = round(ratio, 3)
+    benchmark.extra_info["pair_ratios"] = [round(r, 3) for r in ratios]
     benchmark.pedantic(
         _stream_replay,
         args=(workload, iterations, bench_config, None),
@@ -225,5 +247,7 @@ def test_streaming_throughput_matches_one_shot(benchmark, bench_config):
 
     assert ratio >= MIN_THROUGHPUT_RATIO, (
         f"streaming pipeline at {ratio:.2f}x of the one-shot fast path "
-        f"(required: {MIN_THROUGHPUT_RATIO}x) over {accesses} references"
+        f"(median of {THROUGHPUT_PAIRS} interleaved pairs "
+        f"{[round(r, 2) for r in ratios]}; required: {MIN_THROUGHPUT_RATIO}x) "
+        f"over {accesses} references"
     )

@@ -1001,7 +1001,6 @@ def _plan(
             backend=backend if backend is not None else config.backend,
             stage=STAGE_STREAMING if streaming else STAGE_ROI,
             consumers=consumers,
-            hierarchy=config.hierarchy,
             have_memo=active_disk_memo() is not None,
             have_stream=have_stream,
         )
@@ -1066,10 +1065,11 @@ def simulate_policy(
     chunk budget regardless of how many iterations the application
     executed.  Results are bit-identical for every chunk budget and backend.
 
-    Under the ``vector`` backend, policies with a fused kernel take the
+    Under the ``vector`` backend, every online policy takes the
     single-pass route (:class:`~repro.fastsim.pipeline.FusedPipeline`): each raw
-    trace piece runs through the L1/L2 filter and the LLC engine in one
-    native call, with no filtered stream materialized.  The fused route is
+    trace piece runs through the L1/L2 filter kernel and the policy
+    family's replay kernel over one outcome vector, with no filtered stream
+    materialized.  The fused route is
     skipped when replaying the scope's stored filtered stream is cheaper
     than regenerating the raw trace — either it is already stored, or
     ``shared`` declares that other schemes will replay the same stream and
@@ -1494,7 +1494,6 @@ def plan_corun_task(
             policies=(_policy_for(scheme, config),),
             backend=config.backend,
             stage=STAGE_CORUN,
-            hierarchy=config.hierarchy,
             partition=spec.partition,
         )
     )

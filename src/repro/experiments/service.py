@@ -77,7 +77,6 @@ from repro.experiments.runner import (
     workload_memo_key,
 )
 from repro.fastsim.dispatch import set_default_backend
-from repro.fastsim.kernels import THREADS_ENV_VAR
 from repro.perf.timing import TimingModel
 
 
@@ -135,9 +134,6 @@ class SweepSpec:
 
 def _worker_setup(cache_dir: str, config: ExperimentConfig) -> None:
     """Initializer of every :class:`ProcessPoolBackend` worker process."""
-    # Sweep workers already occupy one core each; keep the fused pipeline's
-    # filter threading out of the picture (results are thread-invariant).
-    os.environ[THREADS_ENV_VAR] = "1"
     set_disk_memo(DiskMemo(Path(cache_dir)))
     if config.backend:
         set_default_backend(config.backend)

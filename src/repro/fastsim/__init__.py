@@ -42,11 +42,11 @@ below that defines it (``from repro.fastsim.rrip import RRIPStream``).
     import time).  The ``*Stream`` engines call them through the ``*_feed``
     wrappers, which accept only arrays of exactly the kernel's types.
 ``pipeline``
-    The fused single-pass pipeline: L1/L2 filtering and the LLC replay of
-    one policy run in a single native call per trace chunk, bit-identical
-    to the staged engines at any ``REPRO_THREADS`` setting.  :class:`MultiFusedPipeline` is the
-    multi-scheme variant: one shared filter phase feeding N policies'
-    replay engines.
+    The fused single-pass pipeline: per trace chunk, the L1/L2 filter
+    kernel and then the policy family's own replay kernel run over one
+    outcome vector, bit-identical to the staged engines.
+    :class:`MultiFusedPipeline` is the multi-scheme variant: one shared
+    filter phase feeding N policies' replay engines.
 ``plan``
     Capability-driven execution planning: :class:`~repro.fastsim.plan.RoutePlanner`
     maps a :class:`~repro.fastsim.plan.SimRequest` to an explicit, serializable

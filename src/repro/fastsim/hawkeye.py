@@ -28,8 +28,9 @@ import numpy as np
 from repro.cache.policies.base import ReplacementPolicy
 from repro.cache.policies.hawkeye import HawkeyePolicy
 from repro.fastsim import kernels
+from repro.fastsim.kernels.fused import OUT_LLC_HIT
 from repro.fastsim.leeway import _pc_array
-from repro.fastsim.stackdist import DenseIdMap, grow_to
+from repro.fastsim.stackdist import DenseIdMap, grow_to, outcome_vector
 
 
 @dataclass(frozen=True)
@@ -125,12 +126,22 @@ class HawkeyeStream:
         }
 
     def feed(
-        self, block_addresses: np.ndarray, pcs: Optional[np.ndarray] = None
+        self,
+        block_addresses: np.ndarray,
+        pcs: Optional[np.ndarray] = None,
+        outcomes: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Replay one chunk; returns its hit mask and advances the state."""
+        """Replay one chunk; returns its LLC hit mask and advances the state.
+
+        With ``outcomes`` (see :func:`~repro.fastsim.stackdist.outcome_vector`)
+        only the accesses marked 2 replay, and their codes are written into
+        it in place.  Every access of the chunk gets block and PC ids, but
+        only the replayed ones train OPTgen and the predictor.
+        """
         blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
         n = int(blocks.shape[0])
         pc_values = _pc_array(pcs, n)
+        out = outcome_vector(outcomes, n)
         if n == 0:
             return np.zeros(0, dtype=bool)
         spec = self.spec
@@ -141,10 +152,11 @@ class HawkeyeStream:
         )
         self._last_access = grow_to(self._last_access, len(self._block_ids), -1)
         self._last_pc = grow_to(self._last_pc, len(self._block_ids), 0)
-        hits = kernels.hawkeye_feed(
+        kernels.hawkeye_feed(
             blocks,
             block_ids,
             pc_ids,
+            out,
             self.num_sets,
             self.ways,
             spec.max_rrpv,
@@ -164,5 +176,6 @@ class HawkeyeStream:
             self._timestamps,
             self.misses_per_set,
         )
-        self.hit_count += int(hits.sum())
+        hits = out == OUT_LLC_HIT
+        self.hit_count += int(np.count_nonzero(hits))
         return hits

@@ -5,7 +5,7 @@ Importing this package registers every engine family's
 bookkeeping — see :mod:`repro.fastsim.kernels.registry`; nothing compiles
 until the first lookup).  Import order matters: ``core`` defines the shared
 ``static inline`` C steps, the family fragments build on them, and ``fused``
-(last) stitches family steps into the single-pass pipeline.
+(last) adds the L1/L2 filter that feeds their outcome vectors.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from repro.fastsim.kernels.registry import (
     BASE_CFLAGS,
     CC_ENV_VAR,
     KernelSpec,
-    THREADS_ENV_VAR,
     available,
     build_key,
     capabilities,
@@ -24,7 +23,6 @@ from repro.fastsim.kernels.registry import (
     registered,
     reset,
     resolved,
-    thread_count,
 )
 
 from repro.fastsim.kernels import core as _core  # noqa: F401  (registers "core")
@@ -35,17 +33,7 @@ from repro.fastsim.kernels.opt import opt_feed, opt_next_use
 from repro.fastsim.kernels.ship import ship_feed
 from repro.fastsim.kernels.leeway import leeway_feed
 from repro.fastsim.kernels.hawkeye import hawkeye_feed
-from repro.fastsim.kernels.fused import (
-    FilterState,
-    RegionTable,
-    fused_filter_feed,
-    fused_hawkeye_feed,
-    fused_leeway_feed,
-    fused_lru_feed,
-    fused_pin_feed,
-    fused_rrip_feed,
-    fused_ship_feed,
-)
+from repro.fastsim.kernels.fused import FilterState, RegionTable, fused_filter_feed
 
 __all__ = [
     "BASE_CFLAGS",
@@ -53,17 +41,10 @@ __all__ = [
     "FilterState",
     "KernelSpec",
     "RegionTable",
-    "THREADS_ENV_VAR",
     "available",
     "build_key",
     "capabilities",
     "fused_filter_feed",
-    "fused_hawkeye_feed",
-    "fused_leeway_feed",
-    "fused_lru_feed",
-    "fused_pin_feed",
-    "fused_rrip_feed",
-    "fused_ship_feed",
     "has_capability",
     "hawkeye_feed",
     "leeway_feed",
@@ -78,5 +59,4 @@ __all__ = [
     "resolved",
     "rrip_feed",
     "ship_feed",
-    "thread_count",
 ]

@@ -1,12 +1,10 @@
 """Shared C helpers used by every engine-family fragment.
 
 ``lru_step`` is the single-access set-associative LRU transition used by the
-standalone LRU kernel (with a global recency clock) *and* by the fused
-pipeline's L1/L2 filter and LLC-LRU stages (with per-set clocks).  Victim
-choice compares stamps only within one set, so a global and a per-set clock
-produce identical hit/miss/eviction outcomes — the per-set form additionally
-makes outcomes independent of how accesses are interleaved across sets,
-which is what lets the fused filter shard sets across threads.
+LRU replay kernel (with a global recency clock) *and* by the L1/L2 filter
+kernel (with per-set clocks).  Victim choice compares stamps only within
+one set, so a global and a per-set clock produce identical
+hit/miss/eviction outcomes.
 
 ``grasp_classify`` is the C mirror of
 :meth:`repro.core.classification.GraspClassifier.classify`: no regions maps

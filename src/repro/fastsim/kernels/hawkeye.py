@@ -147,7 +147,9 @@ static inline int hawkeye_step(int64_t block, int64_t bid, int64_t pc,
     return 0;
 }
 
-/* Exact Hawkeye replay over hawkeye_step. */
+/* Exact Hawkeye replay over hawkeye_step.  Outcome contract: only accesses
+ * with out[i] == 2 replay, and each is overwritten with 2 (hit) or 3
+ * (miss); the block and PC ids of the others are never read. */
 void hawkeye_replay(const int64_t *blocks, const int64_t *block_ids,
                     const int64_t *pc_ids, int64_t n, int32_t num_sets,
                     int32_t ways, int32_t max_rrpv, int32_t sample_period,
@@ -155,19 +157,20 @@ void hawkeye_replay(const int64_t *blocks, const int64_t *block_ids,
                     int32_t *rrpv, uint8_t *friendly, int64_t *line_pc,
                     int32_t *predictor, int64_t *last_access, int64_t *last_pc,
                     int32_t *occupancy, int64_t *occ_head, int64_t *occ_len,
-                    int64_t *timestamps, uint8_t *hits, int64_t *misses_per_set)
+                    int64_t *timestamps, uint8_t *out, int64_t *misses_per_set)
 {
     const int64_t mask = (int64_t)num_sets - 1;
     const int32_t midpoint = (predictor_max + 1) / 2;
     for (int64_t i = 0; i < n; i++) {
+        if (out[i] != 2) continue;
         const int64_t block = blocks[i];
         const int64_t set = block & mask;
-        hits[i] = (uint8_t)hawkeye_step(
+        out[i] = hawkeye_step(
             block, block_ids[i], pc_ids[i], set, ways, max_rrpv, sample_period,
             predictor_max, midpoint, history, tags + set * ways,
             rrpv + set * ways, friendly + set * ways, line_pc + set * ways,
             predictor, last_access, last_pc, occupancy, occ_head, occ_len,
-            timestamps, misses_per_set + set);
+            timestamps, misses_per_set + set) ? 2 : 3;
     }
 }
 """
@@ -192,6 +195,7 @@ def hawkeye_feed(
     blocks: np.ndarray,
     block_ids: np.ndarray,
     pc_ids: np.ndarray,
+    out: np.ndarray,
     num_sets: int,
     ways: int,
     max_rrpv: int,
@@ -210,25 +214,24 @@ def hawkeye_feed(
     occ_len: np.ndarray,
     timestamps: np.ndarray,
     misses_per_set: np.ndarray,
-):
+) -> None:
     """Run the Hawkeye kernel over caller-owned state.
 
-    ``block_ids``/``pc_ids`` must use dense ids that are stable across calls
-    and covered by ``last_access``/``last_pc``/``predictor``; all array
-    arguments after ``history`` persist across calls.  Returns the chunk's
-    hit mask.
+    ``out`` is the chunk's outcome vector: the accesses marked 2 replay and
+    get 2 (hit) or 3 (miss).  ``block_ids``/``pc_ids`` must use dense ids
+    that are stable across calls and covered by
+    ``last_access``/``last_pc``/``predictor``; all array arguments after
+    ``history`` persist across calls.
     """
     kernel = registry.lookup("hawkeye_replay")
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     block_ids = np.ascontiguousarray(block_ids, dtype=np.int64)
     pc_ids = np.ascontiguousarray(pc_ids, dtype=np.int64)
-    n = int(blocks.shape[0])
-    hits = np.empty(n, dtype=np.uint8)
     kernel(
         as_i64(blocks),
         as_i64(block_ids),
         as_i64(pc_ids),
-        ctypes.c_int64(n),
+        ctypes.c_int64(blocks.shape[0]),
         ctypes.c_int32(num_sets),
         ctypes.c_int32(ways),
         ctypes.c_int32(max_rrpv),
@@ -246,7 +249,6 @@ def hawkeye_feed(
         as_i64(occ_head),
         as_i64(occ_len),
         as_i64(timestamps),
-        as_u8(hits),
+        as_u8(out),
         as_i64(misses_per_set),
     )
-    return hits.view(bool)

@@ -83,23 +83,24 @@ static inline int leeway_step(int64_t block, int64_t pc, int32_t ways,
 }
 
 /* Exact Leeway replay over leeway_step.  pos is caller-initialised to
- * 0..ways-1 per set; predicted/votes are dense per-PC arrays (caller
- * densifies with np.unique). */
+ * 0..ways-1 per set; predicted/votes are dense per-PC arrays (the caller
+ * densifies PCs).  Outcome contract: only accesses with out[i] == 2
+ * replay, and each is overwritten with 2 (hit) or 3 (miss). */
 void leeway_replay(const int64_t *blocks, const int64_t *pc_ids, int64_t n,
                    int32_t num_sets, int32_t ways, int32_t decay_period,
                    int64_t *tags, int32_t *pos, int64_t *line_sig,
                    int32_t *observed, int64_t *predicted, int64_t *votes,
-                   uint8_t *hits, int64_t *misses_per_set)
+                   uint8_t *out, int64_t *misses_per_set)
 {
     const int64_t mask = (int64_t)num_sets - 1;
     for (int64_t i = 0; i < n; i++) {
+        if (out[i] != 2) continue;
         const int64_t block = blocks[i];
         const int64_t set = block & mask;
-        hits[i] = (uint8_t)leeway_step(block, pc_ids[i], ways, decay_period,
-                                       tags + set * ways, pos + set * ways,
-                                       line_sig + set * ways,
-                                       observed + set * ways, predicted, votes,
-                                       misses_per_set + set);
+        out[i] = leeway_step(block, pc_ids[i], ways, decay_period,
+                             tags + set * ways, pos + set * ways,
+                             line_sig + set * ways, observed + set * ways,
+                             predicted, votes, misses_per_set + set) ? 2 : 3;
     }
 }
 """
@@ -122,6 +123,7 @@ register_kernel(
 def leeway_feed(
     blocks: np.ndarray,
     pc_ids: np.ndarray,
+    out: np.ndarray,
     num_sets: int,
     ways: int,
     decay_period: int,
@@ -132,23 +134,21 @@ def leeway_feed(
     predicted: np.ndarray,
     votes: np.ndarray,
     misses_per_set: np.ndarray,
-):
+) -> None:
     """Run the Leeway kernel over caller-owned state.
 
-    ``pc_ids`` must use PC ids that are stable across calls, and
-    ``predicted``/``votes`` must cover every id in the chunk; all array
-    arguments after ``decay_period`` persist across calls.  Returns the
-    chunk's hit mask.
+    ``out`` is the chunk's outcome vector: the accesses marked 2 replay and
+    get 2 (hit) or 3 (miss).  ``pc_ids`` must use PC ids that are stable
+    across calls, and ``predicted``/``votes`` must cover every id in the
+    chunk; all array arguments after ``decay_period`` persist across calls.
     """
     kernel = registry.lookup("leeway_replay")
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     pc_ids = np.ascontiguousarray(pc_ids, dtype=np.int64)
-    n = int(blocks.shape[0])
-    hits = np.empty(n, dtype=np.uint8)
     kernel(
         as_i64(blocks),
         as_i64(pc_ids),
-        ctypes.c_int64(n),
+        ctypes.c_int64(blocks.shape[0]),
         ctypes.c_int32(num_sets),
         ctypes.c_int32(ways),
         ctypes.c_int32(decay_period),
@@ -158,7 +158,6 @@ def leeway_feed(
         as_i32(observed),
         as_i64(predicted),
         as_i64(votes),
-        as_u8(hits),
+        as_u8(out),
         as_i64(misses_per_set),
     )
-    return hits.view(bool)

@@ -23,19 +23,20 @@ _SOURCE = r"""
  * tags/stamps are caller-provided state of num_sets*ways entries; tags must
  * be initialised to -1 on the first call.  state[0] is the recency clock
  * in/out, so a stream can be replayed in chunks against persistent
- * tags/stamps with bit-identical outcomes.  Returns nothing; hits[i] in
- * {0,1} and misses_per_set accumulate the outcome. */
+ * tags/stamps with bit-identical outcomes.  Outcome contract: only accesses
+ * with out[i] == 2 (LLC-bound) replay, and each is overwritten with 2 (hit)
+ * or 3 (miss); misses_per_set accumulates. */
 void lru_replay(const int64_t *blocks, int64_t n, int32_t num_sets,
                 int32_t ways, int64_t *tags, int64_t *stamps,
-                uint8_t *hits, int64_t *misses_per_set, int64_t *state)
+                uint8_t *out, int64_t *misses_per_set, int64_t *state)
 {
     const int64_t mask = (int64_t)num_sets - 1;
     for (int64_t i = 0; i < n; i++) {
+        if (out[i] != 2) continue;
         const int64_t block = blocks[i];
         const int64_t set = block & mask;
-        hits[i] = (uint8_t)lru_step(block, ways, tags + set * ways,
-                                    stamps + set * ways, misses_per_set + set,
-                                    state);
+        out[i] = lru_step(block, ways, tags + set * ways, stamps + set * ways,
+                          misses_per_set + set, state) ? 2 : 3;
     }
 }
 """
@@ -54,33 +55,32 @@ register_kernel(
 
 def lru_feed(
     blocks: np.ndarray,
+    out: np.ndarray,
     num_sets: int,
     ways: int,
     tags: np.ndarray,
     stamps: np.ndarray,
     misses_per_set: np.ndarray,
     state: np.ndarray,
-):
+) -> None:
     """Run the LRU kernel over caller-owned state.
 
-    ``tags``/``stamps`` (``num_sets * ways`` int64, tags initialised to -1),
-    ``misses_per_set`` (accumulating) and ``state`` (``[clock]``) persist
-    across calls, so feeding a stream in chunks is bit-identical to one call
-    over the concatenation.  Returns the chunk's hit mask.
+    ``out`` is the chunk's outcome vector: the accesses marked 2 replay and
+    get 2 (hit) or 3 (miss).  ``tags``/``stamps`` (``num_sets * ways``
+    int64, tags initialised to -1), ``misses_per_set`` (accumulating) and
+    ``state`` (``[clock]``) persist across calls, so feeding a stream in
+    chunks is bit-identical to one call over the concatenation.
     """
     kernel = registry.lookup("lru_replay")
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-    n = int(blocks.shape[0])
-    hits = np.empty(n, dtype=np.uint8)
     kernel(
         as_i64(blocks),
-        ctypes.c_int64(n),
+        ctypes.c_int64(blocks.shape[0]),
         ctypes.c_int32(num_sets),
         ctypes.c_int32(ways),
         as_i64(tags),
         as_i64(stamps),
-        as_u8(hits),
+        as_u8(out),
         as_i64(misses_per_set),
         as_i64(state),
     )
-    return hits.view(bool)

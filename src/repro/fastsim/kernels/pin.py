@@ -97,13 +97,15 @@ static inline int pin_step(int64_t block, int32_t hint, int64_t set,
 }
 
 /* Exact PIN-X replay over pin_step; bypasses are counted in both
- * misses_per_set and bypasses_per_set, exactly like the scalar policy. */
+ * misses_per_set and bypasses_per_set, exactly like the scalar policy.
+ * Outcome contract: only accesses with out[i] == 2 replay (reading
+ * hints[i]), and each is overwritten with 2 (hit), 3 (miss) or 4 (bypass). */
 void pin_replay(const int64_t *blocks, const uint8_t *hints, int64_t n,
                 int32_t num_sets, int32_t ways, int32_t max_rrpv,
                 int64_t epsilon, int64_t psel_max, int32_t leader_period,
                 int32_t reserved_ways, int32_t hint_high,
                 int64_t *tags, int32_t *rrpv, uint8_t *pinned,
-                int32_t *pinned_count, uint8_t *hits, int64_t *misses_per_set,
+                int32_t *pinned_count, uint8_t *out, int64_t *misses_per_set,
                 int64_t *bypasses_per_set, int64_t *state)
 {
     int64_t psel = state[0];
@@ -111,6 +113,7 @@ void pin_replay(const int64_t *blocks, const uint8_t *hints, int64_t n,
     const int64_t mask = (int64_t)num_sets - 1;
     const int64_t midpoint = (psel_max + 1) / 2;
     for (int64_t i = 0; i < n; i++) {
+        if (out[i] != 2) continue;
         const int64_t block = blocks[i];
         const int64_t set = block & mask;
         const int code = pin_step(block, hints[i] & 3, set, ways, max_rrpv,
@@ -119,7 +122,7 @@ void pin_replay(const int64_t *blocks, const uint8_t *hints, int64_t n,
                                   rrpv + set * ways, pinned + set * ways,
                                   pinned_count + set, misses_per_set + set,
                                   bypasses_per_set + set, &psel, &insert_count);
-        hits[i] = (uint8_t)(code == 1);
+        out[i] = code == 1 ? 2 : (code == 2 ? 4 : 3);
     }
     state[0] = psel;
     state[1] = insert_count;
@@ -144,6 +147,7 @@ register_kernel(
 def pin_feed(
     blocks: np.ndarray,
     hints: np.ndarray,
+    out: np.ndarray,
     num_sets: int,
     ways: int,
     max_rrpv: int,
@@ -159,21 +163,20 @@ def pin_feed(
     misses_per_set: np.ndarray,
     bypasses_per_set: np.ndarray,
     state: np.ndarray,
-):
+) -> None:
     """Run the PIN-X kernel over caller-owned state.
 
-    All array arguments after ``hint_high`` persist across calls (``state``
-    is ``[psel, insert_count]``).  Returns the chunk's hit mask.
+    ``out`` is the chunk's outcome vector: the accesses marked 2 replay
+    under their ``hints`` (uint8, one per access) and get 2 (hit), 3 (miss)
+    or 4 (bypass).  All array arguments after ``hint_high`` persist across
+    calls (``state`` is ``[psel, insert_count]``).
     """
     kernel = registry.lookup("pin_replay")
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-    hints = np.ascontiguousarray(hints, dtype=np.uint8)
-    n = int(blocks.shape[0])
-    hits = np.empty(n, dtype=np.uint8)
     kernel(
         as_i64(blocks),
         as_u8(hints),
-        ctypes.c_int64(n),
+        ctypes.c_int64(blocks.shape[0]),
         ctypes.c_int32(num_sets),
         ctypes.c_int32(ways),
         ctypes.c_int32(max_rrpv),
@@ -186,9 +189,8 @@ def pin_feed(
         as_i32(rrpv),
         as_u8(pinned),
         as_i32(pinned_count),
-        as_u8(hits),
+        as_u8(out),
         as_i64(misses_per_set),
         as_i64(bypasses_per_set),
         as_i64(state),
     )
-    return hits.view(bool)

@@ -30,11 +30,6 @@ Environment knobs:
 ``REPRO_CC``
     C compiler executable (default ``cc``).  Pointing it at a missing or
     broken binary leaves the library unavailable.
-``REPRO_THREADS``
-    Requested fused-pipeline thread count (:func:`thread_count`), clamped
-    by :func:`repro.fastsim.pipeline.effective_threads` and reported in
-    execution plans.  The fused filter phase runs on the calling thread at
-    every count, so it changes neither results nor wall-clock.
 """
 
 from __future__ import annotations
@@ -53,9 +48,6 @@ import numpy as np
 
 #: C compiler used to build the kernel library (default ``cc``).
 CC_ENV_VAR = "REPRO_CC"
-
-#: Requested thread count of the fused pipelines (see module docstring).
-THREADS_ENV_VAR = "REPRO_THREADS"
 
 #: Compiler flags of the kernel library build.
 BASE_CFLAGS: Tuple[str, ...] = ("-O3", "-shared", "-fPIC")
@@ -83,7 +75,7 @@ class KernelSpec:
         Exported symbol -> ctypes argtype list.  All kernels return void.
     capabilities:
         Names answerable through :func:`has_capability` (e.g.
-        ``"replay:rrip"``, ``"fused:rrip"``).
+        ``"replay:rrip"``, ``"fused:filter"``).
     """
 
     name: str
@@ -274,18 +266,6 @@ def has_capability(name: str) -> bool:
     return name in capabilities()
 
 
-def thread_count() -> int:
-    """Requested fused-pipeline thread count (``REPRO_THREADS``, min 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, value)
-
-
 # ---------------------------------------------------------------------------
 # ctypes argument helpers shared by the family wrapper modules.
 
@@ -320,7 +300,6 @@ __all__ = [
     "BASE_CFLAGS",
     "CC_ENV_VAR",
     "KernelSpec",
-    "THREADS_ENV_VAR",
     "available",
     "build_key",
     "capabilities",
@@ -330,7 +309,6 @@ __all__ = [
     "registered",
     "reset",
     "resolved",
-    "thread_count",
     "as_i64",
     "as_i32",
     "as_u8",

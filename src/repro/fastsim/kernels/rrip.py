@@ -96,26 +96,29 @@ static inline int rrip_step(int64_t block, int32_t hint, int64_t set,
 /* Exact RRIP-family replay over rrip_step.  tags/rrpv are caller-provided
  * scratch of num_sets*ways entries (tags initialised to -1, rrpv to
  * max_rrpv); state is {psel, insert_count} in/out so the final duel state
- * can be compared against the scalar policies. */
+ * can be compared against the scalar policies.  Outcome contract: only
+ * accesses with out[i] == 2 replay (reading hints[i]), and each is
+ * overwritten with 2 (hit) or 3 (miss). */
 void rrip_replay(const int64_t *blocks, const uint8_t *hints, int64_t n,
                  int32_t num_sets, int32_t ways, int32_t max_rrpv,
                  const int32_t *ins_table, const int32_t *promo_table,
                  int64_t epsilon, int64_t psel_max, int32_t leader_period,
                  int64_t *tags, int32_t *rrpv,
-                 uint8_t *hits, int64_t *misses_per_set, int64_t *state)
+                 uint8_t *out, int64_t *misses_per_set, int64_t *state)
 {
     int64_t psel = state[0];
     int64_t insert_count = state[1];
     const int64_t mask = (int64_t)num_sets - 1;
     const int64_t midpoint = (psel_max + 1) / 2;
     for (int64_t i = 0; i < n; i++) {
+        if (out[i] != 2) continue;
         const int64_t block = blocks[i];
         const int64_t set = block & mask;
-        hits[i] = (uint8_t)rrip_step(block, hints[i] & 3, set, ways, max_rrpv,
-                                     ins_table, promo_table, epsilon, psel_max,
-                                     leader_period, midpoint, tags + set * ways,
-                                     rrpv + set * ways, misses_per_set + set,
-                                     &psel, &insert_count);
+        out[i] = rrip_step(block, hints[i] & 3, set, ways, max_rrpv,
+                           ins_table, promo_table, epsilon, psel_max,
+                           leader_period, midpoint, tags + set * ways,
+                           rrpv + set * ways, misses_per_set + set,
+                           &psel, &insert_count) ? 2 : 3;
     }
     state[0] = psel;
     state[1] = insert_count;
@@ -140,6 +143,7 @@ register_kernel(
 def rrip_feed(
     blocks: np.ndarray,
     hints: np.ndarray,
+    out: np.ndarray,
     num_sets: int,
     ways: int,
     max_rrpv: int,
@@ -152,24 +156,21 @@ def rrip_feed(
     rrpv: np.ndarray,
     misses_per_set: np.ndarray,
     state: np.ndarray,
-):
+) -> None:
     """Run the RRIP kernel over caller-owned state.
 
-    ``tags`` (int64, -1 initial) / ``rrpv`` (int32, ``max_rrpv`` initial) /
-    ``misses_per_set`` / ``state`` (``[psel, insert_count]``) persist across
-    calls.  Returns the chunk's hit mask.
+    ``out`` is the chunk's outcome vector: the accesses marked 2 replay
+    under their ``hints`` (uint8, one per access) and get 2 (hit) or 3
+    (miss).  ``tags`` (int64, -1 initial) / ``rrpv`` (int32, ``max_rrpv``
+    initial) / ``misses_per_set`` / ``state`` (``[psel, insert_count]``)
+    persist across calls.
     """
     kernel = registry.lookup("rrip_replay")
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-    hints = np.ascontiguousarray(hints, dtype=np.uint8)
-    ins_table = np.ascontiguousarray(ins_table, dtype=np.int32)
-    promo_table = np.ascontiguousarray(promo_table, dtype=np.int32)
-    n = int(blocks.shape[0])
-    hits = np.empty(n, dtype=np.uint8)
     kernel(
         as_i64(blocks),
         as_u8(hints),
-        ctypes.c_int64(n),
+        ctypes.c_int64(blocks.shape[0]),
         ctypes.c_int32(num_sets),
         ctypes.c_int32(ways),
         ctypes.c_int32(max_rrpv),
@@ -180,8 +181,7 @@ def rrip_feed(
         ctypes.c_int32(leader_period),
         as_i64(tags),
         as_i32(rrpv),
-        as_u8(hits),
+        as_u8(out),
         as_i64(misses_per_set),
         as_i64(state),
     )
-    return hits.view(bool)

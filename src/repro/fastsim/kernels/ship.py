@@ -65,22 +65,24 @@ static inline int ship_step(int64_t block, int64_t sig, int32_t ways,
 }
 
 /* Exact SHiP-MEM replay over ship_step (the caller densifies signatures;
- * shct is initialised to the unseen value). */
+ * shct is initialised to the unseen value).  Outcome contract: only
+ * accesses with out[i] == 2 replay, and each is overwritten with 2 (hit)
+ * or 3 (miss); the signatures of the others are never read. */
 void ship_replay(const int64_t *blocks, const int64_t *sig_ids, int64_t n,
                  int32_t num_sets, int32_t ways, int32_t max_rrpv,
                  int32_t counter_max, int64_t *tags, int32_t *rrpv,
                  int64_t *line_sig, uint8_t *reused, int64_t *shct,
-                 uint8_t *hits, int64_t *misses_per_set)
+                 uint8_t *out, int64_t *misses_per_set)
 {
     const int64_t mask = (int64_t)num_sets - 1;
     for (int64_t i = 0; i < n; i++) {
+        if (out[i] != 2) continue;
         const int64_t block = blocks[i];
         const int64_t set = block & mask;
-        hits[i] = (uint8_t)ship_step(block, sig_ids[i], ways, max_rrpv,
-                                     counter_max, tags + set * ways,
-                                     rrpv + set * ways, line_sig + set * ways,
-                                     reused + set * ways, shct,
-                                     misses_per_set + set);
+        out[i] = ship_step(block, sig_ids[i], ways, max_rrpv, counter_max,
+                           tags + set * ways, rrpv + set * ways,
+                           line_sig + set * ways, reused + set * ways, shct,
+                           misses_per_set + set) ? 2 : 3;
     }
 }
 """
@@ -103,6 +105,7 @@ register_kernel(
 def ship_feed(
     blocks: np.ndarray,
     sig_ids: np.ndarray,
+    out: np.ndarray,
     num_sets: int,
     ways: int,
     max_rrpv: int,
@@ -113,22 +116,21 @@ def ship_feed(
     reused: np.ndarray,
     shct: np.ndarray,
     misses_per_set: np.ndarray,
-):
+) -> None:
     """Run the SHiP kernel over caller-owned state.
 
-    ``sig_ids`` must use signature ids that are stable across calls, and
-    ``shct`` must cover every id in the chunk; all array arguments after
-    ``counter_max`` persist across calls.  Returns the chunk's hit mask.
+    ``out`` is the chunk's outcome vector: the accesses marked 2 replay and
+    get 2 (hit) or 3 (miss).  ``sig_ids`` must use signature ids that are
+    stable across calls, and ``shct`` must cover every id in the chunk; all
+    array arguments after ``counter_max`` persist across calls.
     """
     kernel = registry.lookup("ship_replay")
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     sig_ids = np.ascontiguousarray(sig_ids, dtype=np.int64)
-    n = int(blocks.shape[0])
-    hits = np.empty(n, dtype=np.uint8)
     kernel(
         as_i64(blocks),
         as_i64(sig_ids),
-        ctypes.c_int64(n),
+        ctypes.c_int64(blocks.shape[0]),
         ctypes.c_int32(num_sets),
         ctypes.c_int32(ways),
         ctypes.c_int32(max_rrpv),
@@ -138,7 +140,6 @@ def ship_feed(
         as_i64(line_sig),
         as_u8(reused),
         as_i64(shct),
-        as_u8(hits),
+        as_u8(out),
         as_i64(misses_per_set),
     )
-    return hits.view(bool)

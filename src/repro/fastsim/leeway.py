@@ -26,7 +26,8 @@ import numpy as np
 from repro.cache.policies.base import ReplacementPolicy
 from repro.cache.policies.leeway import LeewayPolicy
 from repro.fastsim import kernels
-from repro.fastsim.stackdist import DenseIdMap, grow_to
+from repro.fastsim.kernels.fused import OUT_LLC_HIT
+from repro.fastsim.stackdist import DenseIdMap, grow_to, outcome_vector
 
 
 @dataclass(frozen=True)
@@ -112,20 +113,31 @@ class LeewayStream:
         }
 
     def feed(
-        self, block_addresses: np.ndarray, pcs: Optional[np.ndarray] = None
+        self,
+        block_addresses: np.ndarray,
+        pcs: Optional[np.ndarray] = None,
+        outcomes: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Replay one chunk; returns its hit mask and advances the state."""
+        """Replay one chunk; returns its LLC hit mask and advances the state.
+
+        With ``outcomes`` (see :func:`~repro.fastsim.stackdist.outcome_vector`)
+        only the accesses marked 2 replay, and their codes are written into
+        it in place.  Every access of the chunk gets a PC id, but only the
+        replayed ones train the predictor.
+        """
         blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
         n = int(blocks.shape[0])
         pc_values = _pc_array(pcs, n)
+        out = outcome_vector(outcomes, n)
         if n == 0:
             return np.zeros(0, dtype=bool)
         pc_ids = self._pc_ids.map(pc_values)
         self._predicted = grow_to(self._predicted, len(self._pc_ids), 0)
         self._votes = grow_to(self._votes, len(self._pc_ids), 0)
-        hits = kernels.leeway_feed(
+        kernels.leeway_feed(
             blocks,
             pc_ids,
+            out,
             self.num_sets,
             self.ways,
             self.spec.decay_period,
@@ -137,5 +149,6 @@ class LeewayStream:
             self._votes,
             self.misses_per_set,
         )
-        self.hit_count += int(hits.sum())
+        hits = out == OUT_LLC_HIT
+        self.hit_count += int(np.count_nonzero(hits))
         return hits

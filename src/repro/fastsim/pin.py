@@ -34,7 +34,9 @@ from repro.cache.hints import HINT_HIGH
 from repro.cache.policies.base import ReplacementPolicy
 from repro.cache.policies.pin import PinningPolicy
 from repro.fastsim import kernels
+from repro.fastsim.kernels.fused import OUT_LLC_HIT
 from repro.fastsim.rrip import _hint_array
+from repro.fastsim.stackdist import outcome_vector
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,7 @@ class PinStream:
         self.misses_per_set = np.zeros(num_sets, dtype=np.int64)
         self.bypasses_per_set = np.zeros(num_sets, dtype=np.int64)
         self._state = np.array([spec.psel_max // 2, 0], dtype=np.int64)
+        self._reserved_ways = spec.reserved_ways(ways)
         self.hit_count = 0
 
     @property
@@ -119,24 +122,34 @@ class PinStream:
         return int(np.maximum(0, filled - self.ways).sum())
 
     def feed(
-        self, block_addresses: np.ndarray, hints: Optional[np.ndarray] = None
+        self,
+        block_addresses: np.ndarray,
+        hints: Optional[np.ndarray] = None,
+        outcomes: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Replay one chunk; returns its hit mask and advances the state."""
+        """Replay one chunk; returns its LLC hit mask and advances the state.
+
+        With ``outcomes`` (see :func:`~repro.fastsim.stackdist.outcome_vector`)
+        only the accesses marked 2 replay, and their codes (4 for a bypass)
+        are written into it in place.
+        """
         blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
         n = int(blocks.shape[0])
         hint_values = _hint_array(hints, n)
+        out = outcome_vector(outcomes, n)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        hits = kernels.pin_feed(
+        kernels.pin_feed(
             blocks,
             hint_values,
+            out,
             self.num_sets,
             self.ways,
             self.spec.max_rrpv,
             self.spec.epsilon,
             self.spec.psel_max,
             self.spec.leader_period,
-            self.spec.reserved_ways(self.ways),
+            self._reserved_ways,
             HINT_HIGH,
             self.tags,
             self.rrpv,
@@ -146,5 +159,6 @@ class PinStream:
             self.bypasses_per_set,
             self._state,
         )
-        self.hit_count += int(hits.sum())
+        hits = out == OUT_LLC_HIT
+        self.hit_count += int(np.count_nonzero(hits))
         return hits

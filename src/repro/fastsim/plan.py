@@ -6,22 +6,22 @@ partition and fallback decisions scattered across ten call sites.  This
 module collapses that sprawl into one explainable layer:
 
 ``EngineCapabilities``
-    One declarative record per engine family (vector support, the kernel
-    capability the native fused route needs, plus the family's known
-    fallbacks in prose).  The table below is the single place a new engine
-    announces what it can do.
+    One declarative record per engine family (vector support, plus the
+    family's known fallbacks in prose).  The table below is the single
+    place a new engine announces what it can do; every online family
+    fuses once the ``fused:filter`` kernel is present.
 ``SimRequest``
     Everything a routing decision depends on: the scheme(s) and live
     policy object(s), the requested backend, the pipeline stage (one-shot
     replay, the ROI or full-execution scope, co-run), the consumer count
-    (how many distinct schemes share one filtered stream), the partition,
-    the thread count and the memo/kernel environment.  Requests are cheap
-    to build — no workload needs to exist.
+    (how many distinct schemes share one filtered stream), the partition
+    and the memo/kernel environment.  Requests are cheap to build — no
+    workload needs to exist.
 ``ExecutionPlan``
     The planner's explicit answer: the route, engine family, kernel tier
     and backend that will run, whether a verify dual-run is attached, and
     *every* fallback reason collected on the way there.  The route names
-    one of four code paths — ``fused`` (one native filter+LLC pass),
+    one of four code paths — ``fused`` (one native filter+LLC pass per chunk),
     ``fused-multi`` (one filter pass feeding N replays), ``vector`` (the
     staged engines over a filtered stream) and ``scalar`` (the per-access
     reference) — while ``engine`` (``opt``, a family, or ``scalar``) and
@@ -52,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.cache.config import HierarchyConfig
 from repro.cache.partition import WayPartition
 from repro.cache.policies.opt import BeladyOptimal
 from repro.fastsim import kernels
@@ -80,18 +79,17 @@ from repro.fastsim.replay import (
 
 @dataclass(frozen=True)
 class EngineCapabilities:
-    """What one engine family can do, and which kernels it needs for it.
+    """What one engine family can do.
 
-    ``fused_kernel`` names the registry capability
-    (:func:`repro.fastsim.kernels.has_capability`) the native single-pass
-    route requires; ``None`` means the family has no fused kernel.
+    ``vector_replay`` says a compiled engine replays the family; every such
+    family except the offline OPT also runs the fused single-pass route,
+    whose only extra kernel is the shared L1/L2 filter (``fused:filter``).
     ``fallbacks`` documents the family's known degradations in prose —
     the planner quotes them verbatim in plan explanations.
     """
 
     family: str
     vector_replay: bool
-    fused_kernel: Optional[str]
     fallbacks: Tuple[str, ...] = ()
 
 
@@ -100,31 +98,21 @@ class EngineCapabilities:
 #: subclasses, and a Hawkeye policy with no OPTgen window): the reference
 #: simulator covers them on every route.
 ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
-    "lru": EngineCapabilities(
-        family="lru", vector_replay=True, fused_kernel="fused:lru",
-    ),
-    "rrip": EngineCapabilities(
-        family="rrip", vector_replay=True, fused_kernel="fused:rrip",
-    ),
+    "lru": EngineCapabilities(family="lru", vector_replay=True),
+    "rrip": EngineCapabilities(family="rrip", vector_replay=True),
     "pin": EngineCapabilities(
-        family="pin", vector_replay=True, fused_kernel="fused:pin",
+        family="pin", vector_replay=True,
         fallbacks=(
             "unpartitioned co-run (K>=2) falls back to the scalar reference: "
             "per-stream bypass attribution needs per-stream engines, which "
             "only a way partition provides",
         ),
     ),
-    "ship": EngineCapabilities(
-        family="ship", vector_replay=True, fused_kernel="fused:ship",
-    ),
-    "hawkeye": EngineCapabilities(
-        family="hawkeye", vector_replay=True, fused_kernel="fused:hawkeye",
-    ),
-    "leeway": EngineCapabilities(
-        family="leeway", vector_replay=True, fused_kernel="fused:leeway",
-    ),
+    "ship": EngineCapabilities(family="ship", vector_replay=True),
+    "hawkeye": EngineCapabilities(family="hawkeye", vector_replay=True),
+    "leeway": EngineCapabilities(family="leeway", vector_replay=True),
     "opt": EngineCapabilities(
-        family="opt", vector_replay=True, fused_kernel=None,
+        family="opt", vector_replay=True,
         fallbacks=(
             "OPT needs future next-use indices: streaming resolves them in a "
             "two-pass reverse sweep over a disk spill",
@@ -132,7 +120,7 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
         ),
     ),
     "scalar": EngineCapabilities(
-        family="scalar", vector_replay=False, fused_kernel=None,
+        family="scalar", vector_replay=False,
         fallbacks=(
             "policies without an exact array-form spec (the GRASP ablation "
             "subclasses, a Hawkeye policy with no OPTgen window) replay "
@@ -172,7 +160,7 @@ ROUTE_FUSED = "fused"              # single-pass native filter+LLC pipeline
 ROUTE_FUSED_MULTI = "fused-multi"  # one filter phase, N policy replays
 
 #: Kernel tiers a plan can name.
-KERNEL_NATIVE_FUSED = "native-fused"  # one C call per chunk: filter + LLC
+KERNEL_NATIVE_FUSED = "native-fused"  # the filter kernel feeding family kernels
 KERNEL_NATIVE = "native"              # per-family compiled replay kernels
 KERNEL_PYTHON = "python"              # per-access reference simulator
 
@@ -206,9 +194,7 @@ class SimRequest:
     backend: Optional[str] = None
     stage: str = STAGE_ONESHOT
     consumers: Optional[int] = None
-    hierarchy: Optional[HierarchyConfig] = None
     partition: Optional[WayPartition] = None
-    threads: Optional[int] = None
     have_memo: bool = False
     have_stream: bool = False
     native_override: Optional[bool] = None
@@ -263,7 +249,6 @@ class ExecutionPlan:
     verify: bool = False
     fallbacks: Tuple[str, ...] = ()
     schemes: Tuple[str, ...] = ()
-    threads: int = 1
 
     def to_json(self) -> Dict[str, Any]:
         """Manifest-ready form (plain JSON types only)."""
@@ -276,7 +261,6 @@ class ExecutionPlan:
             "kernel": self.kernel,
             "backend": self.backend,
             "verify": self.verify,
-            "threads": self.threads,
             "fallbacks": list(self.fallbacks),
         }
 
@@ -291,8 +275,6 @@ class ExecutionPlan:
             f"backend  : {self.backend}"
             + (" (dual-run: vector + scalar cross-check)" if self.verify else ""),
         ]
-        if self.threads > 1:
-            lines.append(f"threads  : {self.threads}")
         if self.fallbacks:
             lines.append("because  :")
             lines.extend(f"  - {reason}" for reason in self.fallbacks)
@@ -329,14 +311,6 @@ class RoutePlanner:
         if not request.policies and request.scheme == "OPT":
             return ENGINE_CAPABILITIES["opt"]
         return capabilities_for(request.policy)
-
-    def _effective_threads(self, request: SimRequest) -> int:
-        from repro.fastsim.pipeline import effective_threads
-
-        requested = kernels.thread_count() if request.threads is None else request.threads
-        if request.hierarchy is None:
-            return max(1, requested)
-        return effective_threads(requested, request.hierarchy)
 
     # -- single-policy plans ----------------------------------------------
 
@@ -400,15 +374,15 @@ class RoutePlanner:
             fallbacks.append(caps.fallbacks[0])
 
         # Fused single-pass route: either scope under the pure vector
-        # backend, when the native fused kernel covers the policy and
-        # replaying a stored filtered stream would not be cheaper.
-        if caps.fused_kernel is not None and request.stage in (STAGE_ROI, STAGE_STREAMING):
+        # backend, for every online family when the filter kernel is built
+        # and replaying a stored filtered stream would not be cheaper.
+        if not opt and request.stage in (STAGE_ROI, STAGE_STREAMING):
             if verify:
                 fallbacks.append(
                     "fused route skipped: verify needs the staged scalar stream alongside"
                 )
             else:
-                fused_ok, fused_reasons = self._fused_eligible(request, policy, caps)
+                fused_ok, fused_reasons = self._fused_eligible(request, policy)
                 if fused_ok:
                     return ExecutionPlan(
                         route=ROUTE_FUSED,
@@ -419,7 +393,6 @@ class RoutePlanner:
                         backend=mode,
                         fallbacks=tuple(fallbacks),
                         schemes=request.schemes,
-                        threads=self._effective_threads(request),
                     )
                 fallbacks.extend(fused_reasons)
 
@@ -436,7 +409,7 @@ class RoutePlanner:
         )
 
     def _fused_eligible(
-        self, request: SimRequest, policy, caps: EngineCapabilities
+        self, request: SimRequest, policy
     ) -> Tuple[bool, Tuple[str, ...]]:
         """Whether the fused single-pass route applies; reasons when not."""
         native = (
@@ -446,8 +419,7 @@ class RoutePlanner:
         )
         if not native:
             return False, (
-                f"fused kernel {caps.fused_kernel!r} unavailable: the staged "
-                "engines run instead",
+                "fused filter kernel unavailable: the staged engines run instead",
             )
         if request.have_stream:
             return False, (self._stored_reason(request),)
@@ -512,7 +484,6 @@ class RoutePlanner:
                     backend=mode,
                     fallbacks=(),
                     schemes=request.schemes,
-                    threads=self._effective_threads(request),
                 )
             fallbacks.extend(reasons)
         elif mode != VECTOR and not degraded:

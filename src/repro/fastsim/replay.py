@@ -12,9 +12,12 @@ the array specs cannot express — remain scalar-only.
 
 :func:`_family` resolves a policy to its engine family for every fast path,
 :func:`supports_vector_replay` is the dispatch predicate the planner
-(:mod:`repro.fastsim.plan`) routes on, and
-:class:`PolicyReplayStream` wraps a family's engine with the per-region
-statistics of Fig. 2.
+(:mod:`repro.fastsim.plan`) routes on, :func:`family_engine` builds a
+policy's engine and :func:`feed_engine` feeds it the inputs its family
+reads, and :class:`PolicyReplayStream` wraps a family's engine with the
+per-region statistics of Fig. 2.  The fused pipeline
+(:class:`~repro.fastsim.pipeline.FusedPipeline`) builds and feeds its
+engine through the same two functions.
 """
 
 from __future__ import annotations
@@ -114,6 +117,74 @@ def vector_opt_replay(
     )
 
 
+#: Families whose engines read the GRASP reuse hints, and those that read
+#: the PC stream; the others read block addresses only.
+HINT_FAMILIES = ("rrip", "pin")
+PC_FAMILIES = ("hawkeye", "leeway")
+
+
+def family_engine(policy, llc_config: CacheConfig):
+    """``policy``'s online engine family and a fresh engine for it.
+
+    Returns ``(family, engine)``: the family's resumable ``*Stream`` sized
+    to ``llc_config``.  Raises :class:`ValueError` for a policy without an
+    online engine (the offline OPT, the ablation subclasses).
+    """
+    if type(policy) is BeladyOptimal:
+        raise ValueError(
+            "BeladyOptimal has no online stream; replay it through OptStream"
+        )
+    family = _family(policy)
+    if family is None:
+        raise ValueError(
+            f"policy {policy!r} has no vectorized replay engine; "
+            "use supports_vector_replay() before dispatching"
+        )
+    num_sets, ways = llc_config.num_sets, llc_config.ways
+    if family == "lru":
+        return family, LRUStream(num_sets, ways)
+    spec, engine = _SPEC_FAMILIES[family]
+    return family, engine(num_sets, ways, spec(policy))
+
+
+def feed_engine(
+    family: str,
+    engine,
+    block_addresses: np.ndarray,
+    hints: Optional[np.ndarray] = None,
+    pcs: Optional[np.ndarray] = None,
+    outcomes: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Feed one chunk to a ``family`` engine with the inputs it reads.
+
+    The hint-driven families (RRIP, PIN) read ``hints``, the PC-indexed
+    ones (Hawkeye, Leeway) ``pcs``; ``outcomes`` is the engine's outcome
+    vector (:func:`~repro.fastsim.stackdist.outcome_vector`).  Returns the
+    engine's LLC hit mask.
+    """
+    if family in HINT_FAMILIES:
+        return engine.feed(block_addresses, hints, outcomes=outcomes)
+    if family in PC_FAMILIES:
+        return engine.feed(block_addresses, pcs, outcomes=outcomes)
+    return engine.feed(block_addresses, outcomes=outcomes)
+
+
+def engine_stats(
+    family: str, engine, name: str, region_accesses: dict, region_misses: dict
+) -> CacheStats:
+    """Aggregate :class:`CacheStats` of a ``family`` engine, plus the
+    per-region breakdown its caller counted."""
+    return CacheStats.from_counts(
+        name=name,
+        hits=engine.hit_count,
+        misses=engine.miss_count,
+        evictions=engine.evictions,
+        bypasses=engine.bypass_count if family == "pin" else 0,
+        region_accesses=region_accesses or None,
+        region_misses=region_misses or None,
+    )
+
+
 class PolicyReplayStream:
     """Resumable LLC replay under any policy :func:`supports_vector_replay`
     accepts, except the offline :class:`BeladyOptimal` (OPT over a chunk
@@ -130,24 +201,8 @@ class PolicyReplayStream:
     """
 
     def __init__(self, policy, llc_config: CacheConfig) -> None:
-        if type(policy) is BeladyOptimal:
-            raise ValueError(
-                "BeladyOptimal has no online stream; replay it through OptStream"
-            )
-        family = _family(policy)
-        if family is None:
-            raise ValueError(
-                f"policy {policy!r} has no vectorized replay engine; "
-                "use supports_vector_replay() before dispatching"
-            )
         self.llc_config = llc_config
-        self.family = family
-        num_sets, ways = llc_config.num_sets, llc_config.ways
-        if family == "lru":
-            self.engine = LRUStream(num_sets, ways)
-        else:
-            spec, engine = _SPEC_FAMILIES[family]
-            self.engine = engine(num_sets, ways, spec(policy))
+        self.family, self.engine = family_engine(policy, llc_config)
         self._region_accesses: dict = {}
         self._region_misses: dict = {}
 
@@ -159,12 +214,7 @@ class PolicyReplayStream:
         pcs: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Replay one chunk; returns its hit mask and advances the state."""
-        if self.family in ("rrip", "pin"):
-            hits = self.engine.feed(block_addresses, hints)
-        elif self.family in ("hawkeye", "leeway"):
-            hits = self.engine.feed(block_addresses, pcs)
-        else:
-            hits = self.engine.feed(block_addresses)
+        hits = feed_engine(self.family, self.engine, block_addresses, hints, pcs)
         region_accesses, region_misses = _region_breakdown(hits, regions)
         if region_accesses is not None:
             for region, count in region_accesses.items():
@@ -177,15 +227,9 @@ class PolicyReplayStream:
 
     def stats(self) -> CacheStats:
         """Aggregate :class:`CacheStats` over everything fed so far."""
-        bypasses = self.engine.bypass_count if self.family == "pin" else 0
-        return CacheStats.from_counts(
-            name=self.llc_config.name,
-            hits=self.engine.hit_count,
-            misses=self.engine.miss_count,
-            evictions=self.engine.evictions,
-            bypasses=bypasses,
-            region_accesses=self._region_accesses or None,
-            region_misses=self._region_misses or None,
+        return engine_stats(
+            self.family, self.engine, self.llc_config.name,
+            self._region_accesses, self._region_misses,
         )
 
 

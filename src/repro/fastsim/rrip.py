@@ -33,6 +33,8 @@ from repro.cache.policies.base import ReplacementPolicy
 from repro.cache.policies.rrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
 from repro.core.grasp import GraspPolicy
 from repro.fastsim import kernels
+from repro.fastsim.kernels.fused import OUT_LLC_HIT
+from repro.fastsim.stackdist import outcome_vector
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,19 @@ def rrip_spec(policy: ReplacementPolicy) -> Optional[RRIPSpec]:
 
 
 def _hint_array(hints: Optional[np.ndarray], n: int) -> np.ndarray:
-    """Normalise an optional hint stream to ``n`` 2-bit values (uint8)."""
+    """An optional hint stream as ``n`` uint8 values whose low 2 bits count.
+
+    A uint8 stream (the fused filter's) passes through as it is: the
+    kernels read ``hint & 3``.
+    """
     if hints is None:
         return np.zeros(n, dtype=np.uint8)
-    values = np.asarray(hints, dtype=np.int64) & 3
+    values = np.asarray(hints)
     if values.shape[0] != n:
         raise ValueError(f"hint stream length {values.shape[0]} != trace length {n}")
-    return values.astype(np.uint8)
+    if values.dtype != np.uint8:
+        values = (values.astype(np.int64) & 3).astype(np.uint8)
+    return np.ascontiguousarray(values)
 
 
 class RRIPStream:
@@ -118,6 +126,8 @@ class RRIPStream:
         self.rrpv = np.full((num_sets, ways), spec.max_rrpv, dtype=np.int32)
         self.misses_per_set = np.zeros(num_sets, dtype=np.int64)
         self._state = np.array([spec.psel_max // 2, 0], dtype=np.int64)
+        self._ins_table = np.asarray(spec.insertion_table, dtype=np.int32)
+        self._promo_table = np.asarray(spec.promotion_table, dtype=np.int32)
         self.hit_count = 0
 
     @property
@@ -141,22 +151,32 @@ class RRIPStream:
         return int(np.maximum(0, self.misses_per_set - self.ways).sum())
 
     def feed(
-        self, block_addresses: np.ndarray, hints: Optional[np.ndarray] = None
+        self,
+        block_addresses: np.ndarray,
+        hints: Optional[np.ndarray] = None,
+        outcomes: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Replay one chunk; returns its hit mask and advances the state."""
+        """Replay one chunk; returns its LLC hit mask and advances the state.
+
+        With ``outcomes`` (see :func:`~repro.fastsim.stackdist.outcome_vector`)
+        only the accesses marked 2 replay, and their codes are written into
+        it in place.
+        """
         blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
         n = int(blocks.shape[0])
         hint_values = _hint_array(hints, n)
+        out = outcome_vector(outcomes, n)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        hits = kernels.rrip_feed(
+        kernels.rrip_feed(
             blocks,
             hint_values,
+            out,
             self.num_sets,
             self.ways,
             self.spec.max_rrpv,
-            np.asarray(self.spec.insertion_table, dtype=np.int32),
-            np.asarray(self.spec.promotion_table, dtype=np.int32),
+            self._ins_table,
+            self._promo_table,
             self.spec.epsilon,
             self.spec.psel_max,
             self.spec.leader_period,
@@ -165,5 +185,6 @@ class RRIPStream:
             self.misses_per_set,
             self._state,
         )
-        self.hit_count += int(hits.sum())
+        hits = out == OUT_LLC_HIT
+        self.hit_count += int(np.count_nonzero(hits))
         return hits

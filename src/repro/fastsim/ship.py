@@ -26,7 +26,8 @@ import numpy as np
 from repro.cache.policies.base import ReplacementPolicy
 from repro.cache.policies.ship import ShipMemPolicy
 from repro.fastsim import kernels
-from repro.fastsim.stackdist import DenseIdMap, grow_to
+from repro.fastsim.kernels.fused import OUT_LLC_HIT
+from repro.fastsim.stackdist import DenseIdMap, grow_to, outcome_vector
 
 #: SHCT value assumed for a signature that was never trained (weakly reused).
 _UNSEEN = 1
@@ -101,17 +102,27 @@ class ShipStream:
             )
         }
 
-    def feed(self, block_addresses: np.ndarray) -> np.ndarray:
-        """Replay one chunk; returns its hit mask and advances the state."""
+    def feed(
+        self, block_addresses: np.ndarray, outcomes: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Replay one chunk; returns its LLC hit mask and advances the state.
+
+        With ``outcomes`` (see :func:`~repro.fastsim.stackdist.outcome_vector`)
+        only the accesses marked 2 replay, and their codes are written into
+        it in place.  Every access of the chunk gets a signature id, but
+        only the replayed ones train the SHCT.
+        """
         blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
         n = int(blocks.shape[0])
+        out = outcome_vector(outcomes, n)
         if n == 0:
             return np.zeros(0, dtype=bool)
         sig_ids = self._sig_ids.map(blocks >> self.spec.region_shift)
         self._shct = grow_to(self._shct, len(self._sig_ids), _UNSEEN)
-        hits = kernels.ship_feed(
+        kernels.ship_feed(
             blocks,
             sig_ids,
+            out,
             self.num_sets,
             self.ways,
             self.spec.max_rrpv,
@@ -123,5 +134,6 @@ class ShipStream:
             self._shct,
             self.misses_per_set,
         )
-        self.hit_count += int(hits.sum())
+        hits = out == OUT_LLC_HIT
+        self.hit_count += int(np.count_nonzero(hits))
         return hits

@@ -15,7 +15,8 @@ set's occupancy grows by one per miss until it is full, giving
 
 :class:`DenseIdMap` and :func:`grow_to` serve the engines whose learning
 structures are indexed by an unbounded key (SHiP signatures, Hawkeye and
-Leeway PCs, Hawkeye and OPT block ids).
+Leeway PCs, Hawkeye and OPT block ids), and :func:`outcome_vector` is the
+outcome contract every online engine's ``feed`` shares.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro.fastsim import kernels
+from repro.fastsim.kernels.fused import OUT_LLC_HIT
 
 
 class DenseIdMap:
@@ -113,6 +115,22 @@ def grow_to(array: np.ndarray, size: int, fill) -> np.ndarray:
     return grown
 
 
+def outcome_vector(outcomes: Optional[np.ndarray], n: int) -> np.ndarray:
+    """The outcome vector a replay kernel runs over for an ``n``-access chunk.
+
+    ``None`` (a staged feed) replays every access: an all-2 vector.
+    Otherwise ``outcomes`` is a caller's vector (uint8, one entry per
+    access): the kernel replays the accesses marked 2 and overwrites each
+    with its LLC outcome, leaving every other entry as it was.  A vector of
+    another length raises :class:`ValueError` before any kernel reads it.
+    """
+    if outcomes is None:
+        return np.full(n, OUT_LLC_HIT, dtype=np.uint8)
+    if outcomes.shape[0] != n:
+        raise ValueError(f"outcome vector length {outcomes.shape[0]} != trace length {n}")
+    return outcomes
+
+
 class LRUStream:
     """Resumable exact LRU replay: feed a block stream in bounded chunks.
 
@@ -144,24 +162,22 @@ class LRUStream:
         """Total evictions so far (LRU never bypasses; sets only fill up)."""
         return int(np.maximum(0, self.misses_per_set - self.ways).sum())
 
-    def resident_blocks_per_set(self) -> list[list[int]]:
-        """Resident blocks per set in LRU→MRU order (state introspection)."""
-        result = []
-        for set_index in range(self.num_sets):
-            row = slice(set_index * self.ways, (set_index + 1) * self.ways)
-            tags, stamps = self.tags[row], self.stamps[row]
-            occupied = np.flatnonzero(tags != -1)
-            result.append(tags[occupied[np.argsort(stamps[occupied])]].tolist())
-        return result
+    def feed(
+        self, block_addresses: np.ndarray, outcomes: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Replay one chunk; returns its LLC hit mask and advances the state.
 
-    def feed(self, block_addresses: np.ndarray) -> np.ndarray:
-        """Replay one chunk; returns its hit mask and advances the state."""
+        With ``outcomes`` (see :func:`outcome_vector`) only the accesses
+        marked 2 replay, and their codes are written into it in place.
+        """
         blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
+        out = outcome_vector(outcomes, int(blocks.shape[0]))
         if blocks.shape[0] == 0:
             return np.zeros(0, dtype=bool)
-        hits = kernels.lru_feed(
-            blocks, self.num_sets, self.ways,
+        kernels.lru_feed(
+            blocks, out, self.num_sets, self.ways,
             self.tags, self.stamps, self.misses_per_set, self._state,
         )
-        self.hit_count += int(hits.sum())
+        hits = out == OUT_LLC_HIT
+        self.hit_count += int(np.count_nonzero(hits))
         return hits

@@ -12,10 +12,11 @@ masks and ``level_stats()`` must equal a reference built here on two
 scalar branch.  ``run_filter`` over the whole stream must equal the chunked
 result.
 
-The fused pipelines' filter kernel (``fused_filter_feed``) gets the same
-cases: its outcome vector's keep code, its L1-hit and L2-hit counts, and
-the miss counters and resident blocks it leaves in ``FilterState`` must
-match the same reference.  That property is skipped where the kernel
+The filter kernel behind the ``vector`` backend and the fused pipelines
+(``fused_filter_feed``) gets the same cases called directly: its outcome
+vector's keep code, its L1-hit and L2-hit counts, and the miss counters
+and resident blocks it leaves in ``FilterState`` must match the same
+reference.  That property is skipped where the kernel
 library has no fused filter.
 
 The suite needs ``hypothesis``; it is skipped wholesale where the package

@@ -1,7 +1,6 @@
 """Tests for the parallel runner (the sweep service's process pool) and the
 on-disk memo store."""
 
-import os
 import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -24,7 +23,6 @@ from repro.experiments.queue import WORKER_DIED
 from repro.experiments.runner import active_disk_memo, build_workload, set_disk_memo
 from repro.experiments.schemes import scheme_policy
 from repro.experiments.service import _default_workers
-from repro.fastsim import kernels
 from repro.fastsim.pipeline import fused_native_supported
 
 
@@ -257,14 +255,11 @@ class TestParallelRunner:
 
 def test_inline_sweep_leaves_the_caller_as_it_found_it(tmp_path, monkeypatch):
     """Inline task bodies run in the caller's process: they may install the
-    disk memo, but not the pool workers' thread count or default backend."""
-    monkeypatch.setenv("REPRO_THREADS", "4")
+    disk memo, but not the pool workers' default backend."""
     # Restores the module's default at teardown, whatever the sweep does.
     monkeypatch.setattr(dispatch, "_default_backend", dispatch._default_backend)
     before = dispatch.default_backend()
     config = ExperimentConfig.smoke().with_overrides(backend="scalar")
     spec = SweepSpec(apps=("PR",), datasets=("lj",), schemes=("RRIP",))
     run_sweep(spec, config, cache_dir=tmp_path, worker_backend="inline")
-    assert os.environ["REPRO_THREADS"] == "4"
-    assert kernels.thread_count() == 4
     assert dispatch.default_backend() == before

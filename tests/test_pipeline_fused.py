@@ -2,10 +2,10 @@
 
 Covers the two contracts the fused path must honour:
 
-* **Bit-identity** — the threaded fused pipeline (L1/L2 filter + LLC replay
-  in one native call) must match the scalar reference pipeline access for
-  access, for every policy family, at every thread count, for any chunking
-  of the input stream.
+* **Bit-identity** — the fused pipeline (the L1/L2 filter kernel, then the
+  family's own replay kernel over one outcome vector) must match the scalar
+  reference pipeline access for access, for every policy family, for any
+  chunking of the input stream.
 * **Registry hygiene** — kernels are registered declaratively and compiled
   lazily (importing ``repro`` must not touch a compiler), the build cache
   key covers source, flags and compiler, capability probes replace
@@ -34,7 +34,6 @@ from repro.fastsim.pipeline import (
     FusedPipeline,
     FusedStats,
     MultiFusedPipeline,
-    effective_threads,
     fused_native_supported,
 )
 from repro.fastsim.rrip import RRIPStream, rrip_spec
@@ -42,11 +41,8 @@ from repro.trace import Trace, iter_trace_slices
 
 HIERARCHY = HierarchyConfig()
 FAMILIES = ("lru", "srrip", "brrip", "drrip", "grasp", "ship-mem", "hawkeye", "leeway", "pin")
-THREAD_COUNTS = (1, 2, 8)
-FILTER_STATE_ARRAYS = (
-    "l1_tags", "l1_stamps", "l1_clocks", "l1_misses",
-    "l2_tags", "l2_stamps", "l2_clocks", "l2_misses",
-)
+# The trace is fed in this many equal chunks: the stats must not depend on it.
+CHUNK_COUNTS = (1, 2, 8)
 
 needs_native = pytest.mark.skipif(
     not kernels.has_capability("fused"), reason="fused kernels unavailable"
@@ -105,8 +101,8 @@ def scalar_reference(trace, classifier):
     return compute
 
 
-def run_fused(trace, policy, classifier, threads, chunk=3333):
-    fused = FusedPipeline(HIERARCHY, policy, classifier=classifier, threads=threads)
+def run_fused(trace, policy, classifier, chunk=3333):
+    fused = FusedPipeline(HIERARCHY, policy, classifier=classifier)
     outcomes = [fused.feed(piece) for piece in iter_trace_slices(trace, chunk)]
     return fused, np.concatenate(outcomes)
 
@@ -117,13 +113,13 @@ def run_fused(trace, policy, classifier, threads, chunk=3333):
 
 
 @needs_native
-@pytest.mark.parametrize("threads", THREAD_COUNTS)
+@pytest.mark.parametrize("chunks", CHUNK_COUNTS)
 @pytest.mark.parametrize("name", FAMILIES)
 class TestFusedMatchesScalar:
-    def test_stats(self, trace, classifier, scalar_reference, name, threads):
+    def test_stats(self, trace, classifier, scalar_reference, name, chunks):
         policy = create_policy(name)
         assert fused_native_supported(policy)
-        fused, _ = run_fused(trace, policy, classifier, threads)
+        fused, _ = run_fused(trace, policy, classifier, chunk=-(-len(trace) // chunks))
         got = fused.stats()
         want = scalar_reference(name)
         assert got.l1_stats == want.l1_stats
@@ -137,26 +133,11 @@ class TestFusedMatchesScalar:
 @needs_native
 @pytest.mark.parametrize("name", FAMILIES)
 class TestFusedInvariances:
-    def test_outcomes_thread_invariant(self, trace, classifier, name):
-        policy = create_policy(name)
-        first, base = run_fused(trace, policy, classifier, threads=1)
-        for threads in THREAD_COUNTS[1:]:
-            fused, out = run_fused(trace, create_policy(name), classifier, threads=threads)
-            np.testing.assert_array_equal(base, out)
-            # A later chunk reads the filter's state, so it must match too.
-            for array in FILTER_STATE_ARRAYS:
-                np.testing.assert_array_equal(
-                    getattr(fused._filt, array), getattr(first._filt, array),
-                    err_msg=f"{array} at threads={threads}",
-                )
-
     def test_chunked_equals_oneshot(self, trace, classifier, name):
         policy = create_policy(name)
-        _, oneshot = run_fused(trace, policy, classifier, threads=2, chunk=10**9)
+        _, oneshot = run_fused(trace, policy, classifier, chunk=10**9)
         for chunk in (17, 4096):
-            fused, out = run_fused(
-                trace, create_policy(name), classifier, threads=2, chunk=chunk
-            )
+            fused, out = run_fused(trace, create_policy(name), classifier, chunk=chunk)
             np.testing.assert_array_equal(oneshot, out)
 
 
@@ -166,12 +147,11 @@ class TestMultiFusedPipeline:
 
     NAMES = ("lru", "grasp", "ship-mem", "hawkeye")
 
-    def _run_multi(self, trace, classifier, names, threads=2, chunk=3333):
+    def _run_multi(self, trace, classifier, names, chunk=3333):
         multi = MultiFusedPipeline(
             HIERARCHY,
             [create_policy(name) for name in names],
             classifier=classifier,
-            threads=threads,
         )
         for piece in iter_trace_slices(trace, chunk):
             multi.feed(piece)
@@ -191,10 +171,10 @@ class TestMultiFusedPipeline:
                 assert getattr(got, field) == getattr(want.llc_stats, field), (name, field)
 
     @needs_native
-    def test_thread_and_chunk_invariant(self, trace, classifier):
-        base = self._run_multi(trace, classifier, self.NAMES, threads=1)
-        for threads, chunk in ((2, 3333), (8, 17), (2, 10**9)):
-            other = self._run_multi(trace, classifier, self.NAMES, threads, chunk)
+    def test_chunk_invariant(self, trace, classifier):
+        base = self._run_multi(trace, classifier, self.NAMES)
+        for chunk in (17, 10**9):
+            other = self._run_multi(trace, classifier, self.NAMES, chunk)
             for a, b in zip(base.stats(), other.stats()):
                 assert (a.hits, a.misses, a.evictions) == (b.hits, b.misses, b.evictions)
 
@@ -211,7 +191,7 @@ class TestMultiFusedPipeline:
 
 class TestSupportPredicates:
     def test_fused_supported_matrix(self):
-        # Every family has a fused kernel wherever the library was built.
+        # Every family fuses wherever the library was built.
         for name in FAMILIES:
             assert fused_native_supported(create_policy(name)) == (
                 kernels.has_capability("fused")
@@ -224,18 +204,6 @@ class TestSupportPredicates:
     def test_unsupported_policy_raises(self):
         with pytest.raises(ValueError):
             FusedPipeline(HIERARCHY, create_policy("random"))
-
-    def test_effective_threads_clamps_to_set_counts(self):
-        # Default hierarchy: 4/8/16 sets -> at most 4 shards, powers of two.
-        assert effective_threads(1, HIERARCHY) == 1
-        assert effective_threads(2, HIERARCHY) == 2
-        assert effective_threads(3, HIERARCHY) == 2
-        assert effective_threads(8, HIERARCHY) == 4
-        assert effective_threads(0, HIERARCHY) == 1
-        big = HierarchyConfig().with_llc_size(1 << 20)
-        assert effective_threads(64, big) <= min(
-            big.l1.num_sets, big.l2.num_sets, big.llc.num_sets
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +230,13 @@ class TestRegistry:
             pytest.skip("native kernels unavailable")
         for capability in ("replay:lru", "replay:rrip", "replay:pin", "replay:opt",
                            "replay:ship", "replay:leeway", "replay:hawkeye",
-                           "fused", "fused:lru", "fused:rrip", "fused:pin",
-                           "fused:ship", "fused:leeway", "fused:hawkeye"):
+                           "fused", "fused:filter"):
             assert kernels.has_capability(capability), capability
         assert not kernels.has_capability("replay:nonesuch")
-
-    def test_thread_count_parsing(self, monkeypatch):
-        monkeypatch.delenv(kernels.THREADS_ENV_VAR, raising=False)
-        assert kernels.thread_count() == 1
-        monkeypatch.setenv(kernels.THREADS_ENV_VAR, "6")
-        assert kernels.thread_count() == 6
-        monkeypatch.setenv(kernels.THREADS_ENV_VAR, "0")
-        assert kernels.thread_count() == 1
-        monkeypatch.setenv(kernels.THREADS_ENV_VAR, "soon")
-        with pytest.raises(ValueError):
-            kernels.thread_count()
+        # One kernel per family: the filter is the only fused entry.
+        assert {c for c in kernels.capabilities() if c.startswith("fused")} == {
+            "fused", "fused:filter"
+        }
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
@@ -419,7 +379,7 @@ class TestLazyCompilation:
             "llc = HierarchyConfig().llc\n"
             "with pytest.raises(RuntimeError, match='rrip_replay'):\n"
             "    PolicyReplayStream(GraspPolicy(), llc)\n"
-            "with pytest.raises(RuntimeError, match='fused_rrip'):\n"
+            "with pytest.raises(RuntimeError, match='fused_filter_only'):\n"
             "    FusedPipeline(HierarchyConfig(), create_policy('grasp'))\n"
             "print('ok')\n",
             {

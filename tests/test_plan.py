@@ -46,7 +46,6 @@ from repro.fastsim.plan import (
     plan_request,
 )
 
-HIERARCHY = ExperimentConfig.smoke().hierarchy
 
 #: The staged route of a request that does not pin ``native_override``:
 #: ``vector`` with the kernel library, the ``scalar`` reference without one.
@@ -65,7 +64,6 @@ def _reset_backend_and_memo():
 
 def _request(scheme="RRIP", *, native=True, **kwargs):
     policies = (scheme_policy(scheme),) if scheme != "OPT" else ()
-    kwargs.setdefault("hierarchy", HIERARCHY)
     return SimRequest(
         schemes=(scheme,), policies=policies, native_override=native, **kwargs
     )
@@ -88,7 +86,7 @@ class TestSimRequest:
     def test_native_override_cannot_conjure_kernels(self, monkeypatch):
         monkeypatch.setattr(kernels, "available", lambda: False)
         request = SimRequest(schemes=("RRIP",), native_override=True)
-        assert not request.has_kernel("fused:rrip")
+        assert not request.has_kernel("fused:filter")
 
 
 class TestCapabilities:
@@ -96,7 +94,7 @@ class TestCapabilities:
         for scheme in ("LRU", "RRIP", "GRASP", "SHiP-MEM", "Hawkeye", "Leeway", "PIN-75"):
             caps = capabilities_for(scheme_policy(scheme))
             assert caps.vector_replay
-            assert caps.fused_kernel is not None
+            assert caps.family not in ("opt", "scalar")
 
     def test_ablations_are_scalar(self):
         caps = capabilities_for(scheme_policy("RRIP+Hints"))
@@ -205,7 +203,6 @@ class TestMultiSchemeRouting:
             schemes=tuple(schemes),
             policies=tuple(scheme_policy(s) for s in schemes),
             stage=stage,
-            hierarchy=HIERARCHY,
             **kwargs,
         )
 
@@ -293,7 +290,7 @@ def test_plan_json_roundtrip():
     assert isinstance(payload["fallbacks"], list)
     assert set(payload) == {
         "route", "stage", "scheme", "schemes", "engine", "kernel",
-        "backend", "verify", "threads", "fallbacks",
+        "backend", "verify", "fallbacks",
     }
 
 

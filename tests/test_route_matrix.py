@@ -69,7 +69,7 @@ class TestRoiRoutes:
     def test_fused_route_matches_reference(self):
         config = VECTOR_CFG.with_overrides(backend="vector")
         plan = plan_scheme_task("PR", "lj", config.reorder, "GRASP", config)
-        expected = ROUTE_FUSED if kernels.has_capability("fused:rrip") else STAGED
+        expected = ROUTE_FUSED if kernels.has_capability("fused:filter") else STAGED
         assert plan.route == expected
         vector = _roi_stats("GRASP", config)
         clear_caches()
@@ -104,7 +104,7 @@ class TestStreamingRoutes:
         plan = plan_scheme_task(
             "PR", "lj", config.reorder, "GRASP", config, streaming=True,
         )
-        expected = ROUTE_FUSED if kernels.has_capability("fused:rrip") else STAGED
+        expected = ROUTE_FUSED if kernels.has_capability("fused:filter") else STAGED
         assert plan.route == expected
         vector = _stream_stats("GRASP", config)
         clear_caches()
@@ -194,7 +194,7 @@ class TestChunkBudgetInvariance:
         stored = memo.entry_count("llcchunk")
         if shared:
             assert stored > 0
-        elif kernels.has_capability("fused:rrip"):
+        elif kernels.has_capability("fused:filter"):
             assert stored == 0
 
 
