@@ -21,7 +21,10 @@ per scheme:
    feeding N replays) beats the staged materialize-once path by
    ``MIN_MULTI_SPEEDUP``x, and a single-consumer run is untouched by it.
 
-Both sides run the product code paths with a cold on-disk memo per round:
+Each speed gate reads the median ratio of ``PAIRS`` interleaved timing
+pairs, the side that runs first alternating, so one slow draw on a shared
+host cannot decide it.  Both sides run the product code paths with a cold
+on-disk memo per round:
 the staged side is :func:`~repro.experiments.runner.llc_chunks` feeding
 a :class:`~repro.fastsim.replay.PolicyReplayStream` (materialize + persist every
 filtered chunk — what every replay paid before the fused route existed, and
@@ -31,8 +34,10 @@ whose fused gate takes the single-pass route.
 """
 
 import shutil
+import statistics
 
 import pytest
+from conftest import paired_seconds
 
 from repro.experiments.memo import DiskMemo
 from repro.experiments.runner import (
@@ -49,7 +54,6 @@ from repro.experiments.schemes import scheme_policy
 from repro.fastsim import kernels
 from repro.fastsim.dispatch import VECTOR
 from repro.fastsim.replay import PolicyReplayStream
-from repro.perf.throughput import measure_throughput
 
 pytestmark = pytest.mark.skipif(
     not kernels.has_capability("fused"),
@@ -73,6 +77,9 @@ MIN_MULTI_SPEEDUP = 1.1
 #: eligible schemes and returns) may cost at most this fraction of one
 #: plain single-consumer run (measured ~2% at bench scale).
 MAX_DECLINED_MULTI_COST = 0.25
+
+#: Interleaved timing pairs behind each speed gate.
+PAIRS = 7
 
 #: One scheme per fused engine family.
 SCHEMES = ("LRU", "RRIP", "GRASP", "SHiP-MEM", "Hawkeye", "Leeway", "PIN-100")
@@ -143,22 +150,21 @@ def test_fused_beats_staged_e2e(benchmark, bench_config, tmp_path):
                 f"{scheme}: fused route wrote llcchunk entries — the staged "
                 "path ran instead"
             )
-            staged = measure_throughput(
+            staged, fused = paired_seconds(
                 lambda s=scheme: _staged_e2e(workload, bench_config, s, memo_root),
-                accesses=total,
-                label=f"staged:{scheme}",
-            )
-            fused = measure_throughput(
                 lambda s=scheme: _fused_e2e(workload, bench_config, s, memo_root),
-                accesses=total,
-                label=f"fused:{scheme}",
+                PAIRS,
             )
-            ratios[scheme] = fused.speedup_over(staged)
+            pair_ratios = [a / b for a, b in zip(staged, fused)]
+            ratios[scheme] = statistics.median(pair_ratios)
             benchmark.extra_info[f"{scheme}_fused_over_staged"] = round(
-                ratios[scheme], 2
+                ratios[scheme], 3
             )
+            benchmark.extra_info[f"{scheme}_pair_ratios"] = [
+                round(r, 3) for r in pair_ratios
+            ]
             benchmark.extra_info[f"{scheme}_fused_accesses_per_s"] = round(
-                fused.accesses_per_second
+                total / statistics.median(fused)
             )
         benchmark.extra_info["accesses"] = total
         benchmark.pedantic(
@@ -169,12 +175,12 @@ def test_fused_beats_staged_e2e(benchmark, bench_config, tmp_path):
         )
         assert ratios["GRASP"] >= MIN_FUSED_SPEEDUP, (
             f"fused GRASP e2e at {ratios['GRASP']:.2f}x of the staged "
-            f"pipeline (required: {MIN_FUSED_SPEEDUP}x)"
+            f"pipeline (median of {PAIRS} pairs; required: {MIN_FUSED_SPEEDUP}x)"
         )
         for scheme, ratio in ratios.items():
             assert ratio >= MIN_FUSED_SPEEDUP_ALL, (
                 f"fused {scheme} e2e at {ratio:.2f}x of the staged pipeline "
-                f"(required: {MIN_FUSED_SPEEDUP_ALL}x)"
+                f"(median of {PAIRS} pairs; required: {MIN_FUSED_SPEEDUP_ALL}x)"
             )
     finally:
         set_disk_memo(None)
@@ -240,22 +246,19 @@ def test_multi_scheme_fused_beats_staged(benchmark, bench_config, tmp_path):
         )
         assert memo.entry_count("policystream") == len(MULTI_SCHEMES)
 
-        staged = measure_throughput(
+        staged, fused = paired_seconds(
             lambda: _multi_staged(workload, bench_config, MULTI_SCHEMES, memo_root),
-            accesses=total,
-            label="staged:multi",
-        )
-        fused = measure_throughput(
             lambda: _multi_fused(workload, bench_config, MULTI_SCHEMES, memo_root),
-            accesses=total,
-            label="fused:multi",
+            PAIRS,
         )
-        ratio = fused.speedup_over(staged)
+        pair_ratios = [a / b for a, b in zip(staged, fused)]
+        ratio = statistics.median(pair_ratios)
         benchmark.extra_info["schemes"] = "+".join(MULTI_SCHEMES)
         benchmark.extra_info["accesses"] = total
-        benchmark.extra_info["multi_fused_over_staged"] = round(ratio, 2)
+        benchmark.extra_info["multi_fused_over_staged"] = round(ratio, 3)
+        benchmark.extra_info["multi_pair_ratios"] = [round(r, 3) for r in pair_ratios]
         benchmark.extra_info["multi_fused_accesses_per_s"] = round(
-            fused.accesses_per_second
+            total / statistics.median(fused)
         )
 
         # Single-consumer runs must be untouched by the multi machinery: the
@@ -274,21 +277,16 @@ def test_multi_scheme_fused_beats_staged(benchmark, bench_config, tmp_path):
             _multi_reset(memo_root)
             return simulate_scheme(workload, "GRASP", bench_config)
 
-        single_plain = measure_throughput(
+        # An untimed reset before every timed call keeps the memo cold, so
+        # every declined attempt does the same work: plan, find one
+        # eligible scheme, return without touching anything.
+        single, declined = paired_seconds(
             _single_fused,
-            accesses=total,
-            label="single:fused",
-        )
-        # The memo stays cold from the last reset, so every repeat of the
-        # declined attempt does the same work: plan, find one eligible
-        # scheme, return without touching anything.
-        _multi_reset(memo_root)
-        declined = measure_throughput(
             lambda: _maybe_fused_multi(workload, ("GRASP",), bench_config),
-            accesses=total,
-            label="single:declined-multi-attempt",
+            PAIRS,
+            setup=lambda: _multi_reset(memo_root),
         )
-        declined_cost = declined.seconds / max(single_plain.seconds, 1e-12)
+        declined_cost = statistics.median(d / s for s, d in zip(single, declined))
         benchmark.extra_info["declined_multi_cost_of_single_run"] = round(
             declined_cost, 3
         )
@@ -301,11 +299,13 @@ def test_multi_scheme_fused_beats_staged(benchmark, bench_config, tmp_path):
         )
         assert ratio >= MIN_MULTI_SPEEDUP, (
             f"fused-multi compare at {ratio:.2f}x of the staged materialize-"
-            f"once path (required: {MIN_MULTI_SPEEDUP}x)"
+            f"once path (median of {PAIRS} pairs "
+            f"{[round(r, 2) for r in pair_ratios]}; required: {MIN_MULTI_SPEEDUP}x)"
         )
         assert declined_cost <= MAX_DECLINED_MULTI_COST, (
             f"declined fused-multi attempt costs {declined_cost:.1%} of a "
-            f"single-consumer run (allowed: {MAX_DECLINED_MULTI_COST:.0%})"
+            f"single-consumer run (median of {PAIRS} pairs; "
+            f"allowed: {MAX_DECLINED_MULTI_COST:.0%})"
         )
     finally:
         set_disk_memo(None)

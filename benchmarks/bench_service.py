@@ -1,7 +1,7 @@
 """Benchmark F5 — sweep service: scheduling identity and dedup gates.
 
-The distributed sweep scheduler must be invisible in the numbers and free on
-warm stores.  This benchmark gates both contracts at benchmark scale:
+The sweep scheduler must be invisible in the numbers and free on warm
+stores.  This benchmark gates both contracts at benchmark scale:
 
 1. **Identity** — ``run_sweep`` over the process-pool backend produces
    DataPoints bit-identical (hits/misses/evictions; cycles to float
@@ -10,7 +10,7 @@ warm stores.  This benchmark gates both contracts at benchmark scale:
    executes zero tasks: every task is a content-addressed cache hit.
 
 The timed section is the cold scheduled sweep; the warm re-sweep's elapsed
-time is recorded in ``extra_info`` alongside the task/steal counters.
+time is recorded in ``extra_info`` alongside the task/retry counters.
 """
 
 import pytest
@@ -75,7 +75,6 @@ def test_sweep_identity_and_dedup(benchmark, bench_config, tmp_path):
         assert warm.report.cached == EXPECTED_TASKS
 
         benchmark.extra_info["tasks"] = EXPECTED_TASKS
-        benchmark.extra_info["cold_steals"] = cold.report.steals
         benchmark.extra_info["cold_retries"] = cold.report.retries
         benchmark.extra_info["warm_elapsed_s"] = round(warm.report.elapsed, 4)
     finally:

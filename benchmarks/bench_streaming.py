@@ -27,10 +27,10 @@ without a C compiler, where every simulation runs the scalar reference.
 """
 
 import statistics
-import time
 import tracemalloc
 
 import pytest
+from conftest import paired_seconds
 
 from repro.cache.policies import BeladyOptimal
 from repro.experiments.runner import (
@@ -199,19 +199,6 @@ def test_streaming_peak_memory_bounded(benchmark, bench_config):
     )
 
 
-def _paired_seconds(first, second, pairs):
-    """``pairs`` back-to-back timings of ``first`` and ``second``, the side
-    that runs first alternating; returns their seconds as two lists."""
-    seconds = ([], [])
-    for pair in range(pairs):
-        order = (0, 1) if pair % 2 == 0 else (1, 0)
-        for side in order:
-            start = time.perf_counter()
-            (first, second)[side]()
-            seconds[side].append(time.perf_counter() - start)
-    return seconds
-
-
 def test_streaming_throughput_matches_one_shot(benchmark, bench_config):
     """Gate 3: the streaming pipeline keeps the one-shot fast path's speed."""
     workload = build_workload("PR", "lj", config=bench_config)
@@ -220,7 +207,7 @@ def test_streaming_throughput_matches_one_shot(benchmark, bench_config):
     accesses = len(trace)
     del trace
 
-    one_shot, streaming = _paired_seconds(
+    one_shot, streaming = paired_seconds(
         lambda: _one_shot_replay(workload, iterations, bench_config),
         lambda: _stream_replay(workload, iterations, bench_config, None),
         THROUGHPUT_PAIRS,

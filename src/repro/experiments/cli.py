@@ -16,12 +16,13 @@
     repro graph fetch web-google --dest data/       # checksum-verified download
 
 ``sweep`` decomposes the comparison into the content-addressed task DAG of
-:mod:`repro.experiments.service`, runs it on a worker pool with retry,
-work stealing and heartbeat supervision, prints per-task progress and a
-terminal summary, and leaves a JSON run manifest under
-``<cache-dir>/runs/<run-id>/manifest.json``.  Because results live in the
-shared on-disk memo store, re-running (or ``--resume``-ing) only executes
-tasks whose entries are missing, and concurrent clients deduplicate work.
+:mod:`repro.experiments.service`, runs it on this host's process pool with
+retry and backoff, prints per-task progress and a terminal summary, and
+leaves a JSON run manifest under ``<cache-dir>/runs/<run-id>/manifest.json``.
+Because results live in the shared on-disk memo store, re-running (or
+``--resume``-ing) only executes tasks whose entries are missing, and
+concurrent clients deduplicate work.  A task that hangs hangs the sweep:
+interrupt it and ``--resume``.
 """
 
 from __future__ import annotations
@@ -177,10 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--run-id", default=None, help="explicit run id")
     sweep.add_argument("--resume", metavar="RUN_ID", default=None, help="resume a recorded run")
     sweep.add_argument("--max-attempts", type=int, default=4, help="executions per task before failing")
-    sweep.add_argument(
-        "--heartbeat-timeout", type=float, default=300.0,
-        help="seconds without a worker heartbeat before a task is re-dispatched",
-    )
     sweep.add_argument("--quiet", action="store_true", help="suppress per-task progress lines")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -326,7 +323,7 @@ class _Progress:
             if record.attempts > 1:
                 print(f"{prefix} retry    {label} (attempt {record.attempts})", file=self.out)
         elif phase == "done":
-            print(f"{prefix} done     {label} (worker {record.worker})", file=self.out)
+            print(f"{prefix} done     {label}", file=self.out)
         elif phase == "cached":
             print(f"{prefix} cached   {label}", file=self.out)
         elif phase == "retry":
@@ -354,8 +351,7 @@ def _print_summary(result: SweepResult, out) -> None:
     print(
         f"\nrun {result.run_id}: {report.executed} executed, {report.cached} cached, "
         f"{report.retries} retries ({report.worker_deaths} worker deaths, "
-        f"{report.task_errors} task errors, {report.heartbeat_timeouts} heartbeat timeouts), "
-        f"{report.steals} steals",
+        f"{report.task_errors} task errors)",
         file=out,
     )
     print(f"manifest: {result.manifest}", file=out)
@@ -434,7 +430,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 worker_backend=args.worker_backend,
                 retry=retry,
-                heartbeat_timeout=args.heartbeat_timeout,
                 on_event=progress,
             )
         else:
@@ -455,7 +450,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 worker_backend=args.worker_backend,
                 run_id=args.run_id,
                 retry=retry,
-                heartbeat_timeout=args.heartbeat_timeout,
                 on_event=progress,
             )
     except SweepError as error:

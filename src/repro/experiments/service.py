@@ -1,4 +1,4 @@
-"""Fault-tolerant distributed sweep service.
+"""Fault-tolerant sweep service on one host.
 
 :func:`run_sweep` decomposes a :func:`~repro.experiments.runner.compare_policies`
 sweep into a task DAG —
@@ -7,12 +7,12 @@ sweep into a task DAG —
     (per app/dataset pair)  (per pair)     (per pair × scheme)
 
 — and drives it through a dependency-aware :class:`Scheduler` over a
-pluggable :class:`~repro.experiments.queue.WorkerBackend` (in-process
-``inline``, :class:`~concurrent.futures.ProcessPoolExecutor`-backed
-``process``; the interface admits remote transports).  The scheduler does
-per-worker queueing with work stealing, bounded retry with exponential
-backoff on worker death or transient errors, and heartbeat-based detection
-of hung or killed workers.
+:class:`~repro.experiments.queue.WorkerBackend` (in-process ``inline``, or
+``process`` on one host's :class:`~concurrent.futures.ProcessPoolExecutor`).
+The scheduler keeps one FIFO ready queue and runs at most ``workers`` tasks
+at once; a worker death (a broken pool) or a transient error is retried
+with exponential backoff.  A task that hangs hangs the sweep: interrupt it
+and ``--resume``, which re-runs only the tasks whose entries are missing.
 
 **Tasks are content-addressed by their memo entry.**  A task's id is the
 digest of its :mod:`repro.experiments.memo` key (the entry's filename stem),
@@ -43,6 +43,7 @@ import json
 import os
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -51,7 +52,6 @@ from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.memo import DiskMemo, default_cache_dir, key_digest
 from repro.experiments.queue import (
-    HEARTBEAT_TIMEOUT,
     TASK_DIED,
     TASK_FAILED,
     TASK_OK,
@@ -62,7 +62,6 @@ from repro.experiments.queue import (
     RetryPolicy,
     Task,
     WorkerBackend,
-    WorkQueue,
 )
 from repro.experiments.runner import (
     DataPoint,
@@ -291,7 +290,6 @@ class TaskRecord:
     status: str = WAITING
     attempts: int = 0
     cached: bool = False
-    worker: Optional[int] = None
     not_before: float = 0.0
     error: str = ""
 
@@ -303,7 +301,6 @@ class TaskRecord:
             "status": self.status,
             "attempts": self.attempts,
             "cached": self.cached,
-            "worker": self.worker,
             "error": self.error,
         }
 
@@ -317,8 +314,6 @@ class SchedulerReport:
     retries: int = 0
     worker_deaths: int = 0
     task_errors: int = 0
-    heartbeat_timeouts: int = 0
-    steals: int = 0
     failed: List[str] = field(default_factory=list)
     events: List[FailureEvent] = field(default_factory=list)
     elapsed: float = 0.0
@@ -333,27 +328,33 @@ class SchedulerError(RuntimeError):
     """Raised on malformed task graphs (cycles, unknown dependencies)."""
 
 
+#: Seconds the scheduler sleeps after a pass that changed nothing.
+TICK = 0.02
+
+
 class Scheduler:
     """Dependency-aware task scheduler over a :class:`WorkerBackend`.
 
-    Single-threaded and poll-driven: each tick it releases due backoffs,
-    fills every idle worker from the work-stealing queue, drains backend
-    outcomes, and ages heartbeats.  The clock and sleep functions are
-    injectable so tests drive it on a virtual clock; with the defaults it
-    runs on wall time.
+    Single-threaded and poll-driven: each pass it releases due backoffs
+    onto the FIFO ready queue, dispatches from its front while fewer than
+    ``workers`` tasks are in flight, and drains backend outcomes.  The
+    clock and sleep functions are injectable so tests drive it on a
+    virtual clock; with the defaults it runs on wall time.
 
     Guarantees (the property-test surface):
 
     * a task is dispatched only after all its dependencies completed;
     * a task that completed successfully is never dispatched again;
-    * a worker never idles while any worker's queue holds a ready task
-      (work stealing);
+    * at most ``workers`` tasks are in flight, and a slot never stays free
+      while the ready queue holds a task;
     * a task whose completion store already marks it done is never
       dispatched at all (resume / cross-client dedup);
-    * worker deaths, transient errors and heartbeat timeouts retry with
-      exponential backoff up to ``retry.max_attempts`` executions, after
-      which the task — and transitively its dependents — fail without
-      taking the rest of the run down.
+    * worker deaths and transient errors retry with exponential backoff up
+      to ``retry.max_attempts`` executions, after which the task — and
+      transitively its dependents — fail without taking the rest of the
+      run down.
+
+    There is no timeout: a task that never returns keeps its slot.
     """
 
     def __init__(
@@ -363,8 +364,6 @@ class Scheduler:
         workers: int,
         store: Optional[Any] = None,
         retry: Optional[RetryPolicy] = None,
-        heartbeat_timeout: float = 300.0,
-        tick: float = 0.02,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         on_event: Optional[Callable[[str, TaskRecord], None]] = None,
@@ -381,15 +380,12 @@ class Scheduler:
         self.workers = workers
         self.store = store if store is not None else InMemoryTaskStore()
         self.retry = retry or RetryPolicy()
-        self.heartbeat_timeout = heartbeat_timeout
-        self.tick = tick
         self.clock = clock
         self.sleep = sleep
         self.on_event = on_event
-        self.queue = WorkQueue(workers)
+        self.ready: deque = deque()  #: tasks whose dependencies are done, FIFO
         self.report = SchedulerReport()
-        self._busy: Dict[int, int] = {}  # worker -> handle
-        self._running: Dict[int, Tuple[str, int, float]] = {}  # handle -> (tid, worker, at)
+        self._running: Dict[int, str] = {}  # handle -> task id
 
     def _check_graph(self) -> None:
         """Build ``_dependents``, rejecting unknown dependencies and cycles.
@@ -429,7 +425,7 @@ class Scheduler:
     def _enqueue_if_ready(self, record: TaskRecord) -> None:
         if record.status == WAITING and self._deps_done(record):
             record.status = QUEUED
-            self.queue.push(record.task)
+            self.ready.append(record.task)
 
     def _complete(self, record: TaskRecord, cached: bool) -> None:
         record.status = DONE
@@ -455,9 +451,7 @@ class Scheduler:
 
     def _fail_attempt(self, record: TaskRecord, event: FailureEvent) -> None:
         self.report.events.append(event)
-        if event.kind == HEARTBEAT_TIMEOUT:
-            self.report.heartbeat_timeouts += 1
-        elif event.kind in (WORKER_DIED,):
+        if event.kind == WORKER_DIED:
             self.report.worker_deaths += 1
         else:
             self.report.task_errors += 1
@@ -500,30 +494,21 @@ class Scheduler:
                 for record in self.records.values():
                     if record.status == BACKOFF and now >= record.not_before:
                         record.status = QUEUED
-                        self.queue.push(record.task)
+                        self.ready.append(record.task)
                         progressed = True
-                # Fill idle workers (pop() steals when the local queue is dry).
-                for worker in range(self.workers):
-                    if worker in self._busy:
-                        continue
-                    task = self.queue.pop(worker)
-                    if task is None:
-                        break
+                # Fill free slots from the front of the ready queue.
+                while self.ready and len(self._running) < self.workers:
+                    task = self.ready.popleft()
                     record = self.records[task.task_id]
                     record.attempts += 1
                     record.status = RUNNING
-                    record.worker = worker
-                    handle = self.backend.submit(worker, task, record.attempts)
-                    self._busy[worker] = handle
-                    self._running[handle] = (task.task_id, worker, self.clock())
+                    handle = self.backend.submit(task, record.attempts)
+                    self._running[handle] = task.task_id
                     self._emit("dispatch", record)
                     progressed = True
                 # Drain completions.
                 for outcome in self.backend.poll():
-                    if outcome.handle not in self._running:
-                        continue  # cancelled earlier; a retry owns the task now
-                    task_id, worker, _ = self._running.pop(outcome.handle)
-                    self._busy.pop(worker, None)
+                    task_id = self._running.pop(outcome.handle)
                     record = self.records[task_id]
                     if outcome.status == TASK_OK:
                         self.store.note_done(record.task, outcome.value)
@@ -534,34 +519,12 @@ class Scheduler:
                             kind=kind,
                             task_id=task_id,
                             label=record.task.label,
-                            worker=worker,
                             attempt=record.attempts,
                             detail=outcome.error,
                         ))
                     progressed = True
-                # Age heartbeats of whatever is still in flight.
-                now = self.clock()
-                for handle, (task_id, worker, dispatched_at) in list(self._running.items()):
-                    age = self.backend.heartbeat_age(handle)
-                    if age is None:
-                        age = now - dispatched_at
-                    if age <= self.heartbeat_timeout:
-                        continue
-                    self.backend.cancel(handle)
-                    self._running.pop(handle, None)
-                    self._busy.pop(worker, None)
-                    record = self.records[task_id]
-                    self._fail_attempt(record, FailureEvent(
-                        kind=HEARTBEAT_TIMEOUT,
-                        task_id=task_id,
-                        label=record.task.label,
-                        worker=worker,
-                        attempt=record.attempts,
-                        detail=f"no heartbeat for {age:.1f}s (limit {self.heartbeat_timeout:.1f}s)",
-                    ))
-                    progressed = True
                 if not progressed:
-                    if not self._running and self.queue.pending() == 0 and not any(
+                    if not self._running and not self.ready and not any(
                         record.status == BACKOFF for record in self.records.values()
                     ):
                         stuck = [
@@ -570,10 +533,9 @@ class Scheduler:
                             if record.status not in (DONE, FAILED)
                         ]
                         raise SchedulerError(f"scheduler stalled with tasks {stuck!r}")
-                    self.sleep(self.tick)
+                    self.sleep(TICK)
         finally:
             self.backend.close()
-        self.report.steals = self.queue.steals
         self.report.elapsed = self.clock() - started
         return self.report
 
@@ -744,7 +706,6 @@ def _default_workers(num_tasks: int, workers: Optional[int]) -> int:
 def _make_backend(
     worker_backend: WorkerBackend | str,
     cache_root: Path,
-    run_dir: Path,
     config: ExperimentConfig,
 ) -> WorkerBackend:
     if isinstance(worker_backend, WorkerBackend):
@@ -755,7 +716,6 @@ def _make_backend(
         return ProcessPoolBackend(
             initializer=_worker_setup,
             initargs=(str(cache_root), config),
-            heartbeat_dir=run_dir / "heartbeats",
         )
     raise ValueError(
         f"unknown worker backend {worker_backend!r}; expected 'inline', 'process' "
@@ -771,10 +731,6 @@ def run_sweep(
     worker_backend: WorkerBackend | str = "process",
     run_id: Optional[str] = None,
     retry: Optional[RetryPolicy] = None,
-    heartbeat_timeout: float = 300.0,
-    clock: Callable[[], float] = time.monotonic,
-    sleep: Callable[[float], None] = time.sleep,
-    tick: float = 0.02,
     on_event: Optional[Callable[[str, TaskRecord], None]] = None,
     _resumes: int = 0,
 ) -> SweepResult:
@@ -783,9 +739,11 @@ def run_sweep(
     Requires a cache directory (argument or ``REPRO_CACHE_DIR``): the
     content-addressed store is the service's result channel, completion
     marker and dedup point.  Raises :class:`SweepError` when tasks exhaust
-    their retries; any other scheduling turbulence (worker deaths, heartbeat
-    timeouts, corrupt store entries) is absorbed and reported in the
-    manifest without affecting the returned :class:`DataPoint` values.
+    their retries; any other scheduling turbulence (worker deaths, transient
+    errors, corrupt store entries) is absorbed and reported in the manifest
+    without affecting the returned :class:`DataPoint` values.  A task that
+    hangs hangs the sweep; after an interrupt, :func:`resume_sweep` re-runs
+    only the tasks whose entries are missing.
     """
     config = config or ExperimentConfig.default()
     root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
@@ -797,20 +755,15 @@ def run_sweep(
     memo = DiskMemo(root)
     set_disk_memo(memo)
     run_id = run_id or f"{time.strftime('%Y%m%d-%H%M%S')}-{uuid.uuid4().hex[:8]}"
-    run_dir = runs_root(root) / run_id
     tasks = sweep_tasks(spec, config, root)
     worker_count = _default_workers(len(tasks), workers)
-    backend = _make_backend(worker_backend, root, run_dir, config)
+    backend = _make_backend(worker_backend, root, config)
     scheduler = Scheduler(
         tasks,
         backend,
         worker_count,
         store=MemoTaskStore(memo),
         retry=retry,
-        heartbeat_timeout=heartbeat_timeout,
-        tick=tick,
-        clock=clock,
-        sleep=sleep,
         on_event=on_event,
     )
     path = manifest_path(root, run_id)

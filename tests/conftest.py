@@ -11,14 +11,15 @@ exist inside the service itself:
 
 :class:`VirtualClock`
     Deterministic time source; ``sleep`` advances it, so scheduler runs that
-    involve backoffs and heartbeat timeouts complete instantly.
+    involve backoffs complete instantly.
 :class:`FaultPlan`
     A seeded schedule deciding, per task, whether its *first* execution is
-    killed (before or after its side effects land), fails transiently, or
-    hangs with dropped heartbeats.  At most one fault per task, so every
-    sweep converges under the default retry budget and the scheduler's
-    retry/death/timeout counters must match the plan's injection log
-    exactly.
+    killed (before or after its side effects land) or fails transiently.
+    At most one fault per task, so every sweep converges under the default
+    retry budget and the scheduler's retry/death/error counters must match
+    the plan's injection log exactly.  The plan draws one roll per task in
+    dispatch order, so how many faults of each kind it injects depends on
+    the seed and the task count, not on which task the scheduler runs first.
 :class:`FaultyWorkerBackend`
     An :class:`~repro.experiments.queue.InlineBackend` that *really executes*
     tasks (side effects — memo writes — happen exactly as on a real worker)
@@ -73,7 +74,6 @@ class VirtualClock:
 KILL_BEFORE = "kill-before"
 KILL_AFTER = "kill-after"
 TRANSIENT = "transient"
-DROP_HEARTBEAT = "drop-heartbeat"
 
 
 class FaultPlan:
@@ -91,12 +91,10 @@ class FaultPlan:
         seed: int,
         kill_rate: float = 0.0,
         transient_rate: float = 0.0,
-        drop_rate: float = 0.0,
     ) -> None:
         self.rng = random.Random(seed)
         self.kill_rate = kill_rate
         self.transient_rate = transient_rate
-        self.drop_rate = drop_rate
         self.decisions: Dict[str, Optional[str]] = {}
         self.injected: Counter = Counter()
 
@@ -110,8 +108,6 @@ class FaultPlan:
                 kind = self.rng.choice((KILL_BEFORE, KILL_AFTER))
             elif roll < self.kill_rate + self.transient_rate:
                 kind = TRANSIENT
-            elif roll < self.kill_rate + self.transient_rate + self.drop_rate:
-                kind = DROP_HEARTBEAT
             else:
                 kind = None
             self.decisions[task_id] = kind
@@ -128,10 +124,6 @@ class FaultPlan:
         return self.injected[TRANSIENT]
 
     @property
-    def drops(self) -> int:
-        return self.injected[DROP_HEARTBEAT]
-
-    @property
     def total(self) -> int:
         return sum(self.injected.values())
 
@@ -144,9 +136,6 @@ class FaultyWorkerBackend(InlineBackend):
     * ``kill-after`` — the worker dies *after* the task's side effects
       landed in the store (the retry finds the memo entry warm).
     * ``transient`` — the task raises without running.
-    * ``drop-heartbeat`` — the task runs but the worker goes silent: its
-      outcome is withheld and its heartbeat age reports infinite, so the
-      scheduler must time it out and re-dispatch.
     """
 
     name = "faulty-inline"
@@ -154,12 +143,11 @@ class FaultyWorkerBackend(InlineBackend):
     def __init__(self, plan: FaultPlan) -> None:
         super().__init__()
         self.plan = plan
-        self._held: Dict[int, TaskOutcome] = {}
 
-    def submit(self, worker: int, task: Task, attempt: int) -> int:
+    def submit(self, task: Task, attempt: int) -> int:
         fault = self.plan.fault_for(task.task_id, attempt)
         if fault is None:
-            return super().submit(worker, task, attempt)
+            return super().submit(task, attempt)
         handle = self._next_handle
         self._next_handle += 1
         if fault == KILL_BEFORE:
@@ -171,24 +159,11 @@ class FaultyWorkerBackend(InlineBackend):
                 handle, task.task_id, TASK_ERROR, error="injected transient error"
             )
         elif fault == KILL_AFTER:
-            self._execute(worker, task, attempt)  # side effects land, result is lost
+            self._execute(task)  # side effects land, result is lost
             self._outcomes[handle] = TaskOutcome(
                 handle, task.task_id, TASK_DIED, error="injected worker kill (post-task)"
             )
-        elif fault == DROP_HEARTBEAT:
-            outcome = self._execute(worker, task, attempt)
-            outcome.handle = handle
-            self._held[handle] = outcome  # never surfaces through poll
         return handle
-
-    def heartbeat_age(self, handle: int) -> Optional[float]:
-        if handle in self._held:
-            return float("inf")
-        return 0.0
-
-    def cancel(self, handle: int) -> None:
-        self._held.pop(handle, None)
-        super().cancel(handle)
 
 
 class CrashingBackend(InlineBackend):
@@ -200,10 +175,10 @@ class CrashingBackend(InlineBackend):
         super().__init__()
         self.crash_after = crash_after
 
-    def submit(self, worker: int, task: Task, attempt: int) -> int:
+    def submit(self, task: Task, attempt: int) -> int:
         if len(self.executed) >= self.crash_after:
             raise KeyboardInterrupt("simulated hard kill of the sweep client")
-        return super().submit(worker, task, attempt)
+        return super().submit(task, attempt)
 
 
 class SimBackend(WorkerBackend):
@@ -232,7 +207,7 @@ class SimBackend(WorkerBackend):
         self.max_duration = max_duration
         self._pending: Dict[int, Tuple[str, float]] = {}
         self._next_handle = 0
-        self.starts: List[Tuple[str, float, int]] = []  #: (task_id, sim time, worker)
+        self.starts: List[Tuple[str, float]] = []  #: (task_id, sim start time)
         self.start_counts: Counter = Counter()
         self.finish_times: Dict[str, float] = {}
         self.fail_ids: set = set()
@@ -242,11 +217,11 @@ class SimBackend(WorkerBackend):
     def start(self, num_workers: int) -> None:
         pass
 
-    def submit(self, worker: int, task: Task, attempt: int) -> int:
+    def submit(self, task: Task, attempt: int) -> int:
         handle = self._next_handle
         self._next_handle += 1
         duration = self.rng.uniform(self.min_duration, self.max_duration)
-        self.starts.append((task.task_id, self.clock(), worker))
+        self.starts.append((task.task_id, self.clock()))
         self.start_counts[task.task_id] += 1
         self._pending[handle] = (task.task_id, self.clock() + duration)
         return handle
@@ -267,12 +242,6 @@ class SimBackend(WorkerBackend):
                 self.finish_times[task_id] = finish
                 done.append(TaskOutcome(handle, task_id, TASK_OK))
         return done
-
-    def heartbeat_age(self, handle: int) -> Optional[float]:
-        return 0.0
-
-    def cancel(self, handle: int) -> None:
-        self._pending.pop(handle, None)
 
 
 def assert_points_equal(left, right) -> None:

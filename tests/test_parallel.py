@@ -1,9 +1,11 @@
 """Tests for the parallel runner (the sweep service's process pool) and the
 on-disk memo store."""
 
+import os
 import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +21,20 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.experiments.memo import DiskMemo, MEMO_VERSION, default_cache_dir
-from repro.experiments.queue import WORKER_DIED
+from repro.experiments.queue import WORKER_DIED, ProcessPoolBackend, Task
 from repro.experiments.runner import active_disk_memo, build_workload, set_disk_memo
 from repro.experiments.schemes import scheme_policy
-from repro.experiments.service import _default_workers
+from repro.experiments.service import DONE, Scheduler, _default_workers
 from repro.fastsim.pipeline import fused_native_supported
+
+
+def _exit_on_first_attempt(marker: str) -> str:
+    """Kill the worker process the first time; return once ``marker`` exists."""
+    path = Path(marker)
+    if not path.exists():
+        path.touch()
+        os._exit(1)
+    return "survived"
 
 
 @pytest.fixture(autouse=True)
@@ -235,6 +246,23 @@ class TestParallelRunner:
         assert result.report.retries == result.report.worker_deaths
         assert result.report.events
         assert all(event.kind == WORKER_DIED for event in result.report.events)
+
+    def test_real_worker_death_is_retried_in_a_fresh_pool(self, tmp_path):
+        """A worker process that exits mid-task breaks the real pool; the
+        backend reports the death, and the retry runs in a new pool."""
+        task = Task(
+            task_id="dies-once", fn=_exit_on_first_attempt, args=(str(tmp_path / "died"),)
+        )
+        scheduler = Scheduler(
+            [task], ProcessPoolBackend(), workers=1, retry=RetryPolicy(base_delay=0.0)
+        )
+        report = scheduler.run()
+        assert [event.kind for event in report.events] == [WORKER_DIED]
+        assert report.worker_deaths == 1
+        assert report.retries == 1
+        record = scheduler.records["dies-once"]
+        assert record.status == DONE
+        assert record.attempts == 2
 
     def test_workers_env_cap(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "1")

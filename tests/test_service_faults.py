@@ -1,11 +1,11 @@
-"""Fault-injection tests for the distributed sweep service.
+"""Fault-injection tests for the sweep service.
 
 The contract under test: **scheduling is invisible in the numbers**.  Worker
-kills (before and after a task's side effects land), transient errors,
-dropped heartbeats and hard client kills may change how often tasks run and
-how long a sweep takes — never the DataPoints, which must stay bit-identical
-to the serial runner's.  The scheduler's retry/death/timeout counters must
-also account exactly for the faults the plan injected.
+kills (before and after a task's side effects land), transient errors and
+hard client kills may change how often tasks run and how long a sweep
+takes — never the DataPoints, which must stay bit-identical to the serial
+runner's.  The scheduler's retry/death/error counters must also account
+exactly for the faults the plan injected.
 """
 
 import math
@@ -57,7 +57,7 @@ class TestFaultyWorkers:
         config = ExperimentConfig.smoke()
         serial = _serial_points(config)
         # Kill rate 0.4 over 8 tasks: comfortably past the >=20% acceptance bar.
-        plan = FaultPlan(seed=7, kill_rate=0.4, transient_rate=0.2, drop_rate=0.15)
+        plan = FaultPlan(seed=7, kill_rate=0.4, transient_rate=0.2)
         backend = FaultyWorkerBackend(plan)
         result = run_sweep(
             _spec(),
@@ -74,7 +74,6 @@ class TestFaultyWorkers:
         # Every injected fault shows up in exactly one scheduler counter.
         assert result.report.worker_deaths == plan.kills
         assert result.report.task_errors == plan.transients
-        assert result.report.heartbeat_timeouts == plan.drops
         assert result.report.retries == plan.total
         assert not result.report.failed
         assert len(result.report.events) == plan.total
@@ -82,7 +81,7 @@ class TestFaultyWorkers:
     def test_manifest_records_faults_and_statuses(self, tmp_path):
         config = ExperimentConfig.smoke()
         serial = _serial_points(config)
-        plan = FaultPlan(seed=11, kill_rate=0.3, transient_rate=0.3, drop_rate=0.1)
+        plan = FaultPlan(seed=11, kill_rate=0.3, transient_rate=0.3)
         result = run_sweep(
             _spec(),
             config=config,
@@ -97,7 +96,6 @@ class TestFaultyWorkers:
         assert manifest["status"] == "completed"
         assert manifest["counters"]["retries"] == plan.total
         assert manifest["counters"]["worker_deaths"] == plan.kills
-        assert manifest["counters"]["heartbeat_timeouts"] == plan.drops
         assert len(manifest["events"]) == plan.total
         statuses = {task["status"] for task in manifest["tasks"]}
         assert statuses == {"done"}
@@ -107,7 +105,7 @@ class TestFaultyWorkers:
     def test_streaming_sweep_survives_faults(self, tmp_path):
         config = ExperimentConfig.smoke().with_overrides(chunk_accesses=1 << 12)
         serial = _serial_points(config, streaming=True)
-        plan = FaultPlan(seed=3, kill_rate=0.35, transient_rate=0.2, drop_rate=0.1)
+        plan = FaultPlan(seed=3, kill_rate=0.35, transient_rate=0.2)
         result = run_sweep(
             _spec(streaming=True),
             config=config,
@@ -128,7 +126,7 @@ class _AlwaysDieBackend(InlineBackend):
         super().__init__()
         self.label = label
 
-    def submit(self, worker, task, attempt):
+    def submit(self, task, attempt):
         if task.label == self.label:
             handle = self._next_handle
             self._next_handle += 1
@@ -136,7 +134,7 @@ class _AlwaysDieBackend(InlineBackend):
                 handle, task.task_id, TASK_DIED, error="persistent injected kill"
             )
             return handle
-        return super().submit(worker, task, attempt)
+        return super().submit(task, attempt)
 
 
 class TestPermanentFailure:

@@ -1,4 +1,4 @@
-"""Property-based tests for the sweep scheduler and work-stealing queue.
+"""Property-based tests for the sweep scheduler and its ready queue.
 
 Randomized (but seeded — no hypothesis dependency) DAGs and worker counts,
 driven on a virtual clock through :class:`conftest.SimBackend`, check the
@@ -6,18 +6,17 @@ scheduler's core invariants:
 
 * no task is dispatched before every dependency finished;
 * no task executes twice when its first execution succeeds;
-* work stealing never lets a worker idle while another worker's queue holds
-  ready tasks;
+* at no instant do more than ``workers`` tasks run, and the first pass
+  fills every slot it can: ``min(workers, tasks without dependencies)``
+  tasks start at t=0;
 * resume dispatches only tasks the completion store does not already hold;
 * a permanently failing task takes down exactly its transitive dependents.
 """
 
-import zlib
-
 import pytest
 from conftest import SimBackend, VirtualClock
 
-from repro.experiments.queue import RetryPolicy, Task, WorkQueue
+from repro.experiments.queue import RetryPolicy, Task
 from repro.experiments.service import (
     DONE,
     FAILED,
@@ -72,7 +71,7 @@ def test_random_dags_respect_dependencies_and_run_once(seed, workers):
     assert all(count == 1 for count in backend.start_counts.values())
 
     # No task started before all of its dependencies finished.
-    start_time = {task_id: at for task_id, at, _ in backend.starts}
+    start_time = dict(backend.starts)
     for task in tasks:
         for dep in task.deps:
             assert start_time[task.task_id] >= backend.finish_times[dep], (
@@ -81,36 +80,25 @@ def test_random_dags_respect_dependencies_and_run_once(seed, workers):
             )
 
 
-def _ids_homed_at(worker: int, num_workers: int, count: int):
-    """Task ids whose crc32 placement lands every task on one worker."""
-    ids = []
-    index = 0
-    while len(ids) < count:
-        candidate = f"skew{index}"
-        if zlib.crc32(candidate.encode("utf-8")) % num_workers == worker:
-            ids.append(candidate)
-        index += 1
-    return ids
-
-
-def test_work_stealing_spreads_a_skewed_queue_across_all_workers():
-    # All 12 independent tasks hash-home onto worker 0; without stealing,
-    # workers 1 and 2 would idle for the whole run.
-    workers = 3
-    tasks = [Task(task_id=tid) for tid in _ids_homed_at(0, workers, 12)]
-    assert all(task.home_worker(workers) == 0 for task in tasks)
-
-    scheduler, backend, report = run_scheduler(tasks, workers)
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_random_dags_run_at_most_workers_tasks_and_fill_the_first_slots(seed, workers):
+    rng = random.Random(1000 + seed)
+    tasks = make_dag(rng, size=rng.randint(5, 30))
+    scheduler, backend, report = run_scheduler(tasks, workers, seed=seed)
     assert report.executed == len(tasks)
-    workers_used = {worker for _, _, worker in backend.starts}
-    assert workers_used == {0, 1, 2}
-    assert report.steals > 0
 
-    # No-starvation: whenever a task starts, it starts at the same virtual
-    # instant as the earliest moment any worker was both idle and work was
-    # queued — i.e. the first batch dispatches all three workers at t=0.
-    first_tick = [worker for _, at, worker in backend.starts if at == 0.0]
-    assert sorted(first_tick) == [0, 1, 2]
+    # Each task ran once over [start, finish); a slot frees when the
+    # scheduler sees the finish, so the intervals never overlap more than
+    # `workers` deep.  The peak is reached at some task's start.
+    spans = [(at, backend.finish_times[task_id]) for task_id, at in backend.starts]
+    for instant, _ in spans:
+        running = sum(1 for start, finish in spans if start <= instant < finish)
+        assert running <= workers, f"{running} tasks running at t={instant}"
+
+    roots = sum(1 for task in tasks if not task.deps)
+    started_at_zero = [task_id for task_id, at in backend.starts if at == 0.0]
+    assert len(started_at_zero) == min(workers, roots)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -171,7 +159,7 @@ def test_worker_death_retries_with_backoff_and_converges():
     assert backend.start_counts["t001"] == 2
     # The retry respected the backoff delay: the second start of t001 is at
     # least base_delay after the death was observed.
-    t001_starts = [at for task_id, at, _ in backend.starts if task_id == "t001"]
+    t001_starts = [at for task_id, at in backend.starts if task_id == "t001"]
     assert t001_starts[1] - t001_starts[0] >= retry.base_delay
 
 
@@ -188,29 +176,3 @@ class TestGraphValidation:
     def test_duplicate_task_id_is_rejected(self):
         with pytest.raises(SchedulerError, match="duplicate"):
             run_scheduler([Task(task_id="a"), Task(task_id="a")], workers=1)
-
-
-class TestWorkQueue:
-    def test_local_queue_is_fifo(self):
-        queue = WorkQueue(2)
-        first, second = Task(task_id="x1"), Task(task_id="x2")
-        queue.push(first, worker=0)
-        queue.push(second, worker=0)
-        assert queue.pop(0) is first
-        assert queue.pop(0) is second
-        assert queue.steals == 0
-
-    def test_steal_takes_from_back_of_longest_queue(self):
-        queue = WorkQueue(3)
-        for index in range(3):
-            queue.push(Task(task_id=f"long{index}"), worker=0)
-        queue.push(Task(task_id="short"), worker=1)
-        stolen = queue.pop(2)
-        assert stolen.task_id == "long2"  # back of worker 0's (longest) queue
-        assert queue.steals == 1
-        assert queue.pending() == 3
-
-    def test_pop_on_empty_queues_returns_none(self):
-        queue = WorkQueue(2)
-        assert queue.pop(0) is None
-        assert queue.steals == 0
