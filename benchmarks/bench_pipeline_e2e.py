@@ -17,9 +17,10 @@ per scheme:
    ``MIN_FUSED_SPEEDUP``x the staged persist-as-you-filter pipeline for the
    paper's GRASP scheme, and at least ``MIN_FUSED_SPEEDUP_ALL``x for every
    fused family.
-3. **Multi-scheme** — the fused-multi route (one shared filter pass
-   feeding N replays) beats the staged materialize-once path by
-   ``MIN_MULTI_SPEEDUP``x, and a single-consumer run is untouched by it.
+3. **Multi-scheme** — one fused pass over N schemes (one filter pass per
+   chunk feeding every scheme's replay, the call ``compare_policies``
+   makes per pair) beats per-scheme staged replay of the stored ROI chunk
+   by ``MIN_MULTI_SPEEDUP``x.
 
 Each speed gate reads the median ratio of ``PAIRS`` interleaved timing
 pairs, the side that runs first alternating, so one slow draw on a shared
@@ -28,7 +29,7 @@ on-disk memo per round:
 the staged side is :func:`~repro.experiments.runner.llc_chunks` feeding
 a :class:`~repro.fastsim.replay.PolicyReplayStream` (materialize + persist every
 filtered chunk — what every replay paid before the fused route existed, and
-still pays when the stream is shared), the fused side is
+what a sweep's filter task still pays), the fused side is
 :func:`~repro.experiments.runner.simulate_policy` on the full execution,
 whose fused gate takes the single-pass route.
 """
@@ -37,11 +38,10 @@ import shutil
 import statistics
 
 import pytest
-from conftest import paired_seconds
+from paired_timing import paired_seconds
 
 from repro.experiments.memo import DiskMemo
 from repro.experiments.runner import (
-    _maybe_fused_multi,
     build_workload,
     clear_caches,
     iter_execution_chunks,
@@ -49,6 +49,7 @@ from repro.experiments.runner import (
     set_disk_memo,
     simulate_policy,
     simulate_scheme,
+    simulate_schemes,
 )
 from repro.experiments.schemes import scheme_policy
 from repro.fastsim import kernels
@@ -68,15 +69,10 @@ MIN_FUSED_SPEEDUP = 1.5
 #: staged engine is already lean, so its margin is the smallest).
 MIN_FUSED_SPEEDUP_ALL = 1.1
 
-#: The fused multi-scheme route (one shared filter pass feeding N replay
-#: engines) must beat the staged materialize-once path end to end for a
-#: compare_policies-shaped scheme set by this factor.
+#: One fused pass over N schemes (one filter pass feeding N replay engines)
+#: must beat per-scheme staged replay of the stored ROI chunk end to end for
+#: a compare_policies-shaped scheme set by this factor.
 MIN_MULTI_SPEEDUP = 1.1
-
-#: A declined fused-multi attempt (single consumer: the pass plans, sees <2
-#: eligible schemes and returns) may cost at most this fraction of one
-#: plain single-consumer run (measured ~2% at bench scale).
-MAX_DECLINED_MULTI_COST = 0.25
 
 #: Interleaved timing pairs behind each speed gate.
 PAIRS = 7
@@ -205,44 +201,39 @@ def _multi_reset(memo_root):
 
 
 def _multi_staged(workload, config, schemes, memo_root):
-    """The pre-planner compare_policies flow: materialize the filtered ROI
-    trace once (``shared=True``) and replay every scheme from it."""
+    """Store the filtered ROI chunk once (as a sweep's filter task does), then
+    replay every scheme from it on the staged route, one plan per scheme."""
     _multi_reset(memo_root)
-    return [
-        simulate_scheme(workload, scheme, config, shared=True)
-        for scheme in schemes
-    ]
+    for _ in llc_chunks(workload, config):
+        pass
+    return [simulate_scheme(workload, scheme, config) for scheme in schemes]
 
 
 def _multi_fused(workload, config, schemes, memo_root):
-    """The fused-multi product flow compare_policies runs: one shared filter
-    pass feeds every scheme's replay, then per-scheme reads are memo hits."""
+    """The product call compare_policies makes per pair: the schemes missing
+    from the memo run as one plan, one fused pass feeding every replay."""
     _multi_reset(memo_root)
-    _maybe_fused_multi(workload, schemes, config)
-    return [
-        simulate_scheme(workload, scheme, config, shared=True)
-        for scheme in schemes
-    ]
+    stats = simulate_schemes(workload, schemes, config)
+    return [stats[scheme] for scheme in schemes]
 
 
 def test_multi_scheme_fused_beats_staged(benchmark, bench_config, tmp_path):
-    """The fused-multi route: exactness, engagement and the e2e gate —
-    plus proof that a single-consumer run is untouched by the multi path."""
+    """One fused pass over N schemes: exactness, engagement and the e2e gate."""
     workload = build_workload("PR", "lj", config=bench_config)
     memo_root = tmp_path / "memo"
     total = workload_total_references(workload)
     try:
         staged_stats = _multi_staged(workload, bench_config, MULTI_SCHEMES, memo_root)
-        # The staged path really stored the shared ROI chunk.
+        # The staged path really stored the ROI chunk.
         assert DiskMemo(memo_root).entry_count("llcchunk") == 1
         fused_stats = _multi_fused(workload, bench_config, MULTI_SCHEMES, memo_root)
         for scheme, staged_s, fused_s in zip(MULTI_SCHEMES, staged_stats, fused_stats):
             _assert_identical(staged_s, fused_s, f"multi:{scheme}")
-        # The fused-multi route really ran: per-scheme stats landed without
-        # the filtered ROI chunk ever being stored.
+        # The fused pass really ran: per-scheme stats landed without the
+        # filtered ROI chunk ever being stored.
         memo = DiskMemo(memo_root)
         assert memo.entry_count("llcchunk") == 0, (
-            "fused-multi route wrote an llcchunk entry — the staged path ran"
+            "the multi-scheme pass wrote an llcchunk entry — the staged path ran"
         )
         assert memo.entry_count("policystream") == len(MULTI_SCHEMES)
 
@@ -260,37 +251,6 @@ def test_multi_scheme_fused_beats_staged(benchmark, bench_config, tmp_path):
         benchmark.extra_info["multi_fused_accesses_per_s"] = round(
             total / statistics.median(fused)
         )
-
-        # Single-consumer runs must be untouched by the multi machinery: the
-        # opportunistic pass declines (<2 eligible schemes) without side
-        # effects, and the declined attempt itself is a small fraction of
-        # one plain single-consumer run.
-        _multi_reset(memo_root)
-        _maybe_fused_multi(workload, ("GRASP",), bench_config)
-        assert DiskMemo(memo_root).entry_count("policystream") == 0, (
-            "fused-multi pass engaged for a single consumer"
-        )
-
-        def _single_fused():
-            # The product single-consumer call: not shared, so the
-            # planner picks the fused single-pass route.
-            _multi_reset(memo_root)
-            return simulate_scheme(workload, "GRASP", bench_config)
-
-        # An untimed reset before every timed call keeps the memo cold, so
-        # every declined attempt does the same work: plan, find one
-        # eligible scheme, return without touching anything.
-        single, declined = paired_seconds(
-            _single_fused,
-            lambda: _maybe_fused_multi(workload, ("GRASP",), bench_config),
-            PAIRS,
-            setup=lambda: _multi_reset(memo_root),
-        )
-        declined_cost = statistics.median(d / s for s, d in zip(single, declined))
-        benchmark.extra_info["declined_multi_cost_of_single_run"] = round(
-            declined_cost, 3
-        )
-
         benchmark.pedantic(
             _multi_fused,
             args=(workload, bench_config, MULTI_SCHEMES, memo_root),
@@ -298,14 +258,9 @@ def test_multi_scheme_fused_beats_staged(benchmark, bench_config, tmp_path):
             rounds=3,
         )
         assert ratio >= MIN_MULTI_SPEEDUP, (
-            f"fused-multi compare at {ratio:.2f}x of the staged materialize-"
-            f"once path (median of {PAIRS} pairs "
+            f"one fused pass at {ratio:.2f}x of per-scheme staged replay of the "
+            f"stored ROI chunk (median of {PAIRS} pairs "
             f"{[round(r, 2) for r in pair_ratios]}; required: {MIN_MULTI_SPEEDUP}x)"
-        )
-        assert declined_cost <= MAX_DECLINED_MULTI_COST, (
-            f"declined fused-multi attempt costs {declined_cost:.1%} of a "
-            f"single-consumer run (median of {PAIRS} pairs; "
-            f"allowed: {MAX_DECLINED_MULTI_COST:.0%})"
         )
     finally:
         set_disk_memo(None)

@@ -30,7 +30,7 @@ import statistics
 import tracemalloc
 
 import pytest
-from conftest import paired_seconds
+from paired_timing import paired_seconds
 
 from repro.cache.policies import BeladyOptimal
 from repro.experiments.runner import (

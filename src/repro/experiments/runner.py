@@ -54,9 +54,11 @@ The ``verify`` backend runs both paths and raises
 :class:`~repro.fastsim.filter.FastSimMismatchError` unless their
 hit/miss/eviction counts are identical.  Backends are bit-equivalent by
 construction, so memo keys deliberately exclude the backend.  Every
-routing decision (fused single pass, fused multi-scheme pass, staged
-replay, scalar reference, OPT) is an :class:`~repro.fastsim.plan.ExecutionPlan`
-from :mod:`repro.fastsim.plan`.
+routing decision is an :class:`~repro.fastsim.plan.ExecutionPlan` from
+:mod:`repro.fastsim.plan`, made once for all the schemes a call simulates
+on one scope: the fused pass (stages 4-6 in one pass over the raw trace
+for every scheme, Belady's OPT included), staged replay of a stored
+filtered stream, or the scalar reference.
 
 On-disk memoisation
 -------------------
@@ -77,7 +79,6 @@ runs.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -96,9 +97,9 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.memo import ChunkSpill, DiskMemo, default_cache_dir
 from repro.fastsim.dispatch import VERIFY
 from repro.fastsim.plan import (
+    OUT_LLC_HIT,
     PLANNER,
     ROUTE_FUSED,
-    ROUTE_FUSED_MULTI,
     ROUTE_SCALAR,
     ROUTE_VECTOR,
     STAGE_CORUN,
@@ -109,7 +110,6 @@ from repro.fastsim.plan import (
     ExecutionPlan,
     FilterStream,
     FusedPipeline,
-    MultiFusedPipeline,
     NextUseTable,
     OptStream,
     PolicyReplayStream,
@@ -231,8 +231,8 @@ def active_disk_memo() -> Optional[DiskMemo]:
     return _DISK_MEMO
 
 
-def _memoised(table: Dict[tuple, object], kind: str, key: tuple, compute):
-    """Look ``key`` up in memory, then on disk, computing (and storing) last."""
+def _recall(table: Dict[tuple, object], kind: str, key: tuple):
+    """``key``'s value from memory, then from disk; ``None`` when neither has it."""
     if key in table:
         return table[key]
     memo = active_disk_memo()
@@ -241,11 +241,22 @@ def _memoised(table: Dict[tuple, object], kind: str, key: tuple, compute):
         if value is not None:
             table[key] = value
             return value
-    value = compute()
+    return None
+
+
+def _remember(table: Dict[tuple, object], kind: str, key: tuple, value):
+    """Store ``value`` under ``key`` in memory and on disk; returns it."""
     table[key] = value
+    memo = active_disk_memo()
     if memo is not None:
         memo.put(kind, key, value)
     return value
+
+
+def _memoised(table: Dict[tuple, object], kind: str, key: tuple, compute):
+    """Look ``key`` up in memory, then on disk, computing (and storing) last."""
+    value = _recall(table, kind, key)
+    return value if value is not None else _remember(table, kind, key, compute())
 
 
 def clear_caches() -> None:
@@ -796,57 +807,71 @@ class _ScalarLLCStream:
         return self._cache.stats
 
 
-def _replay_llc(
-    chunks: Iterable[LLCTrace],
-    policy,
-    llc_config: CacheConfig,
-    use_hints: bool,
-    plan: ExecutionPlan,
-    corun: Optional[CorunSpec] = None,
-) -> CacheStats:
-    """Replay one policy over a stream of LLC chunks, under any backend.
+class _StagedReplay:
+    """One policy's LLC replay over a stream of filtered chunks, under any
+    backend.
 
-    ``vector`` feeds a :class:`~repro.fastsim.replay.PolicyReplayStream`, ``scalar``
-    keeps the reference cache alive across chunks, and ``verify`` runs both
-    and raises :class:`~repro.fastsim.filter.FastSimMismatchError` unless their
-    statistics are identical.  A co-run's merged, stream-tagged chunks
-    (``corun`` is its spec) replay through a
+    ``vector`` feeds a :class:`~repro.fastsim.replay.PolicyReplayStream`,
+    ``scalar`` keeps the reference cache alive across chunks, and
+    ``verify`` runs both and raises
+    :class:`~repro.fastsim.filter.FastSimMismatchError` unless their
+    statistics are identical.  A policy without a compiled engine replays
+    through the reference on every route.  A co-run's merged, stream-tagged
+    chunks (``corun`` is its spec) replay through a
     :class:`~repro.fastsim.corun.CorunReplayStream` and a stream-tracking
     reference cache under the spec's partition, so the cross-check covers
-    every per-stream counter.  Belady's OPT goes to :func:`_replay_opt`.
+    every per-stream counter.
     """
-    if type(policy) is BeladyOptimal:
-        return _replay_opt(chunks, llc_config, plan)
-    partition = corun.partition if corun is not None else None
-    vector = None
-    if plan.route == ROUTE_VECTOR:
-        vector = (
-            PolicyReplayStream(policy, llc_config)
-            if corun is None
-            else CorunReplayStream(policy, llc_config, corun.num_streams, partition=partition)
-        )
-    scalar = None
-    if vector is None or plan.verify:
-        scalar = _ScalarLLCStream(
-            policy, llc_config, partition=partition, track_streams=corun is not None
-        )
-    for chunk in chunks:
+
+    def __init__(
+        self,
+        policy,
+        llc_config: CacheConfig,
+        plan: ExecutionPlan,
+        corun: Optional[CorunSpec] = None,
+    ) -> None:
+        self.name = policy.name
+        self.corun = corun
+        partition = corun.partition if corun is not None else None
+        self.vector = None
+        if plan.route == ROUTE_VECTOR and supports_vector_replay(policy):
+            self.vector = (
+                PolicyReplayStream(policy, llc_config)
+                if corun is None
+                else CorunReplayStream(
+                    policy, llc_config, corun.num_streams, partition=partition
+                )
+            )
+        self.scalar = None
+        if self.vector is None or plan.verify:
+            self.scalar = _ScalarLLCStream(
+                policy, llc_config, partition=partition, track_streams=corun is not None
+            )
+
+    def feed(self, chunk, use_hints: bool) -> None:
         hints = chunk.hints if use_hints else None
-        if corun is not None and vector is not None:
-            vector.feed(
+        if self.corun is not None and self.vector is not None:
+            self.vector.feed(
                 chunk.block_addresses, chunk.stream_ids, hints, chunk.regions, chunk.pcs
             )
-        elif vector is not None:
-            vector.feed(chunk.block_addresses, hints=hints, regions=chunk.regions, pcs=chunk.pcs)
-        if scalar is not None:
-            scalar.feed(chunk, use_hints)
-    if vector is None:
-        return scalar.stats().validate()
-    if scalar is not None:
-        assert_stats_equal(
-            scalar.stats().validate(), vector.stats(), f"LLC {policy.name} replay"
-        )
-    return vector.stats()
+        elif self.vector is not None:
+            self.vector.feed(
+                chunk.block_addresses, hints=hints, regions=chunk.regions, pcs=chunk.pcs
+            )
+        if self.scalar is not None:
+            self.scalar.feed(chunk, use_hints)
+
+    def stats(self) -> CacheStats:
+        if self.vector is None:
+            return self.scalar.stats().validate()
+        if self.scalar is not None:
+            assert_stats_equal(
+                self.scalar.stats().validate(), self.vector.stats(), f"LLC {self.name} replay"
+            )
+        return self.vector.stats()
+
+    def close(self) -> None:
+        """Nothing to release: the replay holds no chunk."""
 
 
 class _HeldChunks:
@@ -865,45 +890,54 @@ class _HeldChunks:
         self._arrays.clear()
 
 
-def _replay_opt(
-    chunks: Iterable[LLCTrace], llc_config: CacheConfig, plan: ExecutionPlan
-) -> CacheStats:
-    """Belady's OPT lower bound over a stream of LLC chunks.
+class _OptReplay:
+    """Belady's OPT lower bound over a stream of LLC chunks, in two passes.
 
-    OPT needs the future, so the stream is processed in two passes instead
-    of one resumable pass: a reverse sweep resolves globally consistent
-    per-chunk next-use indices (:func:`~repro.fastsim.opt.resolve_chunk_next_use`),
-    then a forward sweep feeds an :class:`~repro.fastsim.opt.OptStream`.  A
-    stream of several chunks is spilled to disk between the passes
-    (:class:`~repro.experiments.memo.ChunkSpill`), so peak memory stays
-    bounded by the chunk budget plus the reverse pass's
-    :class:`~repro.fastsim.opt.NextUseTable` (one int64 per distinct block and
-    its id map's key table); a one-chunk stream (the ROI) stays in memory.
+    OPT needs the future, so it cannot replay as the chunks arrive.
+    :meth:`put` keeps each chunk's LLC-bound blocks: in memory for a
+    one-shot trace or the ROI, spilled to disk
+    (:class:`~repro.experiments.memo.ChunkSpill`) for the full execution, so
+    peak memory stays bounded by the chunk budget plus the reverse pass's
+    :class:`~repro.fastsim.opt.NextUseTable` (one int64 per distinct block
+    and its id map's key table).  Both the staged path (through
+    :meth:`feed`) and the fused pass hand it the blocks.  :meth:`stats` then
+    runs the two passes: a reverse sweep resolves globally consistent
+    per-chunk next-use indices
+    (:func:`~repro.fastsim.opt.resolve_chunk_next_use`), and a forward sweep
+    feeds an :class:`~repro.fastsim.opt.OptStream`.
 
     The scalar reference (:func:`simulate_opt_misses`) is inherently
     one-shot, so ``scalar`` and the ``verify`` cross-check materialize the
     filtered stream — use them at test scales only.
     """
-    chunks = iter(chunks)
-    head = list(itertools.islice(chunks, 2))
-    store = ChunkSpill() if len(head) > 1 else _HeldChunks()
-    try:
-        starts: List[int] = []
-        offset = 0
-        for index, chunk in enumerate(itertools.chain(head, chunks)):
-            store.put("blocks", index, chunk.block_addresses)
-            starts.append(offset)
-            offset += len(chunk)
 
-        def materialized() -> np.ndarray:
-            if not starts:
-                return np.empty(0, dtype=np.int64)
-            return np.concatenate(
-                [store.get("blocks", index) for index in range(len(starts))]
-            )
+    def __init__(self, llc_config: CacheConfig, plan: ExecutionPlan) -> None:
+        self.llc_config = llc_config
+        self.plan = plan
+        self._store = ChunkSpill() if plan.stage == STAGE_STREAMING else _HeldChunks()
+        self._starts: List[int] = []
+        self._length = 0
 
-        if plan.route == ROUTE_SCALAR:
-            return simulate_opt_misses(materialized(), llc_config)
+    def put(self, blocks: np.ndarray) -> None:
+        """Keep one chunk's LLC-bound blocks for the passes after the stream."""
+        self._store.put("blocks", len(self._starts), blocks)
+        self._starts.append(self._length)
+        self._length += len(blocks)
+
+    def feed(self, chunk, use_hints: bool) -> None:
+        self.put(chunk.block_addresses)
+
+    def _materialized(self) -> np.ndarray:
+        if not self._starts:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(
+            [self._store.get("blocks", index) for index in range(len(self._starts))]
+        )
+
+    def stats(self) -> CacheStats:
+        store, starts, llc_config = self._store, self._starts, self.llc_config
+        if self.plan.route == ROUTE_SCALAR:
+            return simulate_opt_misses(self._materialized(), llc_config)
         table = NextUseTable()
         for index in reversed(range(len(starts))):
             store.put(
@@ -920,12 +954,44 @@ def _replay_opt(
             misses=engine.miss_count,
             evictions=engine.evictions,
         )
-        if plan.verify:
-            scalar_stats = simulate_opt_misses(materialized(), llc_config)
+        if self.plan.verify:
+            scalar_stats = simulate_opt_misses(self._materialized(), llc_config)
             assert_stats_equal(scalar_stats, stats, "LLC OPT replay")
         return stats
+
+    def close(self) -> None:
+        self._store.close()
+
+
+def _replay_llc(
+    chunks: Iterable[LLCTrace],
+    policies: Sequence,
+    llc_config: CacheConfig,
+    use_hints: bool,
+    plan: ExecutionPlan,
+    corun: Optional[CorunSpec] = None,
+) -> List[CacheStats]:
+    """Replay every policy over one stream of LLC chunks, under any backend.
+
+    The stream is read once: each chunk feeds every policy's replay in turn
+    (:class:`_StagedReplay`, or :class:`_OptReplay` for Belady's OPT).
+    Returns the policies' statistics in order.
+    """
+    replays: list = []
+    try:
+        for policy in policies:
+            replays.append(
+                _OptReplay(llc_config, plan)
+                if type(policy) is BeladyOptimal
+                else _StagedReplay(policy, llc_config, plan, corun)
+            )
+        for chunk in chunks:
+            for replay in replays:
+                replay.feed(chunk, use_hints)
+        return [replay.stats() for replay in replays]
     finally:
-        store.close()
+        for replay in replays:
+            replay.close()
 
 
 def _policy_label(policy) -> str:
@@ -957,7 +1023,8 @@ def simulate_llc_policy(
             stage=STAGE_ONESHOT,
         )
     )
-    return _replay_llc((llc_trace,), policy, llc_config, use_hints, plan)
+    (stats,) = _replay_llc((llc_trace,), (policy,), llc_config, use_hints, plan)
+    return stats
 
 
 def simulate_opt(
@@ -990,21 +1057,66 @@ def _plan(
     config: ExperimentConfig,
     streaming: bool,
     backend: Optional[str] = None,
-    consumers: Optional[int] = None,
     have_stream: bool = False,
 ) -> ExecutionPlan:
-    """Plan a request on one scope of a workload."""
+    """Plan schemes over one scope of a workload, as one unit."""
     return PLANNER.plan(
         SimRequest(
             schemes=tuple(schemes),
             policies=tuple(policies),
             backend=backend if backend is not None else config.backend,
             stage=STAGE_STREAMING if streaming else STAGE_ROI,
-            consumers=consumers,
-            have_memo=active_disk_memo() is not None,
             have_stream=have_stream,
         )
     )
+
+
+def _fused_replay(
+    pieces: Iterable[Trace],
+    hierarchy: HierarchyConfig,
+    classifier: GraspClassifier,
+    policies: Sequence,
+    use_hints: bool,
+    plan: ExecutionPlan,
+):
+    """Feed raw trace pieces once through one
+    :class:`~repro.fastsim.pipeline.FusedPipeline` for every policy.
+
+    The online policies replay inside the pipeline; each piece's LLC-bound
+    blocks go to Belady's OPT (:class:`_OptReplay`), whose two passes run
+    after this one.  No filtered stream is ever materialized.  Returns the
+    policies' statistics in order, the pipeline (for its L1/L2 counters)
+    and the number of pieces fed.
+    """
+    opts: dict = {}
+    try:
+        for index, policy in enumerate(policies):
+            if type(policy) is BeladyOptimal:
+                opts[index] = _OptReplay(hierarchy.llc, plan)
+        pipeline = FusedPipeline(
+            hierarchy,
+            [policy for index, policy in enumerate(policies) if index not in opts],
+            classifier=classifier,
+            use_hints=use_hints,
+        )
+        count = 0
+        for piece in pieces:
+            out = pipeline.feed(piece)
+            if opts:
+                llc_bound = np.flatnonzero(out == OUT_LLC_HIT)
+                blocks = piece.addresses[llc_bound] >> hierarchy.llc.block_offset_bits
+                for opt in opts.values():
+                    opt.put(blocks)
+            count += 1
+        online = iter(pipeline.stats())
+        stats = [
+            opts[index].stats() if index in opts else next(online)
+            for index in range(len(policies))
+        ]
+        return stats, pipeline, count
+    finally:
+        for opt in opts.values():
+            opt.close()
 
 
 def _fused_pass(
@@ -1012,25 +1124,27 @@ def _fused_pass(
     config: ExperimentConfig,
     streaming: bool,
     budget: int,
-    pipeline,
-):
-    """Feed one scope's raw trace through a fused pipeline, ``budget``
-    accesses at a time.
+    policies: Sequence,
+    use_hints: bool,
+    plan: ExecutionPlan,
+) -> List[CacheStats]:
+    """One scope's raw trace, ``budget`` accesses at a time, through one
+    fused pass for every policy (:func:`_fused_replay`).
 
-    No filtered stream is ever materialized.  The aggregate L1/L2 counters
-    the pass produced are published under the scope's budget-less summary
-    key (for :func:`stream_summary`), unless already stored — but *not*
-    under the scope's manifest key, which promises ``llcchunk`` entries
-    that this pass never writes.
+    The aggregate L1/L2 counters the pass produced are published under the
+    scope's budget-less summary key (for :func:`stream_summary`), unless
+    already stored — but *not* under the scope's manifest key, which
+    promises ``llcchunk`` entries that this pass never writes.  Returns the
+    policies' statistics in order.
     """
     if streaming:
         pieces = (chunk.trace for chunk in iter_execution_chunks(workload, budget))
     else:
         pieces = iter_trace_slices(roi_trace(workload), budget)
-    chunks = 0
-    for piece in pieces:
-        pipeline.feed(piece)
-        chunks += 1
+    stats, pipeline, chunks = _fused_replay(
+        pieces, config.hierarchy, _hint_classifier(workload.layout, config.hierarchy.llc),
+        policies, use_hints, plan,
+    )
     l1_hits, l2_hits = pipeline.upstream_hit_counts()
     key = _summary_key(workload, config, streaming)
     summary = {
@@ -1043,7 +1157,43 @@ def _fused_pass(
     memo = active_disk_memo()
     if memo is not None and not memo.contains("llcstream", key):
         memo.put("llcstream", key, summary)
-    return pipeline
+    return stats
+
+
+def _simulate(
+    workload: Workload,
+    schemes: Sequence[str],
+    policies: Sequence,
+    config: ExperimentConfig,
+    streaming: bool,
+    use_hints: bool = True,
+    backend: Optional[str] = None,
+    max_chunk_accesses: Optional[int] = None,
+) -> List[CacheStats]:
+    """Replay one scope of a workload under several policies, as one plan.
+
+    The ``fused`` plan makes one pass over the raw trace for all of them
+    (:func:`_fused_pass`); every other plan replays the scope's filtered
+    stream (:func:`llc_chunks`), read once for all of them, through
+    ``vector``, ``scalar`` or the ``verify`` cross-check.  Returns the
+    policies' statistics in order.
+    """
+    backend = backend if backend is not None else config.backend
+    plan = _plan(
+        schemes,
+        policies,
+        config,
+        streaming,
+        backend=backend,
+        have_stream=_stream_stored(
+            _stream_key(workload, config, streaming, max_chunk_accesses)
+        ),
+    )
+    if plan.route == ROUTE_FUSED:
+        budget = _chunk_budget(config, max_chunk_accesses)
+        return _fused_pass(workload, config, streaming, budget, policies, use_hints, plan)
+    chunks = llc_chunks(workload, config, streaming, max_chunk_accesses, backend)
+    return _replay_llc(chunks, policies, config.hierarchy.llc, use_hints, plan)
 
 
 def simulate_policy(
@@ -1052,7 +1202,6 @@ def simulate_policy(
     config: Optional[ExperimentConfig] = None,
     *,
     streaming: bool = False,
-    shared: bool = False,
     use_hints: bool = True,
     backend: Optional[str] = None,
     max_chunk_accesses: Optional[int] = None,
@@ -1065,45 +1214,22 @@ def simulate_policy(
     chunk budget regardless of how many iterations the application
     executed.  Results are bit-identical for every chunk budget and backend.
 
-    Under the ``vector`` backend, every online policy takes the
-    single-pass route (:class:`~repro.fastsim.pipeline.FusedPipeline`): each raw
+    Under the ``vector`` backend every policy, Belady's OPT included, takes
+    the fused pass (:class:`~repro.fastsim.pipeline.FusedPipeline`): each raw
     trace piece runs through the L1/L2 filter kernel and the policy
     family's replay kernel over one outcome vector, with no filtered stream
-    materialized.  The fused route is
-    skipped when replaying the scope's stored filtered stream is cheaper
-    than regenerating the raw trace — either it is already stored, or
-    ``shared`` declares that other schemes will replay the same stream and
-    the scope can keep it (the ROI always can, in memory; the full
-    execution only with a disk memo).  The staged path then stores the
-    filtered stream once, on the first scheme that actually computes.
-    Every other plan replays the filtered stream (:func:`llc_chunks`)
-    through the one LLC replay path: ``vector``, ``scalar`` or the
-    ``verify`` cross-check, in two passes for Belady's OPT.
+    materialized.  The fused pass is skipped when the scope's filtered
+    stream is already stored, since replaying it is cheaper than
+    regenerating the raw trace.  Every other plan replays the filtered
+    stream (:func:`llc_chunks`) through ``vector``, ``scalar`` or the
+    ``verify`` cross-check.
     """
     config = config or ExperimentConfig.default()
-    backend = backend if backend is not None else config.backend
-    budget = _chunk_budget(config, max_chunk_accesses)
-    plan = _plan(
-        (_policy_label(policy),),
-        (policy,),
-        config,
-        streaming,
-        backend=backend,
-        consumers=2 if shared else 1,
-        have_stream=_stream_stored(
-            _stream_key(workload, config, streaming, max_chunk_accesses)
-        ),
+    (stats,) = _simulate(
+        workload, (_policy_label(policy),), (policy,), config, streaming,
+        use_hints=use_hints, backend=backend, max_chunk_accesses=max_chunk_accesses,
     )
-    if plan.route == ROUTE_FUSED:
-        fused = FusedPipeline(
-            config.hierarchy,
-            policy,
-            classifier=_hint_classifier(workload.layout, config.hierarchy.llc),
-            use_hints=use_hints,
-        )
-        return _fused_pass(workload, config, streaming, budget, fused).stats().llc_stats
-    chunks = llc_chunks(workload, config, streaming, max_chunk_accesses, backend)
-    return _replay_llc(chunks, policy, config.hierarchy.llc, use_hints, plan)
+    return stats
 
 
 def _policy_key(
@@ -1115,85 +1241,53 @@ def _policy_key(
     )
 
 
+def simulate_schemes(
+    workload: Workload,
+    schemes: Sequence[str],
+    config: ExperimentConfig,
+    *,
+    streaming: bool = False,
+) -> Dict[str, CacheStats]:
+    """Memoised simulation of several schemes on one scope of a workload.
+
+    Kind ``policystream``, keyed by the scope; results are chunk-budget-
+    and backend-invariant, so the key carries neither.  Each scheme's entry
+    is read once, from memory or the disk memo, and the schemes still
+    missing run as one plan: one fused pass over the raw trace feeds all of
+    them, OPT included, or one filtered stream is replayed for each.
+    Returns the stats keyed by scheme.
+    """
+    results: Dict[str, CacheStats] = {}
+    missing: List[str] = []
+    for scheme in dict.fromkeys(schemes):
+        key = _policy_key(workload, scheme, config, streaming)
+        stats = _recall(_POLICY_RUNS, "policystream", key)
+        if stats is None:
+            missing.append(scheme)
+        else:
+            results[scheme] = stats
+    if missing:
+        policies = [_policy_for(scheme, config) for scheme in missing]
+        for scheme, stats in zip(
+            missing, _simulate(workload, missing, policies, config, streaming)
+        ):
+            results[scheme] = _remember(
+                _POLICY_RUNS, "policystream",
+                _policy_key(workload, scheme, config, streaming), stats,
+            )
+    return results
+
+
 def simulate_scheme(
     workload: Workload,
     scheme: str,
     config: ExperimentConfig,
     *,
     streaming: bool = False,
-    shared: bool = False,
 ) -> CacheStats:
-    """Memoised simulation of one scheme on one scope of a workload.
-
-    Kind ``policystream``, keyed by the scope; results are chunk-budget-
-    and backend-invariant, so the key carries neither.  ``shared`` declares
-    that other schemes will replay the same filtered stream (see
-    :func:`simulate_policy`).
-    """
-    return _memoised(
-        _POLICY_RUNS,
-        "policystream",
-        _policy_key(workload, scheme, config, streaming),
-        lambda: simulate_policy(
-            workload, _policy_for(scheme, config), config,
-            streaming=streaming, shared=shared,
-        ),
-    )
-
-
-def _maybe_fused_multi(
-    workload: Workload,
-    schemes: Sequence[str],
-    config: ExperimentConfig,
-    streaming: bool = False,
-) -> None:
-    """Opportunistic fused multi-scheme pass over one scope.
-
-    When the planner picks the ``fused-multi`` route, every eligible
-    uncached scheme replays from one shared native filter phase — the raw
-    trace is generated and filtered once for all of them — and the
-    per-scheme stats land in the scope's memo kind, so the
-    per-scheme :func:`simulate_scheme` calls that follow are pure memo hits.
-    Any other plan returns without side effects and the staged
-    store-once path runs exactly as before.
-    """
-    memo = active_disk_memo()
-    # Eligible: unique schemes not yet memoised, except OPT (offline) and
-    # the ablation subclasses (no vector engine).
-    targets: List[str] = []
-    policies: List[ReplacementPolicy] = []
-    for scheme in dict.fromkeys(schemes):
-        if scheme == "OPT":
-            continue
-        key = _policy_key(workload, scheme, config, streaming)
-        if key in _POLICY_RUNS or (memo is not None and memo.contains("policystream", key)):
-            continue
-        policy = scheme_policy(scheme)
-        if supports_vector_replay(policy):
-            targets.append(scheme)
-            policies.append(policy)
-    if len(targets) < 2:
-        return
-    plan = _plan(
-        targets,
-        policies,
-        config,
-        streaming,
-        have_stream=_stream_stored(_stream_key(workload, config, streaming)),
-    )
-    if plan.route != ROUTE_FUSED_MULTI:
-        return
-    multi = MultiFusedPipeline(
-        config.hierarchy,
-        policies,
-        classifier=_hint_classifier(workload.layout, config.hierarchy.llc),
-    )
-    _fused_pass(workload, config, streaming, _chunk_budget(config, None), multi)
-    for scheme, stats in zip(targets, multi.stats()):
-        key = _policy_key(workload, scheme, config, streaming)
-        _POLICY_RUNS[key] = stats
-        if memo is not None:
-            memo.put("policystream", key, stats)
+    """Memoised simulation of one scheme on one scope of a workload: the
+    single-scheme case of :func:`simulate_schemes`."""
+    return simulate_schemes(workload, (scheme,), config, streaming=streaming)[scheme]
 
 
 def _data_point(
@@ -1237,37 +1331,27 @@ def compare_policies(
     reduction and speed-up computed against the baseline scheme, exactly as
     the paper's figures report them.  ``streaming`` simulates the full
     execution (all iterations, streamed with bounded memory) instead of the
-    ROI iteration.
+    ROI iteration.  Each pair's schemes go through :func:`simulate_schemes`:
+    every scheme's memo entry is read once, and the missing ones run as one
+    plan, so the pair's raw trace is generated and filtered once for all of
+    them, OPT included.
     """
     config = config or ExperimentConfig.default()
     reorder = reorder or config.reorder
-    # With several distinct schemes replaying one workload, the planner
-    # first tries the fused multi-scheme route (one shared filter phase, N
-    # replays, nothing materialized); otherwise the staged path stores the
-    # filtered stream once and replays every scheme from it — the
-    # per-scheme fused route would regenerate the raw trace for each.
-    shared = len({baseline, *schemes}) > 1
     points: List[DataPoint] = []
     for dataset_name in dataset_names:
         for app_name in app_names:
             workload = build_workload(app_name, dataset_name, reorder=reorder, config=config)
-            _maybe_fused_multi(workload, (baseline, *schemes), config, streaming)
-            baseline_stats = simulate_scheme(
-                workload, baseline, config, streaming=streaming, shared=shared
+            stats = simulate_schemes(
+                workload, (baseline, *schemes), config, streaming=streaming
             )
+            baseline_stats = stats[baseline]
             baseline_cycles = workload_cycles(workload, baseline_stats, config, streaming)
             for scheme in schemes:
-                stats = (
-                    baseline_stats
-                    if scheme == baseline
-                    else simulate_scheme(
-                        workload, scheme, config, streaming=streaming, shared=shared
-                    )
-                )
                 points.append(
                     _data_point(
-                        app_name, dataset_name, scheme, stats,
-                        workload_cycles(workload, stats, config, streaming),
+                        app_name, dataset_name, scheme, stats[scheme],
+                        workload_cycles(workload, stats[scheme], config, streaming),
                         baseline_stats, baseline_cycles, config.timing,
                     )
                 )
@@ -1349,9 +1433,10 @@ def simulate_corun(
             seed=spec.seed,
             chunk_accesses=_chunk_budget(config, max_chunk_accesses),
         )
-        return _replay_llc(
-            merged, scheme_policy(scheme), config.hierarchy.llc, True, plan, corun=spec
+        (stats,) = _replay_llc(
+            merged, (scheme_policy(scheme),), config.hierarchy.llc, True, plan, corun=spec
         )
+        return stats
 
     return _memoised(_CORUN_RUNS, "corun", key, compute)
 

@@ -42,11 +42,12 @@ below that defines it (``from repro.fastsim.rrip import RRIPStream``).
     import time).  The ``*Stream`` engines call them through the ``*_feed``
     wrappers, which accept only arrays of exactly the kernel's types.
 ``pipeline``
-    The fused single-pass pipeline: per trace chunk, the L1/L2 filter
-    kernel and then the policy family's own replay kernel run over one
-    outcome vector, bit-identical to the staged engines.
-    :class:`MultiFusedPipeline` is the multi-scheme variant: one shared
-    filter phase feeding N policies' replay engines.
+    The fused pass over N schemes: per trace chunk, the L1/L2 filter
+    kernel runs once and writes the GRASP hints, then each scheme's own
+    replay kernel runs over its copy of the outcome vector, bit-identical
+    to the staged engines.  Belady's OPT rides the same pass: the runner
+    keeps each chunk's LLC-bound blocks and runs OPT's two offline passes
+    after it.
 ``plan``
     Capability-driven execution planning: :class:`~repro.fastsim.plan.RoutePlanner`
     maps a :class:`~repro.fastsim.plan.SimRequest` to an explicit, serializable

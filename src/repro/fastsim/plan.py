@@ -12,28 +12,28 @@ module collapses that sprawl into one explainable layer:
     fuses once the ``fused:filter`` kernel is present.
 ``SimRequest``
     Everything a routing decision depends on: the scheme(s) and live
-    policy object(s), the requested backend, the pipeline stage (one-shot
-    replay, the ROI or full-execution scope, co-run), the consumer count
-    (how many distinct schemes share one filtered stream), the partition
-    and the memo/kernel environment.  Requests are cheap to build — no
-    workload needs to exist.
+    policy object(s) that replay one stream, the requested backend, the
+    pipeline stage (one-shot replay, the ROI or full-execution scope,
+    co-run), the partition and the memo/kernel environment.  Requests are
+    cheap to build — no workload needs to exist.
 ``ExecutionPlan``
     The planner's explicit answer: the route, engine family, kernel tier
     and backend that will run, whether a verify dual-run is attached, and
     *every* fallback reason collected on the way there.  The route names
-    one of four code paths — ``fused`` (one native filter+LLC pass per chunk),
-    ``fused-multi`` (one filter pass feeding N replays), ``vector`` (the
-    staged engines over a filtered stream) and ``scalar`` (the per-access
-    reference) — while ``engine`` (``opt``, a family, or ``scalar``) and
-    ``stage`` (``oneshot``, ``roi``, ``streaming`` or ``corun``) say what
-    runs on it: OPT and co-run replays take the ``vector`` and ``scalar``
+    one of three code paths — ``fused`` (one native filter pass per chunk
+    feeding every scheme's replay kernel, with OPT's two offline passes
+    over the blocks it hands on), ``vector`` (the staged engines over a
+    filtered stream) and ``scalar`` (the per-access reference) — while
+    ``engine`` (``opt``, a family, ``multi`` for several schemes, or
+    ``scalar``) and ``stage`` (``oneshot``, ``roi``, ``streaming`` or
+    ``corun``) say what runs on it: OPT and co-run replays take these
     paths like every other engine.  Plans are JSON-serializable (sweep run
     manifests embed them) and self-explaining (``repro plan explain``
     prints them).
 ``RoutePlanner``
-    The decision procedure.  The fused-route consumer-count rule, the
-    co-run fallback to ``scalar`` (an unpartitioned PIN co-run, whose
-    bypasses the vector co-run engine cannot attribute per stream), the
+    The decision procedure.  The fused-pass eligibility rules, the co-run
+    fallback to ``scalar`` (an unpartitioned PIN co-run, whose bypasses
+    the vector co-run engine cannot attribute per stream), the
     verify-mode dual-run and the degradation to ``scalar`` on a host
     without the kernel library each live exactly once, here.
 
@@ -56,14 +56,11 @@ from repro.cache.partition import WayPartition
 from repro.cache.policies.opt import BeladyOptimal
 from repro.fastsim import kernels
 from repro.fastsim.corun import CorunReplayStream, supports_vector_corun
-from repro.fastsim.dispatch import SCALAR, VECTOR, VERIFY, resolve_backend
+from repro.fastsim.dispatch import SCALAR, VERIFY, resolve_backend
 from repro.fastsim.filter import FilterStream, assert_stats_equal, run_filter
 from repro.fastsim.opt import NextUseTable, OptStream, resolve_chunk_next_use
-from repro.fastsim.pipeline import (
-    FusedPipeline,
-    MultiFusedPipeline,
-    fused_native_supported,
-)
+from repro.fastsim.kernels.fused import OUT_LLC_HIT
+from repro.fastsim.pipeline import FusedPipeline
 from repro.fastsim.replay import (
     PolicyReplayStream,
     _family,
@@ -82,8 +79,9 @@ class EngineCapabilities:
     """What one engine family can do.
 
     ``vector_replay`` says a compiled engine replays the family; every such
-    family except the offline OPT also runs the fused single-pass route,
-    whose only extra kernel is the shared L1/L2 filter (``fused:filter``).
+    family also rides the fused pass, whose only extra kernel is the shared
+    L1/L2 filter (``fused:filter``) — OPT through its blocks, replayed
+    offline after the pass.
     ``fallbacks`` documents the family's known degradations in prose —
     the planner quotes them verbatim in plan explanations.
     """
@@ -147,17 +145,16 @@ STAGE_ROI = "roi"             # ROI scope, from the raw reference stream
 STAGE_STREAMING = "streaming"  # full-execution scope, streamed chunk by chunk
 STAGE_CORUN = "corun"         # multi-programmed shared-LLC replay
 
-#: Where each scope keeps its filtered stream once stored.
+#: What each scope's stored filtered stream is.
 _STORED_STREAM = {
-    STAGE_ROI: ("filtered ROI trace already cached", "in memory"),
-    STAGE_STREAMING: ("persisted chunk store already on disk", "in the disk memo"),
+    STAGE_ROI: "filtered ROI trace already cached",
+    STAGE_STREAMING: "persisted chunk store already on disk",
 }
 
 #: Route names an :class:`ExecutionPlan` can carry: one per code path.
-ROUTE_VECTOR = "vector"            # staged vector replay (batched engines)
-ROUTE_SCALAR = "scalar"            # per-access reference simulator
-ROUTE_FUSED = "fused"              # single-pass native filter+LLC pipeline
-ROUTE_FUSED_MULTI = "fused-multi"  # one filter phase, N policy replays
+ROUTE_VECTOR = "vector"  # staged replay of a filtered stream (compiled engines)
+ROUTE_SCALAR = "scalar"  # per-access reference simulator
+ROUTE_FUSED = "fused"    # one native filter pass feeding every scheme
 
 #: Kernel tiers a plan can name.
 KERNEL_NATIVE_FUSED = "native-fused"  # the filter kernel feeding family kernels
@@ -175,14 +172,12 @@ NO_KERNELS = (
 class SimRequest:
     """Everything one routing decision depends on.
 
-    ``schemes``/``policies`` are aligned; single-scheme requests carry one
-    entry.  ``consumers`` is the number of *distinct* schemes that will
-    replay the same filtered stream (the fused-route consumer-count rule);
-    it defaults to ``len(set(schemes))``.  The ``have_*`` flags describe
-    the memo environment: ``have_stream`` says the scope's filtered stream
-    is already stored (the ROI trace in memory or on disk, the execution's
-    chunk store on disk), which makes replaying it cheaper than
-    regenerating the raw trace.  ``partition`` is a co-run's way
+    ``schemes``/``policies`` are aligned: the schemes replay one stream
+    and are planned as one unit; single-scheme requests carry one entry.
+    ``have_stream`` says the scope's filtered stream is already stored (the
+    ROI trace in memory or on disk, the execution's chunk store on disk),
+    which makes replaying it cheaper than regenerating the raw trace.
+    ``partition`` is a co-run's way
     partition (``None``: the streams share every way).
     ``native_override`` pins kernel availability for testing; ``None``
     probes the live registry, and ``False`` plans like a host without the
@@ -193,9 +188,7 @@ class SimRequest:
     policies: Tuple[Any, ...] = ()
     backend: Optional[str] = None
     stage: str = STAGE_ONESHOT
-    consumers: Optional[int] = None
     partition: Optional[WayPartition] = None
-    have_memo: bool = False
     have_stream: bool = False
     native_override: Optional[bool] = None
 
@@ -215,11 +208,6 @@ class SimRequest:
     @property
     def policy(self):
         return self.policies[0] if self.policies else None
-
-    def consumer_count(self) -> int:
-        if self.consumers is not None:
-            return self.consumers
-        return len(set(self.schemes))
 
     def native_available(self) -> bool:
         if self.native_override is not None:
@@ -297,48 +285,32 @@ class RoutePlanner:
     """
 
     def plan(self, request: SimRequest) -> ExecutionPlan:
+        """Plan the request's schemes over one stream as one unit.
+
+        Either scope prefers the ``fused`` route: one native filter pass
+        per chunk feeds every scheme's replay engine, and hands OPT its
+        LLC-bound blocks for two offline passes afterwards.  Otherwise the
+        staged path filters the stream once and replays each scheme from
+        it (``vector``), or the per-access reference runs (``scalar``).  A
+        co-run stage has no fused route and takes the scalar reference when
+        the vector co-run engine cannot attribute it per stream.
+        """
         requested = resolve_backend(request.backend, native=True)
         mode = resolve_backend(request.backend, native=request.native_available())
-        degraded = (NO_KERNELS,) if mode != requested else ()
-        if len(request.schemes) > 1 and request.stage in (STAGE_ROI, STAGE_STREAMING):
-            return self._plan_multi(request, mode, degraded)
-        return self._plan_single(request, mode, degraded)
-
-    # -- helpers ----------------------------------------------------------
-
-    @staticmethod
-    def _capabilities(request: SimRequest) -> EngineCapabilities:
-        if not request.policies and request.scheme == "OPT":
-            return ENGINE_CAPABILITIES["opt"]
-        return capabilities_for(request.policy)
-
-    # -- single-policy plans ----------------------------------------------
-
-    def _plan_single(
-        self, request: SimRequest, mode: str, degraded: Tuple[str, ...]
-    ) -> ExecutionPlan:
-        """One policy over one stream: a materialized trace, either scope,
-        or a co-run's merged stream (one engine, per-stream attribution).
-
-        OPT is one more engine over the stream (offline, so in two passes);
-        a co-run stage has no fused route and takes the scalar reference
-        when the vector co-run engine cannot attribute it per stream.
-        ``degraded`` holds the reason when the backend fell back to
-        ``scalar`` for want of the kernel library.
-        """
-        policy = request.policy
+        fallbacks = [NO_KERNELS] if mode != requested else []
         caps = self._capabilities(request)
-        opt = caps.family == "opt"
+        several = len(set(request.schemes)) > 1
+        engine = "multi" if several else caps[0].family
+        opt = any(cap.family == "opt" for cap in caps)
         corun = request.stage == STAGE_CORUN
         if opt and corun:
             raise ValueError("OPT is offline and has no co-run analogue")
-        fallbacks = list(degraded)
 
         if mode == SCALAR:
-            if not degraded:
+            if not fallbacks:
                 fallbacks.append(
                     "backend=scalar requested: offline reference OPT loop"
-                    if opt
+                    if engine == "opt"
                     else "backend=scalar requested: reference simulator"
                 )
             if opt and request.stage == STAGE_STREAMING:
@@ -346,18 +318,20 @@ class RoutePlanner:
                     "the offline reference is one-shot: the filtered stream is "
                     "materialized in memory"
                 )
-            return self._scalar_plan(
-                request, mode, engine="opt" if opt else "scalar", fallbacks=fallbacks
-            )
-        if not caps.vector_replay or (
-            corun and not supports_vector_corun(policy, request.partition)
+            scalar_engine = engine if engine in ("opt", "multi") else "scalar"
+            return self._staged(request, ROUTE_SCALAR, scalar_engine, mode, fallbacks)
+        scalar_only = [
+            scheme for scheme, cap in zip(request.schemes, caps) if not cap.vector_replay
+        ]
+        if (scalar_only and not several) or (
+            corun and not supports_vector_corun(request.policy, request.partition)
         ):
-            fallbacks.extend(caps.fallbacks)
-            return self._scalar_plan(request, mode, engine="scalar", fallbacks=fallbacks)
+            fallbacks.extend(caps[0].fallbacks)
+            return self._staged(request, ROUTE_SCALAR, "scalar", mode, fallbacks)
 
         verify = mode == VERIFY
         if verify:
-            if opt:
+            if engine == "opt":
                 note = (
                     "OPT dual-run materializes the stream for the offline "
                     "reference cross-check"
@@ -371,167 +345,93 @@ class RoutePlanner:
                 note = "vector route runs with a scalar dual-run cross-check"
             fallbacks.append(f"backend=verify: {note}")
         if opt and request.stage == STAGE_STREAMING:
-            fallbacks.append(caps.fallbacks[0])
+            fallbacks.append(ENGINE_CAPABILITIES["opt"].fallbacks[0])
 
-        # Fused single-pass route: either scope under the pure vector
-        # backend, for every online family when the filter kernel is built
-        # and replaying a stored filtered stream would not be cheaper.
-        if not opt and request.stage in (STAGE_ROI, STAGE_STREAMING):
+        if request.stage in (STAGE_ROI, STAGE_STREAMING):
             if verify:
                 fallbacks.append(
                     "fused route skipped: verify needs the staged scalar stream alongside"
                 )
             else:
-                fused_ok, fused_reasons = self._fused_eligible(request, policy)
-                if fused_ok:
+                blocker = self._fused_blocker(request, scalar_only)
+                if blocker is None:
                     return ExecutionPlan(
                         route=ROUTE_FUSED,
                         stage=request.stage,
-                        scheme=request.scheme,
-                        engine=caps.family,
+                        scheme=self._label(request),
+                        engine=engine,
                         kernel=KERNEL_NATIVE_FUSED,
                         backend=mode,
                         fallbacks=tuple(fallbacks),
                         schemes=request.schemes,
                     )
-                fallbacks.extend(fused_reasons)
+                fallbacks.append(blocker)
+        return self._staged(request, ROUTE_VECTOR, engine, mode, fallbacks, verify)
 
+    # -- helpers ----------------------------------------------------------
+
+    @staticmethod
+    def _capabilities(request: SimRequest) -> Tuple[EngineCapabilities, ...]:
+        """One capability record per scheme; a bare ``"OPT"`` needs no policy."""
+        policies = request.policies or (None,) * len(request.schemes)
+        return tuple(
+            ENGINE_CAPABILITIES["opt"]
+            if policy is None and scheme == "OPT"
+            else capabilities_for(policy)
+            for scheme, policy in zip(request.schemes, policies)
+        )
+
+    @staticmethod
+    def _label(request: SimRequest) -> str:
+        return "+".join(dict.fromkeys(request.schemes))
+
+    @staticmethod
+    def _fused_blocker(request: SimRequest, scalar_only) -> Optional[str]:
+        """Why the fused pass cannot run the request, ``None`` when it can."""
+        native = (
+            request.native_override
+            if request.native_override is not None
+            else kernels.has_capability("fused:filter")
+        )
+        if not native:
+            return "fused filter kernel unavailable: the staged engines run instead"
+        if scalar_only:
+            return (
+                f"scheme {scalar_only[0]!r} has no vector engine (ablation "
+                "subclass): it replays through the scalar reference, so the "
+                "fused pass is off"
+            )
+        if request.have_stream:
+            return (
+                f"{_STORED_STREAM[request.stage]}: replaying it beats "
+                "regenerating the raw trace"
+            )
+        return None
+
+    def _staged(
+        self, request: SimRequest, route: str, engine: str, mode: str, fallbacks,
+        verify: bool = False,
+    ) -> ExecutionPlan:
+        """A plan that replays the filtered stream (``vector``) or runs the
+        per-access reference (``scalar``)."""
+        schemes = len(set(request.schemes))
+        if schemes > 1:
+            fallbacks.append(
+                f"{schemes} schemes share one stream: the staged path "
+                "materializes the filtered trace once and replays each scheme "
+                "from it"
+            )
         return ExecutionPlan(
-            route=ROUTE_VECTOR,
+            route=route,
             stage=request.stage,
-            scheme=request.scheme,
-            engine=caps.family,
-            kernel=KERNEL_NATIVE,
+            scheme=self._label(request),
+            engine=engine,
+            kernel=KERNEL_PYTHON if route == ROUTE_SCALAR else KERNEL_NATIVE,
             backend=mode,
             verify=verify,
             fallbacks=tuple(fallbacks),
             schemes=request.schemes,
         )
-
-    def _fused_eligible(
-        self, request: SimRequest, policy
-    ) -> Tuple[bool, Tuple[str, ...]]:
-        """Whether the fused single-pass route applies; reasons when not."""
-        native = (
-            request.native_override
-            if request.native_override is not None
-            else fused_native_supported(policy)
-        )
-        if not native:
-            return False, (
-                "fused filter kernel unavailable: the staged engines run instead",
-            )
-        if request.have_stream:
-            return False, (self._stored_reason(request),)
-        # Several consumers replay one stored stream when the scope can keep
-        # it: the ROI always can (in memory), the full execution only with a
-        # disk memo.
-        if request.consumer_count() > 1 and (
-            request.stage == STAGE_ROI or request.have_memo
-        ):
-            where = _STORED_STREAM[request.stage][1]
-            return False, (
-                f"{request.consumer_count()} consumers share this stream: the "
-                f"staged path stores the filtered stream once ({where}) for "
-                "all of them",
-            )
-        return True, ()
-
-    @staticmethod
-    def _stored_reason(request: SimRequest) -> str:
-        return (
-            f"{_STORED_STREAM[request.stage][0]}: replaying it beats "
-            "regenerating the raw trace"
-        )
-
-    def _scalar_plan(
-        self, request: SimRequest, mode: str, engine: str, fallbacks
-    ) -> ExecutionPlan:
-        return ExecutionPlan(
-            route=ROUTE_SCALAR,
-            stage=request.stage,
-            scheme=request.scheme,
-            engine=engine,
-            kernel=KERNEL_PYTHON,
-            backend=mode,
-            fallbacks=tuple(fallbacks),
-            schemes=request.schemes,
-        )
-
-    # -- multi-scheme (shared-stream) plans --------------------------------
-
-    def _plan_multi(
-        self, request: SimRequest, mode: str, degraded: Tuple[str, ...]
-    ) -> ExecutionPlan:
-        """Consumer-count rule: N>1 schemes replaying one filtered stream.
-
-        The preferred route is ``fused-multi``: one native filter phase
-        feeds every scheme's replay engine, so the raw trace is generated
-        and filtered exactly once with nothing materialized.
-        It needs the ``fused:filter`` kernel and a vector engine for every
-        scheme; otherwise the staged materialize-once path runs as before.
-        """
-        fallbacks = list(degraded)
-        if mode == VECTOR and request.policies:
-            ok, reasons = self._multi_eligible(request)
-            if ok:
-                return ExecutionPlan(
-                    route=ROUTE_FUSED_MULTI,
-                    stage=request.stage,
-                    scheme="+".join(dict.fromkeys(request.schemes)),
-                    engine="multi",
-                    kernel=KERNEL_NATIVE_FUSED,
-                    backend=mode,
-                    fallbacks=(),
-                    schemes=request.schemes,
-                )
-            fallbacks.extend(reasons)
-        elif mode != VECTOR and not degraded:
-            fallbacks.append(
-                f"backend={mode}: the fused multi-scheme route only runs under "
-                "the pure vector backend"
-            )
-        fallbacks.append(
-            f"{request.consumer_count()} consumers share one stream: the staged "
-            "path materializes the filtered trace once and replays each scheme "
-            "from it"
-        )
-        return ExecutionPlan(
-            route=ROUTE_VECTOR if mode != SCALAR else ROUTE_SCALAR,
-            stage=request.stage,
-            scheme="+".join(dict.fromkeys(request.schemes)),
-            engine="staged",
-            kernel=KERNEL_PYTHON if mode == SCALAR else KERNEL_NATIVE,
-            backend=mode,
-            verify=mode == VERIFY,
-            fallbacks=tuple(fallbacks),
-            schemes=request.schemes,
-        )
-
-    def _multi_eligible(self, request: SimRequest) -> Tuple[bool, Tuple[str, ...]]:
-        reasons = []
-        if not request.has_kernel("fused:filter"):
-            reasons.append(
-                "fused filter kernel unavailable: the staged path runs instead"
-            )
-            return False, tuple(reasons)
-        for scheme, policy in zip(request.schemes, request.policies):
-            if type(policy) is BeladyOptimal:
-                reasons.append(
-                    f"scheme {scheme!r} is offline OPT: it cannot join a "
-                    "single-pass multi-scheme replay"
-                )
-                return False, tuple(reasons)
-            if not supports_vector_replay(policy):
-                reasons.append(
-                    f"scheme {scheme!r} has no vector engine (ablation subclass): "
-                    "it needs the scalar reference, so the shared pass is off"
-                )
-                return False, tuple(reasons)
-        if request.have_stream:
-            reasons.append(self._stored_reason(request))
-            return False, tuple(reasons)
-        return True, ()
 
 
 #: Shared stateless planner instance.
@@ -561,7 +461,6 @@ __all__ = [
     "NO_KERNELS",
     "PLANNER",
     "ROUTE_FUSED",
-    "ROUTE_FUSED_MULTI",
     "ROUTE_SCALAR",
     "ROUTE_VECTOR",
     "RoutePlanner",
@@ -576,8 +475,8 @@ __all__ = [
     "CorunReplayStream",
     "FilterStream",
     "FusedPipeline",
-    "MultiFusedPipeline",
     "NextUseTable",
+    "OUT_LLC_HIT",
     "OptStream",
     "PolicyReplayStream",
     "assert_stats_equal",

@@ -15,9 +15,10 @@ the array specs cannot express — remain scalar-only.
 (:mod:`repro.fastsim.plan`) routes on, :func:`family_engine` builds a
 policy's engine and :func:`feed_engine` feeds it the inputs its family
 reads, and :class:`PolicyReplayStream` wraps a family's engine with the
-per-region statistics of Fig. 2.  The fused pipeline
-(:class:`~repro.fastsim.pipeline.FusedPipeline`) builds and feeds its
-engine through the same two functions.
+per-region statistics of Fig. 2.  It is the only per-region counter: the
+staged path feeds it compacted LLC chunks, and the fused pass
+(:class:`~repro.fastsim.pipeline.FusedPipeline`) feeds each scheme's
+stream whole raw chunks with its own copy of the filter's outcome vector.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.cache.policies import LRUPolicy
 from repro.cache.policies.opt import BeladyOptimal
 from repro.cache.stats import CacheStats
 from repro.fastsim.hawkeye import HawkeyeStream, hawkeye_spec
+from repro.fastsim.kernels.fused import OUT_LLC_HIT, OUT_LLC_MISS
 from repro.fastsim.leeway import LeewayStream, leeway_spec
 from repro.fastsim.opt import OptStream, next_use_indices
 from repro.fastsim.pin import PinStream, pin_spec
@@ -77,22 +79,6 @@ def supports_vector_replay(policy) -> bool:
     back to the scalar simulator.
     """
     return type(policy) is BeladyOptimal or _family(policy) is not None
-
-
-def _region_breakdown(hits: np.ndarray, regions: Optional[np.ndarray]):
-    """Per-region access/miss counts (Fig. 2) from a replay's hit mask."""
-    if regions is None or not len(regions):
-        return None, None
-    labels = np.asarray(regions, dtype=np.int64)
-    access_counts = np.bincount(labels)
-    miss_counts = np.bincount(labels[~hits], minlength=access_counts.shape[0])
-    region_accesses = {
-        region: int(count) for region, count in enumerate(access_counts) if count
-    }
-    region_misses = {
-        region: int(count) for region, count in enumerate(miss_counts) if count
-    }
-    return region_accesses, region_misses
 
 
 def vector_opt_replay(
@@ -169,22 +155,6 @@ def feed_engine(
     return engine.feed(block_addresses, outcomes=outcomes)
 
 
-def engine_stats(
-    family: str, engine, name: str, region_accesses: dict, region_misses: dict
-) -> CacheStats:
-    """Aggregate :class:`CacheStats` of a ``family`` engine, plus the
-    per-region breakdown its caller counted."""
-    return CacheStats.from_counts(
-        name=name,
-        hits=engine.hit_count,
-        misses=engine.miss_count,
-        evictions=engine.evictions,
-        bypasses=engine.bypass_count if family == "pin" else 0,
-        region_accesses=region_accesses or None,
-        region_misses=region_misses or None,
-    )
-
-
 class PolicyReplayStream:
     """Resumable LLC replay under any policy :func:`supports_vector_replay`
     accepts, except the offline :class:`BeladyOptimal` (OPT over a chunk
@@ -212,24 +182,52 @@ class PolicyReplayStream:
         hints: Optional[np.ndarray] = None,
         regions: Optional[np.ndarray] = None,
         pcs: Optional[np.ndarray] = None,
+        outcomes: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Replay one chunk; returns its hit mask and advances the state."""
-        hits = feed_engine(self.family, self.engine, block_addresses, hints, pcs)
-        region_accesses, region_misses = _region_breakdown(hits, regions)
-        if region_accesses is not None:
-            for region, count in region_accesses.items():
-                self._region_accesses[region] = (
-                    self._region_accesses.get(region, 0) + count
-                )
-            for region, count in region_misses.items():
-                self._region_misses[region] = self._region_misses.get(region, 0) + count
+        """Replay one chunk; returns its hit mask and advances the state.
+
+        Without ``outcomes`` every access reaches the LLC.  With them (see
+        :func:`~repro.fastsim.stackdist.outcome_vector`) only the accesses
+        marked 2 replay, their LLC codes are written into the vector in
+        place, and only they count towards the per-region breakdown.
+        """
+        hits = feed_engine(
+            self.family, self.engine, block_addresses, hints, pcs, outcomes
+        )
+        if regions is not None and len(regions):
+            if outcomes is None:
+                labels, missed = regions, ~hits
+            else:
+                llc = np.flatnonzero(outcomes >= OUT_LLC_HIT)
+                labels, missed = regions[llc], outcomes[llc] >= OUT_LLC_MISS
+            # One bincount over (region, missed) keys counts both tables;
+            # the keys are built in place, one chunk-sized temporary.
+            packed = np.array(labels, dtype=np.int64)
+            packed <<= 1
+            packed |= missed
+            for key, count in enumerate(np.bincount(packed).tolist()):
+                if count:
+                    region = key >> 1
+                    self._region_accesses[region] = (
+                        self._region_accesses.get(region, 0) + count
+                    )
+                    if key & 1:
+                        self._region_misses[region] = (
+                            self._region_misses.get(region, 0) + count
+                        )
         return hits
 
     def stats(self) -> CacheStats:
         """Aggregate :class:`CacheStats` over everything fed so far."""
-        return engine_stats(
-            self.family, self.engine, self.llc_config.name,
-            self._region_accesses, self._region_misses,
+        engine = self.engine
+        return CacheStats.from_counts(
+            name=self.llc_config.name,
+            hits=engine.hit_count,
+            misses=engine.miss_count,
+            evictions=engine.evictions,
+            bypasses=engine.bypass_count if self.family == "pin" else 0,
+            region_accesses=self._region_accesses or None,
+            region_misses=self._region_misses or None,
         )
 
 

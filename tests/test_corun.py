@@ -25,7 +25,7 @@ Covers every layer the stream identity threads through:
 
 import numpy as np
 import pytest
-from conftest import needs_native
+from kernel_marks import needs_native
 
 from repro.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig

@@ -8,7 +8,7 @@ the L1/L2 filter and the LLC LRU replay.
 
 import numpy as np
 import pytest
-from conftest import needs_native
+from kernel_marks import needs_native
 
 from repro.cache import CacheConfig, SetAssociativeCache
 from repro.cache.config import HierarchyConfig

@@ -18,7 +18,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import needs_native
+from kernel_marks import needs_native
 
 from repro.cache import CacheConfig, SetAssociativeCache
 from repro.cache.hints import HINT_DEFAULT, HINT_HIGH

@@ -9,7 +9,7 @@ the bimodal insertion counter).
 
 import numpy as np
 import pytest
-from conftest import needs_native
+from kernel_marks import needs_native
 
 from repro.cache import CacheConfig, SetAssociativeCache
 from repro.cache.policies import LRUPolicy

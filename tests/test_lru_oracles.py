@@ -19,7 +19,7 @@ is unavailable.
 
 import numpy as np
 import pytest
-from conftest import needs_native
+from kernel_marks import needs_native
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402

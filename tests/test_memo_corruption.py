@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import assert_points_equal
+from fault_harness import assert_points_equal
 
 from repro.experiments import (
     DiskMemo,
@@ -29,7 +29,7 @@ from repro.experiments import (
 from repro.experiments.queue import InlineBackend
 from repro.experiments.schemes import scheme_policy
 from repro.experiments.service import MemoTaskStore, SweepSpec, run_sweep, sweep_tasks
-from repro.fastsim.pipeline import fused_native_supported
+from repro.fastsim import kernels
 
 pytestmark = pytest.mark.usefixtures("memo_isolation")
 
@@ -123,7 +123,7 @@ class TestCorruptEntriesAreMisses:
         the filter task (keyed on the manifest) must still look undone."""
         config = ExperimentConfig.smoke().with_overrides(backend="vector")
         policy = scheme_policy("GRASP")
-        if not fused_native_supported(policy):
+        if not kernels.has_capability("fused:filter"):
             pytest.skip("no fused kernel available")
         memo = DiskMemo(tmp_path)
         set_disk_memo(memo)

@@ -16,6 +16,7 @@ from repro.experiments.runner import (
     CorunSpec,
     build_workload,
     corun_memo_key,
+    llc_chunks,
     llcstream_memo_key,
     llcstream_summary_memo_key,
     policystream_memo_key,
@@ -79,14 +80,17 @@ def test_key_digest_is_golden(kind, key, digest):
 
 
 def test_runs_write_entries_at_the_golden_keys(tmp_path):
-    """Both scopes' staged paths (``shared``) and a co-run write every kind,
-    and nothing but the five live kinds."""
+    """Both scopes' staged paths (each filtered stream stored first, as a
+    sweep's filter task stores it) and a co-run write every kind, and
+    nothing but the five live kinds."""
     memo = DiskMemo(tmp_path)
     set_disk_memo(memo)
     workload = build_workload("PR", "lj", config=CONFIG)
-    simulate_scheme(workload, "GRASP", CONFIG, shared=True)
+    for streaming in (False, True):
+        for _ in llc_chunks(workload, CONFIG, streaming):
+            pass
+        simulate_scheme(workload, "GRASP", CONFIG, streaming=streaming)
     stream_summary(workload, CONFIG)
-    simulate_scheme(workload, "GRASP", CONFIG, streaming=True, shared=True)
     simulate_corun(CORUN, "GRASP", CONFIG)
     for kind, _, digest in GOLDEN:
         assert (memo.root / kind / f"{digest}.pkl").is_file(), kind

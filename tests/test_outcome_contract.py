@@ -13,8 +13,8 @@ On drawn geometries (one set and one way included), block streams, hints
 {0, 1, 2} (all-0 and all-2 included), fed as two chunks, this suite checks
 the codes, the hit/miss/eviction/bypass counts, the tag arrays, PSEL and
 the bimodal counter, and the learning tables on trained keys: the SHiP
-signatures, Hawkeye and Leeway PCs handed to accesses marked 0 or 1 get
-ids but stay untrained.  An outcome, hint or PC array whose length differs
+signatures, Hawkeye and Leeway PCs of accesses marked 0 or 1 stay
+untrained.  An outcome, hint or PC array whose length differs
 from the blocks raises :class:`ValueError` before the kernel runs.
 
 The suite needs ``hypothesis`` and the kernel library; it is skipped where

@@ -25,7 +25,7 @@ from repro.experiments.queue import WORKER_DIED, ProcessPoolBackend, Task
 from repro.experiments.runner import active_disk_memo, build_workload, set_disk_memo
 from repro.experiments.schemes import scheme_policy
 from repro.experiments.service import DONE, Scheduler, _default_workers
-from repro.fastsim.pipeline import fused_native_supported
+from repro.fastsim import kernels
 
 
 def _exit_on_first_attempt(marker: str) -> str:
@@ -204,7 +204,7 @@ class TestParallelRunner:
 
         config = ExperimentConfig.smoke().with_overrides(backend="vector")
         policy = scheme_policy("GRASP")
-        if not fused_native_supported(policy):
+        if not kernels.has_capability("fused:filter"):
             pytest.skip("no fused kernel available")
         memo = DiskMemo(tmp_path / "memo")
         set_disk_memo(memo)

@@ -2,10 +2,10 @@
 
 Covers the two contracts the fused path must honour:
 
-* **Bit-identity** — the fused pipeline (the L1/L2 filter kernel, then the
-  family's own replay kernel over one outcome vector) must match the scalar
-  reference pipeline access for access, for every policy family, for any
-  chunking of the input stream.
+* **Bit-identity** — the fused pass (the L1/L2 filter kernel, then each
+  scheme's own replay kernel over its copy of the outcome vector) must match
+  the scalar reference pipeline access for access, for every policy family,
+  alone or several in one pass, for any chunking of the input stream.
 * **Registry hygiene** — kernels are registered declaratively and compiled
   lazily (importing ``repro`` must not touch a compiler), the build cache
   key covers source, flags and compiler, capability probes replace
@@ -30,12 +30,9 @@ from repro.experiments.runner import LLCTrace, simulate_llc_policy
 from repro.fastsim import kernels
 from repro.fastsim.filter import run_filter
 from repro.fastsim.kernels import registry
-from repro.fastsim.pipeline import (
-    FusedPipeline,
-    FusedStats,
-    MultiFusedPipeline,
-    fused_native_supported,
-)
+from repro.fastsim.kernels.fused import OUT_LLC_HIT
+from repro.fastsim.pipeline import FusedPipeline
+from repro.fastsim.replay import _family
 from repro.fastsim.rrip import RRIPStream, rrip_spec
 from repro.trace import Trace, iter_trace_slices
 
@@ -71,10 +68,11 @@ def classifier():
 
 @pytest.fixture(scope="module")
 def scalar_reference(trace, classifier):
-    """Scalar filter + scalar LLC replay, computed once per policy family."""
+    """Scalar filter + scalar LLC replay, computed once per policy family:
+    its ``(l1_stats, l2_stats, llc_stats)``."""
     cache: dict = {}
 
-    def compute(name: str) -> FusedStats:
+    def compute(name: str):
         if name not in cache:
             policy = create_policy(name)
             result = run_filter(trace, HIERARCHY, backend="scalar")
@@ -93,16 +91,14 @@ def scalar_reference(trace, classifier):
             llc_stats = simulate_llc_policy(
                 llc_trace, policy, HIERARCHY.llc, backend="scalar"
             )
-            cache[name] = FusedStats(
-                l1_stats=result.l1_stats, l2_stats=result.l2_stats, llc_stats=llc_stats
-            )
+            cache[name] = (result.l1_stats, result.l2_stats, llc_stats)
         return cache[name]
 
     return compute
 
 
 def run_fused(trace, policy, classifier, chunk=3333):
-    fused = FusedPipeline(HIERARCHY, policy, classifier=classifier)
+    fused = FusedPipeline(HIERARCHY, [policy], classifier=classifier)
     outcomes = [fused.feed(piece) for piece in iter_trace_slices(trace, chunk)]
     return fused, np.concatenate(outcomes)
 
@@ -118,37 +114,34 @@ def run_fused(trace, policy, classifier, chunk=3333):
 class TestFusedMatchesScalar:
     def test_stats(self, trace, classifier, scalar_reference, name, chunks):
         policy = create_policy(name)
-        assert fused_native_supported(policy)
         fused, _ = run_fused(trace, policy, classifier, chunk=-(-len(trace) // chunks))
-        got = fused.stats()
-        want = scalar_reference(name)
-        assert got.l1_stats == want.l1_stats
-        assert got.l2_stats == want.l2_stats
+        (got,) = fused.stats()
+        want_l1, want_l2, want = scalar_reference(name)
+        assert fused.level_stats() == (want_l1, want_l2)
         # Scalar replay names differ only by construction path; compare counts.
         for field in ("hits", "misses", "evictions", "bypasses",
                       "region_accesses", "region_misses"):
-            assert getattr(got.llc_stats, field) == getattr(want.llc_stats, field), field
+            assert getattr(got, field) == getattr(want, field), field
 
 
 @needs_native
 @pytest.mark.parametrize("name", FAMILIES)
 class TestFusedInvariances:
     def test_chunked_equals_oneshot(self, trace, classifier, name):
-        policy = create_policy(name)
-        _, oneshot = run_fused(trace, policy, classifier, chunk=10**9)
+        whole, oneshot = run_fused(trace, create_policy(name), classifier, chunk=10**9)
         for chunk in (17, 4096):
             fused, out = run_fused(trace, create_policy(name), classifier, chunk=chunk)
             np.testing.assert_array_equal(oneshot, out)
+            assert fused.stats() == whole.stats()
 
 
-class TestMultiFusedPipeline:
-    """The multi-scheme shared-filter pipeline matches every per-policy
-    reference."""
+class TestMultiSchemePass:
+    """One pass over several schemes matches every per-policy reference."""
 
-    NAMES = ("lru", "grasp", "ship-mem", "hawkeye")
+    NAMES = ("lru", "grasp", "ship-mem", "hawkeye", "leeway", "pin")
 
     def _run_multi(self, trace, classifier, names, chunk=3333):
-        multi = MultiFusedPipeline(
+        multi = FusedPipeline(
             HIERARCHY,
             [create_policy(name) for name in names],
             classifier=classifier,
@@ -163,12 +156,11 @@ class TestMultiFusedPipeline:
         l1, l2 = multi.level_stats()
         assert multi.total_references == len(trace)
         for name, got in zip(self.NAMES, multi.stats()):
-            want = scalar_reference(name)
-            assert l1 == want.l1_stats
-            assert l2 == want.l2_stats
+            want_l1, want_l2, want = scalar_reference(name)
+            assert (l1, l2) == (want_l1, want_l2)
             for field in ("hits", "misses", "evictions", "bypasses",
                           "region_accesses", "region_misses"):
-                assert getattr(got, field) == getattr(want.llc_stats, field), (name, field)
+                assert getattr(got, field) == getattr(want, field), (name, field)
 
     @needs_native
     def test_chunk_invariant(self, trace, classifier):
@@ -178,32 +170,40 @@ class TestMultiFusedPipeline:
             for a, b in zip(base.stats(), other.stats()):
                 assert (a.hits, a.misses, a.evictions) == (b.hits, b.misses, b.evictions)
 
-    def test_rejects_non_vector_policies(self):
+    def test_rejects_policies_without_an_online_engine(self):
         from repro.cache.policies import BeladyOptimal
 
-        with pytest.raises(ValueError, match="no vector replay engine"):
-            MultiFusedPipeline(HIERARCHY, [create_policy("random")])
-        with pytest.raises(ValueError, match="no vector replay engine"):
-            MultiFusedPipeline(HIERARCHY, [BeladyOptimal(HIERARCHY.llc)])
-        with pytest.raises(ValueError, match="at least one policy"):
-            MultiFusedPipeline(HIERARCHY, [])
+        with pytest.raises(ValueError, match="no fused replay engine"):
+            FusedPipeline(HIERARCHY, [create_policy("lru"), create_policy("random")])
+        with pytest.raises(ValueError, match="no fused replay engine"):
+            FusedPipeline(HIERARCHY, [BeladyOptimal(HIERARCHY.llc)])
+
+    @needs_native
+    def test_filter_only_pass_marks_the_llc_bound_accesses(self, trace):
+        # With no engine the pass is the filter alone; the accesses it marks
+        # LLC-bound are the ones OPT's blocks are taken from.
+        bare = FusedPipeline(HIERARCHY, [])
+        out = np.concatenate([bare.feed(piece) for piece in iter_trace_slices(trace, 3333)])
+        reference = run_filter(trace, HIERARCHY, backend="scalar")
+        np.testing.assert_array_equal(out == OUT_LLC_HIT, reference.keep)
+        assert bare.level_stats() == (reference.l1_stats, reference.l2_stats)
+        assert bare.stats() == []
 
 
 class TestSupportPredicates:
     def test_fused_supported_matrix(self):
-        # Every family fuses wherever the library was built.
+        # Every family has an online engine to ride the fused pass; random
+        # has none, and the offline OPT rides it through its blocks instead.
         for name in FAMILIES:
-            assert fused_native_supported(create_policy(name)) == (
-                kernels.has_capability("fused")
-            )
-        assert not fused_native_supported(create_policy("random"))
+            assert _family(create_policy(name)) is not None
+        assert _family(create_policy("random")) is None
         from repro.cache.policies import BeladyOptimal
 
-        assert not fused_native_supported(BeladyOptimal(HIERARCHY.llc))
+        assert _family(BeladyOptimal(HIERARCHY.llc)) is None
 
     def test_unsupported_policy_raises(self):
         with pytest.raises(ValueError):
-            FusedPipeline(HIERARCHY, create_policy("random"))
+            FusedPipeline(HIERARCHY, [create_policy("random")])
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ class TestLazyCompilation:
             "with pytest.raises(RuntimeError, match='rrip_replay'):\n"
             "    PolicyReplayStream(GraspPolicy(), llc)\n"
             "with pytest.raises(RuntimeError, match='fused_filter_only'):\n"
-            "    FusedPipeline(HierarchyConfig(), create_policy('grasp'))\n"
+            "    FusedPipeline(HierarchyConfig(), [create_policy('grasp')])\n"
             "print('ok')\n",
             {
                 "REPRO_CC": "/usr/bin/false",

@@ -12,7 +12,9 @@ import json
 
 import pytest
 
+from repro.cache.config import HierarchyConfig
 from repro.cache.partition import WayPartition
+from repro.cache.policies import BeladyOptimal
 from repro.experiments import ExperimentConfig, clear_caches
 from repro.experiments.cli import main as cli_main
 from repro.experiments.memo import DiskMemo
@@ -34,7 +36,6 @@ from repro.fastsim.plan import (
     NO_KERNELS,
     PLANNER,
     ROUTE_FUSED,
-    ROUTE_FUSED_MULTI,
     ROUTE_SCALAR,
     ROUTE_VECTOR,
     STAGE_CORUN,
@@ -78,11 +79,6 @@ class TestSimRequest:
         with pytest.raises(ValueError, match="1 policy object"):
             SimRequest(schemes=("RRIP", "GRASP"), policies=(scheme_policy("RRIP"),))
 
-    def test_consumer_count_defaults_to_distinct_schemes(self):
-        request = SimRequest(schemes=("RRIP", "GRASP", "RRIP"))
-        assert request.consumer_count() == 2
-        assert SimRequest(schemes=("RRIP",), consumers=5).consumer_count() == 5
-
     def test_native_override_cannot_conjure_kernels(self, monkeypatch):
         monkeypatch.setattr(kernels, "available", lambda: False)
         request = SimRequest(schemes=("RRIP",), native_override=True)
@@ -118,11 +114,6 @@ class TestSinglePolicyRouting:
             assert plan.fallbacks == (NO_KERNELS,)
             assert "unavailable" in plan.explain()
 
-    def test_shared_roi_trace_skips_fused(self):
-        plan = PLANNER.plan(_request(stage=STAGE_ROI, consumers=2, backend="vector"))
-        assert plan.route == ROUTE_VECTOR
-        assert any("2 consumers" in reason for reason in plan.fallbacks)
-
     def test_cached_roi_trace_skips_fused(self):
         plan = PLANNER.plan(_request(stage=STAGE_ROI, have_stream=True, backend="vector"))
         assert plan.route == ROUTE_VECTOR
@@ -134,16 +125,6 @@ class TestSinglePolicyRouting:
         )
         assert plan.route == ROUTE_VECTOR
         assert any("chunk store" in reason for reason in plan.fallbacks)
-
-    def test_streaming_shared_consumers_need_a_memo_to_skip_fused(self):
-        shared = _request(
-            stage=STAGE_STREAMING, consumers=2, have_memo=True, backend="vector"
-        )
-        assert PLANNER.plan(shared).route == ROUTE_VECTOR
-        memoless = _request(
-            stage=STAGE_STREAMING, consumers=2, have_memo=False, backend="vector"
-        )
-        assert PLANNER.plan(memoless).route == ROUTE_FUSED
 
     def test_scalar_backend_is_the_reference(self):
         plan = PLANNER.plan(_request(stage=STAGE_ROI, backend="scalar"))
@@ -169,10 +150,20 @@ class TestOptRouting:
         assert (plan.route, plan.engine) == (ROUTE_VECTOR, "opt")
         assert plan.kernel == "native"
 
-    def test_streaming_is_two_pass(self):
-        plan = PLANNER.plan(_request("OPT", stage=STAGE_STREAMING))
-        assert (plan.route, plan.engine) == (ROUTE_VECTOR, "opt")
+    def test_streaming_rides_the_fused_pass_then_two_passes(self):
+        plan = PLANNER.plan(_request("OPT", stage=STAGE_STREAMING, backend="vector"))
+        assert (plan.route, plan.engine, plan.kernel) == (ROUTE_FUSED, "opt", "native-fused")
         assert any("two-pass" in reason for reason in plan.fallbacks)
+
+    def test_roi_rides_the_fused_pass(self):
+        plan = PLANNER.plan(_request("OPT", stage=STAGE_ROI, backend="vector"))
+        assert (plan.route, plan.engine) == (ROUTE_FUSED, "opt")
+        assert plan.fallbacks == ()
+
+    def test_stored_stream_is_replayed(self):
+        for stage in (STAGE_ROI, STAGE_STREAMING):
+            plan = PLANNER.plan(_request("OPT", stage=stage, have_stream=True))
+            assert (plan.route, plan.engine) == (ROUTE_VECTOR, "opt")
 
     def test_scalar_backend_is_offline_reference(self):
         plan = PLANNER.plan(_request("OPT", stage=STAGE_STREAMING, backend="scalar"))
@@ -201,7 +192,10 @@ class TestMultiSchemeRouting:
     def _multi(self, schemes, *, stage=STAGE_ROI, **kwargs):
         return SimRequest(
             schemes=tuple(schemes),
-            policies=tuple(scheme_policy(s) for s in schemes),
+            policies=tuple(
+                BeladyOptimal(HierarchyConfig().llc) if s == "OPT" else scheme_policy(s)
+                for s in schemes
+            ),
             stage=stage,
             **kwargs,
         )
@@ -209,17 +203,18 @@ class TestMultiSchemeRouting:
     @pytest.mark.skipif(
         not kernels.has_capability("fused:filter"), reason="no fused filter kernel"
     )
-    def test_fused_multi_preferred(self):
-        plan = PLANNER.plan(self._multi(("RRIP", "GRASP"), backend="vector"))
-        assert plan.route == ROUTE_FUSED_MULTI
-        assert plan.engine == "multi"
-        assert plan.scheme == "RRIP+GRASP"
-        assert plan.schemes == ("RRIP", "GRASP")
+    @pytest.mark.parametrize("stage", [STAGE_ROI, STAGE_STREAMING])
+    def test_one_fused_pass_preferred_opt_included(self, stage):
+        schemes = ("RRIP", "GRASP", "OPT")
+        plan = PLANNER.plan(self._multi(schemes, stage=stage, backend="vector"))
+        assert (plan.route, plan.engine, plan.kernel) == (ROUTE_FUSED, "multi", "native-fused")
+        assert plan.scheme == "RRIP+GRASP+OPT"
+        assert plan.schemes == schemes
 
     def test_no_kernel_materializes_once(self):
         plan = PLANNER.plan(self._multi(("RRIP", "GRASP"), native_override=False))
         assert plan.route == ROUTE_SCALAR
-        assert plan.engine == "staged"
+        assert plan.engine == "multi"
         assert plan.fallbacks[0] == NO_KERNELS
         assert any("materializes the filtered trace once" in r for r in plan.fallbacks)
 
@@ -249,8 +244,6 @@ GOLDEN_PLANS = [
      (ROUTE_FUSED, "rrip", "native-fused")),
     (dict(scheme="RRIP", stage=STAGE_ROI, native=False),
      (ROUTE_SCALAR, "scalar", "python")),
-    (dict(scheme="RRIP", stage=STAGE_ROI, native=True, consumers=2),
-     (ROUTE_VECTOR, "rrip", "native")),
     (dict(scheme="GRASP", stage=STAGE_STREAMING, native=True, backend="vector"),
      (ROUTE_FUSED, "rrip", "native-fused")),
     (dict(scheme="GRASP", stage=STAGE_STREAMING, native=True, have_stream=True),
@@ -267,7 +260,9 @@ GOLDEN_PLANS = [
      (ROUTE_VECTOR, "opt", "native")),
     (dict(scheme="OPT", stage=STAGE_ONESHOT, native=False),
      (ROUTE_SCALAR, "opt", "python")),
-    (dict(scheme="OPT", stage=STAGE_STREAMING, native=True),
+    (dict(scheme="OPT", stage=STAGE_STREAMING, native=True, backend="vector"),
+     (ROUTE_FUSED, "opt", "native-fused")),
+    (dict(scheme="OPT", stage=STAGE_ROI, native=True, have_stream=True),
      (ROUTE_VECTOR, "opt", "native")),
     (dict(scheme="OPT", stage=STAGE_STREAMING, native=True, backend="scalar"),
      (ROUTE_SCALAR, "opt", "python")),
@@ -331,16 +326,16 @@ class TestTaskPlanning:
 
     def test_plan_reflects_memo_state(self, tmp_path, monkeypatch):
         """Once a sweep persisted its chunk store, the next plan replays it."""
-        from repro.experiments.runner import build_workload, simulate_policy
+        from repro.experiments.runner import build_workload, llc_chunks
 
         config = ExperimentConfig.smoke().with_overrides(backend="vector")
         memo = DiskMemo(tmp_path)
         set_disk_memo(memo)
-        # Force the staged path (shared stream) so the chunk store persists.
+        # Drain the filtered stream, as a sweep's filter task does, so the
+        # chunk store persists.
         workload = build_workload("PR", "lj", config=config)
-        simulate_policy(
-            workload, scheme_policy("GRASP"), config, streaming=True, shared=True
-        )
+        for _ in llc_chunks(workload, config, streaming=True):
+            pass
         # Pin a host with the fused kernels: without them the kernel rule
         # decides first and the chunk-store rule is never reached.
         monkeypatch.setattr(kernels, "available", lambda: True)

@@ -3,22 +3,24 @@
 Plans never change results — each test first pins the route the planner
 chooses for a scenario, then asserts the executed statistics are
 bit-identical to the scalar reference simulator for that same scenario.
-Together the scenarios cover each of the four routes (``fused``,
-``fused-multi``, ``vector``, ``scalar``) with every engine and stage that
-takes it — OPT on ``vector`` in both scopes, a co-run on ``vector`` and
-on ``scalar``, and a K=1 co-run on the single-app route it runs as —
-modulo kernel availability: without the kernel library every route is
-``scalar``, and the statistics still match.
+Together the scenarios cover each of the three routes (``fused``,
+``vector``, ``scalar``) with every engine and stage that takes it — one
+scheme or every family plus OPT on ``fused`` in both scopes (OPT's blocks
+spilled across several execution chunks), a stored stream replayed on
+``vector``, a co-run on ``vector`` and on ``scalar``, and a K=1 co-run on
+the single-app route it runs as — modulo kernel availability: without the
+kernel library every route is ``scalar``, and the statistics still match.
 """
 
 import pytest
 
 from repro.cache.partition import WayPartition
 from repro.experiments import ExperimentConfig, clear_caches, compare_policies
-from repro.experiments.memo import DiskMemo
+from repro.experiments.memo import ChunkSpill, DiskMemo
 from repro.experiments.runner import (
     CorunSpec,
     build_workload,
+    llc_chunks,
     plan_corun_task,
     plan_scheme_task,
     set_disk_memo,
@@ -26,7 +28,13 @@ from repro.experiments.runner import (
     simulate_scheme,
 )
 from repro.fastsim import kernels
-from repro.fastsim.plan import ROUTE_FUSED, ROUTE_SCALAR, ROUTE_VECTOR, STAGE_CORUN
+from repro.fastsim.plan import (
+    ROUTE_FUSED,
+    ROUTE_SCALAR,
+    ROUTE_VECTOR,
+    STAGE_CORUN,
+    RoutePlanner,
+)
 
 VECTOR_CFG = ExperimentConfig.smoke()
 SCALAR_CFG = VECTOR_CFG.with_overrides(backend="scalar")
@@ -36,6 +44,9 @@ STREAM_SCALAR_CFG = STREAM_VECTOR_CFG.with_overrides(backend="scalar")
 #: The staged route on this host: ``vector`` over the compiled engines, or
 #: the ``scalar`` reference where the kernel library cannot be built.
 STAGED = ROUTE_VECTOR if kernels.available() else ROUTE_SCALAR
+#: The route of a scope with no stored stream: the fused pass where the
+#: filter kernel is built, the staged route otherwise.
+FUSED = ROUTE_FUSED if kernels.has_capability("fused:filter") else STAGED
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -55,31 +66,40 @@ def _assert_stats_equal(vector, scalar):
     assert vector.evictions == scalar.evictions
 
 
-def _roi_stats(scheme, config, shared=False):
+def _roi_stats(scheme, config):
     workload = build_workload("PR", "lj", config=config)
-    return simulate_scheme(workload, scheme, config, shared=shared)
+    return simulate_scheme(workload, scheme, config)
 
 
-def _stream_stats(scheme, config, shared=False):
+def _stream_stats(scheme, config):
     workload = build_workload("PR", "lj", config=config)
-    return simulate_scheme(workload, scheme, config, streaming=True, shared=shared)
+    return simulate_scheme(workload, scheme, config, streaming=True)
+
+
+def _store_stream(config, streaming):
+    """Filter the scope once, as a sweep's filter task does, so it is stored."""
+    workload = build_workload("PR", "lj", config=config)
+    for _ in llc_chunks(workload, config, streaming):
+        pass
 
 
 class TestRoiRoutes:
     def test_fused_route_matches_reference(self):
         config = VECTOR_CFG.with_overrides(backend="vector")
         plan = plan_scheme_task("PR", "lj", config.reorder, "GRASP", config)
-        expected = ROUTE_FUSED if kernels.has_capability("fused:filter") else STAGED
-        assert plan.route == expected
+        assert plan.route == FUSED
         vector = _roi_stats("GRASP", config)
         clear_caches()
         _assert_stats_equal(vector, _roi_stats("GRASP", SCALAR_CFG))
 
     def test_staged_vector_route_matches_reference(self):
-        """shared forces the staged materialize-once vector route."""
-        vector = _roi_stats("RRIP", VECTOR_CFG, shared=True)
+        """A stored filtered ROI trace is replayed on the staged route."""
+        _store_stream(VECTOR_CFG, streaming=False)
+        plan = plan_scheme_task("PR", "lj", VECTOR_CFG.reorder, "RRIP", VECTOR_CFG)
+        assert plan.route == STAGED
+        vector = _roi_stats("RRIP", VECTOR_CFG)
         clear_caches()
-        _assert_stats_equal(vector, _roi_stats("RRIP", SCALAR_CFG, shared=True))
+        _assert_stats_equal(vector, _roi_stats("RRIP", SCALAR_CFG))
 
     def test_scalar_route_for_ablation_subclass(self):
         plan = plan_scheme_task(
@@ -90,9 +110,10 @@ class TestRoiRoutes:
         clear_caches()
         _assert_stats_equal(vector_cfg_run, _roi_stats("RRIP+Hints", SCALAR_CFG))
 
-    def test_opt_vector_route_matches_reference(self):
-        plan = plan_scheme_task("PR", "lj", VECTOR_CFG.reorder, "OPT", VECTOR_CFG)
-        assert (plan.route, plan.engine) == (STAGED, "opt")
+    def test_opt_route_matches_reference(self):
+        config = VECTOR_CFG.with_overrides(backend="vector")
+        plan = plan_scheme_task("PR", "lj", config.reorder, "OPT", config)
+        assert (plan.route, plan.engine) == (FUSED, "opt")
         vector = _roi_stats("OPT", VECTOR_CFG)
         clear_caches()
         _assert_stats_equal(vector, _roi_stats("OPT", SCALAR_CFG))
@@ -104,59 +125,83 @@ class TestStreamingRoutes:
         plan = plan_scheme_task(
             "PR", "lj", config.reorder, "GRASP", config, streaming=True,
         )
-        expected = ROUTE_FUSED if kernels.has_capability("fused:filter") else STAGED
-        assert plan.route == expected
+        assert plan.route == FUSED
         vector = _stream_stats("GRASP", config)
         clear_caches()
         _assert_stats_equal(vector, _stream_stats("GRASP", STREAM_SCALAR_CFG))
 
     def test_staged_streaming_replays_persisted_chunk_store(self, tmp_path):
         set_disk_memo(DiskMemo(tmp_path))
-        vector = _stream_stats("RRIP", STREAM_VECTOR_CFG, shared=True)
+        _store_stream(STREAM_VECTOR_CFG, streaming=True)
         plan = plan_scheme_task(
             "PR", "lj", STREAM_VECTOR_CFG.reorder, "RRIP", STREAM_VECTOR_CFG,
             streaming=True,
         )
         assert plan.route == STAGED  # chunk store now on disk
+        vector = _stream_stats("RRIP", STREAM_VECTOR_CFG)
         clear_caches()
         set_disk_memo(None)
         _assert_stats_equal(vector, _stream_stats("RRIP", STREAM_SCALAR_CFG))
 
     def test_opt_two_pass_matches_reference(self):
+        config = STREAM_VECTOR_CFG.with_overrides(backend="vector")
         plan = plan_scheme_task(
-            "PR", "lj", STREAM_VECTOR_CFG.reorder, "OPT", STREAM_VECTOR_CFG,
-            streaming=True,
+            "PR", "lj", config.reorder, "OPT", config, streaming=True,
         )
-        assert (plan.route, plan.engine) == (STAGED, "opt")
-        vector = _stream_stats("OPT", STREAM_VECTOR_CFG)
+        assert (plan.route, plan.engine) == (FUSED, "opt")
+        vector = _stream_stats("OPT", config)
         clear_caches()
         _assert_stats_equal(vector, _stream_stats("OPT", STREAM_SCALAR_CFG))
 
 
 class TestMultiSchemeRoutes:
-    SCHEMES = ("GRASP", "LRU")
+    """One plan over every engine family plus OPT: the fused pass where the
+    filter kernel is built, the staged route otherwise — and every scheme's
+    statistics equal the scalar reference either way."""
 
-    def test_compare_policies_matches_scalar_reference(self):
-        """Covers the fused-multi route when the filter kernel is compiled,
-        the staged materialize-once path otherwise — identical either way."""
-        vector = compare_policies(("PR",), ("lj",), self.SCHEMES, config=VECTOR_CFG)
-        clear_caches()
-        scalar = compare_policies(("PR",), ("lj",), self.SCHEMES, config=SCALAR_CFG)
-        assert len(vector) == len(scalar)
-        for v, s in zip(vector, scalar):
-            assert (v.app_name, v.dataset_name, v.scheme) == (s.app_name, s.dataset_name, s.scheme)
-            _assert_stats_equal(v.stats, s.stats)
+    SCHEMES = ("LRU", "RRIP", "GRASP", "SHiP-MEM", "Hawkeye", "Leeway", "PIN-100", "OPT")
+    FIELDS = ("hits", "misses", "evictions", "bypasses", "region_accesses", "region_misses")
 
-    def test_compare_policies_streaming_matches_scalar_reference(self):
-        vector = compare_policies(
-            ("PR",), ("lj",), self.SCHEMES, config=STREAM_VECTOR_CFG, streaming=True
+    @pytest.mark.parametrize("streaming", [False, True], ids=["roi", "execution"])
+    def test_every_family_and_opt_match_scalar_reference(self, monkeypatch, streaming):
+        config = (STREAM_VECTOR_CFG if streaming else VECTOR_CFG).with_overrides(
+            backend="vector"
         )
+        plans, spilled = [], []
+        plan = RoutePlanner.plan
+
+        def planned(self, request):
+            plans.append(plan(self, request))
+            return plans[-1]
+
+        put = ChunkSpill.put
+
+        def spill(self, name, index, array):
+            spilled.append((name, index))
+            put(self, name, index, array)
+
+        monkeypatch.setattr(RoutePlanner, "plan", planned)
+        monkeypatch.setattr(ChunkSpill, "put", spill)
+        vector = compare_policies(
+            ("PR",), ("lj",), self.SCHEMES, config=config, streaming=streaming
+        )
+        (multi,) = plans
+        # compare_policies plans the baseline (RRIP) first, each scheme once.
+        assert multi.schemes == tuple(dict.fromkeys(("RRIP", *self.SCHEMES)))
+        assert multi.route == FUSED
+        if streaming and FUSED == ROUTE_FUSED:
+            # OPT's blocks went to disk, one spill entry per execution chunk.
+            assert len([entry for entry in spilled if entry[0] == "blocks"]) > 1
         clear_caches()
         scalar = compare_policies(
-            ("PR",), ("lj",), self.SCHEMES, config=STREAM_SCALAR_CFG, streaming=True
+            ("PR",), ("lj",), self.SCHEMES, streaming=streaming,
+            config=(STREAM_SCALAR_CFG if streaming else SCALAR_CFG),
         )
+        assert len(vector) == len(scalar) == len(self.SCHEMES)
         for v, s in zip(vector, scalar):
-            _assert_stats_equal(v.stats, s.stats)
+            assert (v.app_name, v.dataset_name, v.scheme) == (s.app_name, s.dataset_name, s.scheme)
+            for field in self.FIELDS:
+                assert getattr(v.stats, field) == getattr(s.stats, field), (v.scheme, field)
 
 
 class TestChunkBudgetInvariance:
@@ -177,22 +222,24 @@ class TestChunkBudgetInvariance:
         return self._reference[streaming]
 
     @pytest.mark.parametrize("chunk_accesses", [700, 4096, None])
-    @pytest.mark.parametrize("shared", [False, True], ids=["fused", "staged"])
+    @pytest.mark.parametrize("staged", [False, True], ids=["fused", "staged"])
     @pytest.mark.parametrize("streaming", [False, True], ids=["roi", "execution"])
     def test_stats_match_scalar_for_every_budget(
-        self, tmp_path, streaming, shared, chunk_accesses
+        self, tmp_path, streaming, staged, chunk_accesses
     ):
         reference = self._scalar(streaming)
         config = VECTOR_CFG.with_overrides(backend="vector", chunk_accesses=chunk_accesses)
-        # A disk memo lets the full execution keep a shared stream (staged).
+        # A disk memo keeps the full execution's stream once stored (staged).
         memo = DiskMemo(tmp_path)
         set_disk_memo(memo)
+        if staged:
+            _store_stream(config, streaming)
         workload = build_workload("PR", "lj", config=config)
-        stats = simulate_scheme(workload, "GRASP", config, streaming=streaming, shared=shared)
+        stats = simulate_scheme(workload, "GRASP", config, streaming=streaming)
         _assert_stats_equal(stats, reference)
         assert stats.bypasses == reference.bypasses
         stored = memo.entry_count("llcchunk")
-        if shared:
+        if staged:
             assert stored > 0
         elif kernels.has_capability("fused:filter"):
             assert stored == 0

@@ -11,7 +11,7 @@ exactly for the faults the plan injected.
 import math
 
 import pytest
-from conftest import (
+from fault_harness import (
     CrashingBackend,
     FaultPlan,
     FaultyWorkerBackend,

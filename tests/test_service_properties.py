@@ -14,7 +14,7 @@ scheduler's core invariants:
 """
 
 import pytest
-from conftest import SimBackend, VirtualClock
+from fault_harness import SimBackend, VirtualClock
 
 from repro.experiments.queue import RetryPolicy, Task
 from repro.experiments.service import (

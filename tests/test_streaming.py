@@ -20,7 +20,7 @@ distances).  Covered at three levels:
 
 import numpy as np
 import pytest
-from conftest import needs_native
+from kernel_marks import needs_native
 
 from repro.cache.config import CacheConfig
 from repro.cache.hints import HINT_HIGH
@@ -134,7 +134,8 @@ def scalar_route_replay(policy, streams, chunk):
             chunked(streams["pcs"], chunk),
         )
     ]
-    return _replay_llc(pieces, policy, llc, True, plan)
+    (stats,) = _replay_llc(pieces, (policy,), llc, True, plan)
+    return stats
 
 
 def assert_scalar_route_matches(policy, streams, chunk, one_hits, one):
