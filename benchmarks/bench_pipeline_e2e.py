@@ -2,9 +2,9 @@
 
 PR 7 fuses the per-chunk generate → filter → replay flow into one native
 pipeline pass (:class:`~repro.fastsim.pipeline.FusedPipeline`): each raw trace chunk
-runs through the L1/L2 filter kernel and then the LLC family's own kernel
-over one outcome vector, with no intermediate filtered-trace
-materialization and no per-chunk persistence.  This benchmark gates the
+runs through the L1/L2 filter kernel and its LLC-bound accesses through
+the LLC family's own kernel, with no filtered trace materialized beyond
+the chunk and no per-chunk persistence.  This benchmark gates the
 contracts the fused route makes for its regime — a *single-consumer*
 replay (one policy, cold caches), the unit of work a cold sweep performs
 per scheme:

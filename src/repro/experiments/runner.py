@@ -97,11 +97,9 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.memo import ChunkSpill, DiskMemo, default_cache_dir
 from repro.fastsim.dispatch import VERIFY
 from repro.fastsim.plan import (
-    OUT_LLC_HIT,
     PLANNER,
     ROUTE_FUSED,
     ROUTE_SCALAR,
-    ROUTE_VECTOR,
     STAGE_CORUN,
     STAGE_ONESHOT,
     STAGE_ROI,
@@ -116,7 +114,6 @@ from repro.fastsim.plan import (
     SimRequest,
     assert_stats_equal,
     resolve_chunk_next_use,
-    supports_vector_replay,
 )
 # The span tracer of benchmarks/suite wraps these three module globals; the
 # runner itself filters and replays through the streams.
@@ -815,8 +812,9 @@ class _StagedReplay:
     ``scalar`` keeps the reference cache alive across chunks, and
     ``verify`` runs both and raises
     :class:`~repro.fastsim.filter.FastSimMismatchError` unless their
-    statistics are identical.  A policy without a compiled engine replays
-    through the reference on every route.  A co-run's merged, stream-tagged
+    statistics are identical.  The plan's ``reference`` schemes (a scalar
+    route's every scheme, or the members without a compiled engine) replay
+    through the reference alone.  A co-run's merged, stream-tagged
     chunks (``corun`` is its spec) replay through a
     :class:`~repro.fastsim.corun.CorunReplayStream` and a stream-tracking
     reference cache under the spec's partition, so the cross-check covers
@@ -825,6 +823,7 @@ class _StagedReplay:
 
     def __init__(
         self,
+        scheme: str,
         policy,
         llc_config: CacheConfig,
         plan: ExecutionPlan,
@@ -834,7 +833,7 @@ class _StagedReplay:
         self.corun = corun
         partition = corun.partition if corun is not None else None
         self.vector = None
-        if plan.route == ROUTE_VECTOR and supports_vector_replay(policy):
+        if scheme not in plan.reference:
             self.vector = (
                 PolicyReplayStream(policy, llc_config)
                 if corun is None
@@ -975,15 +974,16 @@ def _replay_llc(
 
     The stream is read once: each chunk feeds every policy's replay in turn
     (:class:`_StagedReplay`, or :class:`_OptReplay` for Belady's OPT).
-    Returns the policies' statistics in order.
+    ``policies`` align with ``plan.schemes``.  Returns the policies'
+    statistics in order.
     """
     replays: list = []
     try:
-        for policy in policies:
+        for scheme, policy in zip(plan.schemes, policies):
             replays.append(
                 _OptReplay(llc_config, plan)
                 if type(policy) is BeladyOptimal
-                else _StagedReplay(policy, llc_config, plan, corun)
+                else _StagedReplay(scheme, policy, llc_config, plan, corun)
             )
         for chunk in chunks:
             for replay in replays:
@@ -1101,12 +1101,9 @@ def _fused_replay(
         )
         count = 0
         for piece in pieces:
-            out = pipeline.feed(piece)
-            if opts:
-                llc_bound = np.flatnonzero(out == OUT_LLC_HIT)
-                blocks = piece.addresses[llc_bound] >> hierarchy.llc.block_offset_bits
-                for opt in opts.values():
-                    opt.put(blocks)
+            blocks = pipeline.feed(piece)
+            for opt in opts.values():
+                opt.put(blocks)
             count += 1
         online = iter(pipeline.stats())
         stats = [
@@ -1216,9 +1213,9 @@ def simulate_policy(
 
     Under the ``vector`` backend every policy, Belady's OPT included, takes
     the fused pass (:class:`~repro.fastsim.pipeline.FusedPipeline`): each raw
-    trace piece runs through the L1/L2 filter kernel and the policy
-    family's replay kernel over one outcome vector, with no filtered stream
-    materialized.  The fused pass is skipped when the scope's filtered
+    trace piece runs through the L1/L2 filter kernel and its LLC-bound
+    accesses through the policy family's replay kernel, with no filtered
+    stream materialized.  The fused pass is skipped when the scope's filtered
     stream is already stored, since replaying it is cheaper than
     regenerating the raw trace.  Every other plan replays the filtered
     stream (:func:`llc_chunks`) through ``vector``, ``scalar`` or the

@@ -43,11 +43,11 @@ below that defines it (``from repro.fastsim.rrip import RRIPStream``).
     wrappers, which accept only arrays of exactly the kernel's types.
 ``pipeline``
     The fused pass over N schemes: per trace chunk, the L1/L2 filter
-    kernel runs once and writes the GRASP hints, then each scheme's own
-    replay kernel runs over its copy of the outcome vector, bit-identical
-    to the staged engines.  Belady's OPT rides the same pass: the runner
-    keeps each chunk's LLC-bound blocks and runs OPT's two offline passes
-    after it.
+    kernel runs once and writes the GRASP hints, the LLC-bound accesses
+    are gathered once, and each scheme's own replay kernel runs over them,
+    bit-identical to the staged engines.  Belady's OPT rides the same
+    pass: the runner keeps the LLC-bound blocks each chunk yields and runs
+    OPT's two offline passes after it.
 ``plan``
     Capability-driven execution planning: :class:`~repro.fastsim.plan.RoutePlanner`
     maps a :class:`~repro.fastsim.plan.SimRequest` to an explicit, serializable

@@ -135,8 +135,8 @@ class HawkeyeStream:
 
         With ``outcomes`` (see :func:`~repro.fastsim.stackdist.outcome_vector`)
         only the accesses marked 2 replay, and their codes are written into
-        it in place.  Only the replayed accesses get block and PC ids and
-        train OPTgen and the predictor.
+        it in place.  Every access of the chunk gets block and PC ids, but
+        only the replayed ones train OPTgen and the predictor.
         """
         blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
         n = int(blocks.shape[0])
@@ -145,8 +145,8 @@ class HawkeyeStream:
         if n == 0:
             return np.zeros(0, dtype=bool)
         spec = self.spec
-        block_ids = self._block_ids.map_replayed(blocks, outcomes)
-        pc_ids = self._pc_id_map.map_replayed(pc_values, outcomes)
+        block_ids = self._block_ids.map(blocks)
+        pc_ids = self._pc_id_map.map(pc_values)
         self._predictor = grow_to(
             self._predictor, len(self._pc_id_map), spec.midpoint
         )

@@ -122,8 +122,8 @@ class LeewayStream:
 
         With ``outcomes`` (see :func:`~repro.fastsim.stackdist.outcome_vector`)
         only the accesses marked 2 replay, and their codes are written into
-        it in place.  Only the replayed accesses get PC ids and train the
-        predictor.
+        it in place.  Every access of the chunk gets a PC id, but only the
+        replayed ones train the predictor.
         """
         blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
         n = int(blocks.shape[0])
@@ -131,7 +131,7 @@ class LeewayStream:
         out = outcome_vector(outcomes, n)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        pc_ids = self._pc_ids.map_replayed(pc_values, outcomes)
+        pc_ids = self._pc_ids.map(pc_values)
         self._predicted = grow_to(self._predicted, len(self._pc_ids), 0)
         self._votes = grow_to(self._votes, len(self._pc_ids), 0)
         kernels.leeway_feed(

@@ -6,18 +6,20 @@ trace chunks.
 :class:`~repro.trace.generator.Trace` chunk once through a vector-backend
 :class:`~repro.fastsim.filter.FilterStream`, whose kernel marks every
 access with its outcome (codes in :mod:`repro.fastsim.kernels.fused`) and
-writes the GRASP hints of the LLC-bound accesses.  Each scheme's
-:class:`~repro.fastsim.replay.PolicyReplayStream` then replays its own
-copy of that outcome vector — no keep-mask, no compacted block/hint/PC
-arrays, no Python-side classification.  The filter owns the L1/L2 state
-and counters and each stream its LLC's, so the statistics of all three
-levels are bit-identical to the staged ``FilterStream`` →
-``PolicyReplayStream`` pipeline for every supported policy family.
+writes the GRASP hints of the LLC-bound accesses.  The chunk's LLC-bound
+accesses are then gathered once — blocks, kernel-written hints, regions
+and PCs — and fed to each scheme's
+:class:`~repro.fastsim.replay.PolicyReplayStream` exactly as the staged
+path feeds a filtered chunk, with no Python-side hint classification.
+The filter owns the L1/L2 state and counters and each stream its LLC's,
+so the statistics of all three levels are bit-identical to the staged
+``FilterStream`` -> ``PolicyReplayStream`` pipeline for every supported
+policy family.
 
 Belady's OPT rides the same pass without an engine here: it needs future
-next-use indices, so the caller keeps each chunk's LLC-bound blocks (the
-accesses :meth:`~FusedPipeline.feed` returns marked 2) and runs OPT's two
-offline passes after this one.
+next-use indices, so the caller keeps the LLC-bound blocks each
+:meth:`~FusedPipeline.feed` returns and runs OPT's two offline passes
+after this one.
 
 The pipeline runs native kernels only: building one where the kernel
 library is unavailable (no C compiler, or a broken ``REPRO_CC``) raises
@@ -34,7 +36,7 @@ from repro.cache.config import HierarchyConfig
 from repro.fastsim import kernels
 from repro.fastsim.dispatch import VECTOR
 from repro.fastsim.filter import FilterStream
-from repro.fastsim.kernels.fused import RegionTable
+from repro.fastsim.kernels.fused import OUT_LLC_HIT, RegionTable
 from repro.fastsim.replay import HINT_FAMILIES, PolicyReplayStream, _family
 from repro.trace.generator import Trace
 
@@ -51,7 +53,7 @@ class FusedPipeline:
     policies:
         LLC replacement policies, each with an online engine family (every
         family but the offline OPT); none at all makes a filter-only pass,
-        whose outcome vectors still mark the LLC-bound accesses.
+        which still returns each chunk's LLC-bound blocks.
     classifier:
         Optional :class:`~repro.core.classification.GraspClassifier`
         providing reuse hints for the hint-driven families (GRASP, PIN-X).
@@ -87,18 +89,23 @@ class FusedPipeline:
     def feed(self, trace: Trace) -> np.ndarray:
         """Run one trace chunk through the filter once and every scheme's replay.
 
-        Returns the chunk's filter outcome vector (0 = L1 hit, 1 = L2 hit,
-        2 = LLC-bound) and advances the accumulated statistics.
+        Returns the block addresses of the chunk's LLC-bound accesses, in
+        trace order, and advances the accumulated statistics.
         """
         n = len(trace)
         if n == 0:
-            return np.zeros(0, dtype=np.uint8)
+            return np.empty(0, dtype=np.int64)
         blocks = trace.block_addresses(self._offset_bits)
         hints = None if self._regions is None else np.empty(n, dtype=np.uint8)
         out = self._filter.outcomes(blocks, hints, trace.addresses, self._regions)
-        for replay in self.replays:
-            replay.feed(blocks, hints, trace.regions, trace.pcs, outcomes=out.copy())
-        return out
+        llc = np.flatnonzero(out == OUT_LLC_HIT)
+        llc_blocks = blocks[llc]
+        if self.replays:
+            llc_hints = None if hints is None else hints[llc]
+            regions, pcs = trace.regions[llc], trace.pcs[llc]
+            for replay in self.replays:
+                replay.feed(llc_blocks, llc_hints, regions, pcs)
+        return llc_blocks
 
     # -- results ----------------------------------------------------------
 

@@ -27,15 +27,18 @@ module collapses that sprawl into one explainable layer:
     ``engine`` (``opt``, a family, ``multi`` for several schemes, or
     ``scalar``) and ``stage`` (``oneshot``, ``roi``, ``streaming`` or
     ``corun``) say what runs on it: OPT and co-run replays take these
-    paths like every other engine.  Plans are JSON-serializable (sweep run
-    manifests embed them) and self-explaining (``repro plan explain``
-    prints them).
+    paths like every other engine.  ``reference`` names the schemes the
+    per-access reference replays: all of them on ``scalar``, and on
+    ``vector`` the members without a vector engine.  Plans are
+    JSON-serializable (sweep run manifests embed them) and self-explaining
+    (``repro plan explain`` prints them).
 ``RoutePlanner``
-    The decision procedure.  The fused-pass eligibility rules, the co-run
-    fallback to ``scalar`` (an unpartitioned PIN co-run, whose bypasses
-    the vector co-run engine cannot attribute per stream), the
-    verify-mode dual-run and the degradation to ``scalar`` on a host
-    without the kernel library each live exactly once, here.
+    The decision procedure.  The fused-pass eligibility rules, the
+    schemes the scalar reference replays, the co-run fallback to
+    ``scalar`` (an unpartitioned PIN co-run, whose bypasses the vector
+    co-run engine cannot attribute per stream), the verify-mode dual-run
+    and the degradation to ``scalar`` on a host without the kernel library
+    each live exactly once, here.
 
 The runner imports its engines *through this module* (see the re-exports
 at the bottom): a CI lint leg enforces that ``experiments/runner.py``
@@ -59,12 +62,10 @@ from repro.fastsim.corun import CorunReplayStream, supports_vector_corun
 from repro.fastsim.dispatch import SCALAR, VERIFY, resolve_backend
 from repro.fastsim.filter import FilterStream, assert_stats_equal, run_filter
 from repro.fastsim.opt import NextUseTable, OptStream, resolve_chunk_next_use
-from repro.fastsim.kernels.fused import OUT_LLC_HIT
 from repro.fastsim.pipeline import FusedPipeline
 from repro.fastsim.replay import (
     PolicyReplayStream,
     _family,
-    supports_vector_replay,
     vector_opt_replay,
     vector_policy_replay,
 )
@@ -237,6 +238,7 @@ class ExecutionPlan:
     verify: bool = False
     fallbacks: Tuple[str, ...] = ()
     schemes: Tuple[str, ...] = ()
+    reference: Tuple[str, ...] = ()
 
     def to_json(self) -> Dict[str, Any]:
         """Manifest-ready form (plain JSON types only)."""
@@ -250,6 +252,7 @@ class ExecutionPlan:
             "backend": self.backend,
             "verify": self.verify,
             "fallbacks": list(self.fallbacks),
+            "reference": list(self.reference),
         }
 
     def explain(self) -> str:
@@ -292,8 +295,11 @@ class RoutePlanner:
         LLC-bound blocks for two offline passes afterwards.  Otherwise the
         staged path filters the stream once and replays each scheme from
         it (``vector``), or the per-access reference runs (``scalar``).  A
-        co-run stage has no fused route and takes the scalar reference when
-        the vector co-run engine cannot attribute it per stream.
+        scheme without a vector engine replays through the reference on
+        every route, which keeps the fused pass off; when no scheme has
+        one the plan is ``scalar``.  A co-run stage has no fused route and
+        takes the scalar reference when the vector co-run engine cannot
+        attribute it per stream.
         """
         requested = resolve_backend(request.backend, native=True)
         mode = resolve_backend(request.backend, native=request.native_available())
@@ -320,14 +326,15 @@ class RoutePlanner:
                 )
             scalar_engine = engine if engine in ("opt", "multi") else "scalar"
             return self._staged(request, ROUTE_SCALAR, scalar_engine, mode, fallbacks)
-        scalar_only = [
+        scalar_only = tuple(dict.fromkeys(
             scheme for scheme, cap in zip(request.schemes, caps) if not cap.vector_replay
-        ]
-        if (scalar_only and not several) or (
+        ))
+        if len(scalar_only) == len(set(request.schemes)) or (
             corun and not supports_vector_corun(request.policy, request.partition)
         ):
             fallbacks.extend(caps[0].fallbacks)
-            return self._staged(request, ROUTE_SCALAR, "scalar", mode, fallbacks)
+            scalar_engine = "multi" if several else "scalar"
+            return self._staged(request, ROUTE_SCALAR, scalar_engine, mode, fallbacks)
 
         verify = mode == VERIFY
         if verify:
@@ -366,7 +373,9 @@ class RoutePlanner:
                         schemes=request.schemes,
                     )
                 fallbacks.append(blocker)
-        return self._staged(request, ROUTE_VECTOR, engine, mode, fallbacks, verify)
+        return self._staged(
+            request, ROUTE_VECTOR, engine, mode, fallbacks, verify, scalar_only
+        )
 
     # -- helpers ----------------------------------------------------------
 
@@ -410,10 +419,11 @@ class RoutePlanner:
 
     def _staged(
         self, request: SimRequest, route: str, engine: str, mode: str, fallbacks,
-        verify: bool = False,
+        verify: bool = False, reference: Tuple[str, ...] = (),
     ) -> ExecutionPlan:
-        """A plan that replays the filtered stream (``vector``) or runs the
-        per-access reference (``scalar``)."""
+        """A plan that replays the filtered stream (``vector``, with the
+        ``reference`` schemes on the per-access reference) or runs the
+        per-access reference for every scheme (``scalar``)."""
         schemes = len(set(request.schemes))
         if schemes > 1:
             fallbacks.append(
@@ -431,6 +441,7 @@ class RoutePlanner:
             verify=verify,
             fallbacks=tuple(fallbacks),
             schemes=request.schemes,
+            reference=request.schemes if route == ROUTE_SCALAR else reference,
         )
 
 
@@ -476,14 +487,12 @@ __all__ = [
     "FilterStream",
     "FusedPipeline",
     "NextUseTable",
-    "OUT_LLC_HIT",
     "OptStream",
     "PolicyReplayStream",
     "assert_stats_equal",
     "resolve_chunk_next_use",
     "run_filter",
     "supports_vector_corun",
-    "supports_vector_replay",
     "vector_opt_replay",
     "vector_policy_replay",
 ]

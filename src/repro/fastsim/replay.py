@@ -15,10 +15,10 @@ the array specs cannot express — remain scalar-only.
 (:mod:`repro.fastsim.plan`) routes on, :func:`family_engine` builds a
 policy's engine and :func:`feed_engine` feeds it the inputs its family
 reads, and :class:`PolicyReplayStream` wraps a family's engine with the
-per-region statistics of Fig. 2.  It is the only per-region counter: the
-staged path feeds it compacted LLC chunks, and the fused pass
-(:class:`~repro.fastsim.pipeline.FusedPipeline`) feeds each scheme's
-stream whole raw chunks with its own copy of the filter's outcome vector.
+per-region statistics of Fig. 2.  It is the only per-region counter, fed
+compacted LLC chunks both by the staged path and by the fused pass
+(:class:`~repro.fastsim.pipeline.FusedPipeline`), which gathers each raw
+chunk's LLC-bound accesses once for every scheme.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.cache.policies import LRUPolicy
 from repro.cache.policies.opt import BeladyOptimal
 from repro.cache.stats import CacheStats
 from repro.fastsim.hawkeye import HawkeyeStream, hawkeye_spec
-from repro.fastsim.kernels.fused import OUT_LLC_HIT, OUT_LLC_MISS
 from repro.fastsim.leeway import LeewayStream, leeway_spec
 from repro.fastsim.opt import OptStream, next_use_indices
 from repro.fastsim.pin import PinStream, pin_spec
@@ -79,6 +78,22 @@ def supports_vector_replay(policy) -> bool:
     back to the scalar simulator.
     """
     return type(policy) is BeladyOptimal or _family(policy) is not None
+
+
+def _region_breakdown(hits: np.ndarray, regions: Optional[np.ndarray]):
+    """Per-region access/miss counts (Fig. 2) from a replay's hit mask."""
+    if regions is None or not len(regions):
+        return None, None
+    labels = np.asarray(regions, dtype=np.int64)
+    access_counts = np.bincount(labels)
+    miss_counts = np.bincount(labels[~hits], minlength=access_counts.shape[0])
+    region_accesses = {
+        region: int(count) for region, count in enumerate(access_counts) if count
+    }
+    region_misses = {
+        region: int(count) for region, count in enumerate(miss_counts) if count
+    }
+    return region_accesses, region_misses
 
 
 def vector_opt_replay(
@@ -182,39 +197,17 @@ class PolicyReplayStream:
         hints: Optional[np.ndarray] = None,
         regions: Optional[np.ndarray] = None,
         pcs: Optional[np.ndarray] = None,
-        outcomes: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Replay one chunk; returns its hit mask and advances the state.
-
-        Without ``outcomes`` every access reaches the LLC.  With them (see
-        :func:`~repro.fastsim.stackdist.outcome_vector`) only the accesses
-        marked 2 replay, their LLC codes are written into the vector in
-        place, and only they count towards the per-region breakdown.
-        """
-        hits = feed_engine(
-            self.family, self.engine, block_addresses, hints, pcs, outcomes
-        )
-        if regions is not None and len(regions):
-            if outcomes is None:
-                labels, missed = regions, ~hits
-            else:
-                llc = np.flatnonzero(outcomes >= OUT_LLC_HIT)
-                labels, missed = regions[llc], outcomes[llc] >= OUT_LLC_MISS
-            # One bincount over (region, missed) keys counts both tables;
-            # the keys are built in place, one chunk-sized temporary.
-            packed = np.array(labels, dtype=np.int64)
-            packed <<= 1
-            packed |= missed
-            for key, count in enumerate(np.bincount(packed).tolist()):
-                if count:
-                    region = key >> 1
-                    self._region_accesses[region] = (
-                        self._region_accesses.get(region, 0) + count
-                    )
-                    if key & 1:
-                        self._region_misses[region] = (
-                            self._region_misses.get(region, 0) + count
-                        )
+        """Replay one chunk; returns its hit mask and advances the state."""
+        hits = feed_engine(self.family, self.engine, block_addresses, hints, pcs)
+        region_accesses, region_misses = _region_breakdown(hits, regions)
+        if region_accesses is not None:
+            for region, count in region_accesses.items():
+                self._region_accesses[region] = (
+                    self._region_accesses.get(region, 0) + count
+                )
+            for region, count in region_misses.items():
+                self._region_misses[region] = self._region_misses.get(region, 0) + count
         return hits
 
     def stats(self) -> CacheStats:

@@ -109,15 +109,15 @@ class ShipStream:
 
         With ``outcomes`` (see :func:`~repro.fastsim.stackdist.outcome_vector`)
         only the accesses marked 2 replay, and their codes are written into
-        it in place.  Only the replayed accesses get signature ids and train
-        the SHCT.
+        it in place.  Every access of the chunk gets a signature id, but
+        only the replayed ones train the SHCT.
         """
         blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
         n = int(blocks.shape[0])
         out = outcome_vector(outcomes, n)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        sig_ids = self._sig_ids.map_replayed(blocks >> self.spec.region_shift, outcomes)
+        sig_ids = self._sig_ids.map(blocks >> self.spec.region_shift)
         self._shct = grow_to(self._shct, len(self._sig_ids), _UNSEEN)
         kernels.ship_feed(
             blocks,

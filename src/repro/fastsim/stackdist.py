@@ -98,21 +98,6 @@ class DenseIdMap:
         out[missing] = direct[new]
         return out
 
-    def map_replayed(self, values: np.ndarray, outcomes: Optional[np.ndarray]) -> np.ndarray:
-        """Dense ids of the accesses a replay kernel reads.
-
-        A staged feed (``outcomes`` is ``None``) replays every access.  Under
-        a caller's outcome vector (see :func:`outcome_vector`) only the
-        accesses marked 2 replay, so only they get ids; the kernel skips the
-        others, whose entries stay 0.
-        """
-        if outcomes is None:
-            return self.map(values)
-        replayed = np.flatnonzero(outcomes == OUT_LLC_HIT)
-        ids = np.zeros(outcomes.shape[0], dtype=np.int64)
-        ids[replayed] = self.map(values[replayed])
-        return ids
-
     def keys_in_id_order(self) -> list:
         """Raw keys ordered by their dense id."""
         if self._ids is not None:

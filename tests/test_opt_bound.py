@@ -6,8 +6,8 @@ every hint value 0-3, chunk budgets down to one access:
 
 * **One pass feeds every scheme what its own staged feed sees.**  The fused
   pass over raw trace pieces (the filter kernel once per piece, every online
-  family replaying its copy of the outcome vector, OPT fed the LLC-bound
-  blocks) gives each scheme the statistics of that scheme replayed alone
+  family replaying the piece's LLC-bound accesses, OPT fed their blocks)
+  gives each scheme the statistics of that scheme replayed alone
   over the filtered stream.  So does one read of a stored filtered stream
   feeding every replay at once.
 * **OPT misses no more than any scheme that recorded no bypass.**  Belady's

@@ -4,8 +4,9 @@ Every online engine (``LRUStream``, ``RRIPStream``, ``PinStream``,
 ``ShipStream``, ``HawkeyeStream``, ``LeewayStream``) takes an optional
 per-access outcome vector: it replays only the accesses marked 2 (the
 filter's "LLC-bound") and overwrites each with 2 (hit), 3 (miss) or 4
-(PIN-X bypass), leaving every other entry alone.  The fused pipeline feeds
-raw chunks this way, so a raw chunk with its vector must replay exactly
+(PIN-X bypass), leaving every other entry alone.  The staged feed and the
+fused pass both hand an engine a chunk cut to its LLC-bound accesses (an
+all-2 vector); under any other vector a chunk must still replay exactly
 like a fresh engine fed only the accesses marked 2.
 
 On drawn geometries (one set and one way included), block streams, hints
@@ -13,8 +14,8 @@ On drawn geometries (one set and one way included), block streams, hints
 {0, 1, 2} (all-0 and all-2 included), fed as two chunks, this suite checks
 the codes, the hit/miss/eviction/bypass counts, the tag arrays, PSEL and
 the bimodal counter, and the learning tables on trained keys: the SHiP
-signatures, Hawkeye and Leeway PCs of accesses marked 0 or 1 stay
-untrained.  An outcome, hint or PC array whose length differs
+signatures, Hawkeye and Leeway PCs handed to accesses marked 0 or 1 get
+ids but stay untrained.  An outcome, hint or PC array whose length differs
 from the blocks raises :class:`ValueError` before the kernel runs.
 
 The suite needs ``hypothesis`` and the kernel library; it is skipped where

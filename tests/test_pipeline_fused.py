@@ -3,7 +3,7 @@
 Covers the two contracts the fused path must honour:
 
 * **Bit-identity** — the fused pass (the L1/L2 filter kernel, then each
-  scheme's own replay kernel over its copy of the outcome vector) must match
+  scheme's own replay kernel over the chunk's LLC-bound accesses) must match
   the scalar reference pipeline access for access, for every policy family,
   alone or several in one pass, for any chunking of the input stream.
 * **Registry hygiene** — kernels are registered declaratively and compiled
@@ -30,7 +30,6 @@ from repro.experiments.runner import LLCTrace, simulate_llc_policy
 from repro.fastsim import kernels
 from repro.fastsim.filter import run_filter
 from repro.fastsim.kernels import registry
-from repro.fastsim.kernels.fused import OUT_LLC_HIT
 from repro.fastsim.pipeline import FusedPipeline
 from repro.fastsim.replay import _family
 from repro.fastsim.rrip import RRIPStream, rrip_spec
@@ -99,8 +98,8 @@ def scalar_reference(trace, classifier):
 
 def run_fused(trace, policy, classifier, chunk=3333):
     fused = FusedPipeline(HIERARCHY, [policy], classifier=classifier)
-    outcomes = [fused.feed(piece) for piece in iter_trace_slices(trace, chunk)]
-    return fused, np.concatenate(outcomes)
+    blocks = [fused.feed(piece) for piece in iter_trace_slices(trace, chunk)]
+    return fused, np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +178,15 @@ class TestMultiSchemePass:
             FusedPipeline(HIERARCHY, [BeladyOptimal(HIERARCHY.llc)])
 
     @needs_native
-    def test_filter_only_pass_marks_the_llc_bound_accesses(self, trace):
-        # With no engine the pass is the filter alone; the accesses it marks
-        # LLC-bound are the ones OPT's blocks are taken from.
+    def test_filter_only_pass_returns_the_llc_bound_blocks(self, trace):
+        # With no engine the pass is the filter alone; the blocks it returns
+        # are the ones OPT replays.
         bare = FusedPipeline(HIERARCHY, [])
-        out = np.concatenate([bare.feed(piece) for piece in iter_trace_slices(trace, 3333)])
+        blocks = np.concatenate([bare.feed(piece) for piece in iter_trace_slices(trace, 3333)])
         reference = run_filter(trace, HIERARCHY, backend="scalar")
-        np.testing.assert_array_equal(out == OUT_LLC_HIT, reference.keep)
+        np.testing.assert_array_equal(
+            blocks, trace.addresses[reference.keep] >> HIERARCHY.llc.block_offset_bits
+        )
         assert bare.level_stats() == (reference.l1_stats, reference.l2_stats)
         assert bare.stats() == []
 

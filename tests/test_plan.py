@@ -141,6 +141,7 @@ class TestSinglePolicyRouting:
         plan = PLANNER.plan(_request("RRIP+Hints", stage=STAGE_ROI))
         assert plan.route == ROUTE_SCALAR
         assert plan.engine == "scalar"
+        assert plan.reference == ("RRIP+Hints",)
         assert any("array-form" in reason for reason in plan.fallbacks)
 
 
@@ -225,7 +226,14 @@ class TestMultiSchemeRouting:
         monkeypatch.setattr(kernels, "has_capability", lambda name: True)
         plan = PLANNER.plan(self._multi(("RRIP", "RRIP+Hints"), backend="vector"))
         assert plan.route == ROUTE_VECTOR
+        assert plan.reference == ("RRIP+Hints",)
         assert any("'RRIP+Hints'" in reason for reason in plan.fallbacks)
+
+    def test_ablation_members_alone_are_a_scalar_plan(self):
+        schemes = ("RRIP+Hints", "GRASP (Insertion-Only)")
+        plan = PLANNER.plan(self._multi(schemes, backend="vector"))
+        assert (plan.route, plan.engine, plan.kernel) == (ROUTE_SCALAR, "multi", "python")
+        assert plan.reference == schemes
 
     def test_cached_trace_disables_shared_pass(self):
         plan = PLANNER.plan(self._multi(("RRIP", "GRASP"), have_stream=True))
@@ -285,7 +293,7 @@ def test_plan_json_roundtrip():
     assert isinstance(payload["fallbacks"], list)
     assert set(payload) == {
         "route", "stage", "scheme", "schemes", "engine", "kernel",
-        "backend", "verify", "fallbacks",
+        "backend", "verify", "fallbacks", "reference",
     }
 
 

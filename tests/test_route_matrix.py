@@ -6,9 +6,10 @@ bit-identical to the scalar reference simulator for that same scenario.
 Together the scenarios cover each of the three routes (``fused``,
 ``vector``, ``scalar``) with every engine and stage that takes it — one
 scheme or every family plus OPT on ``fused`` in both scopes (OPT's blocks
-spilled across several execution chunks), a stored stream replayed on
-``vector``, a co-run on ``vector`` and on ``scalar``, and a K=1 co-run on
-the single-app route it runs as — modulo kernel availability: without the
+spilled across several execution chunks), a stored stream and a scheme
+set with an ablation member (which the reference replays) on ``vector``,
+a co-run on ``vector`` and on ``scalar``, and a K=1 co-run on the
+single-app route it runs as — modulo kernel availability: without the
 kernel library every route is ``scalar``, and the statistics still match.
 """
 
@@ -200,6 +201,33 @@ class TestMultiSchemeRoutes:
         assert len(vector) == len(scalar) == len(self.SCHEMES)
         for v, s in zip(vector, scalar):
             assert (v.app_name, v.dataset_name, v.scheme) == (s.app_name, s.dataset_name, s.scheme)
+            for field in self.FIELDS:
+                assert getattr(v.stats, field) == getattr(s.stats, field), (v.scheme, field)
+
+    def test_ablation_member_replays_on_the_reference(self, monkeypatch):
+        """A member without a vector engine keeps the whole plan staged, and
+        the plan names it as the one scheme the scalar reference replays."""
+        config = VECTOR_CFG.with_overrides(backend="vector")
+        plans = []
+        plan = RoutePlanner.plan
+
+        def planned(self, request):
+            plans.append(plan(self, request))
+            return plans[-1]
+
+        monkeypatch.setattr(RoutePlanner, "plan", planned)
+        schemes = ("GRASP", "RRIP+Hints")
+        vector = compare_policies(("PR",), ("lj",), schemes, config=config)
+        (multi,) = plans
+        assert multi.route == STAGED
+        if STAGED == ROUTE_VECTOR:
+            assert multi.reference == ("RRIP+Hints",)
+        else:
+            assert multi.reference == multi.schemes
+        clear_caches()
+        scalar = compare_policies(("PR",), ("lj",), schemes, config=SCALAR_CFG)
+        for v, s in zip(vector, scalar):
+            assert v.scheme == s.scheme
             for field in self.FIELDS:
                 assert getattr(v.stats, field) == getattr(s.stats, field), (v.scheme, field)
 

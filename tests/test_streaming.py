@@ -572,7 +572,7 @@ class TestFusedStreaming:
 
     The ``vector`` route of ``simulate_policy(streaming=True)`` runs trace
     generation, the L1/L2 filter kernel and the family's replay kernel over
-    one outcome vector per chunk.  It must stay bit-identical to the
+    each chunk's LLC-bound accesses.  It must stay bit-identical to the
     staged/scalar cross-checked pipeline for every chunk budget, including
     the hint-driven schemes.  ``REPRO_THREADS`` is retired: a value left in
     the environment (the frozen benchmark suite still exports one) must not
