@@ -102,13 +102,15 @@ class GraspClassifier:
         """Vectorised classification of many addresses at once.
 
         The experiment runner uses this to tag a whole LLC trace in one pass
-        instead of calling :meth:`classify` per access.
+        instead of calling :meth:`classify` per access.  The rule is
+        :meth:`classify`'s (the first containing region wins), and the
+        hints are uint8, like those the filter kernel writes.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
         if not self._regions:
-            return np.full(addresses.shape, HINT_DEFAULT, dtype=np.int8)
-        hints = np.full(addresses.shape, HINT_LOW, dtype=np.int8)
-        for region in self._regions:
-            mask = (addresses >= region.start) & (addresses < region.end)
-            hints[mask] = region.hint
+            return np.full(addresses.shape, HINT_DEFAULT, dtype=np.uint8)
+        hints = np.full(addresses.shape, HINT_LOW, dtype=np.uint8)
+        # Written last to first, so the first containing region has the last word.
+        for region in reversed(self._regions):
+            hints[(addresses >= region.start) & (addresses < region.end)] = region.hint
         return hints

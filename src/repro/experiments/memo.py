@@ -40,8 +40,9 @@ space), and every other entry stays valid.
 
 :class:`ChunkSpill` is the unkeyed sibling of the chunk store: a scratch
 directory for out-of-core intermediates that are only meaningful within one
-computation (e.g. streaming OPT's per-chunk block and next-use arrays
-between its reverse and forward passes).
+computation (streaming OPT's per-chunk block and next-use arrays between
+its reverse and forward passes, or the execution stream the runner holds
+from its last fused pass while no store is installed).
 
 Keys are hashed from their ``repr`` — every component is a primitive or a
 frozen dataclass with a deterministic ``repr``.  Writes go through a
@@ -86,7 +87,7 @@ import shutil
 import struct
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -285,31 +286,58 @@ class ChunkSpill:
     """Scratch store for per-chunk arrays of one out-of-core computation.
 
     Streaming consumers that need more than one pass over a chunk stream
-    (e.g. OPT's reverse next-use pass followed by its forward replay) spill
-    each chunk here instead of holding the stream in memory.  Entries are
-    ``.npy`` files under a private temporary directory that is removed by
-    :meth:`close` (or context-manager exit); unlike :class:`DiskMemo` there
-    is no content key — the store is scoped to a single computation.
+    (OPT's reverse next-use pass followed by its forward replay, or the
+    runner's held execution stream that later single-scheme calls replay)
+    spill each chunk here instead of holding the stream in memory.  Each
+    array name has one append-only file under a private temporary
+    directory, and an in-memory index maps ``(name, index)`` to the array's
+    offset, dtype and shape, so indices may be put in any order.  Unlike
+    :class:`DiskMemo` there is no content key: the store is scoped to one
+    computation, and :meth:`close` (or context-manager exit) removes it —
+    only in the process that made it, so a forked child closing its copy
+    leaves the parent's files alone.
     """
 
-    def __init__(self, directory: Optional[Path | str] = None) -> None:
-        self._owned = directory is None
-        self.root = Path(
-            tempfile.mkdtemp(prefix="repro-spill-") if directory is None else directory
-        )
-        self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self) -> None:
+        self.root = Path(tempfile.mkdtemp(prefix="repro-spill-"))
+        self._owner = os.getpid()
+        self._files: Dict[str, Any] = {}
+        self._index: Dict[Tuple[str, int], Tuple[int, np.dtype, Tuple[int, ...]]] = {}
 
     def put(self, name: str, index: int, array: np.ndarray) -> None:
-        """Persist one chunk array under (name, index)."""
-        np.save(self.root / f"{name}.{index}.npy", np.asarray(array))
+        """Append one chunk array to ``name``'s file under (name, index)."""
+        array = np.require(array, requirements="C")
+        handle = self._files.get(name)
+        if handle is None:
+            # Unbuffered: a forked child never holds bytes it could flush.
+            handle = self._files[name] = open(self.root / f"{name}.bin", "w+b", buffering=0)
+        offset = handle.seek(0, os.SEEK_END)
+        view = memoryview(array.reshape(-1).view(np.uint8))
+        while view:
+            view = view[handle.write(view):]
+        self._index[name, index] = (offset, array.dtype, array.shape)
 
     def get(self, name: str, index: int) -> np.ndarray:
-        """Load the chunk array stored under (name, index)."""
-        return np.load(self.root / f"{name}.{index}.npy")
+        """Read back the chunk array stored under (name, index)."""
+        offset, dtype, shape = self._index[name, index]
+        array = np.empty(shape, dtype=dtype)
+        handle = self._files[name]
+        handle.seek(offset)
+        view = memoryview(array.reshape(-1).view(np.uint8))
+        while view:
+            read = handle.readinto(view)
+            if not read:
+                raise OSError(f"spill file {name!r} ends inside chunk {index}")
+            view = view[read:]
+        return array
 
     def close(self) -> None:
-        """Delete the spill directory (if owned by this instance)."""
-        if self._owned:
+        """Close the files and delete the spill directory (in its own process)."""
+        for handle in self._files.values():
+            handle.close()
+        self._files.clear()
+        self._index.clear()
+        if os.getpid() == self._owner:
             shutil.rmtree(self.root, ignore_errors=True)
 
     def __enter__(self) -> "ChunkSpill":

@@ -34,7 +34,10 @@ scopes store their results in the same memo kinds (``llcchunk`` /
 ``llcstream`` / ``policystream``), and every key ends with its scope,
 ``"roi"`` or ``"execution"``.  The scopes differ only in where the raw
 trace comes from and where the filtered stream is kept: the ROI's one chunk
-in memory and in the disk memo, the execution's chunk store on disk only.
+in memory and in the disk memo; the execution's chunks in the disk memo's
+chunk store or, while no disk memo is installed, in the spill its last
+fused pass left behind (one execution held at a time), so single-scheme
+calls on one execution generate and filter it once between them.
 
 Fast-path dispatch
 ------------------
@@ -78,7 +81,9 @@ runs.
 
 from __future__ import annotations
 
+import atexit
 import functools
+import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -95,7 +100,7 @@ from repro.cache.stats import CacheStats
 from repro.core import AddressBoundRegisterFile, GraspClassifier
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.memo import ChunkSpill, DiskMemo, default_cache_dir
-from repro.fastsim.dispatch import VERIFY
+from repro.fastsim.dispatch import VECTOR, VERIFY, resolve_backend
 from repro.fastsim.plan import (
     PLANNER,
     ROUTE_FUSED,
@@ -108,6 +113,7 @@ from repro.fastsim.plan import (
     ExecutionPlan,
     FilterStream,
     FusedPipeline,
+    LLCAccesses,
     NextUseTable,
     OptStream,
     PolicyReplayStream,
@@ -198,7 +204,7 @@ class DataPoint:
 # The two scopes share every table: their keys never collide, because each
 # ends with its scope ("roi" or "execution").  ``_LLC_TRACES`` holds only the
 # ROI's one filtered chunk, under its stream key; the execution's chunks are
-# never held in memory.
+# never held in memory, only spilled (``_HELD``, below ``llc_chunks``).
 _WORKLOADS: Dict[tuple, Workload] = {}
 _LLC_TRACES: Dict[tuple, LLCTrace] = {}
 _POLICY_RUNS: Dict[tuple, CacheStats] = {}
@@ -257,9 +263,11 @@ def _memoised(table: Dict[tuple, object], kind: str, key: tuple, compute):
 
 
 def clear_caches() -> None:
-    """Drop the in-memory memo tables (the on-disk store, if any, persists)."""
+    """Drop the in-memory memo tables and the held execution stream (the
+    on-disk store, if any, persists)."""
     for table in (_WORKLOADS, _LLC_TRACES, _POLICY_RUNS, _CORUN_RUNS, _SUMMARIES):
         table.clear()
+    _drop_held()
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +637,89 @@ def _stream_key(
     )
 
 
+class _HeldStream:
+    """The filtered execution stream one fused pass gathered, spilled.
+
+    Per chunk, :meth:`put` keeps the LLC-bound accesses' byte addresses,
+    kernel-written GRASP hints, regions and PCs in a
+    :class:`~repro.experiments.memo.ChunkSpill`, and the chunk's L1/L2 hits
+    and raw reference count in memory; iterating yields the
+    :class:`LLCTrace` chunks :func:`llc_chunks` would filter afresh.
+    """
+
+    def __init__(self, key: tuple, block_offset_bits: int) -> None:
+        self.key = key
+        self.owner = os.getpid()
+        self._offset_bits = block_offset_bits
+        self._spill = ChunkSpill()
+        self._counts: List[Tuple[int, int, int]] = []
+        self._upstream = (0, 0)
+
+    def put(self, chunk: LLCAccesses, upstream: Tuple[int, int], references: int) -> None:
+        """Keep one gathered chunk; ``upstream`` is the pass's (L1, L2) hits so far."""
+        index = len(self._counts)
+        for name in ("addresses", "hints", "regions", "pcs"):
+            self._spill.put(name, index, getattr(chunk, name))
+        (l1_hits, l2_hits), (l1_before, l2_before) = upstream, self._upstream
+        self._counts.append((l1_hits - l1_before, l2_hits - l2_before, references))
+        self._upstream = upstream
+
+    def __iter__(self) -> Iterator[LLCTrace]:
+        spill = self._spill
+        for index, (l1_hits, l2_hits, references) in enumerate(self._counts):
+            addresses = spill.get("addresses", index)
+            yield LLCTrace(
+                byte_addresses=addresses,
+                block_addresses=addresses >> self._offset_bits,
+                pcs=spill.get("pcs", index),
+                regions=spill.get("regions", index),
+                hints=spill.get("hints", index),
+                upstream_l1_hits=l1_hits,
+                upstream_l2_hits=l2_hits,
+                total_references=references,
+            )
+
+    def close(self) -> None:
+        self._spill.close()
+
+
+# The execution stream the last execution-scope fused pass gathered while no
+# disk memo was installed, under its stream key.  One is held at a time: the
+# next such pass replaces it, and clear_caches(), a pass that raises and
+# interpreter exit remove it.  With a disk memo installed it is never served,
+# so the memo's chunk store stays the only store.  Only ``vector`` requests
+# replay it, since the vector filter kernel produced it: ``scalar`` and
+# ``verify`` filter the execution themselves.  A forked child inherits it
+# but never reads it, since the two processes' file offsets are shared.
+_HELD: Optional[_HeldStream] = None
+
+
+def _drop_held() -> None:
+    """Remove the held execution stream, if any."""
+    global _HELD
+    held, _HELD = _HELD, None
+    if held is not None:
+        held.close()
+
+
+atexit.register(_drop_held)
+
+
+def _held(key: tuple, backend: Optional[str]) -> Optional[_HeldStream]:
+    """The held execution stream if its key is ``key``, ``backend`` resolves
+    to ``vector``, no disk memo is installed and this process gathered it;
+    else ``None``."""
+    if (
+        _HELD is not None
+        and _HELD.key == key
+        and _HELD.owner == os.getpid()
+        and active_disk_memo() is None
+        and resolve_backend(backend) == VECTOR
+    ):
+        return _HELD
+    return None
+
+
 def llc_chunks(
     workload: Workload,
     config: ExperimentConfig,
@@ -652,14 +743,21 @@ def llc_chunks(
     summary (both ``llcstream``) are written after the last one; the ROI's
     chunk is also held in memory.  Later calls serve the stored stream from
     memory or, one chunk at a time, from disk, so peak memory stays O(chunk)
-    on the memo-hit path too.  A missing or corrupt persisted chunk falls
-    back to regeneration mid-stream: the already-served prefix is
+    on the memo-hit path too.  Without a disk memo, the execution stream
+    the last fused pass held (under the same key, so at the same chunk
+    budget) is served the same way, to the ``vector`` backend only.  A missing or corrupt persisted chunk
+    falls back to regeneration mid-stream: the already-served prefix is
     re-filtered to rebuild the L1/L2 state but not yielded again, and the
     broken tail is persisted anew.
     """
     key = _stream_key(workload, config, streaming, max_chunk_accesses)
+    backend = backend if backend is not None else config.backend
     if key in _LLC_TRACES:
         yield _LLC_TRACES[key]
+        return
+    held = _held(key, backend)
+    if held is not None:
+        yield from held
         return
     summary_key = _summary_key(workload, config, streaming)
     memo = active_disk_memo()
@@ -683,9 +781,7 @@ def llc_chunks(
         pieces = (chunk.trace for chunk in iter_execution_chunks(workload, budget))
     else:
         pieces = (roi_trace(workload),)
-    filter_stream = FilterStream(
-        config.hierarchy, backend=backend if backend is not None else config.backend
-    )
+    filter_stream = FilterStream(config.hierarchy, backend=backend)
     classifier = _hint_classifier(workload.layout, config.hierarchy.llc)
     count = 0
     for piece in pieces:
@@ -714,11 +810,16 @@ def llc_chunks(
         memo.put("llcstream", summary_key, summary)
 
 
-def _stream_stored(key: tuple) -> bool:
-    """Whether the filtered stream whose manifest key is ``key`` is stored:
-    the ROI's chunk in memory, or either scope's manifest on disk."""
+def _stream_stored(key: tuple, backend: Optional[str]) -> bool:
+    """Whether the filtered stream whose manifest key is ``key`` is stored
+    for a ``backend`` request: the ROI's chunk in memory, the held execution
+    stream (:func:`_held`), or either scope's manifest on disk."""
     memo = active_disk_memo()
-    return key in _LLC_TRACES or (memo is not None and memo.contains("llcstream", key))
+    return (
+        key in _LLC_TRACES
+        or _held(key, backend) is not None
+        or (memo is not None and memo.contains("llcstream", key))
+    )
 
 
 def stream_summary(
@@ -1078,13 +1179,15 @@ def _fused_replay(
     policies: Sequence,
     use_hints: bool,
     plan: ExecutionPlan,
+    held: Optional[_HeldStream] = None,
 ):
     """Feed raw trace pieces once through one
     :class:`~repro.fastsim.pipeline.FusedPipeline` for every policy.
 
     The online policies replay inside the pipeline; each piece's LLC-bound
     blocks go to Belady's OPT (:class:`_OptReplay`), whose two passes run
-    after this one.  No filtered stream is ever materialized.  Returns the
+    after this one, and with ``held`` each piece's gathered chunk is kept
+    there too.  No filtered stream is materialized in memory.  Returns the
     policies' statistics in order, the pipeline (for its L1/L2 counters)
     and the number of pieces fed.
     """
@@ -1101,9 +1204,11 @@ def _fused_replay(
         )
         count = 0
         for piece in pieces:
-            blocks = pipeline.feed(piece)
+            chunk = pipeline.feed(piece)
             for opt in opts.values():
-                opt.put(blocks)
+                opt.put(chunk.blocks)
+            if held is not None:
+                held.put(chunk, pipeline.upstream_hit_counts(), len(piece))
             count += 1
         online = iter(pipeline.stats())
         stats = [
@@ -1131,17 +1236,34 @@ def _fused_pass(
     The aggregate L1/L2 counters the pass produced are published under the
     scope's budget-less summary key (for :func:`stream_summary`), unless
     already stored — but *not* under the scope's manifest key, which
-    promises ``llcchunk`` entries that this pass never writes.  Returns the
-    policies' statistics in order.
+    promises ``llcchunk`` entries that this pass never writes.  While no
+    disk memo is installed, an execution pass replaces the held stream with
+    the one it gathers (:class:`_HeldStream`), so the next call on the same
+    stream replays it.  Returns the policies' statistics in order.
     """
+    global _HELD
+    held = None
     if streaming:
         pieces = (chunk.trace for chunk in iter_execution_chunks(workload, budget))
+        if active_disk_memo() is None:
+            _drop_held()
+            held = _HeldStream(
+                _stream_key(workload, config, streaming, budget),
+                config.hierarchy.llc.block_offset_bits,
+            )
     else:
         pieces = iter_trace_slices(roi_trace(workload), budget)
-    stats, pipeline, chunks = _fused_replay(
-        pieces, config.hierarchy, _hint_classifier(workload.layout, config.hierarchy.llc),
-        policies, use_hints, plan,
-    )
+    try:
+        stats, pipeline, chunks = _fused_replay(
+            pieces, config.hierarchy, _hint_classifier(workload.layout, config.hierarchy.llc),
+            policies, use_hints, plan, held,
+        )
+    except BaseException:
+        if held is not None:
+            held.close()
+        raise
+    if held is not None:
+        _HELD = held
     l1_hits, l2_hits = pipeline.upstream_hit_counts()
     key = _summary_key(workload, config, streaming)
     summary = {
@@ -1183,7 +1305,7 @@ def _simulate(
         streaming,
         backend=backend,
         have_stream=_stream_stored(
-            _stream_key(workload, config, streaming, max_chunk_accesses)
+            _stream_key(workload, config, streaming, max_chunk_accesses), backend
         ),
     )
     if plan.route == ROUTE_FUSED:
@@ -1215,11 +1337,14 @@ def simulate_policy(
     the fused pass (:class:`~repro.fastsim.pipeline.FusedPipeline`): each raw
     trace piece runs through the L1/L2 filter kernel and its LLC-bound
     accesses through the policy family's replay kernel, with no filtered
-    stream materialized.  The fused pass is skipped when the scope's filtered
-    stream is already stored, since replaying it is cheaper than
-    regenerating the raw trace.  Every other plan replays the filtered
-    stream (:func:`llc_chunks`) through ``vector``, ``scalar`` or the
-    ``verify`` cross-check.
+    stream materialized in memory.  The fused pass is skipped when the
+    scope's filtered stream is already stored, since replaying it is
+    cheaper than regenerating the raw trace: the ROI's chunk, the disk
+    memo's chunk store, or, while no disk memo is installed, the execution
+    stream the last fused pass spilled (served at that pass's chunk budget
+    and to ``vector`` only).  Every other plan replays the filtered stream
+    (:func:`llc_chunks`) through ``vector``, ``scalar`` or the ``verify``
+    cross-check.
     """
     config = config or ExperimentConfig.default()
     (stats,) = _simulate(
@@ -1454,7 +1579,10 @@ def compare_policies_corun(
     hits and misses (the full-execution cycle model of
     :func:`workload_cycles`), and miss-reduction / speed-up compare the same
     stream under the baseline scheme — i.e. how much each app gains or loses
-    from the policy change *under interference*.
+    from the policy change *under interference*.  A degenerate co-run (one
+    stream, no partition) is the single-app full execution, so its schemes
+    run as one :func:`simulate_schemes` call: one pass over the execution
+    for all of them.  OPT is rejected, as :func:`simulate_corun` rejects it.
     """
     config = config or ExperimentConfig.default()
     reorder = reorder or config.reorder
@@ -1463,6 +1591,14 @@ def compare_policies_corun(
         for app_name, dataset_name in spec.pairs
     ]
     duplicated = len(set(spec.pairs)) != len(spec.pairs)
+    ordered = tuple(dict.fromkeys((baseline, *schemes)))
+    if all(_single_app_pair(spec, scheme) is not None for scheme in ordered):
+        results = simulate_schemes(workloads[0], ordered, config, streaming=True)
+    else:
+        results = {
+            scheme: simulate_corun(spec, scheme, config, reorder=reorder)
+            for scheme in ordered
+        }
 
     def views(stats: CacheStats) -> List[CacheStats]:
         if spec.num_streams == 1 and not stats.stream_accesses:
@@ -1471,19 +1607,14 @@ def compare_policies_corun(
             return [stats]
         return [stats.stream_view(stream) for stream in range(spec.num_streams)]
 
-    baseline_views = views(simulate_corun(spec, baseline, config, reorder=reorder))
+    baseline_views = views(results[baseline])
     baseline_cycles = [
         workload_cycles(workload, view, config, streaming=True)
         for workload, view in zip(workloads, baseline_views)
     ]
     points: List[DataPoint] = []
     for scheme in schemes:
-        scheme_views = (
-            baseline_views
-            if scheme == baseline
-            else views(simulate_corun(spec, scheme, config, reorder=reorder))
-        )
-        for stream, (workload, view) in enumerate(zip(workloads, scheme_views)):
+        for stream, (workload, view) in enumerate(zip(workloads, views(results[scheme]))):
             app_name, dataset_name = spec.pairs[stream]
             points.append(
                 _data_point(
@@ -1540,7 +1671,8 @@ def plan_pair_tasks(
         llcstream_memo_key(
             app_name, dataset_name, reorder, config, config.merged_properties,
             streaming=streaming,
-        )
+        ),
+        config.backend,
     )
     return {
         scheme: _plan(

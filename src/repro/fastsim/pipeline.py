@@ -7,8 +7,8 @@ trace chunks.
 :class:`~repro.fastsim.filter.FilterStream`, whose kernel marks every
 access with its outcome (codes in :mod:`repro.fastsim.kernels.fused`) and
 writes the GRASP hints of the LLC-bound accesses.  The chunk's LLC-bound
-accesses are then gathered once — blocks, kernel-written hints, regions
-and PCs — and fed to each scheme's
+accesses are then gathered once — byte addresses, blocks, kernel-written
+hints, regions and PCs — and fed to each scheme's
 :class:`~repro.fastsim.replay.PolicyReplayStream` exactly as the staged
 path feeds a filtered chunk, with no Python-side hint classification.
 The filter owns the L1/L2 state and counters and each stream its LLC's,
@@ -16,10 +16,13 @@ so the statistics of all three levels are bit-identical to the staged
 ``FilterStream`` -> ``PolicyReplayStream`` pipeline for every supported
 policy family.
 
-Belady's OPT rides the same pass without an engine here: it needs future
-next-use indices, so the caller keeps the LLC-bound blocks each
-:meth:`~FusedPipeline.feed` returns and runs OPT's two offline passes
-after this one.
+:meth:`~FusedPipeline.feed` hands the gathered chunk back
+(:class:`LLCAccesses`).  Belady's OPT rides the pass without an engine
+here: it needs future next-use indices, so the caller keeps each chunk's
+blocks and runs OPT's two offline passes after this one.  The caller may
+also keep the whole chunk, a filtered stream that later replays read
+instead of regenerating the raw trace: the hints are written whenever a
+classifier is given, whatever the schemes and ``use_hints``.
 
 The pipeline runs native kernels only: building one where the kernel
 library is unavailable (no C compiler, or a broken ``REPRO_CC``) raises
@@ -30,6 +33,8 @@ the scalar reference when no kernel library exists at all.
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 
 from repro.cache.config import HierarchyConfig
@@ -37,8 +42,20 @@ from repro.fastsim import kernels
 from repro.fastsim.dispatch import VECTOR
 from repro.fastsim.filter import FilterStream
 from repro.fastsim.kernels.fused import OUT_LLC_HIT, RegionTable
-from repro.fastsim.replay import HINT_FAMILIES, PolicyReplayStream, _family
+from repro.fastsim.replay import PolicyReplayStream, _family
 from repro.trace.generator import Trace
+
+
+class LLCAccesses(NamedTuple):
+    """One chunk's LLC-bound accesses, in trace order, as a fused pass
+    gathered them; ``hints`` are the kernel's, ``None`` without a
+    classifier."""
+
+    addresses: np.ndarray
+    blocks: np.ndarray
+    hints: Optional[np.ndarray]
+    regions: np.ndarray
+    pcs: np.ndarray
 
 
 class FusedPipeline:
@@ -53,13 +70,15 @@ class FusedPipeline:
     policies:
         LLC replacement policies, each with an online engine family (every
         family but the offline OPT); none at all makes a filter-only pass,
-        which still returns each chunk's LLC-bound blocks.
+        which still returns each chunk's LLC-bound accesses.
     classifier:
         Optional :class:`~repro.core.classification.GraspClassifier`
-        providing reuse hints for the hint-driven families (GRASP, PIN-X).
+        whose regions the filter kernel classifies every LLC-bound access
+        against; the hint-driven families (GRASP, PIN-X) replay with them.
     use_hints:
         When ``False``, the LLC replays hint-blind even if a classifier is
-        given (matching the scalar simulator's ``use_hints=False``).
+        given (matching the scalar simulator's ``use_hints=False``); the
+        gathered chunk still carries the hints.
     """
 
     def __init__(
@@ -80,32 +99,34 @@ class FusedPipeline:
         self._filter = FilterStream(hierarchy, backend=VECTOR)
         self.replays = [PolicyReplayStream(policy, hierarchy.llc) for policy in policies]
         self._offset_bits = hierarchy.l1.block_offset_bits
-        # The filter kernel classifies hints only when a family reads them.
-        self._regions = None
-        if any(replay.family in HINT_FAMILIES for replay in self.replays):
-            regions = classifier.regions() if use_hints and classifier is not None else ()
-            self._regions = RegionTable.from_regions(tuple(regions))
+        self._regions = (
+            None if classifier is None else RegionTable.from_regions(classifier.regions())
+        )
+        self._use_hints = use_hints
 
-    def feed(self, trace: Trace) -> np.ndarray:
+    def feed(self, trace: Trace) -> LLCAccesses:
         """Run one trace chunk through the filter once and every scheme's replay.
 
-        Returns the block addresses of the chunk's LLC-bound accesses, in
-        trace order, and advances the accumulated statistics.
+        Returns the chunk's LLC-bound accesses, gathered once, and advances
+        the accumulated statistics.
         """
         n = len(trace)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
         blocks = trace.block_addresses(self._offset_bits)
         hints = None if self._regions is None else np.empty(n, dtype=np.uint8)
         out = self._filter.outcomes(blocks, hints, trace.addresses, self._regions)
         llc = np.flatnonzero(out == OUT_LLC_HIT)
-        llc_blocks = blocks[llc]
-        if self.replays:
-            llc_hints = None if hints is None else hints[llc]
-            regions, pcs = trace.regions[llc], trace.pcs[llc]
-            for replay in self.replays:
-                replay.feed(llc_blocks, llc_hints, regions, pcs)
-        return llc_blocks
+        addresses = trace.addresses[llc]
+        gathered = LLCAccesses(
+            addresses=addresses,
+            blocks=addresses >> self._offset_bits,
+            hints=None if hints is None else hints[llc],
+            regions=trace.regions[llc],
+            pcs=trace.pcs[llc],
+        )
+        replay_hints = gathered.hints if self._use_hints else None
+        for replay in self.replays:
+            replay.feed(gathered.blocks, replay_hints, gathered.regions, gathered.pcs)
+        return gathered
 
     # -- results ----------------------------------------------------------
 
@@ -137,4 +158,4 @@ class MultiFusedPipeline(FusedPipeline):
     feed = FusedPipeline.feed
 
 
-__all__ = ["FusedPipeline"]
+__all__ = ["FusedPipeline", "LLCAccesses"]

@@ -62,7 +62,7 @@ from repro.fastsim.corun import CorunReplayStream, supports_vector_corun
 from repro.fastsim.dispatch import SCALAR, VERIFY, resolve_backend
 from repro.fastsim.filter import FilterStream, assert_stats_equal, run_filter
 from repro.fastsim.opt import NextUseTable, OptStream, resolve_chunk_next_use
-from repro.fastsim.pipeline import FusedPipeline
+from repro.fastsim.pipeline import FusedPipeline, LLCAccesses
 from repro.fastsim.replay import (
     PolicyReplayStream,
     _family,
@@ -149,7 +149,10 @@ STAGE_CORUN = "corun"         # multi-programmed shared-LLC replay
 #: What each scope's stored filtered stream is.
 _STORED_STREAM = {
     STAGE_ROI: "filtered ROI trace already cached",
-    STAGE_STREAMING: "persisted chunk store already on disk",
+    STAGE_STREAMING: (
+        "filtered execution stream already stored (the disk memo's chunk "
+        "store, or the spill of the last fused pass)"
+    ),
 }
 
 #: Route names an :class:`ExecutionPlan` can carry: one per code path.
@@ -176,7 +179,8 @@ class SimRequest:
     ``schemes``/``policies`` are aligned: the schemes replay one stream
     and are planned as one unit; single-scheme requests carry one entry.
     ``have_stream`` says the scope's filtered stream is already stored (the
-    ROI trace in memory or on disk, the execution's chunk store on disk),
+    ROI trace in memory or on disk; the execution's chunk store on disk or,
+    without a disk memo, the stream the last execution fused pass spilled),
     which makes replaying it cheaper than regenerating the raw trace.
     ``partition`` is a co-run's way
     partition (``None``: the streams share every way).
@@ -486,6 +490,7 @@ __all__ = [
     "CorunReplayStream",
     "FilterStream",
     "FusedPipeline",
+    "LLCAccesses",
     "NextUseTable",
     "OptStream",
     "PolicyReplayStream",

@@ -20,7 +20,8 @@ Covers every layer the stream identity threads through:
   single-app streaming path (same stats, same memo entries, no ``streams``
   key in the summary), the per-stream ``validate()`` invariants of a real
   K=2 co-run under the ``verify`` backend, and the per-app data points of
-  ``compare_policies_corun``.
+  ``compare_policies_corun`` (a K=1 comparison generates the execution once
+  for all its schemes).
 """
 
 import numpy as np
@@ -32,13 +33,15 @@ from repro.cache.config import CacheConfig
 from repro.cache.partition import PartitionedPolicy, WayPartition
 from repro.cache.policies import LRUPolicy
 from repro.cache.policies.opt import BeladyOptimal
-from repro.experiments import ExperimentConfig, clear_caches
+from repro.experiments import ExperimentConfig, clear_caches, compare_policies, runner
+from repro.experiments.memo import DiskMemo
 from repro.experiments.runner import (
     CorunSpec,
     build_workload,
     compare_policies_corun,
     corun_memo_key,
     plan_corun_task,
+    set_disk_memo,
     simulate_corun,
     simulate_scheme,
 )
@@ -448,3 +451,52 @@ def test_compare_policies_corun_points(memo_isolation, corun_config):
         assert point.speedup_pct == pytest.approx(0.0)
     totals = simulate_corun(spec, "GRASP", corun_config)
     assert points[2].stats.misses + points[3].stats.misses == totals.misses
+
+
+def _point_rows(points):
+    return [
+        (p.app_name, p.dataset_name, p.scheme, p.stats.as_dict(), p.cycles,
+         p.miss_reduction_pct, p.speedup_pct)
+        for p in points
+    ]
+
+
+@pytest.mark.parametrize("with_memo", [False, True], ids=["no-memo", "disk-memo"])
+def test_k1_comparison_generates_the_execution_once(
+    memo_isolation, corun_config, monkeypatch, tmp_path, with_memo
+):
+    """A one-stream, unpartitioned comparison runs its schemes as one
+    single-app pass, with or without the disk memo, and its points equal
+    those of one single-app call per scheme."""
+    config = corun_config.with_overrides(backend="vector", chunk_accesses=4096)
+    spec = CorunSpec(pairs=(("PR", "lj"),))
+    schemes = ["GRASP", "SHiP-MEM"]
+    # Expected: each scheme simulated alone, from a fresh start.
+    expected = {}
+    for scheme in ("RRIP", *schemes):
+        clear_caches()
+        workload = build_workload("PR", "lj", reorder=config.reorder, config=config)
+        expected[scheme] = simulate_scheme(workload, scheme, config, streaming=True)
+    clear_caches()
+    want = compare_policies(["PR"], ["lj"], schemes, config=config, streaming=True)
+    assert [p.stats.as_dict() for p in want] == [expected[s].as_dict() for s in schemes]
+    clear_caches()
+    if with_memo:
+        set_disk_memo(DiskMemo(tmp_path))
+    generated = []
+    generate = runner.iter_execution_chunks
+
+    def counted(*args, **kwargs):
+        generated.append(args[0].key)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "iter_execution_chunks", counted)
+    points = compare_policies_corun(spec, schemes, config=config, baseline="RRIP")
+    assert generated == [("PR", "lj", config.reorder)]
+    assert _point_rows(points) == _point_rows(want)
+
+
+def test_k1_comparison_still_rejects_opt(memo_isolation, corun_config):
+    spec = CorunSpec(pairs=(("PR", "lj"),))
+    with pytest.raises(ValueError, match="OPT"):
+        compare_policies_corun(spec, ["GRASP", "OPT"], config=corun_config)

@@ -98,7 +98,7 @@ def scalar_reference(trace, classifier):
 
 def run_fused(trace, policy, classifier, chunk=3333):
     fused = FusedPipeline(HIERARCHY, [policy], classifier=classifier)
-    blocks = [fused.feed(piece) for piece in iter_trace_slices(trace, chunk)]
+    blocks = [fused.feed(piece).blocks for piece in iter_trace_slices(trace, chunk)]
     return fused, np.concatenate(blocks)
 
 
@@ -179,10 +179,12 @@ class TestMultiSchemePass:
 
     @needs_native
     def test_filter_only_pass_returns_the_llc_bound_blocks(self, trace):
-        # With no engine the pass is the filter alone; the blocks it returns
+        # With no engine the pass is the filter alone; the blocks it gathers
         # are the ones OPT replays.
         bare = FusedPipeline(HIERARCHY, [])
-        blocks = np.concatenate([bare.feed(piece) for piece in iter_trace_slices(trace, 3333)])
+        blocks = np.concatenate(
+            [bare.feed(piece).blocks for piece in iter_trace_slices(trace, 3333)]
+        )
         reference = run_filter(trace, HIERARCHY, backend="scalar")
         np.testing.assert_array_equal(
             blocks, trace.addresses[reference.keep] >> HIERARCHY.llc.block_offset_bits

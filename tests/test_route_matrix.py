@@ -6,8 +6,9 @@ bit-identical to the scalar reference simulator for that same scenario.
 Together the scenarios cover each of the three routes (``fused``,
 ``vector``, ``scalar``) with every engine and stage that takes it — one
 scheme or every family plus OPT on ``fused`` in both scopes (OPT's blocks
-spilled across several execution chunks), a stored stream and a scheme
-set with an ablation member (which the reference replays) on ``vector``,
+spilled across several execution chunks), a stored stream, the execution
+stream a fused pass held for the calls after it, and a scheme set with an
+ablation member (which the reference replays) on ``vector``,
 a co-run on ``vector`` and on ``scalar``, and a K=1 co-run on the
 single-app route it runs as — modulo kernel availability: without the
 kernel library every route is ``scalar``, and the statistics still match.
@@ -17,6 +18,7 @@ import pytest
 
 from repro.cache.partition import WayPartition
 from repro.experiments import ExperimentConfig, clear_caches, compare_policies
+from repro.experiments import runner
 from repro.experiments.memo import ChunkSpill, DiskMemo
 from repro.experiments.runner import (
     CorunSpec,
@@ -26,8 +28,11 @@ from repro.experiments.runner import (
     plan_scheme_task,
     set_disk_memo,
     simulate_corun,
+    simulate_policy,
     simulate_scheme,
+    simulate_schemes,
 )
+from repro.experiments.schemes import scheme_policy
 from repro.fastsim import kernels
 from repro.fastsim.plan import (
     ROUTE_FUSED,
@@ -235,7 +240,13 @@ class TestMultiSchemeRoutes:
 class TestChunkBudgetInvariance:
     """Both scopes slice by ``chunk_accesses``: the ROI's fused routes feed
     its raw trace in slices, the full execution is generated in chunks.
-    Results must not depend on the budget, on either route."""
+    Results must not depend on the budget, on any route, for any scheme:
+    a fused pass per scheme, a stream stored on disk (``staged``), or the
+    full execution's stream that the first single-scheme call's pass holds
+    while no disk memo is installed (``held``)."""
+
+    SCHEMES = ("RRIP", "GRASP", "SHiP-MEM", "PIN-100", "OPT")
+    FIELDS = ("hits", "misses", "evictions", "bypasses", "region_accesses", "region_misses")
 
     #: Scalar reference stats per scope (budget-independent).
     _reference = {}
@@ -243,34 +254,90 @@ class TestChunkBudgetInvariance:
     def _scalar(self, streaming):
         if streaming not in self._reference:
             workload = build_workload("PR", "lj", config=SCALAR_CFG)
-            self._reference[streaming] = simulate_scheme(
-                workload, "GRASP", SCALAR_CFG, streaming=streaming
+            self._reference[streaming] = simulate_schemes(
+                workload, self.SCHEMES, SCALAR_CFG, streaming=streaming
             )
             clear_caches()
         return self._reference[streaming]
 
+    def _assert_matches(self, stats, reference, path):
+        for scheme in stats:
+            for field in self.FIELDS:
+                assert getattr(stats[scheme], field) == getattr(reference[scheme], field), (
+                    path, scheme, field,
+                )
+
     @pytest.mark.parametrize("chunk_accesses", [700, 4096, None])
-    @pytest.mark.parametrize("staged", [False, True], ids=["fused", "staged"])
-    @pytest.mark.parametrize("streaming", [False, True], ids=["roi", "execution"])
+    @pytest.mark.parametrize(
+        "streaming,store",
+        [(False, "fused"), (False, "staged"), (True, "fused"), (True, "staged"), (True, "held")],
+        ids=["roi-fused", "roi-staged", "execution-fused", "execution-staged", "execution-held"],
+    )
     def test_stats_match_scalar_for_every_budget(
-        self, tmp_path, streaming, staged, chunk_accesses
+        self, tmp_path, monkeypatch, streaming, store, chunk_accesses
     ):
         reference = self._scalar(streaming)
         config = VECTOR_CFG.with_overrides(backend="vector", chunk_accesses=chunk_accesses)
+        workload = build_workload("PR", "lj", config=config)
+        if store == "held":
+            self._check_held_stream(monkeypatch, workload, config, reference)
+            return
         # A disk memo keeps the full execution's stream once stored (staged).
         memo = DiskMemo(tmp_path)
         set_disk_memo(memo)
-        if staged:
+        if store == "staged":
             _store_stream(config, streaming)
-        workload = build_workload("PR", "lj", config=config)
-        stats = simulate_scheme(workload, "GRASP", config, streaming=streaming)
-        _assert_stats_equal(stats, reference)
-        assert stats.bypasses == reference.bypasses
+        stats = {
+            scheme: simulate_scheme(workload, scheme, config, streaming=streaming)
+            for scheme in self.SCHEMES
+        }
+        self._assert_matches(stats, reference, "single-scheme calls")
         stored = memo.entry_count("llcchunk")
-        if staged:
+        if store == "staged":
             assert stored > 0
         elif kernels.has_capability("fused:filter"):
             assert stored == 0
+
+    def _check_held_stream(self, monkeypatch, workload, config, reference):
+        """No disk memo: single-scheme calls in sequence, a stream held at
+        one budget asked for at another, and one pass over every scheme."""
+        budgets, routes = [], []
+        generate, plan = runner.iter_execution_chunks, RoutePlanner.plan
+
+        def counted(*args, **kwargs):
+            budgets.append(args[1])
+            return generate(*args, **kwargs)
+
+        def planned(self, request):
+            made = plan(self, request)
+            routes.append(made.route)
+            return made
+
+        monkeypatch.setattr(runner, "iter_execution_chunks", counted)
+        monkeypatch.setattr(RoutePlanner, "plan", planned)
+        sequence = {
+            scheme: simulate_scheme(workload, scheme, config, streaming=True)
+            for scheme in self.SCHEMES
+        }
+        self._assert_matches(sequence, reference, "single-scheme calls")
+        budget = runner._chunk_budget(config, None)
+        if FUSED == ROUTE_FUSED:
+            # The first call's pass held the stream; the other four replay it.
+            assert routes == [ROUTE_FUSED] + [ROUTE_VECTOR] * 4
+            assert budgets == [budget]
+        else:
+            assert routes == [STAGED] * 5 and budgets == [budget] * 5
+        other = 4096 if budget == 700 else 700
+        grasp = simulate_policy(
+            workload, scheme_policy("GRASP"), config, streaming=True,
+            max_chunk_accesses=other,
+        )
+        assert routes[-1] == FUSED and budgets[-1] == other
+        self._assert_matches({"GRASP": grasp}, reference, f"GRASP at budget {other}")
+        clear_caches()
+        one_pass = simulate_schemes(workload, self.SCHEMES, config, streaming=True)
+        assert routes[-1] == FUSED
+        self._assert_matches(one_pass, reference, "one pass")
 
 
 class TestCorunRoutes:

@@ -594,6 +594,7 @@ class TestFusedStreaming:
     def test_thread_counts_match_verify(self, setup, monkeypatch, scheme, threads):
         config, workload = setup
         monkeypatch.setenv("REPRO_THREADS", threads)
+        clear_caches()  # nothing stored: the vector call runs the fused pass
         fused = simulate_policy(
             workload, scheme_policy(scheme), config,
             streaming=True, backend="vector", max_chunk_accesses=5000,
