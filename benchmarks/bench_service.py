@@ -7,11 +7,15 @@ stores.  This benchmark gates both contracts at benchmark scale:
    DataPoints bit-identical (hits/misses/evictions; cycles to float
    precision) to the serial runner's, whatever order the workers picked.
 2. **Dedup** — a second client sweeping the same spec against the same store
-   executes zero tasks: every task is a content-addressed cache hit.
+   executes zero tasks: every task is a content-addressed cache hit, and its
+   process reads stats and stream summaries only, never a ``workload`` entry.
 
 The timed section is the cold scheduled sweep; the warm re-sweep's elapsed
-time is recorded in ``extra_info`` alongside the task/retry counters.
+time and its store reads by kind are recorded in ``extra_info`` alongside
+the task/retry counters.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -22,6 +26,7 @@ from repro.experiments import (
     set_disk_memo,
     SweepSpec,
 )
+from repro.experiments.memo import DiskMemo
 
 APPS = ("PR",)
 DATASETS = ("lj", "pl")
@@ -41,7 +46,7 @@ def _points_equal(left, right):
         assert a.cycles == pytest.approx(b.cycles)
 
 
-def test_sweep_identity_and_dedup(benchmark, bench_config, tmp_path):
+def test_sweep_identity_and_dedup(benchmark, bench_config, tmp_path, monkeypatch):
     spec = SweepSpec(apps=APPS, datasets=DATASETS, schemes=SCHEMES)
     serial = compare_policies(APPS, DATASETS, SCHEMES, config=bench_config)
     clear_caches()
@@ -66,6 +71,14 @@ def test_sweep_identity_and_dedup(benchmark, bench_config, tmp_path):
         # Second client, fresh process state, same store: everything dedups.
         clear_caches()
         set_disk_memo(None)
+        warm_gets = Counter()
+        get = DiskMemo.get
+
+        def counted(self, kind, key):
+            warm_gets[kind] += 1
+            return get(self, kind, key)
+
+        monkeypatch.setattr(DiskMemo, "get", counted)
         warm = run_sweep(
             spec, config=bench_config, cache_dir=tmp_path, workers=4,
             worker_backend="process",
@@ -73,10 +86,12 @@ def test_sweep_identity_and_dedup(benchmark, bench_config, tmp_path):
         _points_equal(serial, warm.points)
         assert warm.report.executed == 0
         assert warm.report.cached == EXPECTED_TASKS
+        assert warm_gets["workload"] == 0
 
         benchmark.extra_info["tasks"] = EXPECTED_TASKS
         benchmark.extra_info["cold_retries"] = cold.report.retries
         benchmark.extra_info["warm_elapsed_s"] = round(warm.report.elapsed, 4)
+        benchmark.extra_info["warm_gets_by_kind"] = dict(sorted(warm_gets.items()))
     finally:
         clear_caches()
         set_disk_memo(None)

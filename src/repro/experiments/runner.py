@@ -36,8 +36,9 @@ scopes store their results in the same memo kinds (``llcchunk`` /
 trace comes from and where the filtered stream is kept: the ROI's one chunk
 in memory and in the disk memo; the execution's chunks in the disk memo's
 chunk store or, while no disk memo is installed, in the spill its last
-fused pass left behind (one execution held at a time), so single-scheme
-calls on one execution generate and filter it once between them.
+single-scheme fused pass left behind (one execution held at a time), so
+single-scheme calls on one execution generate and filter it once between
+them.
 
 Fast-path dispatch
 ------------------
@@ -75,7 +76,11 @@ The store is off unless ``REPRO_CACHE_DIR`` is set or
 :func:`set_disk_memo` is called; the sweep service
 (:func:`repro.experiments.service.run_sweep`) installs it in every worker so
 its tasks and later invocations (Figs. 5-11, Tables 1-7) reuse each other's
-runs.
+runs.  Every key is built from the experiment parameters alone, so a
+comparison whose results are stored (a warm or resumed sweep, a figure
+driver over ``REPRO_CACHE_DIR``, the parent of a process-pool sweep) reads
+only ``policystream`` entries and budget-less ``llcstream`` summaries,
+never a ``workload`` entry.
 :func:`clear_caches` drops only the in-memory tables, never the disk store.
 """
 
@@ -128,7 +133,7 @@ from repro.experiments.schemes import scheme_policy
 from repro.graph.csr import CSRGraph
 from repro.graph.csr import GraphError
 from repro.graph.source import canonical_spec, load_for_experiment
-from repro.perf.timing import LevelCounts, TimingModel
+from repro.perf.timing import LevelCounts
 from repro.reorder import get_technique
 from repro.trace import (
     InterleavedTraceStream,
@@ -683,9 +688,10 @@ class _HeldStream:
         self._spill.close()
 
 
-# The execution stream the last execution-scope fused pass gathered while no
-# disk memo was installed, under its stream key.  One is held at a time: the
-# next such pass replaces it, and clear_caches(), a pass that raises and
+# The execution stream the last single-scheme execution-scope fused pass
+# gathered while no disk memo was installed, under its stream key (a
+# multi-scheme pass holds nothing).  One is held at a time: the next such
+# pass replaces it, and clear_caches(), a pass that raises and
 # interpreter exit remove it.  With a disk memo installed it is never served,
 # so the memo's chunk store stays the only store.  Only ``vector`` requests
 # replay it, since the vector filter kernel produced it: ``scalar`` and
@@ -744,8 +750,9 @@ def llc_chunks(
     chunk is also held in memory.  Later calls serve the stored stream from
     memory or, one chunk at a time, from disk, so peak memory stays O(chunk)
     on the memo-hit path too.  Without a disk memo, the execution stream
-    the last fused pass held (under the same key, so at the same chunk
-    budget) is served the same way, to the ``vector`` backend only.  A missing or corrupt persisted chunk
+    the last single-scheme fused pass held (under the same key, so at the
+    same chunk budget) is served the same way, to the ``vector`` backend
+    only.  A missing or corrupt persisted chunk
     falls back to regeneration mid-stream: the already-served prefix is
     re-filtered to rebuild the L1/L2 state but not yielded again, and the
     broken tail is persisted anew.
@@ -838,15 +845,12 @@ def stream_summary(
     existence when a fused run already produced them.
     """
     key = _summary_key(workload, config, streaming)
-    if key not in _SUMMARIES:
-        memo = active_disk_memo()
-        summary = memo.get("llcstream", key) if memo is not None else None
-        if summary is not None:
-            _SUMMARIES[key] = summary
-        else:
-            for _ in llc_chunks(workload, config, streaming, max_chunk_accesses):
-                pass
-    return _SUMMARIES[key]
+    summary = _recall(_SUMMARIES, "llcstream", key)
+    if summary is None:
+        for _ in llc_chunks(workload, config, streaming, max_chunk_accesses):
+            pass
+        summary = _SUMMARIES[key]
+    return summary
 
 
 def workload_cycles(
@@ -855,8 +859,15 @@ def workload_cycles(
     config: ExperimentConfig,
     streaming: bool = False,
 ) -> float:
-    """Execution cycles of one scope of the workload under an LLC outcome."""
-    summary = stream_summary(workload, config, streaming)
+    """Execution cycles of one scope of the workload under an LLC outcome:
+    the cycle model over the scope's :func:`stream_summary`.  The
+    comparisons hand the model a summary read by key instead, with no
+    workload."""
+    return _scope_cycles(stream_summary(workload, config, streaming), stats, config)
+
+
+def _scope_cycles(summary: dict, stats: CacheStats, config: ExperimentConfig) -> float:
+    """Execution cycles of one scope from its L1/L2 ``summary`` and an LLC outcome."""
     # Bypassed accesses are already counted as misses by the cache, so the
     # hit/miss split fully describes where every LLC access was served.
     counts = LevelCounts(
@@ -1237,15 +1248,18 @@ def _fused_pass(
     scope's budget-less summary key (for :func:`stream_summary`), unless
     already stored — but *not* under the scope's manifest key, which
     promises ``llcchunk`` entries that this pass never writes.  While no
-    disk memo is installed, an execution pass replaces the held stream with
-    the one it gathers (:class:`_HeldStream`), so the next call on the same
-    stream replays it.  Returns the policies' statistics in order.
+    disk memo is installed, a single-scheme execution pass replaces the held
+    stream with the one it gathers (:class:`_HeldStream`), so the next
+    single-scheme call on the same stream replays it.  A multi-scheme pass
+    leaves the held stream as it found it: its caller (a comparison, a
+    one-stream co-run) already simulates every scheme it wants.  Returns the
+    policies' statistics in order.
     """
     global _HELD
     held = None
     if streaming:
         pieces = (chunk.trace for chunk in iter_execution_chunks(workload, budget))
-        if active_disk_memo() is None:
+        if len(policies) == 1 and active_disk_memo() is None:
             _drop_held()
             held = _HeldStream(
                 _stream_key(workload, config, streaming, budget),
@@ -1341,8 +1355,8 @@ def simulate_policy(
     scope's filtered stream is already stored, since replaying it is
     cheaper than regenerating the raw trace: the ROI's chunk, the disk
     memo's chunk store, or, while no disk memo is installed, the execution
-    stream the last fused pass spilled (served at that pass's chunk budget
-    and to ``vector`` only).  Every other plan replays the filtered stream
+    stream the last single-scheme fused pass spilled (served at that
+    pass's chunk budget and to ``vector`` only).  Every other plan replays the filtered stream
     (:func:`llc_chunks`) through ``vector``, ``scalar`` or the ``verify``
     cross-check.
     """
@@ -1379,24 +1393,32 @@ def simulate_schemes(
     them, OPT included, or one filtered stream is replayed for each.
     Returns the stats keyed by scheme.
     """
+    return _stored_or_simulated(
+        schemes, config, streaming,
+        lambda scheme: _policy_key(workload, scheme, config, streaming),
+        lambda: workload,
+    )
+
+
+def _stored_or_simulated(
+    schemes: Sequence[str], config: ExperimentConfig, streaming: bool, key_of, workload_of
+) -> Dict[str, CacheStats]:
+    """Each scheme's stats under ``key_of(scheme)``, from memory, then disk;
+    the schemes that have none run as one plan on ``workload_of()``, which
+    is called only then, and are stored under their keys."""
     results: Dict[str, CacheStats] = {}
     missing: List[str] = []
     for scheme in dict.fromkeys(schemes):
-        key = _policy_key(workload, scheme, config, streaming)
-        stats = _recall(_POLICY_RUNS, "policystream", key)
+        stats = _recall(_POLICY_RUNS, "policystream", key_of(scheme))
         if stats is None:
             missing.append(scheme)
         else:
             results[scheme] = stats
     if missing:
         policies = [_policy_for(scheme, config) for scheme in missing]
-        for scheme, stats in zip(
-            missing, _simulate(workload, missing, policies, config, streaming)
-        ):
-            results[scheme] = _remember(
-                _POLICY_RUNS, "policystream",
-                _policy_key(workload, scheme, config, streaming), stats,
-            )
+        simulated = _simulate(workload_of(), missing, policies, config, streaming)
+        for scheme, stats in zip(missing, simulated):
+            results[scheme] = _remember(_POLICY_RUNS, "policystream", key_of(scheme), stats)
     return results
 
 
@@ -1412,26 +1434,85 @@ def simulate_scheme(
     return simulate_schemes(workload, (scheme,), config, streaming=streaming)[scheme]
 
 
-def _data_point(
+# ---------------------------------------------------------------------------
+# a comparison's results, read by key
+# ---------------------------------------------------------------------------
+#
+# A comparison needs per pair only each scheme's stats and the scope's L1/L2
+# summary, and the key builders above give both from the experiment
+# parameters: ``config.merged_properties`` is what ``build_workload`` merges
+# by, so it equals the built workload's ``layout.profile.merged``.  The
+# workload is built only when one of them is missing.
+
+
+def _pair_stats(
     app_name: str,
     dataset_name: str,
-    scheme: str,
-    stats: CacheStats,
-    cycles: float,
-    baseline_stats: CacheStats,
-    baseline_cycles: float,
-    timing: TimingModel,
-) -> DataPoint:
-    """One scheme's result, with miss reduction and speed-up over the baseline."""
-    return DataPoint(
-        app_name=app_name,
-        dataset_name=dataset_name,
-        scheme=scheme,
-        stats=stats,
-        cycles=cycles,
-        miss_reduction_pct=timing.miss_reduction_percent(baseline_stats.misses, stats.misses),
-        speedup_pct=timing.speedup_percent(baseline_cycles, cycles),
+    reorder: str,
+    schemes: Sequence[str],
+    config: ExperimentConfig,
+    streaming: bool,
+) -> Dict[str, CacheStats]:
+    """Each scheme's stats on one scope of one (app, dataset) pair.
+
+    Read from memory, then disk; only when some scheme has none is the
+    workload built, and only those schemes run, as one plan.
+    """
+    return _stored_or_simulated(
+        schemes, config, streaming,
+        lambda scheme: policystream_memo_key(
+            app_name, dataset_name, reorder, scheme, config, streaming=streaming
+        ),
+        lambda: build_workload(app_name, dataset_name, reorder=reorder, config=config),
     )
+
+
+def _pair_summary(
+    app_name: str,
+    dataset_name: str,
+    reorder: str,
+    config: ExperimentConfig,
+    streaming: bool,
+) -> dict:
+    """One (app, dataset) pair's budget-less L1/L2 summary on one scope.
+
+    Read from memory, then disk; only when it is missing is the workload
+    built and its :func:`stream_summary` computed.
+    """
+    summary = _recall(
+        _SUMMARIES, "llcstream",
+        llcstream_summary_memo_key(app_name, dataset_name, reorder, config, streaming=streaming),
+    )
+    if summary is None:
+        workload = build_workload(app_name, dataset_name, reorder=reorder, config=config)
+        summary = stream_summary(workload, config, streaming)
+    return summary
+
+
+def _pair_points(
+    app_name: str,
+    dataset_name: str,
+    schemes: Sequence[str],
+    stats: Dict[str, CacheStats],
+    baseline: str,
+    summary: dict,
+    config: ExperimentConfig,
+) -> List[DataPoint]:
+    """One pair's (or co-run stream's) data points in ``schemes`` order:
+    cycles from the scope's L1/L2 ``summary``, and miss reduction and
+    speed-up over ``baseline``'s stats."""
+    timing = config.timing
+    baseline_misses = stats[baseline].misses
+    baseline_cycles = _scope_cycles(summary, stats[baseline], config)
+    points = []
+    for scheme in schemes:
+        cycles = _scope_cycles(summary, stats[scheme], config)
+        points.append(DataPoint(
+            app_name, dataset_name, scheme, stats[scheme], cycles,
+            timing.miss_reduction_percent(baseline_misses, stats[scheme].misses),
+            timing.speedup_percent(baseline_cycles, cycles),
+        ))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -1453,30 +1534,26 @@ def compare_policies(
     reduction and speed-up computed against the baseline scheme, exactly as
     the paper's figures report them.  ``streaming`` simulates the full
     execution (all iterations, streamed with bounded memory) instead of the
-    ROI iteration.  Each pair's schemes go through :func:`simulate_schemes`:
-    every scheme's memo entry is read once, and the missing ones run as one
+    ROI iteration.  Per pair, every scheme's ``policystream`` entry and the
+    scope's L1/L2 summary are read once by key, from memory or the disk
+    memo, and the cycle model reads that summary.  The workload is built
+    only when one of them is missing: the missing schemes then run as one
     plan, so the pair's raw trace is generated and filtered once for all of
-    them, OPT included.
+    them, OPT included.  A comparison whose results are all stored reads no
+    ``workload`` entry.
     """
     config = config or ExperimentConfig.default()
     reorder = reorder or config.reorder
     points: List[DataPoint] = []
     for dataset_name in dataset_names:
         for app_name in app_names:
-            workload = build_workload(app_name, dataset_name, reorder=reorder, config=config)
-            stats = simulate_schemes(
-                workload, (baseline, *schemes), config, streaming=streaming
+            stats = _pair_stats(
+                app_name, dataset_name, reorder, (baseline, *schemes), config, streaming
             )
-            baseline_stats = stats[baseline]
-            baseline_cycles = workload_cycles(workload, baseline_stats, config, streaming)
-            for scheme in schemes:
-                points.append(
-                    _data_point(
-                        app_name, dataset_name, scheme, stats[scheme],
-                        workload_cycles(workload, stats[scheme], config, streaming),
-                        baseline_stats, baseline_cycles, config.timing,
-                    )
-                )
+            summary = _pair_summary(app_name, dataset_name, reorder, config, streaming)
+            points.extend(
+                _pair_points(app_name, dataset_name, schemes, stats, baseline, summary, config)
+            )
     return points
 
 
@@ -1533,8 +1610,7 @@ def simulate_corun(
     reorder = reorder or config.reorder
     pair = _single_app_pair(spec, scheme)
     if pair is not None:
-        workload = build_workload(*pair, reorder=reorder, config=config)
-        return simulate_scheme(workload, scheme, config, streaming=True)
+        return _pair_stats(*pair, reorder, (scheme,), config, streaming=True)[scheme]
     # The planner rejects OPT and picks the vector co-run engine or the
     # scalar reference (an unpartitioned PIN co-run).
     plan = plan_corun_task(spec, scheme, config, reorder)
@@ -1581,50 +1657,41 @@ def compare_policies_corun(
     stream under the baseline scheme — i.e. how much each app gains or loses
     from the policy change *under interference*.  A degenerate co-run (one
     stream, no partition) is the single-app full execution, so its schemes
-    run as one :func:`simulate_schemes` call: one pass over the execution
-    for all of them.  OPT is rejected, as :func:`simulate_corun` rejects it.
+    are read, and the missing ones run, as :func:`compare_policies` does
+    for one pair: one pass over the execution for all of them.  Each
+    stream's execution summary is read by key as well, so a comparison
+    whose results are all stored builds no workload.  OPT is rejected, as
+    :func:`simulate_corun` rejects it.
     """
     config = config or ExperimentConfig.default()
     reorder = reorder or config.reorder
-    workloads = [
-        build_workload(app_name, dataset_name, reorder=reorder, config=config)
-        for app_name, dataset_name in spec.pairs
-    ]
-    duplicated = len(set(spec.pairs)) != len(spec.pairs)
     ordered = tuple(dict.fromkeys((baseline, *schemes)))
     if all(_single_app_pair(spec, scheme) is not None for scheme in ordered):
-        results = simulate_schemes(workloads[0], ordered, config, streaming=True)
+        results = _pair_stats(*spec.pairs[0], reorder, ordered, config, streaming=True)
     else:
         results = {
             scheme: simulate_corun(spec, scheme, config, reorder=reorder)
             for scheme in ordered
         }
 
-    def views(stats: CacheStats) -> List[CacheStats]:
+    def view(stats: CacheStats, stream: int) -> CacheStats:
         if spec.num_streams == 1 and not stats.stream_accesses:
             # The degenerate path delegates to the single-app simulation,
             # whose aggregates *are* stream 0's counters.
-            return [stats]
-        return [stats.stream_view(stream) for stream in range(spec.num_streams)]
+            return stats
+        return stats.stream_view(stream)
 
-    baseline_views = views(results[baseline])
-    baseline_cycles = [
-        workload_cycles(workload, view, config, streaming=True)
-        for workload, view in zip(workloads, baseline_views)
+    duplicated = len(set(spec.pairs)) != len(spec.pairs)
+    per_stream = [
+        _pair_points(
+            f"{app_name}#{stream}" if duplicated else app_name, dataset_name, schemes,
+            {scheme: view(results[scheme], stream) for scheme in ordered}, baseline,
+            _pair_summary(app_name, dataset_name, reorder, config, streaming=True), config,
+        )
+        for stream, (app_name, dataset_name) in enumerate(spec.pairs)
     ]
-    points: List[DataPoint] = []
-    for scheme in schemes:
-        for stream, (workload, view) in enumerate(zip(workloads, views(results[scheme]))):
-            app_name, dataset_name = spec.pairs[stream]
-            points.append(
-                _data_point(
-                    f"{app_name}#{stream}" if duplicated else app_name,
-                    dataset_name, scheme, view,
-                    workload_cycles(workload, view, config, streaming=True),
-                    baseline_views[stream], baseline_cycles[stream], config.timing,
-                )
-            )
-    return points
+    # Scheme by scheme, each stream's point in stream order.
+    return [point for column in zip(*per_stream) for point in column]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The execution stream a fused pass leaves behind for the calls after it.
 
-While no disk memo is installed, an execution-scope fused pass keeps the
-LLC-bound accesses it gathers in a process-private
+While no disk memo is installed, a single-scheme execution-scope fused
+pass keeps the LLC-bound accesses it gathers in a process-private
 :class:`~repro.experiments.memo.ChunkSpill`, so the next single-scheme call
 on the same (workload, config, chunk budget) replays that stream instead of
-generating and filtering the execution again.  These tests pin the spill's
-round trip, that held chunks equal freshly filtered ones field for field,
-which calls are served, and that no spill directory outlives the stream:
+generating and filtering the execution again.  A multi-scheme pass holds
+nothing: its caller simulates every scheme it wants in that one pass.
+These tests pin the spill's round trip, that held chunks equal freshly
+filtered ones field for field, which passes hold and which calls are
+served, and that no spill directory outlives the stream:
 not after ``clear_caches()``, a replacing pass, a pass that raises, or the
 process's exit.  Only ``vector`` requests in the process that gathered the
 stream replay it: ``scalar`` and ``verify`` filter the execution
@@ -37,6 +39,7 @@ from repro.experiments.runner import (
     set_disk_memo,
     simulate_policy,
     simulate_scheme,
+    simulate_schemes,
 )
 from repro.experiments.schemes import scheme_policy
 from repro.fastsim import kernels
@@ -197,6 +200,30 @@ def test_single_scheme_calls_generate_the_execution_once(spills, generations, ro
     else:
         assert routes == [staged] * 5
         assert runner._HELD is None and spills() == []
+
+
+@needs_fused
+@pytest.mark.parametrize("before", ["nothing", "another-stream"])
+def test_a_multi_scheme_pass_holds_no_stream(spills, routes, monkeypatch, before):
+    """Nothing replays a comparison's stream, so its one pass spills only
+    OPT's own arrays, removes that spill when it ends and leaves ``_HELD``
+    as it found it."""
+    if before == "another-stream":
+        simulate_scheme(_workload("PR"), "RRIP", CONFIG, streaming=True)
+    held, held_spills = runner._HELD, spills()
+    names = []
+    put = ChunkSpill.put
+
+    def recorded(self, name, index, array):
+        names.append(name)
+        return put(self, name, index, array)
+
+    monkeypatch.setattr(ChunkSpill, "put", recorded)
+    simulate_schemes(_workload("SSSP"), ("GRASP", "SHiP-MEM", "OPT"), CONFIG, streaming=True)
+    assert routes[-1] == ROUTE_FUSED
+    assert "blocks" in names and "addresses" not in names
+    assert runner._HELD is held
+    assert spills() == held_spills
 
 
 @needs_fused
