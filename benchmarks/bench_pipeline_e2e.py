@@ -6,8 +6,8 @@ runs through the L1/L2 filter kernel and its LLC-bound accesses through
 the LLC family's own kernel, with no filtered trace materialized beyond
 the chunk and no per-chunk persistence.  This benchmark gates the
 contracts the fused route makes for its regime — a *single-consumer*
-replay (one policy, cold caches), the unit of work a cold sweep performs
-per scheme:
+replay (one policy, cold caches), the unit of work of a single-scheme
+call:
 
 1. **Exactness** — the fused end-to-end result (graph → trace generation →
    filter → LLC replay → ``CacheStats``) is bit-identical to the staged
@@ -28,8 +28,8 @@ host cannot decide it.  Both sides run the product code paths with a cold
 on-disk memo per round:
 the staged side is :func:`~repro.experiments.runner.llc_chunks` feeding
 a :class:`~repro.fastsim.replay.PolicyReplayStream` (materialize + persist every
-filtered chunk — what every replay paid before the fused route existed, and
-what a sweep's filter task still pays), the fused side is
+filtered chunk — the path ``scalar`` and ``verify`` replays and co-runs of
+two or more streams still take under a disk memo), the fused side is
 :func:`~repro.experiments.runner.simulate_policy` on the full execution,
 whose fused gate takes the single-pass route.
 """
@@ -201,8 +201,9 @@ def _multi_reset(memo_root):
 
 
 def _multi_staged(workload, config, schemes, memo_root):
-    """Store the filtered ROI chunk once (as a sweep's filter task does), then
-    replay every scheme from it on the staged route, one plan per scheme."""
+    """Store the filtered ROI chunk once (as a staged replay under the disk
+    memo does), then replay every scheme from it on the staged route, one
+    plan per scheme."""
     _multi_reset(memo_root)
     for _ in llc_chunks(workload, config):
         pass

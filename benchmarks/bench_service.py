@@ -32,8 +32,8 @@ APPS = ("PR",)
 DATASETS = ("lj", "pl")
 SCHEMES = ("LRU", "RRIP", "GRASP")
 
-#: 2 workload + 2 filter + 6 replay tasks for the spec above.
-EXPECTED_TASKS = 10
+#: One task per (app, dataset) pair of the spec above.
+EXPECTED_TASKS = 2
 
 
 def _points_equal(left, right):

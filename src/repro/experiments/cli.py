@@ -15,10 +15,11 @@
     repro graph ingest crawl.txt.gz                 # build the binary-CSR cache
     repro graph fetch web-google --dest data/       # checksum-verified download
 
-``sweep`` decomposes the comparison into the content-addressed task DAG of
-:mod:`repro.experiments.service`, runs it on this host's process pool with
-retry and backoff, prints per-task progress and a terminal summary, and
-leaves a JSON run manifest under ``<cache-dir>/runs/<run-id>/manifest.json``.
+``sweep`` splits the comparison into one content-addressed task per
+(app, dataset) pair (:mod:`repro.experiments.service`), runs the tasks on
+this host's process pool with retry and backoff, prints per-task progress
+and a terminal summary, and leaves a JSON run manifest under
+``<cache-dir>/runs/<run-id>/manifest.json``.
 Because results live in the shared on-disk memo store, re-running (or
 ``--resume``-ing) only executes tasks whose entries are missing, and
 concurrent clients deduplicate work.  A task that hangs hangs the sweep:
@@ -43,7 +44,6 @@ from repro.experiments.runner import (
     DataPoint,
     compare_policies_corun,
     plan_corun_task,
-    plan_pair_tasks,
     set_disk_memo,
 )
 from repro.experiments.schemes import (
@@ -62,6 +62,7 @@ from repro.experiments.service import (
     resume_sweep,
     run_sweep,
     runs_root,
+    sweep_plans,
 )
 from repro.trace.interleave import SCHEDULES
 
@@ -167,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep",
         help="run (or resume) a policy-comparison sweep on the task service",
-        description="Run a compare_policies sweep as a fault-tolerant task DAG.",
+        description="Run a compare_policies sweep as fault-tolerant tasks, "
+                    "one per (app, dataset) pair.",
     )
     _add_spec_args(sweep)
     sweep.add_argument("--workers", type=int, default=None, help="worker count (default: REPRO_WORKERS or CPUs)")
@@ -194,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain = plan_sub.add_parser(
         "explain",
         help="print the planned route for every task of a sweep spec, and why",
-        description="For each (app, dataset, scheme) task of the spec, print "
-                    "the ExecutionPlan the runner would follow — route, engine, "
+        description="For each (app, dataset) pair of the spec, print the "
+                    "ExecutionPlan its sweep task would follow — route, engine, "
                     "kernel tier, backend and every fallback reason — without "
                     "building workloads or running simulations.  Cache-state "
                     "probes (memoized traces/chunk stores) consult the same "
@@ -422,7 +424,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"error: no run {args.resume!r} under {runs_root(cache_dir)}",
                       file=sys.stderr)
                 return 1
-            progress.total = len(stored.get("tasks", []))
+            recorded = stored["spec"]
+            progress.total = len(recorded["apps"]) * len(recorded["datasets"])
             print(f"resume {args.resume}: {progress.total} tasks ({args.worker_backend} backend)")
             result = resume_sweep(
                 args.resume,
@@ -435,8 +438,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             config = _config_from_args(args)
             spec = _spec_from_args(args, config)
-            pairs = len(spec.apps) * len(spec.datasets)
-            progress.total = pairs * (2 + len(spec.all_schemes()))
+            progress.total = len(spec.apps) * len(spec.datasets)
             print(
                 f"sweep: {len(spec.apps)} app(s) x {len(spec.datasets)} dataset(s) x "
                 f"{len(spec.schemes)} scheme(s) -> {progress.total} tasks "
@@ -487,7 +489,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
 
 def cmd_plan_explain(args: argparse.Namespace) -> int:
-    """Print the ExecutionPlan for every task of the spec without running it."""
+    """Print the ExecutionPlan of every task of the spec without running it."""
     config = _config_from_args(args)
     set_disk_memo(DiskMemo(_resolve_cache_dir(args.cache_dir)))
     plans: Dict[str, object] = {}
@@ -504,16 +506,7 @@ def cmd_plan_explain(args: argparse.Namespace) -> int:
                 print(f"error: corun {scheme}: {error}", file=sys.stderr)
                 status = 1
     else:
-        spec = _spec_from_args(args, config)
-        reorder = spec.resolved_reorder(config)
-        for dataset in spec.datasets:
-            for app in spec.apps:
-                pair = plan_pair_tasks(
-                    app, dataset, reorder, spec.all_schemes(), config,
-                    streaming=spec.streaming,
-                )
-                for scheme, plan in pair.items():
-                    plans[f"{app}/{dataset}/{scheme}"] = plan
+        plans.update(sweep_plans(_spec_from_args(args, config), config))
     if args.json:
         print(json.dumps({key: plan.to_json() for key, plan in plans.items()},
                          indent=2, sort_keys=True))

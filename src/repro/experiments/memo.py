@@ -123,9 +123,9 @@ def default_cache_dir() -> Optional[Path]:
 def key_digest(key: Any) -> str:
     """Content digest of a memo key — the entry's filename stem.
 
-    The sweep service (:mod:`repro.experiments.service`) reuses these digests
-    as task ids, so "is this task done" and "does this memo entry exist" are
-    literally the same question.
+    The sweep service (:mod:`repro.experiments.service`) digests the keys a
+    task completes into as the task's id, so the id names exactly the
+    entries whose existence marks the task done.
     """
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
 

@@ -5,7 +5,7 @@ This module is the transport layer underneath
 It defines
 
 * :class:`Task` — one schedulable unit: a picklable module-level callable
-  plus arguments, a content-addressed id, and dependency edges;
+  plus arguments and a content-addressed id;
 * :class:`RetryPolicy` — bounded retries with exponential backoff;
 * :class:`FailureEvent` — the structured failure record the scheduler
   keeps in its report and the run manifest;
@@ -47,19 +47,18 @@ class Task:
     """One schedulable unit of work.
 
     ``fn`` must be a module-level callable (process backends pickle it) and
-    ``args`` picklable.  ``task_id`` is content-addressed by the caller — the
-    sweep service uses the memo-entry digest, so the id doubles as the
-    completion check.  ``store_key`` carries the (kind-scoped) memo key for
-    completion stores that need it; generic tasks may leave it ``None``.
+    ``args`` picklable.  Tasks are independent: any order of execution is
+    valid.  ``task_id`` is content-addressed by the caller — the sweep
+    service digests the memo keys the task writes, so the id names what
+    marks it done.  ``entries`` lists those ``(kind, key)`` memo entries for
+    completion stores that need them; generic tasks leave it empty.
     """
 
     task_id: str
     fn: Optional[Callable[..., Any]] = None
     args: Tuple[Any, ...] = ()
-    deps: Tuple[str, ...] = ()
-    kind: str = "task"
     label: str = ""
-    store_key: Any = None
+    entries: Tuple[Tuple[str, Any], ...] = ()
 
 
 @dataclass(frozen=True)

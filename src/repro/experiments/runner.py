@@ -749,10 +749,11 @@ def llc_chunks(
     summary (both ``llcstream``) are written after the last one; the ROI's
     chunk is also held in memory.  Later calls serve the stored stream from
     memory or, one chunk at a time, from disk, so peak memory stays O(chunk)
-    on the memo-hit path too.  Without a disk memo, the execution stream
-    the last single-scheme fused pass held (under the same key, so at the
-    same chunk budget) is served the same way, to the ``vector`` backend
-    only.  A missing or corrupt persisted chunk
+    on the memo-hit path too; serving a stored manifest also writes the
+    summary back when the store lost it.  Without a disk memo, the
+    execution stream the last single-scheme fused pass held (under the same
+    key, so at the same chunk budget) is served the same way, to the
+    ``vector`` backend only.  A missing or corrupt persisted chunk
     falls back to regeneration mid-stream: the already-served prefix is
     re-filtered to rebuild the L1/L2 state but not yielded again, and the
     broken tail is persisted anew.
@@ -773,6 +774,10 @@ def llc_chunks(
         manifest = memo.get("llcstream", key)
         if manifest is not None:
             _SUMMARIES.setdefault(summary_key, manifest)
+            if not memo.contains("llcstream", summary_key):
+                # A store that lost the summary gets it back, so the next
+                # comparison reads it by key again.
+                memo.put("llcstream", summary_key, manifest)
             while served < manifest["chunks"]:
                 llc_chunk = memo.get("llcchunk", key + (served,))
                 if llc_chunk is None:
@@ -1695,7 +1700,7 @@ def compare_policies_corun(
 
 
 # ---------------------------------------------------------------------------
-# task planning (sweep manifests, `repro plan explain`)
+# pair planning (sweep manifests, `repro plan explain`)
 # ---------------------------------------------------------------------------
 
 def plan_scheme_task(
@@ -1706,13 +1711,9 @@ def plan_scheme_task(
     config: ExperimentConfig,
     streaming: bool = False,
 ) -> ExecutionPlan:
-    """Plan one (app, dataset, scheme) task without building its workload.
-
-    The single-scheme case of :func:`plan_pair_tasks`.
-    """
-    return plan_pair_tasks(
-        app_name, dataset_name, reorder, (scheme,), config, streaming
-    )[scheme]
+    """Plan one scheme on one (app, dataset) pair without building its
+    workload: the single-scheme case of :func:`plan_pair_tasks`."""
+    return plan_pair_tasks(app_name, dataset_name, reorder, (scheme,), config, streaming)
 
 
 def plan_pair_tasks(
@@ -1722,32 +1723,29 @@ def plan_pair_tasks(
     schemes: Sequence[str],
     config: ExperimentConfig,
     streaming: bool = False,
-) -> Dict[str, ExecutionPlan]:
-    """Plan every scheme task of one (app, dataset) pair, keyed by scheme.
+) -> ExecutionPlan:
+    """Plan one (app, dataset) pair's schemes as one unit, the way its sweep
+    task runs them when none is stored.
 
     Memo keys are computable from the experiment parameters alone, so
     whether the scope's filtered stream is already stored (its manifest
     key, :func:`llcstream_memo_key`) is probed directly from the memo — the
     sweep service embeds these plans in run manifests and ``repro plan
-    explain`` answers before any simulation runs.  That flag belongs to
-    the pair, not the scheme, so the store is probed once per call.  Each
-    returned plan is exactly the one the corresponding
-    :func:`simulate_scheme` call would execute under the same memo state.
+    explain`` answers before any simulation runs.  The returned plan is
+    exactly the one :func:`simulate_schemes` over the same schemes would
+    execute under the same memo state.
     """
-    have_stream = _stream_stored(
-        llcstream_memo_key(
-            app_name, dataset_name, reorder, config, config.merged_properties,
-            streaming=streaming,
+    schemes = tuple(dict.fromkeys(schemes))
+    return _plan(
+        schemes, [_policy_for(scheme, config) for scheme in schemes], config, streaming,
+        have_stream=_stream_stored(
+            llcstream_memo_key(
+                app_name, dataset_name, reorder, config, config.merged_properties,
+                streaming=streaming,
+            ),
+            config.backend,
         ),
-        config.backend,
     )
-    return {
-        scheme: _plan(
-            (scheme,), (_policy_for(scheme, config),), config, streaming,
-            have_stream=have_stream,
-        )
-        for scheme in schemes
-    }
 
 
 def plan_corun_task(

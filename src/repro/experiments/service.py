@@ -1,26 +1,27 @@
 """Fault-tolerant sweep service on one host.
 
-:func:`run_sweep` decomposes a :func:`~repro.experiments.runner.compare_policies`
-sweep into a task DAG —
+:func:`run_sweep` splits a :func:`~repro.experiments.runner.compare_policies`
+sweep into one independent task per (app, dataset) pair.  A pair task is
+that comparison for its one pair: it recalls the schemes whose results are
+stored and runs the missing ones as one plan, so the pair's trace is
+generated and filtered once for all of them.  A :class:`Scheduler` drives
+the tasks over a :class:`~repro.experiments.queue.WorkerBackend` (in-process
+``inline``, or ``process`` on one host's
+:class:`~concurrent.futures.ProcessPoolExecutor`).  It keeps one FIFO ready
+queue and runs at most ``workers`` tasks at once; a worker death (a broken
+pool) or a transient error is retried with exponential backoff.  A task
+that hangs hangs the sweep: interrupt it and ``--resume``, which re-runs
+only the tasks whose entries are missing.
 
-    workload-build  →  L1/L2 filter  →  per-scheme LLC replay
-    (per app/dataset pair)  (per pair)     (per pair × scheme)
+**Tasks are content-addressed by their memo entries.**  A pair task
+completes into each scheme's ``policystream`` entry and the scope's
+budget-less ``llcstream`` summary; its id is the digest of those keys, and
+it *is complete* exactly when every one of those entries exists and loads
+in the shared :class:`~repro.experiments.memo.DiskMemo` store.  Three
+properties fall out:
 
-— and drives it through a dependency-aware :class:`Scheduler` over a
-:class:`~repro.experiments.queue.WorkerBackend` (in-process ``inline``, or
-``process`` on one host's :class:`~concurrent.futures.ProcessPoolExecutor`).
-The scheduler keeps one FIFO ready queue and runs at most ``workers`` tasks
-at once; a worker death (a broken pool) or a transient error is retried
-with exponential backoff.  A task that hangs hangs the sweep: interrupt it
-and ``--resume``, which re-runs only the tasks whose entries are missing.
-
-**Tasks are content-addressed by their memo entry.**  A task's id is the
-digest of its :mod:`repro.experiments.memo` key (the entry's filename stem),
-and a task *is complete* exactly when a readable entry exists in the shared
-:class:`~repro.experiments.memo.DiskMemo` store.  Three properties fall out:
-
-* **resume** — ``repro sweep --resume RUN_ID`` rebuilds the DAG and only
-  executes tasks whose entries are missing (or unreadable);
+* **resume** — ``repro sweep --resume RUN_ID`` rebuilds the tasks and only
+  executes those with an entry missing (or unreadable);
 * **cross-client dedup** — overlapping sweeps from concurrent clients
   converge on the same entries, so work done by one client is a cache hit
   for every other;
@@ -31,9 +32,10 @@ and a task *is complete* exactly when a readable entry exists in the shared
   the numbers.
 
 Every run writes a JSON manifest (``<cache_dir>/runs/<run_id>/manifest.json``)
-recording the spec, per-task status/attempt history and every
-:class:`~repro.experiments.queue.FailureEvent`, and the manifest is written
-*before* execution starts so a hard-killed run remains resumable.
+recording the spec, the plan each pair task runs, per-task status/attempt
+history and every :class:`~repro.experiments.queue.FailureEvent`, and the
+manifest is written *before* execution starts so a hard-killed run remains
+resumable.
 """
 
 from __future__ import annotations
@@ -65,22 +67,19 @@ from repro.experiments.queue import (
 )
 from repro.experiments.runner import (
     DataPoint,
-    build_workload,
     compare_policies,
-    llc_chunks,
-    llcstream_memo_key,
+    llcstream_summary_memo_key,
     plan_pair_tasks,
     policystream_memo_key,
     set_disk_memo,
-    simulate_scheme,
-    workload_memo_key,
 )
 from repro.fastsim.dispatch import set_default_backend
+from repro.fastsim.plan import ExecutionPlan
 from repro.perf.timing import TimingModel
 
 
 # ---------------------------------------------------------------------------
-# sweep specification and task-DAG construction
+# sweep specification and pair tasks
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -124,12 +123,12 @@ class SweepSpec:
         )
 
 
-# Worker-side task bodies.  Module-level (picklable for the process backend);
-# each installs the shared DiskMemo so results land in the content-addressed
-# store, which is both the task's output channel and its completion marker.
-# They touch no other process state: the inline backend runs them in the
-# caller's process.  Values returned to the scheduler are deliberately tiny —
-# real results travel through the store, not the transport.
+# The worker-side task body.  Module-level (picklable for the process
+# backend); it installs the shared DiskMemo so results land in the
+# content-addressed store, which is both the task's output channel and its
+# completion marker.  It touches no other process state: the inline backend
+# runs it in the caller's process.  Real results travel through the store,
+# not the transport.
 
 def _worker_setup(cache_dir: str, config: ExperimentConfig) -> None:
     """Initializer of every :class:`ProcessPoolBackend` worker process."""
@@ -138,94 +137,45 @@ def _worker_setup(cache_dir: str, config: ExperimentConfig) -> None:
         set_default_backend(config.backend)
 
 
-def exec_workload_task(
-    cache_dir: str, app: str, dataset: str, reorder: str, config: ExperimentConfig
-) -> str:
-    """Build (and persist) one workload."""
+def exec_pair_task(
+    cache_dir: str, app: str, dataset: str, spec: SweepSpec, config: ExperimentConfig
+) -> None:
+    """Compare the spec's schemes on one (app, dataset) pair into the store."""
     set_disk_memo(DiskMemo(Path(cache_dir)))
-    build_workload(app, dataset, reorder=reorder, config=config)
-    return "workload"
-
-
-def exec_filter_task(
-    cache_dir: str, app: str, dataset: str, reorder: str,
-    config: ExperimentConfig, streaming: bool = False,
-) -> str:
-    """Filter one workload's scope through L1/L2 and store the result.
-
-    Draining :func:`~repro.experiments.runner.llc_chunks` persists every
-    ``llcchunk`` entry of the scope's stream, then its ``llcstream``
-    manifest (the task's entry) and summary; per-chunk entries already in
-    the store are served, not recomputed, so a retried or resumed filter
-    task only pays for the missing tail.
-    """
-    set_disk_memo(DiskMemo(Path(cache_dir)))
-    workload = build_workload(app, dataset, reorder=reorder, config=config)
-    for _ in llc_chunks(workload, config, streaming):
-        pass
-    return "llcstream"
-
-
-def exec_scheme_task(
-    cache_dir: str, app: str, dataset: str, reorder: str,
-    config: ExperimentConfig, scheme: str, streaming: bool = False,
-) -> str:
-    """Replay one scheme over one pair's stored filtered stream."""
-    set_disk_memo(DiskMemo(Path(cache_dir)))
-    workload = build_workload(app, dataset, reorder=reorder, config=config)
-    simulate_scheme(workload, scheme, config, streaming=streaming)
-    return "policystream"
+    compare_policies(
+        (app,), (dataset,), spec.schemes, config=config, reorder=spec.reorder,
+        baseline=spec.baseline, streaming=spec.streaming,
+    )
 
 
 def sweep_tasks(spec: SweepSpec, config: ExperimentConfig, cache_dir: Path | str) -> List[Task]:
-    """Decompose a sweep into its content-addressed task DAG.
+    """One independent task per (app, dataset) pair of the sweep.
 
-    The filter task completes into its scope's stream manifest, the entry
-    it stores and the one the planner probes; each scheme task into its
-    ``policystream`` entry.  Both keys carry the scope.
+    A pair task completes into every scheme's ``policystream`` entry and
+    the scope's budget-less ``llcstream`` summary, the entries a comparison
+    reads; its id is the digest of those keys.  Every key carries the scope.
     """
     reorder = spec.resolved_reorder(config)
-    cache = str(cache_dir)
     streaming = spec.streaming
     tasks: Dict[str, Task] = {}
     for dataset in spec.datasets:
         for app in spec.apps:
-            pair_args = (cache, app, dataset, reorder, config)
-            workload_key = workload_memo_key(app, dataset, reorder, config)
-            workload_id = key_digest(workload_key)
-            tasks.setdefault(workload_id, Task(
-                task_id=workload_id,
-                fn=exec_workload_task,
-                args=pair_args,
-                kind="workload",
-                label=f"workload {app}/{dataset}",
-                store_key=workload_key,
-            ))
-            filter_key = llcstream_memo_key(app, dataset, reorder, config, streaming=streaming)
-            filter_id = key_digest(filter_key)
-            tasks.setdefault(filter_id, Task(
-                task_id=filter_id,
-                fn=exec_filter_task,
-                args=pair_args + (streaming,),
-                deps=(workload_id,),
-                kind="llcstream",
-                label=f"filter {app}/{dataset}",
-                store_key=filter_key,
-            ))
-            for scheme in spec.all_schemes():
-                scheme_key = policystream_memo_key(
+            entries = tuple(
+                ("policystream", policystream_memo_key(
                     app, dataset, reorder, scheme, config, streaming=streaming
-                )
-                scheme_id = key_digest(scheme_key)
-                tasks.setdefault(scheme_id, Task(
-                    task_id=scheme_id,
-                    fn=exec_scheme_task,
-                    args=pair_args + (scheme, streaming),
-                    deps=(filter_id,),
-                    kind="policystream",
-                    label=f"{scheme} {app}/{dataset}",
-                    store_key=scheme_key,
                 ))
+                for scheme in spec.all_schemes()
+            ) + (("llcstream", llcstream_summary_memo_key(
+                app, dataset, reorder, config, streaming=streaming
+            )),)
+            task_id = key_digest(entries)
+            tasks.setdefault(task_id, Task(
+                task_id=task_id,
+                fn=exec_pair_task,
+                args=(str(cache_dir), app, dataset, spec, config),
+                label=f"{app}/{dataset}",
+                entries=entries,
+            ))
     return list(tasks.values())
 
 
@@ -234,7 +184,7 @@ def sweep_tasks(spec: SweepSpec, config: ExperimentConfig, cache_dir: Path | str
 # ---------------------------------------------------------------------------
 
 class InMemoryTaskStore:
-    """Completion store for generic (non-memo) task graphs — used by tests."""
+    """Completion store for generic (non-memo) task sets — used by tests."""
 
     def __init__(self, done: Optional[Sequence[str]] = None) -> None:
         self.done = set(done or ())
@@ -249,22 +199,22 @@ class InMemoryTaskStore:
 class MemoTaskStore:
     """Completion store backed by the content-addressed DiskMemo.
 
-    A task is done iff its memo entry exists *and loads* — corrupt or
-    truncated entries look incomplete, so schedulers recompute them just as
-    the memoised serial runner would.  The check is
+    A task is done iff every one of its memo entries exists *and loads* —
+    corrupt or truncated entries look incomplete, so schedulers recompute
+    them just as the memoised serial runner would.  The check is
     :meth:`~repro.experiments.memo.DiskMemo.contains`, which unpickles a v4
     entry over a read-only mapping of its out-of-band buffers, so marking a
     warm sweep's tasks done never reads their arrays.  ``note_done`` is a
-    no-op: the worker that executed the task already persisted the entry.
+    no-op: the worker that executed the task already persisted the entries.
     """
 
     def __init__(self, memo: DiskMemo) -> None:
         self.memo = memo
 
     def is_done(self, task: Task) -> bool:
-        if task.store_key is None:
-            return False
-        return self.memo.contains(task.kind, task.store_key)
+        return bool(task.entries) and all(
+            self.memo.contains(kind, key) for kind, key in task.entries
+        )
 
     def note_done(self, task: Task, value: Any) -> None:
         pass
@@ -274,7 +224,6 @@ class MemoTaskStore:
 # scheduler
 # ---------------------------------------------------------------------------
 
-WAITING = "waiting"
 QUEUED = "queued"
 RUNNING = "running"
 BACKOFF = "backoff"
@@ -287,7 +236,7 @@ class TaskRecord:
     """Mutable scheduling state of one task."""
 
     task: Task
-    status: str = WAITING
+    status: str = QUEUED
     attempts: int = 0
     cached: bool = False
     not_before: float = 0.0
@@ -296,7 +245,6 @@ class TaskRecord:
     def to_json(self) -> Dict[str, Any]:
         return {
             "id": self.task.task_id,
-            "kind": self.task.kind,
             "label": self.task.label,
             "status": self.status,
             "attempts": self.attempts,
@@ -325,7 +273,7 @@ class SchedulerReport:
 
 
 class SchedulerError(RuntimeError):
-    """Raised on malformed task graphs (cycles, unknown dependencies)."""
+    """Raised on a malformed task set (a duplicate task id)."""
 
 
 #: Seconds the scheduler sleeps after a pass that changed nothing.
@@ -333,7 +281,7 @@ TICK = 0.02
 
 
 class Scheduler:
-    """Dependency-aware task scheduler over a :class:`WorkerBackend`.
+    """Scheduler of independent tasks over a :class:`WorkerBackend`.
 
     Single-threaded and poll-driven: each pass it releases due backoffs
     onto the FIFO ready queue, dispatches from its front while fewer than
@@ -343,16 +291,14 @@ class Scheduler:
 
     Guarantees (the property-test surface):
 
-    * a task is dispatched only after all its dependencies completed;
     * a task that completed successfully is never dispatched again;
     * at most ``workers`` tasks are in flight, and a slot never stays free
       while the ready queue holds a task;
     * a task whose completion store already marks it done is never
       dispatched at all (resume / cross-client dedup);
     * worker deaths and transient errors retry with exponential backoff up
-      to ``retry.max_attempts`` executions, after which the task — and
-      transitively its dependents — fail without taking the rest of the
-      run down.
+      to ``retry.max_attempts`` executions, after which the task fails
+      alone, without taking the rest of the run down.
 
     There is no timeout: a task that never returns keeps its slot.
     """
@@ -375,7 +321,6 @@ class Scheduler:
             if task.task_id in self.records:
                 raise SchedulerError(f"duplicate task id {task.task_id!r}")
             self.records[task.task_id] = TaskRecord(task=task)
-        self._check_graph()
         self.backend = backend
         self.workers = workers
         self.store = store if store is not None else InMemoryTaskStore()
@@ -383,49 +328,15 @@ class Scheduler:
         self.clock = clock
         self.sleep = sleep
         self.on_event = on_event
-        self.ready: deque = deque()  #: tasks whose dependencies are done, FIFO
+        self.ready: deque = deque()  #: tasks waiting for a slot, FIFO
         self.report = SchedulerReport()
         self._running: Dict[int, str] = {}  # handle -> task id
-
-    def _check_graph(self) -> None:
-        """Build ``_dependents``, rejecting unknown dependencies and cycles.
-
-        Kahn's algorithm over the dependents lists: O(V + E).
-        """
-        self._dependents: Dict[str, List[str]] = {tid: [] for tid in self.records}
-        indegree = {}
-        for tid, record in self.records.items():
-            deps = dict.fromkeys(record.task.deps)
-            for dep in deps:
-                if dep not in self.records:
-                    raise SchedulerError(f"task {tid!r} depends on unknown task {dep!r}")
-                self._dependents[dep].append(tid)
-            indegree[tid] = len(deps)
-        frontier = [tid for tid, degree in indegree.items() if degree == 0]
-        seen = 0
-        while frontier:
-            tid = frontier.pop()
-            seen += 1
-            for dependent in self._dependents[tid]:
-                indegree[dependent] -= 1
-                if indegree[dependent] == 0:
-                    frontier.append(dependent)
-        if seen != len(self.records):
-            raise SchedulerError("task graph contains a cycle")
 
     # -- state transitions --------------------------------------------------
 
     def _emit(self, phase: str, record: TaskRecord) -> None:
         if self.on_event is not None:
             self.on_event(phase, record)
-
-    def _deps_done(self, record: TaskRecord) -> bool:
-        return all(self.records[dep].status == DONE for dep in record.task.deps)
-
-    def _enqueue_if_ready(self, record: TaskRecord) -> None:
-        if record.status == WAITING and self._deps_done(record):
-            record.status = QUEUED
-            self.ready.append(record.task)
 
     def _complete(self, record: TaskRecord, cached: bool) -> None:
         record.status = DONE
@@ -435,19 +346,6 @@ class Scheduler:
         else:
             self.report.executed += 1
         self._emit("cached" if cached else "done", record)
-        for dependent in self._dependents[record.task.task_id]:
-            self._enqueue_if_ready(self.records[dependent])
-
-    def _fail_dependents(self, record: TaskRecord) -> None:
-        for dependent_id in self._dependents[record.task.task_id]:
-            dependent = self.records[dependent_id]
-            if dependent.status in (DONE, FAILED):
-                continue
-            dependent.status = FAILED
-            dependent.error = f"dependency failed: {record.task.label or record.task.task_id}"
-            self.report.failed.append(dependent_id)
-            self._emit("failed", dependent)
-            self._fail_dependents(dependent)
 
     def _fail_attempt(self, record: TaskRecord, event: FailureEvent) -> None:
         self.report.events.append(event)
@@ -460,7 +358,6 @@ class Scheduler:
             record.status = FAILED
             self.report.failed.append(record.task.task_id)
             self._emit("failed", record)
-            self._fail_dependents(record)
             return
         record.status = BACKOFF
         record.not_before = self.clock() + self.retry.delay(record.attempts)
@@ -475,16 +372,13 @@ class Scheduler:
         )
 
     def run(self) -> SchedulerReport:
-        """Drive the graph to completion; returns the run's counters."""
+        """Drive every task to completion; returns the run's counters."""
         started = self.clock()
         for record in self.records.values():
             if self.store.is_done(record.task):
-                record.status = DONE
-                record.cached = True
-                self.report.cached += 1
-                self._emit("cached", record)
-        for record in self.records.values():
-            self._enqueue_if_ready(record)
+                self._complete(record, cached=True)
+            else:
+                self.ready.append(record.task)
         self.backend.start(self.workers)
         try:
             while self._unfinished():
@@ -524,15 +418,6 @@ class Scheduler:
                         ))
                     progressed = True
                 if not progressed:
-                    if not self._running and not self.ready and not any(
-                        record.status == BACKOFF for record in self.records.values()
-                    ):
-                        stuck = [
-                            record.task.task_id
-                            for record in self.records.values()
-                            if record.status not in (DONE, FAILED)
-                        ]
-                        raise SchedulerError(f"scheduler stalled with tasks {stuck!r}")
                     self.sleep(TICK)
         finally:
             self.backend.close()
@@ -597,26 +482,23 @@ def manifest_path(cache_dir: Path | str, run_id: str) -> Path:
     return runs_root(cache_dir) / run_id / "manifest.json"
 
 
-def sweep_plans(spec: SweepSpec, config: ExperimentConfig) -> Dict[str, Any]:
-    """Execution plans for every simulated task of a sweep, manifest-ready.
+def sweep_plans(spec: SweepSpec, config: ExperimentConfig) -> Dict[str, ExecutionPlan]:
+    """The plan each pair task of a sweep runs, keyed ``app/dataset``.
 
-    One :meth:`~repro.fastsim.plan.ExecutionPlan.to_json` entry per
-    (app, dataset, scheme) replay task, keyed ``app/dataset/scheme``.
+    One plan per (app, dataset) pair: the pair's schemes as the one unit a
+    cold task runs them (:func:`~repro.experiments.runner.plan_pair_tasks`).
     Plans are computed from the experiment parameters and the current memo
-    state alone (no workload is built), so they can be written before
-    execution starts — the same planning the workers will do when the
-    tasks actually run.
+    state alone (no workload is built), so a sweep writes them to its
+    manifest before execution starts and ``repro plan explain`` prints them.
     """
     reorder = spec.resolved_reorder(config)
-    plans: Dict[str, Any] = {}
-    for dataset in spec.datasets:
-        for app in spec.apps:
-            pair = plan_pair_tasks(
-                app, dataset, reorder, spec.all_schemes(), config, streaming=spec.streaming
-            )
-            for scheme, plan in pair.items():
-                plans[f"{app}/{dataset}/{scheme}"] = plan.to_json()
-    return plans
+    return {
+        f"{app}/{dataset}": plan_pair_tasks(
+            app, dataset, reorder, spec.all_schemes(), config, streaming=spec.streaming
+        )
+        for dataset in spec.datasets
+        for app in spec.apps
+    }
 
 
 def _write_manifest(
@@ -624,11 +506,12 @@ def _write_manifest(
     run_id: str,
     spec: SweepSpec,
     config: ExperimentConfig,
+    plans: Dict[str, Any],
     workers: int,
     backend_name: str,
     status: str,
-    scheduler: Optional[Scheduler] = None,
-    resumes: int = 0,
+    scheduler: Scheduler,
+    resumes: int,
 ) -> None:
     payload: Dict[str, Any] = {
         "run_id": run_id,
@@ -639,17 +522,12 @@ def _write_manifest(
         "worker_backend": backend_name,
         "spec": spec.to_json(),
         "config": config_to_json(config),
-        "plans": sweep_plans(spec, config),
+        "plans": plans,
+        "counters": scheduler.report.to_json(),
+        "events": [event.to_json() for event in scheduler.report.events],
+        "tasks": [record.to_json() for record in scheduler.records.values()],
     }
-    if scheduler is not None:
-        payload["counters"] = scheduler.report.to_json()
-        payload["counters"].pop("events", None)
-        payload["events"] = [event.to_json() for event in scheduler.report.events]
-        payload["tasks"] = [record.to_json() for record in scheduler.records.values()]
-    else:
-        payload["counters"] = {}
-        payload["events"] = []
-        payload["tasks"] = []
+    payload["counters"].pop("events")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".json.tmp")
     tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
@@ -743,7 +621,9 @@ def run_sweep(
     errors, corrupt store entries) is absorbed and reported in the manifest
     without affecting the returned :class:`DataPoint` values.  A task that
     hangs hangs the sweep; after an interrupt, :func:`resume_sweep` re-runs
-    only the tasks whose entries are missing.
+    only the tasks whose entries are missing.  Each (app, dataset) pair is
+    one task (:func:`sweep_tasks`), and the pairs are planned once, for the
+    manifest.
     """
     config = config or ExperimentConfig.default()
     root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
@@ -767,10 +647,11 @@ def run_sweep(
         on_event=on_event,
     )
     path = manifest_path(root, run_id)
+    plans = {key: plan.to_json() for key, plan in sweep_plans(spec, config).items()}
     # Written before execution so a hard-killed run is still resumable.
     _write_manifest(
-        path, run_id, spec, config, worker_count, backend.name, "running",
-        scheduler, resumes=_resumes,
+        path, run_id, spec, config, plans, worker_count, backend.name, "running",
+        scheduler, _resumes,
     )
     status = "interrupted"
     try:
@@ -778,8 +659,8 @@ def run_sweep(
         status = "failed" if scheduler.report.failed else "completed"
     finally:
         _write_manifest(
-            path, run_id, spec, config, worker_count, backend.name, status,
-            scheduler, resumes=_resumes,
+            path, run_id, spec, config, plans, worker_count, backend.name, status,
+            scheduler, _resumes,
         )
     if scheduler.report.failed:
         raise SweepError(run_id, path, scheduler.report.failed)
@@ -809,9 +690,9 @@ def resume_sweep(
 ) -> SweepResult:
     """Resume a sweep from its manifest.
 
-    Rebuilds the task DAG from the recorded spec/config; every task whose
-    memo entry already exists is served as a cache hit, so only incomplete
-    (or corrupt) tasks execute.  Runtime knobs (``workers``,
+    Rebuilds the pair tasks from the recorded spec/config; every task whose
+    memo entries all exist is served as a cache hit, so only incomplete (or
+    corrupt) tasks execute.  Runtime knobs (``workers``,
     ``worker_backend``, ``retry``, ...) may be overridden — they cannot
     change results, only scheduling.
     """

@@ -28,3 +28,19 @@ def memo_isolation():
 @pytest.fixture
 def virtual_clock() -> VirtualClock:
     return VirtualClock()
+
+
+@pytest.fixture
+def planned(monkeypatch):
+    """The schemes of every plan made, in order."""
+    from repro.fastsim.plan import RoutePlanner
+
+    made = []
+    plan = RoutePlanner.plan
+
+    def recorded(self, request):
+        made.append(request.schemes)
+        return plan(self, request)
+
+    monkeypatch.setattr(RoutePlanner, "plan", recorded)
+    return made

@@ -251,7 +251,7 @@ def test_only_vector_requests_replay_the_held_stream(spills, generations, backen
 @needs_fused
 def test_a_disk_memo_stays_the_only_store(spills, generations, routes, tmp_path):
     """Nothing is held or served under a disk memo, and draining the
-    stream still persists every chunk (the sweep's filter task)."""
+    stream still persists every chunk (a staged replay's chunk store)."""
     workload = _workload()
     simulate_scheme(workload, "RRIP", CONFIG, streaming=True)  # held
     memo = DiskMemo(tmp_path / "memo")

@@ -20,16 +20,17 @@ from fault_harness import assert_points_equal
 from repro.experiments import (
     DiskMemo,
     ExperimentConfig,
-    build_workload,
     clear_caches,
     compare_policies,
     set_disk_memo,
-    simulate_policy,
 )
 from repro.experiments.queue import InlineBackend
-from repro.experiments.schemes import scheme_policy
+from repro.experiments.runner import (
+    llcstream_summary_memo_key,
+    policystream_memo_key,
+    workload_memo_key,
+)
 from repro.experiments.service import MemoTaskStore, SweepSpec, run_sweep, sweep_tasks
-from repro.fastsim import kernels
 
 pytestmark = pytest.mark.usefixtures("memo_isolation")
 
@@ -41,12 +42,20 @@ SPEC = SweepSpec(apps=APPS, datasets=DATASETS, schemes=SCHEMES)
 STREAM_SPEC = SweepSpec(apps=APPS, datasets=DATASETS, schemes=SCHEMES, streaming=True)
 
 
-def _task_paths(memo: DiskMemo, config, spec: SweepSpec = SPEC) -> dict:
-    """label -> on-disk memo path for every task of the spec's DAG."""
-    return {
-        task.label: memo.path_for(task.kind, task.store_key)
-        for task in sweep_tasks(spec, config, memo.root.parent)
+def _entry_paths(memo: DiskMemo, config, streaming: bool = False) -> dict:
+    """name -> on-disk memo path of the PR/lj entries a sweep writes."""
+    params = ("PR", "lj", config.reorder)
+    paths = {
+        scheme: memo.path_for("policystream", policystream_memo_key(
+            *params, scheme, config, streaming=streaming
+        ))
+        for scheme in SCHEMES
     }
+    paths["summary"] = memo.path_for(
+        "llcstream", llcstream_summary_memo_key(*params, config, streaming=streaming)
+    )
+    paths["workload"] = memo.path_for("workload", workload_memo_key(*params, config))
+    return paths
 
 
 def _run(config, cache_dir, spec: SweepSpec = SPEC, **kwargs):
@@ -64,52 +73,55 @@ class TestCorruptEntriesAreMisses:
         set_disk_memo(None)
 
         first = _run(config, tmp_path)
-        assert first.report.executed == 4  # workload, filter, 2 schemes
+        assert first.report.executed == 1  # one task per pair
         memo = DiskMemo(tmp_path)
-        paths = _task_paths(memo, config)
+        paths = _entry_paths(memo, config)
 
-        # Three distinct damage modes across the three task kinds.
-        truncated = paths["GRASP PR/lj"]
+        # Three distinct damage modes across the three entry kinds.
+        truncated = paths["GRASP"]
         truncated.write_bytes(truncated.read_bytes()[: truncated.stat().st_size // 2])
-        flipped = paths["workload PR/lj"]
+        flipped = paths["workload"]
         blob = bytearray(flipped.read_bytes())
         blob[0] ^= 0xFF  # clobber the entry magic: guaranteed load failure
         flipped.write_bytes(bytes(blob))
-        paths["filter PR/lj"].write_bytes(b"not a pickle at all")
+        paths["summary"].write_bytes(b"not a pickle at all")
 
         clear_caches()
         set_disk_memo(None)
         second = _run(config, tmp_path)
-        # Exactly the three damaged tasks rerun; the intact scheme stays cached.
-        assert second.report.executed == 3
-        assert second.report.cached == 1
+        # The damaged pair reruns and rebuilds its workload, which GRASP
+        # needs; the intact RRIP entry is read, not recomputed.
+        assert second.report.executed == 1
         assert_points_equal(serial, second.points)
         for path in paths.values():
             assert path.exists()
-        for task in sweep_tasks(SPEC, config, tmp_path):
-            # Repaired entries load cleanly again.
-            assert memo.get(task.kind, task.store_key) is not None
+        # Repaired entries load cleanly again.
+        assert all(memo.contains(kind, key) for kind, key in sweep_tasks(
+            SPEC, config, tmp_path)[0].entries)
+        assert memo.get("workload", workload_memo_key("PR", "lj", config.reorder, config))
 
-    def test_missing_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("entry", ["RRIP", "summary"])
+    def test_missing_entry_is_a_miss(self, tmp_path, entry):
         config = ExperimentConfig.smoke()
         _run(config, tmp_path)
         memo = DiskMemo(tmp_path)
-        paths = _task_paths(memo, config)
-        paths["RRIP PR/lj"].unlink()
+        path = _entry_paths(memo, config)[entry]
+        path.unlink()
 
         clear_caches()
         set_disk_memo(None)
         again = _run(config, tmp_path)
         assert again.report.executed == 1
-        assert again.report.cached == 3
+        assert again.report.cached == 0
+        assert path.exists()
 
-    def test_damaged_streaming_filter_entry_is_repaired_once(self, tmp_path):
-        """The filter task's entry is the stream manifest it stores, so a
+    def test_damaged_streaming_summary_is_repaired_once(self, tmp_path):
+        """The execution summary is one of the pair task's entries, so a
         damaged one is rewritten by the first rerun and cached after that."""
         config = ExperimentConfig.smoke().with_overrides(chunk_accesses=4096)
         _run(config, tmp_path, STREAM_SPEC)
         memo = DiskMemo(tmp_path)
-        _task_paths(memo, config, STREAM_SPEC)["filter PR/lj"].write_bytes(b"not a pickle")
+        _entry_paths(memo, config, streaming=True)["summary"].write_bytes(b"not a pickle")
         executed = []
         for _ in range(2):
             clear_caches()
@@ -118,25 +130,23 @@ class TestCorruptEntriesAreMisses:
         assert executed == [1, 0]
 
     @pytest.mark.parametrize("spec", [SPEC, STREAM_SPEC], ids=["roi", "execution"])
-    def test_fused_pass_leaves_the_filter_task_undone(self, tmp_path, spec):
-        """A fused pass writes the scope's counter summary but no chunk, so
-        the filter task (keyed on the manifest) must still look undone."""
-        config = ExperimentConfig.smoke().with_overrides(backend="vector")
-        policy = scheme_policy("GRASP")
-        if not kernels.has_capability("fused:filter"):
-            pytest.skip("no fused kernel available")
+    def test_a_pair_task_is_done_only_when_every_entry_loads(self, tmp_path, spec):
+        """A pair task completes into each scheme's stats and the scope's
+        summary: losing any one of them makes it undone again."""
+        config = ExperimentConfig.smoke()
+        _run(config, tmp_path, spec)
         memo = DiskMemo(tmp_path)
-        set_disk_memo(memo)
-        workload = build_workload("PR", "lj", config=config)
-        simulate_policy(workload, policy, config, streaming=spec.streaming)
-        assert memo.entry_count("llcchunk") == 0
-        assert memo.entry_count("llcstream") == 1
         store = MemoTaskStore(memo)
-        (filter_task,) = [
-            task for task in sweep_tasks(spec, config, tmp_path)
-            if task.label == "filter PR/lj"
-        ]
-        assert not store.is_done(filter_task)
+        (task,) = sweep_tasks(spec, config, tmp_path)
+        assert [kind for kind, _ in task.entries] == ["policystream"] * 2 + ["llcstream"]
+        assert store.is_done(task)
+        for kind, key in task.entries:
+            path = memo.path_for(kind, key)
+            blob = path.read_bytes()
+            path.write_bytes(b"not a pickle")
+            assert not store.is_done(task), kind
+            path.write_bytes(blob)
+        assert store.is_done(task)
 
     def test_contains_rejects_corrupt_entries(self, tmp_path):
         memo = DiskMemo(tmp_path)
@@ -295,10 +305,10 @@ class TestConcurrentWriters:
     def test_sequential_second_client_dedups_everything(self, tmp_path):
         config = ExperimentConfig.smoke()
         first = _run(config, tmp_path)
-        assert first.report.executed == 4
+        assert first.report.executed == 1
         clear_caches()
         set_disk_memo(None)
         second = _run(config, tmp_path)
         assert second.report.executed == 0
-        assert second.report.cached == 4
+        assert second.report.cached == 1
         assert_points_equal(first.points, second.points)

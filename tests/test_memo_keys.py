@@ -81,8 +81,8 @@ def test_key_digest_is_golden(kind, key, digest):
 
 def test_runs_write_entries_at_the_golden_keys(tmp_path):
     """Both scopes' staged paths (each filtered stream stored first, as a
-    sweep's filter task stores it) and a co-run write every kind, and
-    nothing but the five live kinds."""
+    staged replay under the disk memo stores it) and a co-run write every
+    kind, and nothing but the five live kinds."""
     memo = DiskMemo(tmp_path)
     set_disk_memo(memo)
     workload = build_workload("PR", "lj", config=CONFIG)

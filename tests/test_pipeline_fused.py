@@ -370,11 +370,10 @@ class TestLazyCompilation:
             "config = ExperimentConfig.smoke()\n"
             "assert not k.available()\n"
             "for streaming in (False, True):\n"
-            "    plans = plan_pair_tasks('PR', 'lj', config.reorder, schemes, config,\n"
-            "                            streaming)\n"
-            "    for plan in plans.values():\n"
-            "        assert (plan.route, plan.kernel) == ('scalar', 'python'), plan\n"
-            "        assert NO_KERNELS in plan.fallbacks, plan\n"
+            "    plan = plan_pair_tasks('PR', 'lj', config.reorder, schemes, config,\n"
+            "                           streaming)\n"
+            "    assert (plan.route, plan.kernel) == ('scalar', 'python'), plan\n"
+            "    assert NO_KERNELS in plan.fallbacks, plan\n"
             "    points = compare_policies(['PR'], ['lj'], schemes, config,\n"
             "                              streaming=streaming)\n"
             "    got = json.loads(json.dumps(point_rows(points)))\n"

@@ -42,6 +42,7 @@ from repro.fastsim.plan import (
     STAGE_ONESHOT,
     STAGE_ROI,
     STAGE_STREAMING,
+    RoutePlanner,
     SimRequest,
     capabilities_for,
     plan_request,
@@ -339,8 +340,8 @@ class TestTaskPlanning:
         config = ExperimentConfig.smoke().with_overrides(backend="vector")
         memo = DiskMemo(tmp_path)
         set_disk_memo(memo)
-        # Drain the filtered stream, as a sweep's filter task does, so the
-        # chunk store persists.
+        # Drain the filtered stream, as a staged replay under the disk memo
+        # does, so the chunk store persists.
         workload = build_workload("PR", "lj", config=config)
         for _ in llc_chunks(workload, config, streaming=True):
             pass
@@ -379,32 +380,63 @@ class TestTaskPlanning:
 
 
 class TestManifestPlans:
-    def test_sweep_manifest_embeds_plans(self, tmp_path):
+    @pytest.mark.parametrize("streaming", [False, True], ids=["roi", "execution"])
+    def test_manifest_holds_the_plan_each_cold_pair_task_runs(
+        self, tmp_path, monkeypatch, streaming
+    ):
         from repro.experiments.service import SweepSpec, load_manifest, run_sweep
 
         config = ExperimentConfig.smoke()
-        spec = SweepSpec(apps=("PR",), datasets=("lj",), schemes=("GRASP",))
+        spec = SweepSpec(
+            apps=("PR", "SSSP"), datasets=("lj",), schemes=("GRASP", "OPT"),
+            streaming=streaming,
+        )
+        made = []
+        plan = RoutePlanner.plan
+
+        def recorded(self, request):
+            made.append(plan(self, request))
+            return made[-1]
+
+        monkeypatch.setattr(RoutePlanner, "plan", recorded)
         result = run_sweep(
             spec, config=config, cache_dir=tmp_path, worker_backend="inline"
         )
-        manifest = load_manifest(tmp_path, result.run_id)
-        plans = manifest["plans"]
-        assert set(plans) == {"PR/lj/RRIP", "PR/lj/GRASP"}
-        for plan in plans.values():
-            assert plan["stage"] == STAGE_ROI
-            assert plan["route"]
-            assert plan["kernel"]
+        plans = load_manifest(tmp_path, result.run_id)["plans"]
+        assert list(plans) == ["PR/lj", "SSSP/lj"]
+        # The manifest's plans are made first, then each cold task makes
+        # the one plan it runs, in task order; assembling the points plans
+        # nothing.
+        assert len(made) == 2 * len(plans)
+        assert [made[len(plans) + index].to_json() for index in range(len(plans))] == list(
+            plans.values()
+        )
+        stage = STAGE_STREAMING if streaming else STAGE_ROI
+        for task_plan in plans.values():
+            assert task_plan["stage"] == stage
+            assert task_plan["schemes"] == ["RRIP", "GRASP", "OPT"]
+
+    def test_a_warm_sweep_plans_each_pair_once(self, tmp_path, planned):
+        from repro.experiments.service import SweepSpec, run_sweep
+
+        config = ExperimentConfig.smoke()
+        spec = SweepSpec(apps=("PR", "SSSP"), datasets=("lj", "kr"), schemes=("GRASP",))
+        run_sweep(spec, config=config, cache_dir=tmp_path, worker_backend="inline")
+        planned.clear()
+        warm = run_sweep(spec, config=config, cache_dir=tmp_path, worker_backend="inline")
+        assert warm.report.executed == 0
+        assert planned == [("RRIP", "GRASP")] * (len(spec.apps) * len(spec.datasets))
 
     def test_sweep_plans_probe_the_trace_cache_once_per_pair(self, tmp_path, monkeypatch):
-        from repro.experiments.runner import llcstream_memo_key
+        from repro.experiments.runner import llcstream_memo_key, plan_pair_tasks
         from repro.experiments.service import SweepSpec, sweep_plans
 
         config = ExperimentConfig.smoke()
         spec = SweepSpec(apps=("PR",), datasets=("lj", "kr"), schemes=("RRIP", "GRASP", "OPT"))
         memo = DiskMemo(tmp_path)
         set_disk_memo(memo)
-        # One pair with a stored ROI stream, one without: each pair's plans
-        # must match per-scheme planning under that pair's memo state.
+        # One pair with a stored ROI stream, one without: each pair's plan
+        # must match planning its schemes under that pair's memo state.
         memo.put("llcstream", llcstream_memo_key(
             "PR", "lj", config.reorder, config, config.merged_properties, streaming=False,
         ), {"stub": 1})
@@ -419,11 +451,13 @@ class TestManifestPlans:
         plans = sweep_plans(spec, config)
         assert probes.count("llcstream") == len(spec.apps) * len(spec.datasets)
         assert plans == {
-            f"PR/{dataset}/{scheme}": plan_scheme_task(
-                "PR", dataset, config.reorder, scheme, config).to_json()
+            f"PR/{dataset}": plan_pair_tasks(
+                "PR", dataset, config.reorder, spec.all_schemes(), config)
             for dataset in spec.datasets
-            for scheme in spec.all_schemes()
         }
+        if kernels.has_capability("fused:filter") and resolve_backend(None) == "vector":
+            assert plans["PR/lj"].route == ROUTE_VECTOR
+            assert plans["PR/kr"].route == ROUTE_FUSED
 
 
 class TestPlanExplainCli:
@@ -435,8 +469,8 @@ class TestPlanExplainCli:
         ])
         out = capsys.readouterr().out
         assert status == 0
-        assert "== PR/lj/RRIP ==" in out
-        assert "== PR/lj/GRASP ==" in out
+        assert "== PR/lj ==" in out
+        assert "scheme   : RRIP, GRASP" in out
         assert "route    :" in out
         assert "because  :" in out
 
@@ -448,8 +482,9 @@ class TestPlanExplainCli:
         ])
         assert status == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"PR/lj/RRIP", "PR/lj/GRASP"}
-        assert all(plan["stage"] == STAGE_STREAMING for plan in payload.values())
+        assert set(payload) == {"PR/lj"}
+        assert payload["PR/lj"]["schemes"] == ["RRIP", "GRASP"]
+        assert payload["PR/lj"]["stage"] == STAGE_STREAMING
 
     def test_corun_opt_reports_error(self, tmp_path, capsys):
         status = cli_main([

@@ -83,7 +83,8 @@ def _stream_stats(scheme, config):
 
 
 def _store_stream(config, streaming):
-    """Filter the scope once, as a sweep's filter task does, so it is stored."""
+    """Filter the scope once, as a staged replay under the disk memo does,
+    so it is stored."""
     workload = build_workload("PR", "lj", config=config)
     for _ in llc_chunks(workload, config, streaming):
         pass

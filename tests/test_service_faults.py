@@ -38,6 +38,9 @@ SCHEMES = ("RRIP", "GRASP")
 #: Tight retry timings so fault-heavy runs finish fast on the real clock.
 FAST_RETRY = RetryPolicy(max_attempts=4, base_delay=0.001, max_delay=0.01)
 
+#: One sweep task per (app, dataset) pair.
+TASKS = len(APPS) * len(DATASETS)
+
 
 def _spec(**overrides) -> SweepSpec:
     fields = dict(apps=APPS, datasets=DATASETS, schemes=SCHEMES)
@@ -56,7 +59,7 @@ class TestFaultyWorkers:
     def test_kills_transients_and_drops_leave_results_bit_identical(self, tmp_path):
         config = ExperimentConfig.smoke()
         serial = _serial_points(config)
-        # Kill rate 0.4 over 8 tasks: comfortably past the >=20% acceptance bar.
+        # Kill rate 0.4 over the two pair tasks: past the >=20% acceptance bar.
         plan = FaultPlan(seed=7, kill_rate=0.4, transient_rate=0.2)
         backend = FaultyWorkerBackend(plan)
         result = run_sweep(
@@ -119,6 +122,37 @@ class TestFaultyWorkers:
         assert plan.total > 0, "seed injected no faults; pick another"
 
 
+class _KillAfterBackend(InlineBackend):
+    """Runs every task, then reports its first execution's worker dead:
+    each task's entries land, but the scheduler sees a death."""
+
+    def submit(self, task, attempt):
+        handle = super().submit(task, attempt)
+        if attempt == 1:
+            self._outcomes[handle] = TaskOutcome(
+                handle, task.task_id, TASK_DIED, error="injected kill after the entries landed"
+            )
+        return handle
+
+
+class TestKillAfterEntriesLanded:
+    def test_retry_reads_the_landed_entries(self, tmp_path, planned):
+        config = ExperimentConfig.smoke()
+        serial = _serial_points(config)
+        planned.clear()
+        result = run_sweep(
+            _spec(), config=config, cache_dir=tmp_path, workers=2,
+            worker_backend=_KillAfterBackend(), retry=FAST_RETRY,
+        )
+        assert_points_equal(serial, result.points)
+        assert result.report.worker_deaths == result.report.retries == TASKS
+        assert result.report.executed == TASKS
+        # The manifest's plan per pair, then each first execution's one
+        # pass; the retries and the final assembly simulate nothing.
+        schemes = ("RRIP", "GRASP")
+        assert planned == [schemes] * (2 * TASKS)
+
+
 class _AlwaysDieBackend(InlineBackend):
     """Kills the worker on every execution of one labelled task."""
 
@@ -138,9 +172,9 @@ class _AlwaysDieBackend(InlineBackend):
 
 
 class TestPermanentFailure:
-    def test_exhausted_retries_fail_task_and_dependents_only(self, tmp_path):
+    def test_exhausted_retries_fail_that_pair_alone(self, tmp_path):
         config = ExperimentConfig.smoke()
-        backend = _AlwaysDieBackend("filter PR/lj")
+        backend = _AlwaysDieBackend("PR/lj")
         with pytest.raises(SweepError) as excinfo:
             run_sweep(
                 _spec(),
@@ -154,23 +188,19 @@ class TestPermanentFailure:
         manifest = load_manifest(tmp_path, "doomed")
         assert manifest["status"] == "failed"
         by_label = {task["label"]: task for task in manifest["tasks"]}
-        assert by_label["filter PR/lj"]["status"] == "failed"
-        assert by_label["filter PR/lj"]["attempts"] == FAST_RETRY.max_attempts
-        # Dependent replays fail transitively; the sibling pair completes.
-        assert by_label["RRIP PR/lj"]["status"] == "failed"
-        assert "dependency failed" in by_label["RRIP PR/lj"]["error"]
-        assert by_label["RRIP PR/pl"]["status"] == "done"
-        assert by_label["GRASP PR/pl"]["status"] == "done"
-        assert set(excinfo.value.failed) == {
-            by_label[label]["id"] for label in ("filter PR/lj", "RRIP PR/lj", "GRASP PR/lj")
-        }
+        assert by_label["PR/lj"]["status"] == "failed"
+        assert by_label["PR/lj"]["attempts"] == FAST_RETRY.max_attempts
+        assert by_label["PR/lj"]["error"] == "persistent injected kill"
+        # The sibling pair completes.
+        assert by_label["PR/pl"]["status"] == "done"
+        assert excinfo.value.failed == [by_label["PR/lj"]["id"]]
 
 
 class TestResume:
     def test_resume_after_hard_kill_skips_persisted_tasks(self, tmp_path):
         config = ExperimentConfig.smoke()
         serial = _serial_points(config)
-        crash = CrashingBackend(crash_after=3)
+        crash = CrashingBackend(crash_after=1)
         with pytest.raises(KeyboardInterrupt):
             run_sweep(
                 _spec(),
@@ -182,7 +212,7 @@ class TestResume:
                 run_id="crashy",
             )
         executed_before = set(crash.executed)
-        assert len(executed_before) == 3
+        assert len(executed_before) == 1
         assert load_manifest(tmp_path, "crashy")["status"] == "interrupted"
 
         # A fresh client resumes the run: persisted tasks are cache hits,
@@ -193,7 +223,7 @@ class TestResume:
         result = resume_sweep("crashy", cache_dir=tmp_path, worker_backend=resumed_backend)
         assert set(resumed_backend.executed).isdisjoint(executed_before)
         assert result.report.cached == len(executed_before)
-        assert result.report.executed + result.report.cached == 8
+        assert result.report.executed + result.report.cached == TASKS
         assert_points_equal(serial, result.points)
         manifest = load_manifest(tmp_path, "crashy")
         assert manifest["status"] == "completed"
@@ -216,22 +246,23 @@ class TestResume:
         result = resume_sweep("finished", cache_dir=tmp_path, worker_backend=backend)
         assert backend.executed == []
         assert result.report.executed == 0
-        assert result.report.cached == 8
+        assert result.report.cached == TASKS
         assert_points_equal(serial, result.points)
 
 
 class TestCrossClientDedup:
-    def test_second_client_reuses_first_clients_store(self, tmp_path):
+    def test_second_client_reuses_first_clients_store(self, tmp_path, planned):
         config = ExperimentConfig.smoke()
         serial = _serial_points(config)
         first = run_sweep(
             _spec(), config=config, cache_dir=tmp_path, workers=2,
             worker_backend=InlineBackend(),
         )
-        assert first.report.executed == 8
+        assert first.report.executed == TASKS
         # Client two: fresh process state, overlapping sweep plus one extra scheme.
         clear_caches()
         set_disk_memo(None)
+        planned.clear()
         second = run_sweep(
             _spec(schemes=("RRIP", "GRASP", "LRU")),
             config=config,
@@ -239,7 +270,9 @@ class TestCrossClientDedup:
             workers=2,
             worker_backend=InlineBackend(),
         )
-        # Only the two new LRU replay tasks run; everything else dedups.
-        assert second.report.executed == 2
-        assert second.report.cached == 8
+        # Each pair task runs again, but simulates only the new LRU scheme
+        # (after the manifest's plan per pair); everything else dedups.
+        assert second.report.executed == TASKS
+        assert second.report.cached == 0
+        assert planned[TASKS:] == [("LRU",)] * TASKS
         assert_points_equal(serial, [p for p in second.points if p.scheme != "LRU"])

@@ -1,16 +1,14 @@
 """Property-based tests for the sweep scheduler and its ready queue.
 
-Randomized (but seeded — no hypothesis dependency) DAGs and worker counts,
-driven on a virtual clock through :class:`conftest.SimBackend`, check the
-scheduler's core invariants:
+Randomized (but seeded — no hypothesis dependency) task sets and worker
+counts, driven on a virtual clock through :class:`conftest.SimBackend`,
+check the scheduler's core invariants:
 
-* no task is dispatched before every dependency finished;
 * no task executes twice when its first execution succeeds;
 * at no instant do more than ``workers`` tasks run, and the first pass
-  fills every slot it can: ``min(workers, tasks without dependencies)``
-  tasks start at t=0;
+  fills every slot it can: ``min(workers, tasks)`` tasks start at t=0;
 * resume dispatches only tasks the completion store does not already hold;
-* a permanently failing task takes down exactly its transitive dependents.
+* a permanently failing task fails alone: every other task completes.
 """
 
 import pytest
@@ -28,14 +26,8 @@ from repro.experiments.service import (
 import random
 
 
-def make_dag(rng: random.Random, size: int, max_deps: int = 3):
-    """Random DAG: each task depends on up to ``max_deps`` earlier tasks."""
-    tasks = []
-    for index in range(size):
-        n_deps = rng.randint(0, min(max_deps, index))
-        deps = tuple(sorted(rng.sample([t.task_id for t in tasks], n_deps)))
-        tasks.append(Task(task_id=f"t{index:03d}", deps=deps, label=f"task {index}"))
-    return tasks
+def make_tasks(size: int):
+    return [Task(task_id=f"t{index:03d}", label=f"task {index}") for index in range(size)]
 
 
 def run_scheduler(tasks, workers, *, backend=None, clock=None, store=None,
@@ -57,34 +49,26 @@ def run_scheduler(tasks, workers, *, backend=None, clock=None, store=None,
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_random_dags_respect_dependencies_and_run_once(seed, workers):
+def test_random_task_sets_run_each_task_once_in_queue_order(seed, workers):
     rng = random.Random(1000 + seed)
-    tasks = make_dag(rng, size=rng.randint(5, 30))
+    tasks = make_tasks(rng.randint(1, 30))
     scheduler, backend, report = run_scheduler(tasks, workers, seed=seed)
 
     assert report.executed == len(tasks)
     assert not report.failed
     assert all(record.status == DONE for record in scheduler.records.values())
 
-    # Every task started exactly once (no duplicate dispatch on success).
-    assert set(backend.start_counts) == {task.task_id for task in tasks}
+    # Every task started exactly once (no duplicate dispatch on success),
+    # in the order the ready queue received them.
+    assert [task_id for task_id, _ in backend.starts] == [task.task_id for task in tasks]
     assert all(count == 1 for count in backend.start_counts.values())
-
-    # No task started before all of its dependencies finished.
-    start_time = dict(backend.starts)
-    for task in tasks:
-        for dep in task.deps:
-            assert start_time[task.task_id] >= backend.finish_times[dep], (
-                f"{task.task_id} started at {start_time[task.task_id]} before "
-                f"dependency {dep} finished at {backend.finish_times[dep]}"
-            )
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_random_dags_run_at_most_workers_tasks_and_fill_the_first_slots(seed, workers):
+def test_random_task_sets_run_at_most_workers_tasks_and_fill_the_first_slots(seed, workers):
     rng = random.Random(1000 + seed)
-    tasks = make_dag(rng, size=rng.randint(5, 30))
+    tasks = make_tasks(rng.randint(1, 30))
     scheduler, backend, report = run_scheduler(tasks, workers, seed=seed)
     assert report.executed == len(tasks)
 
@@ -96,15 +80,14 @@ def test_random_dags_run_at_most_workers_tasks_and_fill_the_first_slots(seed, wo
         running = sum(1 for start, finish in spans if start <= instant < finish)
         assert running <= workers, f"{running} tasks running at t={instant}"
 
-    roots = sum(1 for task in tasks if not task.deps)
     started_at_zero = [task_id for task_id, at in backend.starts if at == 0.0]
-    assert len(started_at_zero) == min(workers, roots)
+    assert len(started_at_zero) == min(workers, len(tasks))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_resume_dispatches_only_incomplete_tasks(seed):
     rng = random.Random(2000 + seed)
-    tasks = make_dag(rng, size=20)
+    tasks = make_tasks(20)
     done_before = {task.task_id for task in tasks if rng.random() < 0.4}
     store = InMemoryTaskStore(done=done_before)
 
@@ -115,32 +98,19 @@ def test_resume_dispatches_only_incomplete_tasks(seed):
     assert store.done == {task.task_id for task in tasks}
 
 
-def test_permanent_failure_takes_down_exactly_the_dependent_subtree():
-    #      a        d
-    #     / \       |
-    #    b   c      e      (b fails permanently; d/e are unrelated)
-    #     \ /
-    #      f
-    tasks = [
-        Task(task_id="a"),
-        Task(task_id="b", deps=("a",)),
-        Task(task_id="c", deps=("a",)),
-        Task(task_id="f", deps=("b", "c")),
-        Task(task_id="d"),
-        Task(task_id="e", deps=("d",)),
-    ]
+def test_permanent_failure_fails_that_task_alone():
+    tasks = [Task(task_id=name) for name in "abcde"]
     clock = VirtualClock()
     backend = SimBackend(clock)
     backend.fail_ids.add("b")
     scheduler, backend, report = run_scheduler(tasks, workers=2, backend=backend, clock=clock)
 
     status = {tid: record.status for tid, record in scheduler.records.items()}
-    assert status == {"a": DONE, "b": FAILED, "c": DONE, "f": FAILED, "d": DONE, "e": DONE}
-    assert set(report.failed) == {"b", "f"}
-    assert "dependency failed" in scheduler.records["f"].error
-    # b was retried to exhaustion; f was never dispatched at all.
-    assert backend.start_counts["b"] == 3
-    assert "f" not in backend.start_counts
+    assert status == {"a": DONE, "b": FAILED, "c": DONE, "d": DONE, "e": DONE}
+    assert report.failed == ["b"]
+    assert scheduler.records["b"].error == "sim failure"
+    # b was retried to exhaustion; every other task ran once.
+    assert backend.start_counts == {"a": 1, "b": 3, "c": 1, "d": 1, "e": 1}
     assert report.task_errors == 3
 
 
@@ -148,7 +118,7 @@ def test_worker_death_retries_with_backoff_and_converges():
     clock = VirtualClock()
     backend = SimBackend(clock)
     backend.die_once.add("t001")
-    tasks = [Task(task_id="t000"), Task(task_id="t001", deps=("t000",))]
+    tasks = make_tasks(2)
     retry = RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=4.0)
     scheduler, backend, report = run_scheduler(
         tasks, workers=1, backend=backend, clock=clock, retry=retry
@@ -163,16 +133,7 @@ def test_worker_death_retries_with_backoff_and_converges():
     assert t001_starts[1] - t001_starts[0] >= retry.base_delay
 
 
-class TestGraphValidation:
-    def test_cycle_is_rejected(self):
-        tasks = [Task(task_id="a", deps=("b",)), Task(task_id="b", deps=("a",))]
-        with pytest.raises(SchedulerError, match="cycle"):
-            run_scheduler(tasks, workers=1)
-
-    def test_unknown_dependency_is_rejected(self):
-        with pytest.raises(SchedulerError, match="unknown task"):
-            run_scheduler([Task(task_id="a", deps=("ghost",))], workers=1)
-
+class TestTaskSetValidation:
     def test_duplicate_task_id_is_rejected(self):
         with pytest.raises(SchedulerError, match="duplicate"):
             run_scheduler([Task(task_id="a"), Task(task_id="a")], workers=1)

@@ -31,8 +31,8 @@ from repro.experiments.runner import (
     policystream_memo_key,
     set_disk_memo,
 )
-from repro.experiments.service import SweepSpec, run_sweep
-from repro.fastsim.plan import RoutePlanner
+from repro.experiments.queue import InlineBackend
+from repro.experiments.service import SweepSpec, load_manifest, run_sweep
 
 APPS = ("PR", "SSSP")
 DATASETS = ("lj", "uni")
@@ -143,20 +143,6 @@ def no_graph_loads(monkeypatch):
     monkeypatch.setattr(runner, "load_for_experiment", refuse)
 
 
-@pytest.fixture
-def planned(monkeypatch):
-    """The schemes of every plan made, in order."""
-    made = []
-    plan = RoutePlanner.plan
-
-    def recorded(self, request):
-        made.append(request.schemes)
-        return plan(self, request)
-
-    monkeypatch.setattr(RoutePlanner, "plan", recorded)
-    return made
-
-
 def _kinds(gets):
     return Counter(kind for kind, _ in gets)
 
@@ -226,14 +212,21 @@ def test_a_missing_summary_is_recomputed_to_the_same_counters(
     store, copy_of, gets, planned, streaming, manifest
 ):
     """With the stream's manifest kept, the summary comes from draining the
-    stored stream; with it deleted, from filtering the scope again."""
+    stored stream; with it deleted, from filtering the scope again.  Either
+    way it is stored again."""
     _, cold, _ = store
     key = llcstream_summary_memo_key("PR", "lj", CONFIG.reorder, CONFIG, streaming=streaming)
+    stream_key = llcstream_memo_key("PR", "lj", CONFIG.reorder, CONFIG, streaming=streaming)
+    if manifest == "kept":
+        # A fused sweep stores no stream; a staged replay's drain does.
+        for _ in runner.llc_chunks(build_workload("PR", "lj", config=CONFIG), CONFIG, streaming):
+            pass
+        _fresh()
+        set_disk_memo(copy_of)
+    else:
+        copy_of.path_for("llcstream", stream_key).unlink(missing_ok=True)
     stored = copy_of.get("llcstream", key)
     copy_of.path_for("llcstream", key).unlink()
-    if manifest == "deleted":
-        stream_key = llcstream_memo_key("PR", "lj", CONFIG.reorder, CONFIG, streaming=streaming)
-        copy_of.path_for("llcstream", stream_key).unlink()
     gets.clear()
     assert _rows(_compare(streaming)) == cold[streaming]
     recomputed = runner._SUMMARIES[key]
@@ -241,6 +234,39 @@ def test_a_missing_summary_is_recomputed_to_the_same_counters(
         assert recomputed[counter] == stored[counter], counter
     assert _kinds(gets)["workload"] == 1
     assert planned == []
+    assert copy_of.contains("llcstream", key)
+
+
+def test_a_lost_summary_is_stored_again_and_the_sweep_resumes_as_cached(tmp_path, gets):
+    """A scalar sweep replays each pair's stored stream, so its store keeps
+    the stream manifests.  The first sweep after a summary is lost runs
+    that pair's task alone, which writes the summary back from the
+    manifest; after it, sweeps and comparisons read by key again."""
+    config = CONFIG.with_overrides(backend="scalar")
+    spec = SweepSpec(apps=("PR",), datasets=("lj", "uni"), schemes=("RRIP", "GRASP"))
+    params = ("PR", "lj", config.reorder, config)
+    memo = DiskMemo(tmp_path)
+    try:
+        _fresh()
+        run_sweep(spec, config, cache_dir=tmp_path, worker_backend="inline")
+        assert memo.contains("llcstream", llcstream_memo_key(*params, streaming=False))
+        summary = memo.path_for("llcstream", llcstream_summary_memo_key(*params, streaming=False))
+        summary.unlink()
+        ran = []
+        for _ in range(2):
+            _fresh()
+            result = run_sweep(spec, config, cache_dir=tmp_path, worker_backend=InlineBackend())
+            tasks = load_manifest(tmp_path, result.run_id)["tasks"]
+            ran.append([task["label"] for task in tasks if not task["cached"]])
+        assert ran == [["PR/lj"], []]
+        assert summary.exists()
+        _fresh()
+        set_disk_memo(DiskMemo(tmp_path))
+        gets.clear()
+        compare_policies(spec.apps, spec.datasets, spec.schemes, config=config)
+        assert _kinds(gets)["workload"] == 0
+    finally:
+        _fresh()
 
 
 # ---------------------------------------------------------------------------
